@@ -54,20 +54,17 @@ from .numeric import (
     RankDeficientError,
     SingularMatrixError,
     Subspace,
+    bareiss,
     incidence_matrix,
     laplacian,
     match_sign_diagonal,
     matrix_from_json,
     matrix_to_json,
     orthonormalize,
-    pinv_laplacian,
     principal_angles,
     projection,
     rational_det,
-    rational_identity,
-    rational_inverse,
     rational_matrix,
-    rational_rank,
     target,
     to_float,
     transfer_current,

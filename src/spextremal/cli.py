@@ -3,8 +3,8 @@
 Subcommands: enumerate, weights, verify, table, search.  Every JSON or
 CSV output embeds a run manifest (command, config, version, seed,
 timestamp) sufficient to reproduce the run.  Exit codes: 0 success,
-1 verification failure, 2 bound violation, 64 usage error, 65 parse
-error.
+1 verification failure, 2 bound violation, 64 usage error or a size
+limit hit, 65 parse error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -29,7 +30,7 @@ from .sptree import (
     format_tree,
     parse_tree,
 )
-from .weights import induced_weights, weights_to_json
+from .weights import BruteForceCapError, induced_weights, weights_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -242,13 +243,12 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--init-magnitude", type=float, default=0.5)
-    p.add_argument("--decay", type=float, default=0.9)
-    p.add_argument("--max-steps", type=int, default=100_000)
-    p.add_argument("--min-magnitude", type=float, default=1e-9)
-    p.add_argument("--dedup-tol", type=float, default=1e-3)
+    default = {f.name: f.default for f in fields(SearchConfig)}
+    p.add_argument("--N", type=int, default=default["attempts"])
+    for name in ("eps", "init_magnitude", "decay", "max_steps", "min_magnitude",
+                 "dedup_tol"):
+        p.add_argument("--" + name.replace("_", "-"), type=type(default[name]),
+                       default=default[name])
     p.set_defaults(func=cmd_search)
 
     return parser
@@ -268,6 +268,9 @@ def main(argv=None) -> int:
     except SpTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BruteForceCapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

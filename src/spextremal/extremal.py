@@ -67,7 +67,7 @@ def build(tree, directions=None) -> ExtremalInstance:
     w = induced_weights(tree)
     B = incidence_matrix(graph)
     Y = transfer_current(B, w)
-    P = projection(B, w)
+    P = projection(Y, w)
     n = len(graph.edges)
     root = np.sqrt([float(w[e]) for e in range(n)])
     scaled = root[:, None] * to_float(B).T

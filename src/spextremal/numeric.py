@@ -1,11 +1,13 @@
 """Dense linear algebra for the construction: exact core, float geometry.
 
-The exact side works on numpy object arrays of Fraction and carries the
-incidence matrix, the graph Laplacian with its Moore-Penrose inverse, and
-the transfer current matrix, so spectral identities can be checked with
-zero tolerance.  The float side covers orthonormal bases, principal
-angles, and the deviation target, where double precision is the natural
-currency.
+The exact side has one elimination routine, bareiss, a fraction-free
+integer Gauss-Jordan that returns a determinant and an adjugate.  The
+transfer current matrix comes from a single such elimination of the
+grounded integer Laplacian, and exact determinants of Fraction matrices
+clear denominators and call it too, so spectral identities can be
+checked with zero tolerance.  The float side covers orthonormal bases,
+principal angles, and the deviation target, where double precision is the
+natural currency.
 """
 
 from __future__ import annotations
@@ -45,74 +47,45 @@ def rational_matrix(rows) -> np.ndarray:
     return out
 
 
-def rational_identity(n: int) -> np.ndarray:
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
+def bareiss(rows):
+    """Determinant and adjugate of a square integer matrix, exactly.
 
-
-def rational_inverse(a: np.ndarray) -> np.ndarray:
-    """Exact Gauss-Jordan inverse; raises SingularMatrixError."""
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    m = [[Fraction(a[i, j]) for j in range(n)] +
-         [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
+    Fraction-free Gauss-Jordan elimination on [A | I] (Bareiss, Math.
+    Comp. 22, 1968): each update divides by the previous pivot, and the
+    division is exact, so every entry stays an integer.  The left block
+    ends as det(A) I and the right block as adj(A).  Returns (0, None)
+    when A is singular.
+    """
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev, sign = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            raise SingularMatrixError("matrix is singular")
+            return 0, None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
+            sign = -sign
+        top = m[col]
+        pv = top[col]
         for r in range(n):
-            if r != col and m[r][col] != 0:
+            if r != col:
                 f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return rational_matrix([row[n:] for row in m])
+                m[r] = [(pv * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = pv
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def rational_det(a: np.ndarray) -> Fraction:
-    n = a.shape[0]
-    m = [[Fraction(a[i, j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / m[col][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-def rational_rank(a: np.ndarray) -> int:
-    rows, cols = a.shape
-    m = [[Fraction(a[i, j]) for j in range(cols)] for i in range(rows)]
-    rank_ = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank_, rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank_], m[pivot] = m[pivot], m[rank_]
-        pv = m[rank_][col]
-        m[rank_] = [x / pv for x in m[rank_]]
-        for r in range(rows):
-            if r != rank_ and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank_])]
-        rank_ += 1
-        if rank_ == rows:
-            break
-    return rank_
+    """Exact determinant: clear each row's denominators, then bareiss."""
+    rows, scale = [], 1
+    for row in a:
+        row = [Fraction(x) for x in row]
+        s = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    det, _ = bareiss(rows)
+    return Fraction(det, scale)
 
 
 def to_float(a: np.ndarray) -> np.ndarray:
@@ -141,17 +114,17 @@ def matrix_from_json(rows) -> np.ndarray:
 def incidence_matrix(graph) -> np.ndarray:
     """Vertex-by-edge matrix, +1 at the head and -1 at the tail of each edge."""
     m, n = graph.num_vertices, len(graph.edges)
-    B = np.full((m, n), Fraction(0), dtype=object)
+    B = np.zeros((m, n), dtype=object)
     for tail, head, eid in graph.edges:
-        B[head, eid] = Fraction(1)
-        B[tail, eid] = Fraction(-1)
+        B[head, eid] = 1
+        B[tail, eid] = -1
     return B
 
 
 def _weight_column(weights, n: int) -> np.ndarray:
     col = np.empty(n, dtype=object)
     for e in range(n):
-        col[e] = Fraction(weights[e])
+        col[e] = weights[e]
     return col
 
 
@@ -161,32 +134,34 @@ def laplacian(B: np.ndarray, weights) -> np.ndarray:
     return (B * w[None, :]).dot(B.T)
 
 
-def pinv_laplacian(L: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse via the rank-one shift (L + J/m)^-1 - J/m.
-
-    Exact for Laplacians of connected graphs, whose nullspace is the
-    constant vector; a singular shift means the graph is disconnected.
-    """
-    m = L.shape[0]
-    J = np.full((m, m), Fraction(1, m), dtype=object)
-    try:
-        inv = rational_inverse(L + J)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "shifted Laplacian is singular; the graph is disconnected") from exc
-    return inv - J
-
-
 def transfer_current(B: np.ndarray, weights) -> np.ndarray:
     """Y = W B^T L^+ B, exact.
 
     An oblique projection: entry (e, f) is the current through e, taken
     along e's own direction, when a unit current is driven from f's tail
     to f's head.  Idempotent with trace equal to the graph rank.
+
+    Y is unchanged when all weights scale together, so they are scaled to
+    coprime integers first.  Grounding vertex 0 leaves the reduced
+    Laplacian L0 = B0 W B0^T (B0 is B without row 0), nonsingular exactly
+    when the graph is connected.  One integer elimination gives
+    T = det L0, the weighted spanning-tree count, and adj(L0), and then
+    T Y = W B0^T adj(L0) B0 is an integer matrix.
     """
-    w = _weight_column(weights, B.shape[1])
-    Lp = pinv_laplacian(laplacian(B, weights))
-    return B.T.dot(Lp).dot(B) * w[:, None]
+    n = B.shape[1]
+    w = [Fraction(weights[e]) for e in range(n)]
+    common = math.lcm(*(x.denominator for x in w))
+    w_int = [x.numerator * (common // x.denominator) for x in w]
+    g = math.gcd(*w_int)
+    w_int = _weight_column([x // g for x in w_int], n)
+    B0 = B[1:]
+    det, adj = bareiss(laplacian(B0, w_int).tolist())
+    if det == 0:
+        raise SingularMatrixError(
+            "reduced Laplacian is singular; the graph is disconnected")
+    adj = np.array(adj, dtype=object)
+    scaled = B0.T.dot(adj).dot(B0) * w_int[:, None]
+    return scaled * Fraction(1, det)
 
 
 def transfer_current_combinatorial(graph, weights) -> np.ndarray:
@@ -236,12 +211,18 @@ def transfer_current_combinatorial(graph, weights) -> np.ndarray:
     return Y * (Fraction(1) / total)
 
 
-def projection(B: np.ndarray, weights) -> np.ndarray:
-    """Float orthogonal projector onto the column space of W^(1/2) B^T."""
-    n = B.shape[1]
-    Lp = pinv_laplacian(laplacian(B, weights))
-    core = to_float(B.T.dot(Lp).dot(B))
-    root = np.sqrt([float(Fraction(weights[e])) for e in range(n)])
+def projection(Y: np.ndarray, weights) -> np.ndarray:
+    """Float orthogonal projector onto the column space of W^(1/2) B^T.
+
+    Read off the transfer current matrix Y = W B^T L^+ B: the projector is
+    W^(-1/2) Y W^(1/2), i.e. P[i, j] = Y[i, j] sqrt(w_j / w_i).  It is
+    evaluated as the exact symmetric core Y[i, j] / w_i rounded once,
+    times sqrt(w_i) sqrt(w_j), so P is exactly symmetric.
+    """
+    n = Y.shape[0]
+    w = _weight_column(weights, n)
+    core = to_float(Y / w[:, None])
+    root = np.sqrt(to_float(w))
     return core * np.outer(root, root)
 
 

@@ -39,6 +39,14 @@ def brute_force_cap() -> int:
     return int(env) if env else DEFAULT_BRUTE_CAP
 
 
+def _require_under_cap(n: int) -> None:
+    cap = brute_force_cap()
+    if n > cap:
+        raise BruteForceCapError(
+            f"{n} edges exceeds the spanning-tree cap of {cap} edges "
+            f"(override with EXTREMAL_BRUTE_CAP)")
+
+
 def induced_weights(tree) -> dict[int, Fraction]:
     """Edge weights read off the alternating decomposition chain.
 
@@ -101,18 +109,7 @@ def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
     endpoints = {e: (t, h) for t, h, e in graph.edges}
 
     def connects(node) -> bool:
-        parent = list(range(graph.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in leaf_ids(node):
-            if e in tau_set:
-                t, h = endpoints[e]
-                parent[find(t)] = find(h)
+        find = _forest_find(graph, [e for e in leaf_ids(node) if e in tau_set])
         a, b = spans[node]
         return find(a) == find(b)
 
@@ -177,7 +174,8 @@ def _require_spanning_tree(graph, edges) -> None:
         raise SpTreeError("edge subset is not a spanning tree")
 
 
-def _is_forest(graph, subset) -> bool:
+def _forest_find(graph, edges):
+    """Union-find over the endpoints of edges: its find, or None on a cycle."""
     parent = list(range(graph.num_vertices))
 
     def find(x):
@@ -187,39 +185,28 @@ def _is_forest(graph, subset) -> bool:
         return x
 
     endpoints = {e: (t, h) for t, h, e in graph.edges}
-    for e in subset:
+    for e in edges:
         rt, rh = find(endpoints[e][0]), find(endpoints[e][1])
         if rt == rh:
-            return False
+            return None
         parent[rt] = rh
-    return True
+    return find
+
+
+def _is_forest(graph, subset) -> bool:
+    return _forest_find(graph, subset) is not None
 
 
 def _separates_terminals(graph, subset) -> bool:
-    parent = list(range(graph.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    endpoints = {e: (t, h) for t, h, e in graph.edges}
-    for e in subset:
-        rt, rh = find(endpoints[e][0]), find(endpoints[e][1])
-        if rt == rh:
-            return False
-        parent[rt] = rh
+    find = _forest_find(graph, subset)
     l, r = graph.terminals
-    return find(l) != find(r)
+    return find is not None and find(l) != find(r)
 
 
 def spanning_trees(graph) -> list[tuple]:
     """All spanning trees as sorted edge-id tuples, in lexicographic order."""
     n = len(graph.edges)
-    cap = brute_force_cap()
-    if n > cap:
-        raise BruteForceCapError(f"{n} edges exceeds the brute-force cap {cap}")
+    _require_under_cap(n)
     size = graph.num_vertices - 1
     return [s for s in combinations(range(n), size) if _is_forest(graph, s)]
 
@@ -227,9 +214,7 @@ def spanning_trees(graph) -> list[tuple]:
 def two_component_forests(graph) -> list[tuple]:
     """Spanning 2-forests with the terminals in different components."""
     n = len(graph.edges)
-    cap = brute_force_cap()
-    if n > cap:
-        raise BruteForceCapError(f"{n} edges exceeds the brute-force cap {cap}")
+    _require_under_cap(n)
     size = graph.num_vertices - 2
     return [s for s in combinations(range(n), size) if _separates_terminals(graph, s)]
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import spextremal as sp
 from spextremal import cli
@@ -109,6 +110,22 @@ class TestVerify:
         assert err.strip()  # failing instance echoed
 
 
+    def test_target_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "P(" + ",".join(["e"] * 13) + ")")
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at most 12 ambient dimensions" in err
+
+    def test_spanning_tree_cap_names_override(self, capsys, monkeypatch):
+        monkeypatch.delenv("EXTREMAL_BRUTE_CAP", raising=False)
+        code, out, err = run_cli(capsys, "verify", "P(" + ",".join(["e"] * 18) + ")")
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cap of 16 edges" in err and "EXTREMAL_BRUTE_CAP" in err
+
+
 class TestTable:
     def test_row_six(self, capsys):
         code, out, _ = run_cli(capsys, "table", "6")
@@ -136,6 +153,21 @@ class TestSearch:
         assert payload["classes"] == 1
         assert not payload["violation"]
         assert abs(payload["scores"][0] - 1 / math.sqrt(2)) < 1e-6
+
+    def test_defaults_come_from_search_config(self):
+        args = cli.build_parser().parse_args(["search", "5", "2", "--seed", "1"])
+        options = {"attempts": "N"}
+        for field in fields(sp.SearchConfig):
+            if field.name != "seed":
+                assert getattr(args, options.get(field.name, field.name)) == \
+                    field.default, field.name
+
+    def test_readme_command_finds_both_classes(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "5", "2", "--seed", "1", "--N", "40")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["classes"] == 2
+        assert payload["restarts"] == 48
 
     def test_seed_required(self, capsys):
         code, _, err = run_cli(capsys, "search", "2", "1")

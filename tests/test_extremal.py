@@ -116,9 +116,9 @@ class TestCheckTarget:
         B = sp.incidence_matrix(g)
         root = np.sqrt([float(bad[e]) for e in range(4)])
         basis = sp.orthonormalize((root[:, None] * B.astype(float).T)[:, 1:])
-        corrupted = sp.ExtremalInstance(inst.tree, g, bad, B,
-                                        sp.transfer_current(B, bad),
-                                        sp.projection(B, bad), basis)
+        Y = sp.transfer_current(B, bad)
+        corrupted = sp.ExtremalInstance(inst.tree, g, bad, B, Y,
+                                        sp.projection(Y, bad), basis)
         assert not sp.check_target(corrupted)
 
 

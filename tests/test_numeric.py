@@ -1,16 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 import spextremal as sp
-from spextremal.numeric import (
-    rational_identity,
-    rational_matrix,
-    rational_rank,
-)
+from spextremal.numeric import bareiss, rational_matrix
 
 
 def exact_equal(a, b):
@@ -28,27 +25,81 @@ def unit_weights(n):
     return {e: Fraction(1) for e in range(n)}
 
 
+def leibniz_det(a):
+    """Permutation-expansion determinant, the oracle for bareiss."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+def random_int_matrices(seed, count):
+    """Square integer matrices up to 5x5; every third one has its last row a
+    multiple of its first, which makes it singular when it has two rows."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if i % 3 == 0:
+            c = rng.randint(-2, 2)
+            a[-1] = [c * x for x in a[0]]
+        yield a
+
+
+def identity(n):
+    return rational_matrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+class TestBareiss:
+    def test_det_matches_leibniz(self):
+        for a in random_int_matrices(11, 300):
+            det, adj = bareiss(a)
+            assert det == leibniz_det(a)
+            assert (adj is None) == (det == 0)
+
+    def test_adjugate_identity(self):
+        nonsingular = 0
+        for a in random_int_matrices(13, 300):
+            det, adj = bareiss(a)
+            if det == 0:
+                continue
+            nonsingular += 1
+            A = np.array(a, dtype=object)
+            adj = np.array(adj, dtype=object)
+            scaled_identity = identity(len(a)) * det
+            assert exact_equal(A.dot(adj), scaled_identity)
+            assert exact_equal(adj.dot(A), scaled_identity)
+        assert nonsingular > 100
+
+
 class TestRationalCore:
     def test_inverse_round_trip(self):
+        # with D clearing the row denominators of a, the inverse of a is
+        # adj(D a) D / det(D a)
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randint(1, 5)
             a = rational_matrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                                   for _ in range(n)] for _ in range(n)])
-            try:
-                inv = sp.rational_inverse(a)
-            except sp.SingularMatrixError:
-                assert sp.rational_det(a) == 0
+            assert sp.rational_det(a) == leibniz_det(a.tolist())
+            scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+            det, adj = bareiss([[int(x * s) for x in row] for row, s in zip(a, scales)])
+            if det == 0:
                 continue
-            assert exact_equal(a.dot(inv), rational_identity(n))
+            inv = np.array(adj, dtype=object).dot(np.diag(scales).astype(object))
+            assert exact_equal(a.dot(inv) * Fraction(1, det), identity(n))
 
     def test_det_of_singular(self):
         a = rational_matrix([[1, 2], [2, 4]])
         assert sp.rational_det(a) == 0
 
     def test_rank(self):
+        # rank 2 of 3: singular for the exact determinant and for bareiss
         a = rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert rational_rank(a) == 2
+        assert sp.rational_det(a) == 0
+        assert bareiss([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (0, None)
 
     def test_json_round_trip_exact(self):
         a = rational_matrix([[Fraction(1, 3), 2], [Fraction(-5, 7), 0]])
@@ -79,8 +130,10 @@ class TestIncidence:
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
-                    B = sp.incidence_matrix(g)
-                    assert rational_rank(B) == g.num_vertices - 1
+                    # B has full row rank once a vertex is dropped exactly
+                    # when the reduced unit-weight Laplacian is nonsingular
+                    L = sp.laplacian(sp.incidence_matrix(g), unit_weights(n))
+                    assert sp.rational_det(L[1:, 1:]) != 0
 
 
 class TestLaplacian:
@@ -99,45 +152,6 @@ class TestLaplacian:
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"))
         L = sp.laplacian(sp.incidence_matrix(g), unit_weights(3))
         assert exact_equal(L, rational_matrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
-
-
-class TestPinvLaplacian:
-    def test_single_edge_value(self):
-        L = rational_matrix([[1, -1], [-1, 1]])
-        Lp = sp.pinv_laplacian(L)
-        assert exact_equal(Lp, rational_matrix(
-            [[Fraction(1, 4), Fraction(-1, 4)], [Fraction(-1, 4), Fraction(1, 4)]]))
-
-    def test_banana_value(self):
-        for n in (2, 3, 5):
-            L = rational_matrix([[n, -n], [-n, n]])
-            expected = rational_matrix(
-                [[Fraction(1, 4 * n), Fraction(-1, 4 * n)],
-                 [Fraction(-1, 4 * n), Fraction(1, 4 * n)]])
-            assert exact_equal(sp.pinv_laplacian(L), expected)
-
-    def test_penrose_axioms_exact(self):
-        for n in range(2, 6):
-            for k in range(1, n):
-                for t in sp.enumerate_rooted(n, k):
-                    g = sp.realize(t)
-                    L = sp.laplacian(sp.incidence_matrix(g), sp.induced_weights(t))
-                    Lp = sp.pinv_laplacian(L)
-                    assert exact_equal(L.dot(Lp).dot(L), L)
-                    assert exact_equal(Lp.dot(L).dot(Lp), Lp)
-                    assert exact_equal(L.dot(Lp), L.dot(Lp).T)
-                    assert exact_equal(Lp.dot(L), Lp.dot(L).T)
-
-    def test_nullspace_preserved(self):
-        g = sp.realize(sp.parse_tree("P(e,S(e,e))"))
-        Lp = sp.pinv_laplacian(sp.laplacian(sp.incidence_matrix(g), unit_weights(3)))
-        ones = np.full(3, Fraction(1), dtype=object)
-        assert all(v == 0 for v in Lp.dot(ones))
-
-    def test_disconnected_rejected(self):
-        L = rational_matrix([[0, 0], [0, 0]])
-        with pytest.raises(sp.SingularMatrixError):
-            sp.pinv_laplacian(L)
 
 
 class TestTransferCurrent:
@@ -182,6 +196,33 @@ class TestTransferCurrent:
                         Yc = sp.transfer_current_combinatorial(g, w)
                         assert exact_equal(Y, Yc)
 
+    def test_disconnected_rejected(self):
+        g = sp.MultiGraph(3, ((0, 1, 0),), (0, 1))
+        with pytest.raises(sp.SingularMatrixError):
+            sp.transfer_current(sp.incidence_matrix(g), unit_weights(1))
+
+    def test_reduced_determinant_is_tree_count(self):
+        # matrix-tree theorem: grounding vertex 0 leaves det L0 = T(G)
+        for n in range(2, 7):
+            for k in range(1, n):
+                for t in sp.enumerate_rooted(n, k):
+                    w = sp.induced_weights(t)
+                    L = sp.laplacian(sp.incidence_matrix(sp.realize(t)), w)
+                    assert sp.rational_det(L[1:, 1:]) == sp.tree_sums(t, w).trees
+
+    def test_burton_pemantle_minors(self, instances_to_7):
+        # det Y[S,S] is the probability that the weighted uniform spanning
+        # tree contains S: w(S)/T(G) for a spanning tree S, else 0
+        for inst in instances_to_7:
+            n, k = len(inst.graph.edges), inst.subspace.dim
+            total = sp.tree_sums(inst.tree, inst.weights).trees
+            trees = set(sp.spanning_trees(inst.graph))
+            for s in combinations(range(n), k):
+                expected = (math.prod(inst.weights[e] for e in s) / total
+                            if s in trees else 0)
+                idx = list(s)
+                assert sp.rational_det(inst.Y[np.ix_(idx, idx)]) == expected
+
     def test_diagonal_strictly_inside_unit_interval(self):
         for n in range(2, 7):
             for k in range(1, n):
@@ -195,7 +236,8 @@ class TestProjection:
     def test_triangle_equals_transfer_current(self):
         # unit weights make the projector and the transfer current coincide
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"), [False, True, True])
-        P = sp.projection(sp.incidence_matrix(g), unit_weights(3))
+        w = unit_weights(3)
+        P = sp.projection(sp.transfer_current(sp.incidence_matrix(g), w), w)
         assert np.allclose(P, np.eye(3) - np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
     def test_symmetric_idempotent(self):
@@ -203,7 +245,8 @@ class TestProjection:
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
-                    P = sp.projection(sp.incidence_matrix(g), sp.induced_weights(t))
+                    w = sp.induced_weights(t)
+                    P = sp.projection(sp.transfer_current(sp.incidence_matrix(g), w), w)
                     assert np.allclose(P, P.T, atol=1e-12)
                     assert np.allclose(P @ P, P, atol=1e-12)
 
@@ -212,8 +255,8 @@ class TestProjection:
             t = sp.parse_tree(tree_text)
             g = sp.realize(t)
             w = sp.induced_weights(t)
-            P = sp.projection(sp.incidence_matrix(g), w)
             Y = sp.transfer_current(sp.incidence_matrix(g), w)
+            P = sp.projection(Y, w)
             Q = (Y * Y.T).astype(float)
             assert np.max(np.abs(P * P - Q)) < 1e-12
 
