@@ -21,11 +21,11 @@ from .sptree import (
     TreeParseError,
     canonicalize,
     check_invariants,
+    class_key,
     decompose,
     dualize,
     enumerate_rooted,
     format_tree,
-    is_two_connected,
     leaf_count,
     leaf_ids,
     make_leaf,
@@ -58,8 +58,6 @@ from .numeric import (
     incidence_matrix,
     laplacian,
     match_sign_diagonal,
-    matrix_from_json,
-    matrix_to_json,
     orthonormalize,
     principal_angles,
     projection,
@@ -73,12 +71,10 @@ from .numeric import (
 from .extremal import (
     ExtremalInstance,
     build,
-    canonical_matrix_form,
     check_degenerate,
     check_dual,
     check_eigen,
     check_target,
-    class_key,
     class_table,
     count_classes,
     least_eigenvalue_report,

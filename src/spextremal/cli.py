@@ -19,13 +19,14 @@ from dataclasses import fields
 from datetime import datetime, timezone
 
 from . import __version__
-from .extremal import build, class_key, count_classes, verify_instance
+from .extremal import build, count_classes, verify_instance
 from .numeric import target
 from .search import SearchConfig, accumulate
 from .sptree import (
     Parallel,
     SpTreeError,
     TreeParseError,
+    class_key,
     enumerate_rooted,
     format_tree,
     parse_tree,
@@ -80,7 +81,7 @@ def cmd_enumerate(args) -> int:
     if args.n < 2 or args.n > 12 or args.k < 1:
         raise UsageError("need 2 <= n <= 12 and k >= 1")
     trees = enumerate_rooted(args.n, args.k)
-    classes = len({class_key(build(t)) for t in trees})
+    classes = len({class_key(t) for t in trees})
     if args.format == "json":
         manifest = run_manifest("enumerate", {"n": args.n, "k": args.k})
         _emit_json({
@@ -155,9 +156,7 @@ def cmd_verify(args) -> int:
 def cmd_table(args) -> int:
     if args.n_max < 2 or args.n_max > 9:
         raise UsageError("table needs 2 <= n-max <= 9")
-    if args.n_max > 7 and not args.long:
-        raise UsageError("rows above n = 7 need --long")
-    manifest = run_manifest("table", {"n_max": args.n_max, "long": args.long})
+    manifest = run_manifest("table", {"n_max": args.n_max})
     print("# manifest " + json.dumps(manifest))
     print("n," + ",".join(f"k={k}" for k in range(1, args.n_max)))
     for n in range(2, args.n_max + 1):
@@ -235,8 +234,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("table", help="CSV triangle of class counts")
     p.add_argument("n_max", type=int)
-    p.add_argument("--long", action="store_true",
-                   help="allow the slow rows n = 8, 9")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("search", help="randomized extremal-subspace search")

@@ -4,8 +4,10 @@ build() turns a decomposition tree into the full bundle: realized graph,
 induced weights, incidence matrix, exact transfer current matrix, float
 projector, and the orthonormalized star-space basis.  The check_* family
 verifies the spectral facts that make the subspace extremal, check_dual
-cross-checks the planar-dual instance, and class_key/count_classes fold
-instances into symmetry classes of the resulting subspaces.
+cross-checks the planar-dual instance, and count_classes folds the
+enumerated trees into symmetry classes of the resulting subspaces by
+sptree.class_key, which reads the class off the tree without building an
+instance.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .numeric import (
 from .sptree import (
     MultiGraph,
     SpTree,
+    class_key,
     dualize,
     enumerate_rooted,
     format_tree,
@@ -131,87 +134,9 @@ def check_dual(inst: ExtremalInstance, tol: float = 1e-9):
 # symmetry classes
 # ---------------------------------------------------------------------------
 
-def _swap_is_automorphism(Q: np.ndarray, i: int, j: int) -> bool:
-    if Q[i, i] != Q[j, j]:
-        return False
-    n = Q.shape[0]
-    for x in range(n):
-        if x != i and x != j and Q[i, x] != Q[j, x]:
-            return False
-    return True
-
-
-def canonical_matrix_form(Q: np.ndarray):
-    """Least border encoding of a symmetric matrix over simultaneous
-    row/column permutations; returns (encoding, permutation).
-
-    Depth-first placement with prefix pruning; candidates related by a
-    transposition automorphism are explored only once.  The encoding is
-    the concatenation of border strips (Q[c, placed...], Q[c, c]).
-    """
-    n = Q.shape[0]
-    best: list | None = None
-    best_perm: tuple | None = None
-
-    def search(order, strips, status):
-        # status 0: strips equal best's prefix; -1: strictly smaller.
-        # Returns True when the subtree replaced best, after which the
-        # caller's prefix is exactly best's prefix again.
-        nonlocal best, best_perm
-        pos = len(order)
-        if pos == n:
-            if best is None or status < 0:
-                best = list(strips)
-                best_perm = tuple(order)
-                return True
-            return False
-        used = set(order)
-        kept = []
-        for c in range(n):
-            if c in used:
-                continue
-            if any(_swap_is_automorphism(Q, c, k) for k in kept):
-                continue
-            kept.append(c)
-        replaced_here = False
-        for c in kept:
-            strip = tuple(Q[c, o] for o in order) + (Q[c, c],)
-            st = status
-            if st == 0 and best is not None:
-                if strip > best[pos]:
-                    continue
-                if strip < best[pos]:
-                    st = -1
-            order.append(c)
-            strips.append(strip)
-            if search(order, strips, st):
-                replaced_here = True
-                status = 0
-            order.pop()
-            strips.pop()
-        return replaced_here
-
-    search([], [], 0)
-    encoding = tuple(x for strip in best for x in strip)
-    return encoding, best_perm
-
-
-def class_key(inst: ExtremalInstance):
-    """Canonical key of the sign-blind squared projector.
-
-    Q = Y o Y^T is exact-rational, symmetric, invariant under edge
-    redirections and weight rescalings, and permutation-canonicalized, so
-    equal keys identify subspaces equal up to signed coordinate
-    permutations.
-    """
-    Q = inst.Y * inst.Y.T
-    encoding, _ = canonical_matrix_form(Q)
-    return encoding
-
-
 def count_classes(n: int, k: int) -> int:
     """Number of symmetry classes among all (n, k) instances."""
-    return len({class_key(build(t)) for t in enumerate_rooted(n, k)})
+    return len({class_key(t) for t in enumerate_rooted(n, k)})
 
 
 def class_table(n_max: int, n_min: int = 2) -> list[list[int]]:

@@ -92,21 +92,6 @@ def to_float(a: np.ndarray) -> np.ndarray:
     return a.astype(float)
 
 
-def matrix_to_json(a: np.ndarray) -> list:
-    """Rows as lists; exact entries become "p/q" strings, floats stay floats."""
-    if a.dtype == object:
-        return [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in row]
-                for row in a]
-    return [[float(x) for x in row] for row in np.asarray(a, dtype=float)]
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    """Inverse of matrix_to_json; "p/q" strings give an exact matrix."""
-    if rows and rows[0] and isinstance(rows[0][0], str):
-        return rational_matrix([[Fraction(x) for x in row] for row in rows])
-    return np.asarray(rows, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # graph matrices
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ is parallel, so those are the trees with a Parallel root here.
 
 This module provides the tree type with normalizing constructors, a strict
 text grammar, canonical forms modulo the tree symmetries (reordering of
-parallel branches, reversal of series chains), duality, exhaustive
-enumeration, realization as a directed multigraph, and the reduction of a
-concrete multigraph back to its canonical tree.
+parallel branches, reversal of series chains), the class key of the
+cycle matroid, duality, exhaustive enumeration, realization as a directed
+multigraph, and the reduction of a concrete multigraph back to its
+canonical tree.
 """
 
 from __future__ import annotations
@@ -111,11 +112,6 @@ def rank(tree) -> int:
     if isinstance(tree, Series):
         return sum(rank(c) for c in tree.children)
     return sum(rank(c) - 1 for c in tree.children) + 1
-
-
-def is_two_connected(tree) -> bool:
-    """Trees with a Parallel root realize 2-connected graphs."""
-    return isinstance(tree, Parallel)
 
 
 def check_invariants(tree) -> None:
@@ -236,6 +232,46 @@ def parallel_rooted(tree) -> SpTree:
     return make_parallel([kids[0], make_series(kids[1:])])
 
 
+def class_key(tree):
+    """Canonical key of the cycle matroid of the tree's 2-connected graph.
+
+    Keys are equal exactly when the subspaces agree up to signed coordinate
+    permutations.  Such a permutation carries the matroid of the star space,
+    the cycle matroid, along; conversely the induced weights are fixed by
+    the tree up to scale, and graphs with isomorphic cycle matroids are
+    2-isomorphic (Whitney, Amer. J. Math. 55, 1933), so their star spaces
+    agree up to reorientation.  The matroid is the unrooted tree of polygons
+    (series nodes) and bonds (parallel nodes) of its canonical decomposition
+    (Cunningham and Edmonds, Canad. J. Math. 32, 1980), and the elements
+    within a node are interchangeable.  A node is labelled by its kind and
+    its number of leaves; the key is the least AHU code (label, sorted child
+    codes) over all rootings.  No graph or matrix is built.
+    """
+    tree = parallel_rooted(tree)
+    if len(tree.children) == 2:
+        # a bond of two elements is no node: its sides form one polygon
+        tree = make_series(tree.children)
+    labels, links = [], []
+
+    def add(node):
+        i = len(labels)
+        leaves = sum(isinstance(c, Leaf) for c in node.children)
+        labels.append((isinstance(node, Series), leaves))
+        links.append([])
+        for child in node.children:
+            if not isinstance(child, Leaf):
+                j = add(child)
+                links[i].append(j)
+                links[j].append(i)
+        return i
+
+    def code(i, up):
+        return labels[i], tuple(sorted(code(j, i) for j in links[i] if j != up))
+
+    add(tree)
+    return min(code(i, None) for i in range(len(labels)))
+
+
 # ---------------------------------------------------------------------------
 # text grammar:  tree := "e" | "P(" tree ("," tree)+ ")" | "S(" tree ("," tree)+ ")"
 # ---------------------------------------------------------------------------
@@ -345,7 +381,9 @@ def _parallel_shapes(n: int, k: int) -> tuple:
     for n2 in range(2, n):
         for k2 in range(2, n2 + 1):
             comps.extend(_series_shapes(n2, k2))
+    # skeleton_key leads with the leaf count, so sizes[i][0] never decreases
     comps.sort(key=skeleton_key)
+    sizes = [(leaf_count(c), rank(c) - 1) for c in comps]
     out = []
 
     def choose(idx, count, edges_left, rankdef_left, acc):
@@ -354,12 +392,12 @@ def _parallel_shapes(n: int, k: int) -> tuple:
                 out.append(Parallel(tuple(acc)))
             return
         for i in range(idx, len(comps)):
-            comp = comps[i]
-            ne = leaf_count(comp)
-            rdef = rank(comp) - 1
-            if ne > edges_left or rdef > rankdef_left:
+            ne, rdef = sizes[i]
+            if ne > edges_left:
+                break
+            if rdef > rankdef_left:
                 continue
-            acc.append(comp)
+            acc.append(comps[i])
             choose(i, count + 1, edges_left - ne, rankdef_left - rdef, acc)
             acc.pop()
 

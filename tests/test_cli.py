@@ -135,9 +135,12 @@ class TestTable:
         assert "6,1,3,4,3,1" in lines
         assert "2,1" in lines
 
-    def test_large_rows_need_long_flag(self, capsys):
-        code, _, err = run_cli(capsys, "table", "8")
-        assert code == 64 and "--long" in err
+    def test_row_nine(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "9")
+        assert code == 0
+        rows = out.strip().splitlines()[2:]
+        assert len(rows) == 8
+        assert rows[6] == "8,1,5,14,19,14,5,1"
 
     def test_cap(self, capsys):
         code, _, _ = run_cli(capsys, "table", "10")

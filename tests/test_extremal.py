@@ -9,6 +9,8 @@ import pytest
 import spextremal as sp
 from spextremal.numeric import rational_matrix
 
+from matrix_canon import canonical_matrix_form, oracle_key, squared_projector
+
 
 def exact_equal(a, b):
     return a.shape == b.shape and bool((a == b).all())
@@ -140,38 +142,74 @@ class TestCheckDual:
                     assert ok, (sp.format_tree(t), diag)
 
 
+def same_partition(items, key_a, key_b):
+    """Whether key_a and key_b split items into the same classes."""
+    pairs = {(key_a(x), key_b(x)) for x in items}
+    return (len(pairs) == len({a for a, _ in pairs})
+            == len({b for _, b in pairs}))
+
+
 class TestClassKey:
     def test_invariant_under_edge_relabeling(self):
         t = sp.parse_tree("P(e,S(e,P(e,e)))")
-        base = sp.class_key(sp.build(t))
-        # rebuild the same network with leaves permuted via a different but
-        # symmetric tree text (swap the parallel pair order and outer branches)
+        # the same network with the parallel pair and outer branches swapped
         other = sp.parse_tree("P(S(P(e,e),e),e)")
-        assert sp.class_key(sp.build(sp.canonicalize(other))) == base
+        assert sp.class_key(other) == sp.class_key(t)
+        assert sp.class_key(sp.canonicalize(other)) == sp.class_key(t)
 
     def test_invariant_under_direction_flips(self):
+        # the key reads no directions; the squared projector it stands for
+        # must not see them either
         rng = random.Random(9)
         t = sp.parse_tree("P(e,e,S(e,e))")
-        base = sp.class_key(sp.build(t))
+        base = oracle_key(sp.build(t))
         for _ in range(5):
             dirs = [rng.random() < 0.5 for _ in range(4)]
-            assert sp.class_key(sp.build(t, dirs)) == base
+            assert oracle_key(sp.build(t, dirs)) == base
 
     def test_terminal_choices_merge(self):
         a, b = sp.enumerate_rooted(4, 2)
-        assert sp.class_key(sp.build(a)) == sp.class_key(sp.build(b))
+        assert sp.class_key(a) == sp.class_key(b)
+
+    @pytest.mark.parametrize("text, other", [
+        # Whitney twist of the middle chain
+        ("P(e,S(P(e,e),e,P(e,e)))", "P(e,S(e,P(e,e),P(e,e)))"),
+        # two-element root bonds merge into one polygon
+        ("P(e,S(e,e,e))", "P(S(e,e),S(e,e))"),
+        ("P(e,S(e,P(e,e)))", "P(e,e,S(e,e))"),
+    ])
+    def test_equivalent_trees_agree_with_oracle(self, text, other):
+        a, b = sp.parse_tree(text), sp.parse_tree(other)
+        assert sp.class_key(a) == sp.class_key(b)
+        assert oracle_key(sp.build(a)) == oracle_key(sp.build(b))
+
+    def test_independent_of_terminal_edge(self, instances_to_7):
+        for inst in instances_to_7:
+            key = sp.class_key(inst.tree)
+            for tail, head, _ in inst.graph.edges:
+                tree = sp.decompose(inst.graph, tail, head).tree
+                assert sp.class_key(tree) == key, sp.format_tree(inst.tree)
+
+    def test_partition_matches_oracle(self, instances_to_7):
+        assert same_partition(instances_to_7,
+                              lambda inst: sp.class_key(inst.tree), oracle_key)
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_partition_matches_oracle_long(self, n):
+        insts = [sp.build(t) for k in range(1, n) for t in sp.enumerate_rooted(n, k)]
+        assert same_partition(insts, lambda inst: sp.class_key(inst.tree),
+                              oracle_key)
 
     def test_collision_safety_permutation_exists(self):
-        from spextremal.extremal import canonical_matrix_form
-        insts = [sp.build(t) for t in sp.enumerate_rooted(5, 2)]
         by_key = {}
-        for inst in insts:
-            by_key.setdefault(sp.class_key(inst), []).append(inst)
+        for t in sp.enumerate_rooted(5, 2):
+            by_key.setdefault(sp.class_key(t), []).append(sp.build(t))
         for group in by_key.values():
-            q0 = group[0].Y * group[0].Y.T
+            q0 = squared_projector(group[0])
             _, p0 = canonical_matrix_form(q0)
             for other in group[1:]:
-                q1 = other.Y * other.Y.T
+                q1 = squared_projector(other)
                 _, p1 = canonical_matrix_form(q1)
                 n = q0.shape[0]
                 # composing the canonical permutations maps q1 onto q0

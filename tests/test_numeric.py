@@ -101,18 +101,6 @@ class TestRationalCore:
         assert sp.rational_det(a) == 0
         assert bareiss([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (0, None)
 
-    def test_json_round_trip_exact(self):
-        a = rational_matrix([[Fraction(1, 3), 2], [Fraction(-5, 7), 0]])
-        blob = sp.matrix_to_json(a)
-        assert blob == [["1/3", "2/1"], ["-5/7", "0/1"]]
-        assert exact_equal(sp.matrix_from_json(blob), a)
-
-    def test_json_round_trip_float(self):
-        import json
-        a = np.array([[0.1, 1 / 3], [math.sqrt(2), -1.0]])
-        rebuilt = sp.matrix_from_json(json.loads(json.dumps(sp.matrix_to_json(a))))
-        assert np.array_equal(rebuilt, a)
-
 
 class TestIncidence:
     def test_single_edge_column(self):

@@ -117,7 +117,7 @@ class TestSymmetryEquivalent:
         keys = {}
         for t in sp.enumerate_rooted(5, 2):
             inst = sp.build(t)
-            keys.setdefault(sp.class_key(inst), inst.subspace)
+            keys.setdefault(sp.class_key(t), inst.subspace)
         a, b = list(keys.values())[:2]
         assert not symmetry_equivalent(a, b, 1e-3)
         assert len(reps) >= 2
