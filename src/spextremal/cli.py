@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -165,26 +165,23 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _search_dest(name: str) -> str:
+    """The search option holding a SearchConfig field (--N is the budget)."""
+    return "N" if name == "attempts" else name
+
+
 def cmd_search(args) -> int:
     if args.n < 2 or args.k < 1 or args.k >= args.n:
         raise UsageError("need n > k >= 1")
-    config = SearchConfig(
-        attempts=args.N,
-        eps=args.eps,
-        init_magnitude=args.init_magnitude,
-        decay=args.decay,
-        max_steps=args.max_steps,
-        min_magnitude=args.min_magnitude,
-        seed=args.seed,
-        dedup_tol=args.dedup_tol,
-    )
+    try:
+        config = SearchConfig(**{f.name: getattr(args, _search_dest(f.name))
+                                 for f in fields(SearchConfig)})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     result = accumulate(args.n, args.k, config)
-    config_dict = {
-        "n": args.n, "k": args.k, "seed": config.seed, "N": config.attempts,
-        "eps": config.eps, "init_magnitude": config.init_magnitude,
-        "decay": config.decay, "max_steps": config.max_steps,
-        "min_magnitude": config.min_magnitude, "dedup_tol": config.dedup_tol,
-    }
+    settings = asdict(config)
+    config_dict = {"n": args.n, "k": args.k, "seed": settings.pop("seed"),
+                   "N": settings.pop("attempts"), **settings}
     manifest = run_manifest("search", config_dict)
     payload = {
         "manifest": manifest,
@@ -240,12 +237,11 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--seed", type=int, required=True)
-    default = {f.name: f.default for f in fields(SearchConfig)}
-    p.add_argument("--N", type=int, default=default["attempts"])
-    for name in ("eps", "init_magnitude", "decay", "max_steps", "min_magnitude",
-                 "dedup_tol"):
-        p.add_argument("--" + name.replace("_", "-"), type=type(default[name]),
-                       default=default[name])
+    for field in fields(SearchConfig):
+        if field.name != "seed":
+            dest = _search_dest(field.name)
+            p.add_argument("--" + dest.replace("_", "-"), type=type(field.default),
+                           default=field.default)
     p.set_defaults(func=cmd_search)
 
     return parser

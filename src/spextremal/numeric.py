@@ -7,7 +7,9 @@ grounded integer Laplacian, and exact determinants of Fraction matrices
 clear denominators and call it too, so spectral identities can be
 checked with zero tolerance.  The float side covers orthonormal bases,
 principal angles, and the deviation target, where double precision is the
-natural currency.
+natural currency.  Orthonormalization and the target also take stacks of
+bases, so a batch of search walkers is bumped and scored with one SVD call
+each.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -227,10 +230,27 @@ class Subspace:
         b = np.asarray(self.basis, dtype=float)
         if b.shape != (self.ambient, self.dim):
             raise ValueError("basis shape does not match the declared dimensions")
-        gram = b.T @ b
-        if not np.allclose(gram, np.eye(self.dim), rtol=0.0, atol=1e-12):
-            raise ValueError("basis columns are not orthonormal")
+        require_orthonormal(b)
         self.basis = b
+
+
+def require_orthonormal(bases: np.ndarray) -> None:
+    """Raise ValueError unless the columns of the n-by-k basis, or of every
+    basis in an (R, n, k) stack, are orthonormal to within 1e-12."""
+    gram = np.swapaxes(bases, -1, -2) @ bases
+    if not (np.abs(gram - np.eye(bases.shape[-1])) <= 1e-12).all():
+        raise ValueError("basis columns are not orthonormal")
+
+
+def orthonormal_stack(mats: np.ndarray):
+    """Orthonormal bases for the column spaces of an (R, n, k) stack.
+
+    One batched SVD; returns the left singular vectors and a mask of the
+    matrices of full column rank, those whose smallest singular value is
+    above 1e-10.
+    """
+    u, s, _ = np.linalg.svd(mats, full_matrices=False)
+    return u, s[:, -1] > 1e-10
 
 
 def orthonormalize(mat) -> Subspace:
@@ -242,10 +262,10 @@ def orthonormalize(mat) -> Subspace:
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] < m.shape[1] or m.shape[1] == 0:
         raise ValueError("need a tall matrix with at least one column")
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s[-1] <= 1e-10:
+    u, full_rank = orthonormal_stack(m[None])
+    if not full_rank[0]:
         raise RankDeficientError("matrix does not have full column rank")
-    return Subspace(m.shape[0], m.shape[1], u)
+    return Subspace(m.shape[0], m.shape[1], u[0])
 
 
 def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
@@ -256,6 +276,34 @@ def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
     return np.arccos(np.clip(s, 0.0, 1.0))
 
 
+@lru_cache(maxsize=None)
+def coordinate_subsets(n: int, k: int):
+    """The k-subsets of range(n) in lexicographic order, as a tuple of
+    tuples and as a read-only (C(n, k), k) index array."""
+    subsets = tuple(combinations(range(n), k))
+    index = np.array(subsets)
+    index.flags.writeable = False
+    return subsets, index
+
+
+def stacked_target(bases: np.ndarray, subset_cap: int = DEFAULT_SUBSET_CAP):
+    """The target of every basis in an (R, n, k) stack.
+
+    One batched SVD of the (R, C(n, k), k, k) coordinate submatrices.
+    Returns the R angles and, for each, the position of its argmin subset
+    in coordinate_subsets(n, k); ties go to the lexicographically first.
+    """
+    _, n, k = bases.shape
+    if n > subset_cap:
+        raise BruteForceCapError(
+            f"target sweep needs at most {subset_cap} ambient dimensions, got {n}")
+    _, index = coordinate_subsets(n, k)
+    sigma_min = np.linalg.svd(bases[:, index, :], compute_uv=False)[..., -1]
+    cos_best = np.clip(sigma_min.max(axis=1), 0.0, 1.0)
+    angles = np.array([math.acos(c) for c in cos_best.tolist()])
+    return angles, np.argmax(sigma_min, axis=1)
+
+
 def target(sub: Subspace, subset_cap: int = DEFAULT_SUBSET_CAP):
     """Least deviation from the coordinate k-subspaces, with its argmin.
 
@@ -264,16 +312,9 @@ def target(sub: Subspace, subset_cap: int = DEFAULT_SUBSET_CAP):
     submatrix of the basis; the sweep is exhaustive over all C(n, k)
     subsets.  Ties go to the lexicographically first subset.
     """
-    n, k = sub.ambient, sub.dim
-    if n > subset_cap:
-        raise BruteForceCapError(
-            f"target sweep needs at most {subset_cap} ambient dimensions, got {n}")
-    subsets = list(combinations(range(n), k))
-    stack = sub.basis[np.array(subsets), :]
-    sigma_min = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    best = int(np.argmax(sigma_min))
-    cos_best = float(np.clip(sigma_min[best], 0.0, 1.0))
-    return math.acos(cos_best), subsets[best]
+    angles, best = stacked_target(sub.basis[None], subset_cap)
+    subsets, _ = coordinate_subsets(sub.ambient, sub.dim)
+    return float(angles[0]), subsets[best[0]]
 
 
 def match_sign_diagonal(A: np.ndarray, B: np.ndarray, tol: float):

@@ -2,10 +2,19 @@
 
 Hill climbing on the Grassmannian: perturb the current basis with
 Gaussian noise, keep strict improvements of the deviation target, shrink
-the step on every rejection.  The accumulation loop restarts from uniform
-samples and collects one representative per symmetry class of the
-extremal subspaces it reaches; a subspace beating the arccos(1/sqrt(n))
-bound would be returned as a distinguished violation result.
+the step on every rejection.  Walkers climb in lockstep on an (R, n, k)
+stack of bases.  Each step bumps every walker still climbing with noise
+from its own generator, orthonormalizes the bumped stack with one batched
+SVD and scores it with one batched SVD of the coordinate submatrices, so
+each walker follows exactly the path it would follow alone.
+
+The accumulation loop restarts from uniform samples and collects one
+representative per symmetry class of the extremal subspaces it reaches; a
+subspace beating the arccos(1/sqrt(n)) bound would be returned as a
+distinguished violation result.  Restarts are launched in batches as large
+as the remaining attempt budget, which is the least number of restarts
+still to run, and their results are taken in restart order, so a run does
+exactly the restarts a one-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -16,11 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import (
-    RankDeficientError,
     Subspace,
     match_sign_diagonal,
+    orthonormal_stack,
     orthonormalize,
     principal_angles,
+    require_orthonormal,
+    stacked_target,
     target,
 )
 
@@ -47,6 +58,10 @@ class SearchConfig:
             raise ValueError("init_magnitude must be positive")
         if not 0.0 < self.decay < 1.0:
             raise ValueError("decay must lie in (0, 1)")
+        if self.max_steps < 0:
+            raise ValueError("max_steps must be non-negative")
+        if self.dedup_tol <= 0.0:
+            raise ValueError("dedup_tol must be positive")
 
 
 @dataclass
@@ -75,32 +90,70 @@ def sample_uniform(n: int, k: int, rng) -> Subspace:
     return orthonormalize(rng.standard_normal((n, k)))
 
 
+def _bump(bases: np.ndarray, magnitudes: np.ndarray, rngs) -> np.ndarray:
+    """One Gaussian bump per walker of an (R, n, k) stack, re-orthonormalized.
+
+    Walker r scales rngs[r]'s noise by magnitudes[r].  A bump that is not of
+    full column rank (a measure-zero degeneracy) is drawn again from the
+    same walker's generator.
+    """
+    shape = bases.shape[1:]
+    noise = np.stack([rng.standard_normal(shape) for rng in rngs])
+    out, full_rank = orthonormal_stack(bases + magnitudes[:, None, None] * noise)
+    while not full_rank.all():
+        redo = np.flatnonzero(~full_rank)
+        noise = np.stack([rngs[r].standard_normal(shape) for r in redo])
+        out[redo], full_rank[redo] = orthonormal_stack(
+            bases[redo] + magnitudes[redo, None, None] * noise)
+    require_orthonormal(out)
+    return out
+
+
+def _climb(bases: np.ndarray, rngs, cfg: SearchConfig) -> np.ndarray:
+    """Accept-improving walks from every basis of an (R, n, k) stack, in lockstep.
+
+    Walker r draws only from rngs[r].  At each step it keeps its candidate
+    when the target angle strictly grows and otherwise multiplies its step
+    size by cfg.decay.  It retires once the step size is below
+    cfg.min_magnitude, and all walkers stop after cfg.max_steps steps.
+    Returns the final stack.
+    """
+    bases, rngs = np.array(bases, dtype=float), list(rngs)
+    out = np.empty_like(bases)          # filled as walkers retire
+    walkers = np.arange(len(bases))     # the walker in each row of bases
+    angles, _ = stacked_target(bases)
+    magnitudes = np.full(len(bases), cfg.init_magnitude)
+    for _ in range(cfg.max_steps):
+        retiring = magnitudes < cfg.min_magnitude
+        if retiring.any():
+            out[walkers[retiring]] = bases[retiring]
+            keep = ~retiring
+            walkers, bases = walkers[keep], bases[keep]
+            angles, magnitudes = angles[keep], magnitudes[keep]
+            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+            if not rngs:
+                break
+        candidates = _bump(bases, magnitudes, rngs)
+        candidate_angles, _ = stacked_target(candidates)
+        better = candidate_angles > angles
+        bases[better] = candidates[better]
+        angles[better] = candidate_angles[better]
+        magnitudes[~better] *= cfg.decay
+    out[walkers] = bases
+    return out
+
+
 def perturb(sub: Subspace, magnitude: float, rng) -> Subspace:
-    """Gaussian bump of the basis, re-orthonormalized."""
-    while True:
-        bumped = sub.basis + magnitude * rng.standard_normal(sub.basis.shape)
-        try:
-            return orthonormalize(bumped)
-        except RankDeficientError:
-            continue  # measure-zero degeneracy; draw again
+    """Gaussian bump of the basis, re-orthonormalized: one walker's bump."""
+    basis = _bump(sub.basis[None], np.array([magnitude], dtype=float), [rng])[0]
+    return Subspace(sub.ambient, sub.dim, basis)
 
 
 def optimize(sub: Subspace, cfg: SearchConfig, rng=None) -> Subspace:
     """Accept-improving random walk; shrinks the step on every rejection."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    angle, _ = target(sub)
-    magnitude = cfg.init_magnitude
-    for _ in range(cfg.max_steps):
-        if magnitude < cfg.min_magnitude:
-            break
-        candidate = perturb(sub, magnitude, rng)
-        candidate_angle, _ = target(candidate)
-        if candidate_angle > angle:
-            sub, angle = candidate, candidate_angle
-        else:
-            magnitude *= cfg.decay
-    return sub
+    return Subspace(sub.ambient, sub.dim, _climb(sub.basis[None], [rng], cfg)[0])
 
 
 def projection_profile(sub: Subspace) -> np.ndarray:
@@ -168,7 +221,7 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     returns immediately as a violation; scores within eps of the bound
     join the set when not symmetric to a known member, resetting the
     attempt budget.  Per-restart generators are derived from the seed, so
-    results are reproducible.
+    results are reproducible and independent of how restarts are batched.
     """
     if not n > k > 0:
         raise ValueError("need n > k > 0")
@@ -177,21 +230,26 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     budget = cfg.attempts
     restarts = 0
     while budget > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(restarts,)))
-        restarts += 1
-        sub = optimize(sample_uniform(n, k, rng), cfg, rng)
-        angle, subset = target(sub)
-        score = math.cos(angle)
-        if score < bound - cfg.eps:
-            return SearchResult(list(members),
-                                ViolationReport(sub, score, subset),
-                                restarts, cfg)
-        if abs(score - bound) <= cfg.eps and not any(
-                symmetry_equivalent(sub, member, cfg.dedup_tol)
-                for member, _ in members):
-            members.append((sub, projection_profile(sub)))
-            budget = cfg.attempts
-        else:
-            budget -= 1
+        # every restart of the batch is one the serial rule runs: a result
+        # lowers the budget by at most one, so it stays positive until the last
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
+                                                             spawn_key=(i,)))
+                for i in range(restarts, restarts + budget)]
+        starts = np.stack([sample_uniform(n, k, rng).basis for rng in rngs])
+        for basis in _climb(starts, rngs, cfg):
+            sub = Subspace(n, k, basis)
+            restarts += 1
+            angle, subset = target(sub)
+            score = math.cos(angle)
+            if score < bound - cfg.eps:
+                return SearchResult(list(members),
+                                    ViolationReport(sub, score, subset),
+                                    restarts, cfg)
+            if abs(score - bound) <= cfg.eps and not any(
+                    symmetry_equivalent(sub, member, cfg.dedup_tol)
+                    for member, _ in members):
+                members.append((sub, projection_profile(sub)))
+                budget = cfg.attempts
+            else:
+                budget -= 1
     return SearchResult(members, None, restarts, cfg)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import pytest
+
 import spextremal as sp
 from spextremal import cli
 
@@ -175,6 +177,27 @@ class TestSearch:
     def test_seed_required(self, capsys):
         code, _, err = run_cli(capsys, "search", "2", "1")
         assert code == 64
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--N", "0", "attempts must be at least 1"),
+        ("--decay", "1.5", "decay must lie in (0, 1)"),
+        ("--dedup-tol", "-1", "dedup_tol must be positive"),
+    ])
+    def test_invalid_config_is_usage_error(self, capsys, option, value, message):
+        code, out, err = run_cli(capsys, "search", "3", "1", "--seed", "1",
+                                 option, value)
+        assert code == 64
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_manifest_config_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("EXTREMAL_TIMESTAMP", "2026-01-01T00:00:00+00:00")
+        code, out, _ = run_cli(capsys, "search", "2", "1", "--seed", "3", "--N", "2")
+        assert code == 0
+        config = json.loads(out)["manifest"]["config"]
+        assert list(config) == ["n", "k", "seed", "N", "eps", "init_magnitude",
+                                "decay", "max_steps", "min_magnitude", "dedup_tol"]
+        assert config["N"] == 2 and config["seed"] == 3
 
     def test_reproducible_output_bytes(self, capsys, monkeypatch):
         monkeypatch.setenv("EXTREMAL_TIMESTAMP", "2026-01-01T00:00:00+00:00")

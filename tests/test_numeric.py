@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import spextremal as sp
-from spextremal.numeric import bareiss, rational_matrix
+from spextremal.numeric import (
+    bareiss,
+    coordinate_subsets,
+    rational_matrix,
+    require_orthonormal,
+    stacked_target,
+)
 
 
 def exact_equal(a, b):
@@ -283,6 +289,17 @@ class TestOrthonormalize:
         with pytest.raises(sp.RankDeficientError):
             sp.orthonormalize(m)
 
+    def test_orthonormality_checked_per_basis_and_per_stack(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([sp.orthonormalize(rng.standard_normal((5, 2))).basis
+                          for _ in range(3)])
+        require_orthonormal(stack)
+        stack[1, 0, 0] += 1e-9
+        with pytest.raises(ValueError, match="orthonormal"):
+            require_orthonormal(stack)
+        with pytest.raises(ValueError, match="orthonormal"):
+            sp.Subspace(5, 2, stack[1])
+
 
 class TestPrincipalAngles:
     def test_equal_subspaces(self):
@@ -356,3 +373,13 @@ class TestTarget:
         s = sp.orthonormalize(np.eye(13)[:, :2])
         with pytest.raises(sp.BruteForceCapError):
             sp.target(s)
+
+    def test_stack_agrees_with_single_bases(self):
+        rng = np.random.default_rng(32)
+        subs = [sp.orthonormalize(rng.standard_normal((6, 3))) for _ in range(5)]
+        subs.append(sp.orthonormalize(np.eye(6)[:, 3:]))  # the last subset
+        angles, best = stacked_target(np.stack([s.basis for s in subs]))
+        subsets, _ = coordinate_subsets(6, 3)
+        for sub, angle, position in zip(subs, angles, best):
+            assert sp.target(sub) == (angle, subsets[position])
+        assert subsets[best[-1]] == (3, 4, 5)

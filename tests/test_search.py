@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import serial_search
 import spextremal as sp
+import spextremal.search as search_mod
 from spextremal.search import (
     SearchConfig,
+    _bump,
+    _climb,
     accumulate,
     optimize,
     perturb,
@@ -81,6 +85,38 @@ class TestPerturb:
         rho, _ = stats.spearmanr(mags, angles)
         assert rho > 0
 
+    def test_rank_deficient_bump_is_drawn_again(self):
+        # walker 0's first noise cancels its basis, so it alone draws again
+        starts = [sample_uniform(4, 2, rng_for(20, i)) for i in range(2)]
+        magnitudes = (1.0, 0.3)
+
+        class Collapsing:
+            def __init__(self, rng):
+                self.rng, self.first = rng, True
+
+            def standard_normal(self, shape):
+                if self.first:
+                    self.first = False
+                    return -starts[0].basis
+                return self.rng.standard_normal(shape)
+
+        got = [Collapsing(rng_for(21, 0)), rng_for(21, 1)]
+        want = [Collapsing(rng_for(21, 0)), rng_for(21, 1)]
+        out = _bump(np.stack([s.basis for s in starts]), np.array(magnitudes), got)
+        for i, magnitude in enumerate(magnitudes):
+            ref = serial_search.perturb(starts[i], magnitude, want[i])
+            assert out[i].tobytes() == ref.basis.tobytes()
+        assert got[0].rng.bit_generator.state == want[0].rng.bit_generator.state
+        assert got[1].bit_generator.state == want[1].bit_generator.state
+
+    def test_candidate_stack_is_checked(self, monkeypatch):
+        # bumps left un-orthonormalized must stop the climb
+        monkeypatch.setattr(search_mod, "orthonormal_stack",
+                            lambda mats: (mats, np.ones(len(mats), dtype=bool)))
+        start = sample_uniform(4, 2, rng_for(22)).basis[None]
+        with pytest.raises(ValueError, match="orthonormal"):
+            _climb(start, [rng_for(23)], SearchConfig(max_steps=3))
+
 
 class TestOptimize:
     def test_never_decreases_target(self):
@@ -98,6 +134,41 @@ class TestOptimize:
             rng = rng_for(51, i)
             final = optimize(sample_uniform(2, 1, rng), cfg, rng)
             assert abs(math.cos(sp.target(final)[0]) - 1 / math.sqrt(2)) < 1e-6
+
+    def test_matches_serial_oracle_bitwise(self):
+        cfg = SearchConfig(seed=0)
+        for n, k in ((4, 2), (5, 2)):
+            for i in range(3):
+                got_rng, want_rng = rng_for(52, i), rng_for(52, i)
+                got = optimize(sample_uniform(n, k, got_rng), cfg, got_rng)
+                want = serial_search.optimize(
+                    serial_search.sample_uniform(n, k, want_rng), cfg, want_rng)
+                assert got.basis.tobytes() == want.basis.tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_lockstep_walkers_retire_apart_and_match_serial(self):
+        # fast decay: some walkers retire at min_magnitude, others at max_steps
+        cfg = SearchConfig(decay=0.5, min_magnitude=1e-3, max_steps=12)
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                return self.rng.standard_normal(shape)
+
+        walkers = 16
+        rngs = [Counting(rng_for(53, i)) for i in range(walkers)]
+        starts = np.stack([sample_uniform(5, 2, r.rng).basis for r in rngs])
+        finals = _climb(starts, rngs, cfg)
+        steps = [r.draws for r in rngs]
+        assert max(steps) == cfg.max_steps and min(steps) < cfg.max_steps
+        for i in range(walkers):
+            rng = rng_for(53, i)
+            want = serial_search.optimize(serial_search.sample_uniform(5, 2, rng),
+                                          cfg, rng)
+            assert finals[i].tobytes() == want.basis.tobytes(), i
 
 
 class TestSymmetryEquivalent:
@@ -161,6 +232,13 @@ class TestAccumulate:
             SearchConfig(eps=2.0)
         with pytest.raises(ValueError):
             SearchConfig(decay=1.5)
+        with pytest.raises(ValueError):
+            SearchConfig(dedup_tol=-1.0)
+        with pytest.raises(ValueError):
+            SearchConfig(dedup_tol=0.0)
+        with pytest.raises(ValueError):
+            SearchConfig(max_steps=-1)
+        assert SearchConfig(max_steps=0).max_steps == 0
 
     def test_violation_is_a_distinguished_return(self, monkeypatch):
         # a score below the bound must stop the run and carry a report;
@@ -176,3 +254,15 @@ class TestAccumulate:
         assert res.restarts == 1
         assert abs(res.violation.deviation_cos - 0.2) < 1e-12
         assert res.violation.subset == (0,)
+
+    @pytest.mark.parametrize("n, k, seed", [(2, 1, 7), (3, 2, 7), (4, 2, 7), (5, 2, 1)])
+    def test_matches_serial_oracle(self, n, k, seed):
+        cfg = SearchConfig(seed=seed, attempts=40)
+        got = accumulate(n, k, cfg)
+        want = serial_search.accumulate(n, k, cfg)
+        assert got.violation is None and want.violation is None
+        assert got.restarts == want.restarts
+        assert len(got.classes) == len(want.classes)
+        for (a, profile_a), (b, profile_b) in zip(got.classes, want.classes):
+            assert a.basis.tobytes() == b.basis.tobytes()
+            assert profile_a.tobytes() == profile_b.tobytes()
