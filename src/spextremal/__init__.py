@@ -56,12 +56,12 @@ from .numeric import (
     Subspace,
     bareiss,
     incidence_matrix,
+    integer_transfer_current,
     laplacian,
     match_sign_diagonal,
     orthonormalize,
     principal_angles,
     projection,
-    rational_det,
     rational_matrix,
     target,
     to_float,

@@ -1,9 +1,13 @@
 """Assembled extremal instances and their verification.
 
 build() turns a decomposition tree into the full bundle: realized graph,
-induced weights, incidence matrix, exact transfer current matrix, float
-projector, and the orthonormalized star-space basis.  The check_* family
-verifies the spectral facts that make the subspace extremal, check_dual
+induced weights, incidence matrix, exact transfer current matrix Y with
+its integer form T Y (T the weighted spanning-tree count), float
+projector, the orthonormalized star-space basis, and the tree's layout for
+the induced coefficients.  The check_* family verifies the spectral facts
+that make the subspace extremal; the exact ones are integer comparisons
+and integer determinants on T Y, so each spanning tree and each subset
+costs no setup and no Fraction arithmetic.  check_dual
 cross-checks the planar-dual instance, and count_classes folds the
 enumerated trees into symmetry classes of the resulting subspaces by
 sptree.class_key, which reads the class off the tree without building an
@@ -21,14 +25,14 @@ import numpy as np
 
 from .numeric import (
     Subspace,
+    bareiss,
     incidence_matrix,
+    integer_transfer_current,
     match_sign_diagonal,
     orthonormalize,
     projection,
-    rational_det,
     target,
     to_float,
-    transfer_current,
 )
 from .sptree import (
     MultiGraph,
@@ -38,11 +42,12 @@ from .sptree import (
     enumerate_rooted,
     format_tree,
     parallel_rooted,
-    realize,
+    realize_with_spans,
 )
 from .weights import (
-    induced_coefficients,
+    coefficient_layout,
     induced_weights,
+    scaled_coefficients,
     spanning_trees,
     weights_to_json,
 )
@@ -57,6 +62,10 @@ class ExtremalInstance:
     Y: np.ndarray
     P: np.ndarray
     subspace: Subspace
+    # filled in by build; check_eigen and check_degenerate read them
+    T: int | None = None
+    TY: np.ndarray | None = None
+    layout: tuple | None = None
 
 
 def build(tree, directions=None) -> ExtremalInstance:
@@ -66,37 +75,41 @@ def build(tree, directions=None) -> ExtremalInstance:
     through parallel_rooted first.
     """
     tree = parallel_rooted(tree)
-    graph = realize(tree, directions)
+    graph, spans = realize_with_spans(tree, directions)
     w = induced_weights(tree)
     B = incidence_matrix(graph)
-    Y = transfer_current(B, w)
+    T, TY = integer_transfer_current(B, w)
+    Y = TY * Fraction(1, T)
     P = projection(Y, w)
     n = len(graph.edges)
     root = np.sqrt([float(w[e]) for e in range(n)])
     scaled = root[:, None] * to_float(B).T
     # dropping one vertex column keeps the span: the columns sum to zero
     subspace = orthonormalize(scaled[:, 1:])
-    return ExtremalInstance(tree, graph, w, B, Y, P, subspace)
+    return ExtremalInstance(tree, graph, w, B, Y, P, subspace, T, TY,
+                            coefficient_layout(tree, graph, spans))
 
 
 def check_eigen(inst: ExtremalInstance, tau) -> bool:
     """Exact check that the induced coefficients on tau are an eigenvector
-    of the tau submatrix of Y with eigenvalue exactly 1/n."""
+    of the tau submatrix of Y with eigenvalue exactly 1/n.
+
+    With y the coefficients times their common denominator, it tests
+    n (T Y)[tau, tau] y == T y in integers.
+    """
     n = len(inst.graph.edges)
-    y = induced_coefficients(inst.tree, tau, inst.graph)
-    idx = sorted(tau)
-    lam = Fraction(1, n)
-    for e in idx:
-        image = sum((inst.Y[e, f] * y[f] for f in idx), Fraction(0))
-        if image != lam * y[e]:
-            return False
-    return True
+    _, y = scaled_coefficients(inst.layout, tau)
+    idx = list(y)
+    vec = np.array(list(y.values()), dtype=object)
+    return bool((n * inst.TY[np.ix_(idx, idx)].dot(vec) == inst.T * vec).all())
 
 
 def check_degenerate(inst: ExtremalInstance, subset) -> bool:
-    """Exact-zero determinant of the Y submatrix on a non-tree subset."""
+    """Exact-zero determinant of the Y submatrix on a non-tree subset,
+    tested as det (T Y)[S, S] == 0 by one integer elimination."""
     idx = sorted(subset)
-    return rational_det(inst.Y[np.ix_(idx, idx)]) == 0
+    det, _ = bareiss(inst.TY[np.ix_(idx, idx)].tolist())
+    return det == 0
 
 
 def check_target(inst: ExtremalInstance, tol: float = 1e-9) -> bool:

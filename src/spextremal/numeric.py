@@ -1,15 +1,16 @@
 """Dense linear algebra for the construction: exact core, float geometry.
 
 The exact side has one elimination routine, bareiss, a fraction-free
-integer Gauss-Jordan that returns a determinant and an adjugate.  The
-transfer current matrix comes from a single such elimination of the
-grounded integer Laplacian, and exact determinants of Fraction matrices
-clear denominators and call it too, so spectral identities can be
-checked with zero tolerance.  The float side covers orthonormal bases,
-principal angles, and the deviation target, where double precision is the
-natural currency.  Orthonormalization and the target also take stacks of
-bases, so a batch of search walkers is bumped and scored with one SVD call
-each.
+integer Gauss-Jordan that returns a determinant and an adjugate.  A single
+such elimination of the grounded integer Laplacian gives the weighted
+spanning-tree count T and the integer matrix T Y, where Y is the transfer
+current matrix; the spectral identities are checked on T Y as integer
+comparisons and integer determinants, with zero tolerance.  The float
+side covers orthonormal bases, principal angles, and the deviation
+target, where double precision is the natural currency.
+Orthonormalization and the target also take stacks of bases, so a batch
+of search walkers is bumped and scored with one SVD call each (the target
+in bounded slices).
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ import numpy as np
 from .weights import BruteForceCapError, spanning_trees
 
 DEFAULT_SUBSET_CAP = 12
+# Most k-by-k coordinate submatrices gathered for one batched SVD; a larger
+# stack of bases is scored a slice at a time, which bounds its memory.
+STACK_SUBMATRICES = 1 << 14
 
 
 class SingularMatrixError(ValueError):
@@ -36,7 +40,7 @@ class RankDeficientError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact rational matrices (numpy object arrays of Fraction)
+# exact matrices (numpy object arrays of Fraction or Python int)
 # ---------------------------------------------------------------------------
 
 def rational_matrix(rows) -> np.ndarray:
@@ -79,18 +83,6 @@ def bareiss(rows):
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
-def rational_det(a: np.ndarray) -> Fraction:
-    """Exact determinant: clear each row's denominators, then bareiss."""
-    rows, scale = [], 1
-    for row in a:
-        row = [Fraction(x) for x in row]
-        s = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
-    det, _ = bareiss(rows)
-    return Fraction(det, scale)
-
-
 def to_float(a: np.ndarray) -> np.ndarray:
     return a.astype(float)
 
@@ -122,19 +114,16 @@ def laplacian(B: np.ndarray, weights) -> np.ndarray:
     return (B * w[None, :]).dot(B.T)
 
 
-def transfer_current(B: np.ndarray, weights) -> np.ndarray:
-    """Y = W B^T L^+ B, exact.
-
-    An oblique projection: entry (e, f) is the current through e, taken
-    along e's own direction, when a unit current is driven from f's tail
-    to f's head.  Idempotent with trace equal to the graph rank.
+def integer_transfer_current(B: np.ndarray, weights):
+    """(T, T Y) for the transfer current matrix Y = W B^T L^+ B, in integers.
 
     Y is unchanged when all weights scale together, so they are scaled to
     coprime integers first.  Grounding vertex 0 leaves the reduced
     Laplacian L0 = B0 W B0^T (B0 is B without row 0), nonsingular exactly
     when the graph is connected.  One integer elimination gives
-    T = det L0, the weighted spanning-tree count, and adj(L0), and then
-    T Y = W B0^T adj(L0) B0 is an integer matrix.
+    T = det L0, the weighted spanning-tree count of the scaled weights,
+    and adj(L0), and then T Y = W B0^T adj(L0) B0 is an integer matrix
+    (an object array of Python ints).
     """
     n = B.shape[1]
     w = [Fraction(weights[e]) for e in range(n)]
@@ -148,7 +137,17 @@ def transfer_current(B: np.ndarray, weights) -> np.ndarray:
         raise SingularMatrixError(
             "reduced Laplacian is singular; the graph is disconnected")
     adj = np.array(adj, dtype=object)
-    scaled = B0.T.dot(adj).dot(B0) * w_int[:, None]
+    return det, B0.T.dot(adj).dot(B0) * w_int[:, None]
+
+
+def transfer_current(B: np.ndarray, weights) -> np.ndarray:
+    """Y = W B^T L^+ B, exact: T Y / T from integer_transfer_current.
+
+    An oblique projection: entry (e, f) is the current through e, taken
+    along e's own direction, when a unit current is driven from f's tail
+    to f's head.  Idempotent with trace equal to the graph rank.
+    """
+    det, scaled = integer_transfer_current(B, weights)
     return scaled * Fraction(1, det)
 
 
@@ -289,7 +288,9 @@ def coordinate_subsets(n: int, k: int):
 def stacked_target(bases: np.ndarray, subset_cap: int = DEFAULT_SUBSET_CAP):
     """The target of every basis in an (R, n, k) stack.
 
-    One batched SVD of the (R, C(n, k), k, k) coordinate submatrices.
+    Batched SVDs of the (R, C(n, k), k, k) coordinate submatrices, taken
+    as whole bases at most STACK_SUBMATRICES submatrices at a time; every
+    submatrix is decomposed on its own, so the slicing changes no bit.
     Returns the R angles and, for each, the position of its argmin subset
     in coordinate_subsets(n, k); ties go to the lexicographically first.
     """
@@ -298,7 +299,10 @@ def stacked_target(bases: np.ndarray, subset_cap: int = DEFAULT_SUBSET_CAP):
         raise BruteForceCapError(
             f"target sweep needs at most {subset_cap} ambient dimensions, got {n}")
     _, index = coordinate_subsets(n, k)
-    sigma_min = np.linalg.svd(bases[:, index, :], compute_uv=False)[..., -1]
+    step = max(1, STACK_SUBMATRICES // len(index))
+    sigma_min = np.concatenate([
+        np.linalg.svd(bases[i:i + step, index, :], compute_uv=False)[..., -1]
+        for i in range(0, len(bases), step)])
     cos_best = np.clip(sigma_min.max(axis=1), 0.0, 1.0)
     angles = np.array([math.acos(c) for c in cos_best.tolist()])
     return angles, np.argmax(sigma_min, axis=1)

@@ -60,6 +60,8 @@ class SearchConfig:
             raise ValueError("decay must lie in (0, 1)")
         if self.max_steps < 0:
             raise ValueError("max_steps must be non-negative")
+        if self.min_magnitude <= 0.0:
+            raise ValueError("min_magnitude must be positive")
         if self.dedup_tol <= 0.0:
             raise ValueError("dedup_tol must be positive")
 

@@ -4,8 +4,11 @@ The weight family computed here makes the star space of a 2-connected
 series-parallel graph sit at cosine exactly 1/sqrt(n) from every
 coordinate subspace.  The companion signed coefficients form, on each
 spanning tree, an eigenvector of the matching transfer-current submatrix.
-Everything is exact Fraction arithmetic; the brute-force subset sweeps
-double as oracles for the closed-form recurrences.
+Everything is exact: weights and tree sums are Fractions, and the
+coefficients come out as integers over one common denominator, from two
+passes over the decomposition tree laid out once per realized graph.  The
+brute-force subset sweeps double as oracles for the closed-form
+recurrences.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .sptree import (
     Series,
     SpTreeError,
     leaf_count,
-    leaf_ids,
     parallel_rooted,
     realize_with_spans,
 )
@@ -82,6 +84,80 @@ def induced_weights(tree) -> dict[int, Fraction]:
     return out
 
 
+def coefficient_layout(tree, graph, spans) -> tuple:
+    """The part of induced_coefficients that does not depend on tau.
+
+    Lists the parallel-rooted tree realized as graph in post-order, root
+    last, each node as (children, size, is_series, eid, sign): children
+    are positions in the list and size is the leaf count; a leaf also
+    carries its edge id and a sign, +1 when graph directs the edge along
+    its terminal pair in spans (as realize_with_spans returned them), that
+    is along its natural left-to-right sense, and -1 otherwise.
+    """
+    endpoints = {e: (t, h) for t, h, e in graph.edges}
+    nodes = []
+
+    def walk(node) -> int:
+        if isinstance(node, Leaf):
+            sign = 1 if endpoints[node.eid] == spans[node] else -1
+            nodes.append(((), 1, False, node.eid, sign))
+        else:
+            kids = tuple(walk(child) for child in node.children)
+            size = sum(nodes[c][1] for c in kids)
+            nodes.append((kids, size, isinstance(node, Series), None, 0))
+        return len(nodes) - 1
+
+    walk(tree)
+    return tuple(nodes)
+
+
+def scaled_coefficients(layout, tau) -> tuple[int, dict[int, int]]:
+    """(s, y): y[e] / s is the induced coefficient of each edge e of tau.
+
+    A bottom-up pass gives each node the deficit of tau restricted to its
+    edges: 0 when that is a spanning tree of the node (its terminals are
+    connected), 1 when it is a spanning 2-forest separating the
+    terminals.  A series node sums its children's deficits; a parallel
+    node sums them and subtracts one less than its number of children,
+    since siblings share only the terminals.  Any other value marks a
+    cycle or a stray component and stays out of range up to the root, so
+    tau is a spanning tree exactly when the root's deficit is 0.  A
+    top-down pass then multiplies the psi ratios along each series chain
+    as integer numerators and denominators.  Raises SpTreeError when tau
+    is not a spanning tree.
+    """
+    n = layout[-1][1]
+    tau = set(tau)
+    invalid = n + 1  # a parallel node subtracts fewer than n
+    deficit, psi = [], []
+    for kids, size, is_series, eid, _ in layout:
+        if not kids:
+            d = 0 if eid in tau else 1
+        else:
+            d = sum(deficit[c] for c in kids) - (0 if is_series else len(kids) - 1)
+            if not 0 <= d <= 1:
+                d = invalid
+        deficit.append(d)
+        psi.append(n - size if d == 0 else -size)
+
+    num, den = [1] * len(layout), [1] * len(layout)
+    for i in reversed(range(len(layout))):
+        kids, _, is_series, _, _ = layout[i]
+        for c in kids:
+            if is_series:
+                num[c], den[c] = num[i] * psi[i], den[i] * psi[c]
+            else:
+                num[c], den[c] = num[i], den[i]
+    leaves = [(eid, sign * num[i], den[i])
+              for i, (kids, _, _, eid, sign) in enumerate(layout)
+              if not kids and eid in tau]
+    # len(leaves) < len(tau) when tau names an edge the graph lacks
+    if deficit[-1] != 0 or len(leaves) != len(tau):
+        raise SpTreeError("edge subset is not a spanning tree")
+    scale = math.lcm(*(d for _, _, d in leaves))
+    return scale, {e: p * (scale // d) for e, p, d in leaves}
+
+
 def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
     """Signed value on each edge of the spanning tree tau.
 
@@ -96,44 +172,13 @@ def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
         tree = parallel_rooted(tree)
     if not isinstance(tree, Parallel):
         raise SpTreeError("induced coefficients need a 2-connected tree")
-    n = leaf_count(tree)
     reference, spans = realize_with_spans(tree)
     ref_pairs = {e: frozenset((t, h)) for t, h, e in reference.edges}
     got_pairs = {e: frozenset((t, h)) for t, h, e in graph.edges}
     if ref_pairs != got_pairs or reference.num_vertices != graph.num_vertices:
         raise SpTreeError("graph does not realize this tree")
-
-    tau = sorted(set(tau))
-    _require_spanning_tree(graph, tau)
-    tau_set = set(tau)
-    endpoints = {e: (t, h) for t, h, e in graph.edges}
-
-    def connects(node) -> bool:
-        find = _forest_find(graph, [e for e in leaf_ids(node) if e in tau_set])
-        a, b = spans[node]
-        return find(a) == find(b)
-
-    def psi(node) -> Fraction:
-        size = leaf_count(node)
-        return Fraction(n - size) if connects(node) else Fraction(-size)
-
-    out: dict[int, Fraction] = {}
-
-    def walk(node, value: Fraction):
-        if isinstance(node, Leaf):
-            if node.eid in tau_set:
-                sign = 1 if endpoints[node.eid] == spans[node] else -1
-                out[node.eid] = sign * value
-        elif isinstance(node, Series):
-            top = psi(node)
-            for child in node.children:
-                walk(child, value * top / psi(child))
-        else:
-            for child in node.children:
-                walk(child, value)
-
-    walk(tree, Fraction(1))
-    return out
+    scale, y = scaled_coefficients(coefficient_layout(tree, graph, spans), tau)
+    return {e: Fraction(v, scale) for e, v in y.items()}
 
 
 class TreeSums(NamedTuple):
@@ -166,12 +211,6 @@ def tree_sums(tree, weights) -> TreeSums:
         return TreeSums(total, math.prod(fs))
 
     return rec(tree)
-
-
-def _require_spanning_tree(graph, edges) -> None:
-    m = graph.num_vertices
-    if len(edges) != m - 1 or not _is_forest(graph, edges):
-        raise SpTreeError("edge subset is not a spanning tree")
 
 
 def _forest_find(graph, edges):

@@ -182,6 +182,7 @@ class TestSearch:
         ("--N", "0", "attempts must be at least 1"),
         ("--decay", "1.5", "decay must lie in (0, 1)"),
         ("--dedup-tol", "-1", "dedup_tol must be positive"),
+        ("--min-magnitude", "0", "min_magnitude must be positive"),
     ])
     def test_invalid_config_is_usage_error(self, capsys, option, value, message):
         code, out, err = run_cli(capsys, "search", "3", "1", "--seed", "1",

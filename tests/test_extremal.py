@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 import spextremal as sp
 from spextremal.numeric import rational_matrix
 
+import exact_oracles as oracle
 from matrix_canon import canonical_matrix_form, oracle_key, squared_projector
 
 
@@ -101,6 +103,76 @@ class TestCheckDegenerate:
                     for s in combinations(range(n), k):
                         if s not in trees:
                             assert sp.check_degenerate(inst, s)
+
+
+def flipped_directions(tree):
+    """One fixed pseudo-random direction set per tree."""
+    rng = random.Random(sp.format_tree(tree))
+    return [rng.random() < 0.5 for _ in range(sp.leaf_count(tree))]
+
+
+def assert_agrees_with_oracles(inst):
+    """Integer checks equal the Fraction oracles on every k-subset."""
+    n, k = len(inst.graph.edges), inst.subspace.dim
+    trees = set(sp.spanning_trees(inst.graph))
+    name = sp.format_tree(inst.tree)
+    for s in combinations(range(n), k):
+        if s in trees:
+            y = sp.induced_coefficients(inst.tree, s, inst.graph)
+            assert y == oracle.induced_coefficients(inst.tree, s, inst.graph), name
+            assert sp.check_eigen(inst, s) == oracle.check_eigen(inst, s), name
+        else:
+            with pytest.raises(sp.SpTreeError):
+                sp.induced_coefficients(inst.tree, s, inst.graph)
+            assert sp.check_degenerate(inst, s) == oracle.check_degenerate(inst, s), name
+
+
+class TestIntegerChecksMatchOracles:
+    def test_every_instance_to_7(self, instances_to_7):
+        for inst in instances_to_7:
+            assert_agrees_with_oracles(inst)
+            assert_agrees_with_oracles(sp.build(inst.tree, flipped_directions(inst.tree)))
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_every_instance_long(self, n):
+        for k in range(1, n):
+            for t in sp.enumerate_rooted(n, k):
+                assert_agrees_with_oracles(sp.build(t))
+                assert_agrees_with_oracles(sp.build(t, flipped_directions(t)))
+
+    def test_bumped_entry_fails_eigen(self, instances_to_6):
+        # every coefficient is nonzero, so any changed entry of the tau
+        # block moves n (T Y) y away from T y
+        for inst in instances_to_6:
+            TY = inst.TY.copy()
+            bumped = dataclasses.replace(inst, TY=TY)
+            for tau in sp.spanning_trees(inst.graph):
+                for e in tau:
+                    for f in tau:
+                        TY[e, f] += 1
+                        assert not sp.check_eigen(bumped, tau)
+                        TY[e, f] -= 1
+                assert sp.check_eigen(bumped, tau)
+
+    def test_nonzero_minor_fails_degenerate(self, instances_to_6):
+        nonzero = 0
+        for inst in instances_to_6:
+            n, k = len(inst.graph.edges), inst.subspace.dim
+            trees = set(sp.spanning_trees(inst.graph))
+            TY = inst.TY.copy()
+            bumped = dataclasses.replace(inst, TY=TY)
+            for s in combinations(range(n), k):
+                if s in trees:
+                    continue
+                idx = list(s)
+                for e in s:
+                    TY[e, e] += 1
+                    det = oracle.rational_det(TY[np.ix_(idx, idx)] * Fraction(1, inst.T))
+                    assert sp.check_degenerate(bumped, s) == (det == 0)
+                    nonzero += det != 0
+                    TY[e, e] -= 1
+        assert nonzero > 0
 
 
 class TestCheckTarget:

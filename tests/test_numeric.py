@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spextremal as sp
+from spextremal import numeric
 from spextremal.numeric import (
     bareiss,
     coordinate_subsets,
@@ -14,6 +15,8 @@ from spextremal.numeric import (
     require_orthonormal,
     stacked_target,
 )
+
+from exact_oracles import rational_det
 
 
 def exact_equal(a, b):
@@ -89,7 +92,7 @@ class TestRationalCore:
             n = rng.randint(1, 5)
             a = rational_matrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                                   for _ in range(n)] for _ in range(n)])
-            assert sp.rational_det(a) == leibniz_det(a.tolist())
+            assert rational_det(a) == leibniz_det(a.tolist())
             scales = [math.lcm(*(x.denominator for x in row)) for row in a]
             det, adj = bareiss([[int(x * s) for x in row] for row, s in zip(a, scales)])
             if det == 0:
@@ -99,12 +102,12 @@ class TestRationalCore:
 
     def test_det_of_singular(self):
         a = rational_matrix([[1, 2], [2, 4]])
-        assert sp.rational_det(a) == 0
+        assert rational_det(a) == 0
 
     def test_rank(self):
         # rank 2 of 3: singular for the exact determinant and for bareiss
         a = rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-        assert sp.rational_det(a) == 0
+        assert rational_det(a) == 0
         assert bareiss([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (0, None)
 
 
@@ -127,7 +130,7 @@ class TestIncidence:
                     # B has full row rank once a vertex is dropped exactly
                     # when the reduced unit-weight Laplacian is nonsingular
                     L = sp.laplacian(sp.incidence_matrix(g), unit_weights(n))
-                    assert sp.rational_det(L[1:, 1:]) != 0
+                    assert rational_det(L[1:, 1:]) != 0
 
 
 class TestLaplacian:
@@ -202,7 +205,7 @@ class TestTransferCurrent:
                 for t in sp.enumerate_rooted(n, k):
                     w = sp.induced_weights(t)
                     L = sp.laplacian(sp.incidence_matrix(sp.realize(t)), w)
-                    assert sp.rational_det(L[1:, 1:]) == sp.tree_sums(t, w).trees
+                    assert rational_det(L[1:, 1:]) == sp.tree_sums(t, w).trees
 
     def test_burton_pemantle_minors(self, instances_to_7):
         # det Y[S,S] is the probability that the weighted uniform spanning
@@ -215,7 +218,7 @@ class TestTransferCurrent:
                 expected = (math.prod(inst.weights[e] for e in s) / total
                             if s in trees else 0)
                 idx = list(s)
-                assert sp.rational_det(inst.Y[np.ix_(idx, idx)]) == expected
+                assert rational_det(inst.Y[np.ix_(idx, idx)]) == expected
 
     def test_diagonal_strictly_inside_unit_interval(self):
         for n in range(2, 7):
@@ -383,3 +386,29 @@ class TestTarget:
         for sub, angle, position in zip(subs, angles, best):
             assert sp.target(sub) == (angle, subsets[position])
         assert subsets[best[-1]] == (3, 4, 5)
+
+    @pytest.mark.parametrize("limit", [1, 20, 45])
+    def test_sliced_stack_is_bitwise_equal(self, monkeypatch, limit):
+        # (6, 3) has 20 subsets: one basis per slice, one, and two with a
+        # remainder of one
+        rng = np.random.default_rng(33)
+        bases = np.stack([sp.orthonormalize(rng.standard_normal((6, 3))).basis
+                          for _ in range(7)])
+        whole_angles, whole_best = stacked_target(bases)
+        monkeypatch.setattr(numeric, "STACK_SUBMATRICES", limit)
+        angles, best = stacked_target(bases)
+        assert angles.tobytes() == whole_angles.tobytes()
+        assert best.tobytes() == whole_best.tobytes()
+
+    def test_search_sized_stack_is_one_slice(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rng = np.random.default_rng(34)
+        stacked_target(np.linalg.qr(rng.standard_normal((40, 5, 2)))[0])
+        assert calls == [(40, 10, 2, 2)]

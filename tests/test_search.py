@@ -238,6 +238,10 @@ class TestAccumulate:
             SearchConfig(dedup_tol=0.0)
         with pytest.raises(ValueError):
             SearchConfig(max_steps=-1)
+        with pytest.raises(ValueError, match="min_magnitude must be positive"):
+            SearchConfig(min_magnitude=0.0)
+        with pytest.raises(ValueError, match="min_magnitude must be positive"):
+            SearchConfig(min_magnitude=-1.0)
         assert SearchConfig(max_steps=0).max_steps == 0
 
     def test_violation_is_a_distinguished_return(self, monkeypatch):

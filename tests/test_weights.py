@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 import spextremal as sp
-from spextremal.numeric import laplacian, incidence_matrix, rational_det
+from spextremal.numeric import laplacian, incidence_matrix
+
+from exact_oracles import rational_det
 from spextremal.weights import brute_tree_sums, two_component_forests
 
 
