@@ -2,12 +2,12 @@
 
 build() turns a decomposition tree into the full bundle: realized graph,
 induced weights, incidence matrix, exact transfer current matrix Y with
-its integer form T Y (T the weighted spanning-tree count), float
-projector, the orthonormalized star-space basis, and the tree's layout for
-the induced coefficients.  The check_* family verifies the spectral facts
-that make the subspace extremal; the exact ones are integer comparisons
-and integer determinants on T Y, so each spanning tree and each subset
-costs no setup and no Fraction arithmetic.  check_dual
+its integer form D Y (D the least common denominator of Y's entries),
+float projector, the orthonormalized star-space basis, and the tree's
+layout for the induced coefficients.  The check_* family verifies the
+spectral facts that make the subspace extremal; the exact ones are integer
+comparisons and integer determinants on D Y, so each spanning tree and
+each subset costs no setup and no Fraction arithmetic.  check_dual
 cross-checks the planar-dual instance, and count_classes folds the
 enumerated trees into symmetry classes of the resulting subspaces by
 sptree.class_key, which reads the class off the tree without building an
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -27,12 +26,12 @@ from .numeric import (
     Subspace,
     bareiss,
     incidence_matrix,
-    integer_transfer_current,
     match_sign_diagonal,
     orthonormalize,
     projection,
     target,
     to_float,
+    transfer_current,
 )
 from .sptree import (
     MultiGraph,
@@ -42,7 +41,7 @@ from .sptree import (
     enumerate_rooted,
     format_tree,
     parallel_rooted,
-    realize_with_spans,
+    realize,
 )
 from .weights import (
     coefficient_layout,
@@ -62,10 +61,9 @@ class ExtremalInstance:
     Y: np.ndarray
     P: np.ndarray
     subspace: Subspace
-    # filled in by build; check_eigen and check_degenerate read them
-    T: int | None = None
-    TY: np.ndarray | None = None
-    layout: tuple | None = None
+    D: int            # a positive integer that makes D Y integral
+    DY: np.ndarray    # D Y, an object array of Python ints
+    layout: tuple     # weights.coefficient_layout of the realized tree
 
 
 def build(tree, directions=None) -> ExtremalInstance:
@@ -75,19 +73,21 @@ def build(tree, directions=None) -> ExtremalInstance:
     through parallel_rooted first.
     """
     tree = parallel_rooted(tree)
-    graph, spans = realize_with_spans(tree, directions)
+    graph = realize(tree, directions)
     w = induced_weights(tree)
     B = incidence_matrix(graph)
-    T, TY = integer_transfer_current(B, w)
-    Y = TY * Fraction(1, T)
+    Y = transfer_current(B, w)
+    D = math.lcm(*(y.denominator for y in Y.flat))
+    DY = np.array([[y.numerator * (D // y.denominator) for y in row] for row in Y],
+                  dtype=object)
     P = projection(Y, w)
     n = len(graph.edges)
     root = np.sqrt([float(w[e]) for e in range(n)])
     scaled = root[:, None] * to_float(B).T
     # dropping one vertex column keeps the span: the columns sum to zero
     subspace = orthonormalize(scaled[:, 1:])
-    return ExtremalInstance(tree, graph, w, B, Y, P, subspace, T, TY,
-                            coefficient_layout(tree, graph, spans))
+    return ExtremalInstance(tree, graph, w, B, Y, P, subspace, D, DY,
+                            coefficient_layout(tree, directions))
 
 
 def check_eigen(inst: ExtremalInstance, tau) -> bool:
@@ -95,20 +95,20 @@ def check_eigen(inst: ExtremalInstance, tau) -> bool:
     of the tau submatrix of Y with eigenvalue exactly 1/n.
 
     With y the coefficients times their common denominator, it tests
-    n (T Y)[tau, tau] y == T y in integers.
+    n (D Y)[tau, tau] y == D y in integers.
     """
     n = len(inst.graph.edges)
     _, y = scaled_coefficients(inst.layout, tau)
     idx = list(y)
     vec = np.array(list(y.values()), dtype=object)
-    return bool((n * inst.TY[np.ix_(idx, idx)].dot(vec) == inst.T * vec).all())
+    return bool((n * inst.DY[np.ix_(idx, idx)].dot(vec) == inst.D * vec).all())
 
 
 def check_degenerate(inst: ExtremalInstance, subset) -> bool:
     """Exact-zero determinant of the Y submatrix on a non-tree subset,
-    tested as det (T Y)[S, S] == 0 by one integer elimination."""
+    tested as det (D Y)[S, S] == 0 by one integer elimination."""
     idx = sorted(subset)
-    det, _ = bareiss(inst.TY[np.ix_(idx, idx)].tolist())
+    det, _ = bareiss(inst.DY[np.ix_(idx, idx)].tolist())
     return det == 0
 
 

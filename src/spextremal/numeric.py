@@ -4,10 +4,10 @@ The exact side has one elimination routine, bareiss, a fraction-free
 integer Gauss-Jordan that returns a determinant and an adjugate.  A single
 such elimination of the grounded integer Laplacian gives the weighted
 spanning-tree count T and the integer matrix T Y, where Y is the transfer
-current matrix; the spectral identities are checked on T Y as integer
-comparisons and integer determinants, with zero tolerance.  The float
-side covers orthonormal bases, principal angles, and the deviation
-target, where double precision is the natural currency.
+current matrix; the spectral identities are checked on an integer multiple
+of Y as integer comparisons and integer determinants, with zero
+tolerance.  The float side covers orthonormal bases, principal angles,
+and the deviation target, where double precision is the natural currency.
 Orthonormalization and the target also take stacks of bases, so a batch
 of search walkers is bumped and scored with one SVD call each (the target
 in bounded slices).

@@ -6,7 +6,7 @@ coordinate subspace.  The companion signed coefficients form, on each
 spanning tree, an eigenvector of the matching transfer-current submatrix.
 Everything is exact: weights and tree sums are Fractions, and the
 coefficients come out as integers over one common denominator, from two
-passes over the decomposition tree laid out once per realized graph.  The
+passes over the decomposition tree laid out once per instance.  The
 brute-force subset sweeps double as oracles for the closed-form
 recurrences.
 """
@@ -26,7 +26,7 @@ from .sptree import (
     SpTreeError,
     leaf_count,
     parallel_rooted,
-    realize_with_spans,
+    realize,
 )
 
 DEFAULT_BRUTE_CAP = 16
@@ -84,22 +84,20 @@ def induced_weights(tree) -> dict[int, Fraction]:
     return out
 
 
-def coefficient_layout(tree, graph, spans) -> tuple:
+def coefficient_layout(tree, directions=None) -> tuple:
     """The part of induced_coefficients that does not depend on tau.
 
-    Lists the parallel-rooted tree realized as graph in post-order, root
-    last, each node as (children, size, is_series, eid, sign): children
-    are positions in the list and size is the leaf count; a leaf also
-    carries its edge id and a sign, +1 when graph directs the edge along
-    its terminal pair in spans (as realize_with_spans returned them), that
-    is along its natural left-to-right sense, and -1 otherwise.
+    Lists the parallel-rooted tree in post-order, root last, each node as
+    (children, size, is_series, eid, sign): children are positions in the
+    list and size is the leaf count; a leaf also carries its edge id and a
+    sign, -1 when directions (as given to realize) flips the edge against
+    its natural left-to-right sense and +1 otherwise.
     """
-    endpoints = {e: (t, h) for t, h, e in graph.edges}
     nodes = []
 
     def walk(node) -> int:
         if isinstance(node, Leaf):
-            sign = 1 if endpoints[node.eid] == spans[node] else -1
+            sign = -1 if directions and directions[node.eid] else 1
             nodes.append(((), 1, False, node.eid, sign))
         else:
             kids = tuple(walk(child) for child in node.children)
@@ -172,12 +170,13 @@ def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
         tree = parallel_rooted(tree)
     if not isinstance(tree, Parallel):
         raise SpTreeError("induced coefficients need a 2-connected tree")
-    reference, spans = realize_with_spans(tree)
+    reference = realize(tree)
     ref_pairs = {e: frozenset((t, h)) for t, h, e in reference.edges}
     got_pairs = {e: frozenset((t, h)) for t, h, e in graph.edges}
     if ref_pairs != got_pairs or reference.num_vertices != graph.num_vertices:
         raise SpTreeError("graph does not realize this tree")
-    scale, y = scaled_coefficients(coefficient_layout(tree, graph, spans), tau)
+    flips = [got != ref for got, ref in zip(graph.edges, reference.edges)]
+    scale, y = scaled_coefficients(coefficient_layout(tree, flips), tau)
     return {e: Fraction(v, scale) for e, v in y.items()}
 
 

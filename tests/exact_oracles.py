@@ -5,7 +5,7 @@ its own union-find over the node's tau edges whether tau connects the
 node's terminals, and walks the series chains in Fraction arithmetic.
 check_eigen and check_degenerate work on the Fraction matrix Y, the
 latter through rational_det, which clears each row's denominators before
-one integer elimination.  The integer checks on T Y in spextremal must
+one integer elimination.  The integer checks on D Y in spextremal must
 agree with these on every spanning tree and every non-tree subset.
 """
 

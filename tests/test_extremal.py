@@ -143,16 +143,16 @@ class TestIntegerChecksMatchOracles:
 
     def test_bumped_entry_fails_eigen(self, instances_to_6):
         # every coefficient is nonzero, so any changed entry of the tau
-        # block moves n (T Y) y away from T y
+        # block moves n (D Y) y away from D y
         for inst in instances_to_6:
-            TY = inst.TY.copy()
-            bumped = dataclasses.replace(inst, TY=TY)
+            DY = inst.DY.copy()
+            bumped = dataclasses.replace(inst, DY=DY)
             for tau in sp.spanning_trees(inst.graph):
                 for e in tau:
                     for f in tau:
-                        TY[e, f] += 1
+                        DY[e, f] += 1
                         assert not sp.check_eigen(bumped, tau)
-                        TY[e, f] -= 1
+                        DY[e, f] -= 1
                 assert sp.check_eigen(bumped, tau)
 
     def test_nonzero_minor_fails_degenerate(self, instances_to_6):
@@ -160,18 +160,18 @@ class TestIntegerChecksMatchOracles:
         for inst in instances_to_6:
             n, k = len(inst.graph.edges), inst.subspace.dim
             trees = set(sp.spanning_trees(inst.graph))
-            TY = inst.TY.copy()
-            bumped = dataclasses.replace(inst, TY=TY)
+            DY = inst.DY.copy()
+            bumped = dataclasses.replace(inst, DY=DY)
             for s in combinations(range(n), k):
                 if s in trees:
                     continue
                 idx = list(s)
                 for e in s:
-                    TY[e, e] += 1
-                    det = oracle.rational_det(TY[np.ix_(idx, idx)] * Fraction(1, inst.T))
+                    DY[e, e] += 1
+                    det = oracle.rational_det(DY[np.ix_(idx, idx)] * Fraction(1, inst.D))
                     assert sp.check_degenerate(bumped, s) == (det == 0)
                     nonzero += det != 0
-                    TY[e, e] -= 1
+                    DY[e, e] -= 1
         assert nonzero > 0
 
 
@@ -191,8 +191,9 @@ class TestCheckTarget:
         root = np.sqrt([float(bad[e]) for e in range(4)])
         basis = sp.orthonormalize((root[:, None] * B.astype(float).T)[:, 1:])
         Y = sp.transfer_current(B, bad)
-        corrupted = sp.ExtremalInstance(inst.tree, g, bad, B, Y,
-                                        sp.projection(Y, bad), basis)
+        T, TY = sp.integer_transfer_current(B, bad)
+        corrupted = dataclasses.replace(inst, weights=bad, B=B, Y=Y, P=sp.projection(Y, bad),
+                                        subspace=basis, D=T, DY=TY)
         assert not sp.check_target(corrupted)
 
 
