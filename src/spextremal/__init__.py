@@ -41,12 +41,10 @@ from .sptree import (
 from .weights import (
     BruteForceCapError,
     TreeSums,
-    brute_tree_sums,
     induced_coefficients,
     induced_weights,
     spanning_trees,
     tree_sums,
-    two_component_forests,
     weights_from_json,
     weights_to_json,
 )
@@ -56,17 +54,14 @@ from .numeric import (
     Subspace,
     bareiss,
     incidence_matrix,
-    integer_transfer_current,
     laplacian,
     match_sign_diagonal,
     orthonormalize,
     principal_angles,
     projection,
-    rational_matrix,
     target,
     to_float,
     transfer_current,
-    transfer_current_combinatorial,
 )
 from .extremal import (
     ExtremalInstance,
@@ -77,7 +72,6 @@ from .extremal import (
     check_target,
     class_table,
     count_classes,
-    least_eigenvalue_report,
     verify_instance,
 )
 from .search import (

@@ -19,7 +19,7 @@ from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 from . import __version__
-from .extremal import build, count_classes, verify_instance
+from .extremal import build, class_table, verify_instance
 from .numeric import target
 from .search import SearchConfig, accumulate
 from .sptree import (
@@ -39,7 +39,8 @@ EXIT_VIOLATION = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 
-_RANGE = re.compile(r"^(\d+)\.\.(\d+)$")
+# a size N or a range N..M, for verify's spec and its k range
+_SIZES = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
 
 class UsageError(Exception):
@@ -108,32 +109,27 @@ def cmd_weights(args) -> int:
 
 
 def _verify_trees(args):
-    match = _RANGE.match(args.spec)
-    if match:
-        lo, hi = int(match.group(1)), int(match.group(2))
-        if lo < 2 or hi < lo or hi > 12:
-            raise UsageError("verify range must satisfy 2 <= lo <= hi <= 12")
+    match = _SIZES.match(args.spec)
+    if not match:
         if args.k_range:
-            kmatch = _RANGE.match(args.k_range)
-            if kmatch:
-                klo, khi = int(kmatch.group(1)), int(kmatch.group(2))
-            elif args.k_range.isdigit():
-                klo = khi = int(args.k_range)
-            else:
-                raise UsageError("k range must look like 2 or 2..4")
-        else:
-            klo, khi = 1, 11
-        for n in range(lo, hi + 1):
-            for k in range(max(1, klo), min(n - 1, khi) + 1):
-                yield from enumerate_rooted(n, k)
-    elif args.spec.isdigit():
-        n = int(args.spec)
-        if n < 2 or n > 12:
-            raise UsageError("verify needs 2 <= n <= 12")
-        for k in range(1, n):
-            yield from enumerate_rooted(n, k)
-    else:
+            raise UsageError("a tree spec takes no k range")
         yield _parse_two_sp(args.spec)
+        return
+    lo = int(match.group(1))
+    hi = int(match.group(2) or lo)
+    if lo < 2 or hi < lo or hi > 12:
+        raise UsageError("verify sizes must satisfy 2 <= lo <= hi <= 12")
+    if args.k_range:
+        kmatch = _SIZES.match(args.k_range)
+        if not kmatch:
+            raise UsageError("k range must look like 2 or 2..4")
+        klo = int(kmatch.group(1))
+        khi = int(kmatch.group(2) or klo)
+    else:
+        klo, khi = 1, 11
+    for n in range(lo, hi + 1):
+        for k in range(max(1, klo), min(n - 1, khi) + 1):
+            yield from enumerate_rooted(n, k)
 
 
 def cmd_verify(args) -> int:
@@ -159,9 +155,8 @@ def cmd_table(args) -> int:
     manifest = run_manifest("table", {"n_max": args.n_max})
     print("# manifest " + json.dumps(manifest))
     print("n," + ",".join(f"k={k}" for k in range(1, args.n_max)))
-    for n in range(2, args.n_max + 1):
-        counts = [str(count_classes(n, k)) for k in range(1, n)]
-        print(",".join([str(n)] + counts))
+    for n, row in enumerate(class_table(args.n_max), start=2):
+        print(",".join(map(str, [n] + row)))
     return EXIT_OK
 
 
@@ -223,7 +218,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("verify", help="verify instances (range like 2..7, or a tree)")
+    p = sub.add_parser("verify", help="verify instances (size like 8 or range like "
+                       "2..7, optionally with k like 2 or 2..4; or one tree)")
     p.add_argument("spec")
     p.add_argument("k_range", nargs="?", default=None)
     p.add_argument("--tol", type=float, default=1e-9)

@@ -1,15 +1,16 @@
 """Assembled extremal instances and their verification.
 
 build() turns a decomposition tree into the full bundle: realized graph,
-induced weights, incidence matrix, exact transfer current matrix Y with
-its integer form D Y (D the least common denominator of Y's entries),
-float projector, the orthonormalized star-space basis, and the tree's
-layout for the induced coefficients.  The check_* family verifies the
-spectral facts that make the subspace extremal; the exact ones are integer
-comparisons and integer determinants on D Y, so each spanning tree and
-each subset costs no setup and no Fraction arithmetic.  check_dual
-cross-checks the planar-dual instance, and count_classes folds the
-enumerated trees into symmetry classes of the resulting subspaces by
+induced weights, incidence matrix, the transfer current matrix Y held
+only as the integer pair (D, D Y), D the least positive integer that
+makes D Y integral (one gcd over the pair transfer_current returns), the
+float projector read off that pair, the orthonormalized star-space basis,
+and the tree's layout for the induced coefficients.  The check_* family
+verifies the spectral facts that make the subspace extremal; the exact
+ones are integer comparisons and integer determinants on D Y, so each
+spanning tree and each subset costs no setup and no Fraction arithmetic.
+check_dual cross-checks the planar-dual instance, and count_classes folds
+the enumerated trees into symmetry classes of the resulting subspaces by
 sptree.class_key, which reads the class off the tree without building an
 instance.
 """
@@ -58,10 +59,9 @@ class ExtremalInstance:
     graph: MultiGraph
     weights: dict
     B: np.ndarray
-    Y: np.ndarray
     P: np.ndarray
     subspace: Subspace
-    D: int            # a positive integer that makes D Y integral
+    D: int            # the least positive integer that makes D Y integral
     DY: np.ndarray    # D Y, an object array of Python ints
     layout: tuple     # weights.coefficient_layout of the realized tree
 
@@ -76,17 +76,16 @@ def build(tree, directions=None) -> ExtremalInstance:
     graph = realize(tree, directions)
     w = induced_weights(tree)
     B = incidence_matrix(graph)
-    Y = transfer_current(B, w)
-    D = math.lcm(*(y.denominator for y in Y.flat))
-    DY = np.array([[y.numerator * (D // y.denominator) for y in row] for row in Y],
-                  dtype=object)
-    P = projection(Y, w)
+    T, TY = transfer_current(B, w)
+    g = math.gcd(T, *TY.flat)
+    D, DY = T // g, TY // g
+    P = projection(D, DY, w)
     n = len(graph.edges)
     root = np.sqrt([float(w[e]) for e in range(n)])
     scaled = root[:, None] * to_float(B).T
     # dropping one vertex column keeps the span: the columns sum to zero
     subspace = orthonormalize(scaled[:, 1:])
-    return ExtremalInstance(tree, graph, w, B, Y, P, subspace, D, DY,
+    return ExtremalInstance(tree, graph, w, B, P, subspace, D, DY,
                             coefficient_layout(tree, directions))
 
 
@@ -187,16 +186,3 @@ def verify_instance(inst: ExtremalInstance, tol: float = 1e-9) -> dict:
         "dual_ok": dual_ok,
     }
 
-
-def least_eigenvalue_report(inst: ExtremalInstance) -> list[tuple[tuple, float]]:
-    """Smallest eigenvalue of the projector submatrix on each spanning tree.
-
-    Observed (not proven) to equal 1/n; reported so counterexamples would
-    surface.
-    """
-    out = []
-    for tau in spanning_trees(inst.graph):
-        idx = list(tau)
-        sub = inst.P[np.ix_(idx, idx)]
-        out.append((tau, float(np.linalg.eigvalsh(sub)[0])))
-    return out

@@ -4,13 +4,15 @@ The exact side has one elimination routine, bareiss, a fraction-free
 integer Gauss-Jordan that returns a determinant and an adjugate.  A single
 such elimination of the grounded integer Laplacian gives the weighted
 spanning-tree count T and the integer matrix T Y, where Y is the transfer
-current matrix; the spectral identities are checked on an integer multiple
-of Y as integer comparisons and integer determinants, with zero
-tolerance.  The float side covers orthonormal bases, principal angles,
-and the deviation target, where double precision is the natural currency.
-Orthonormalization and the target also take stacks of bases, so a batch
-of search walkers is bumped and scored with one SVD call each (the target
-in bounded slices).
+current matrix; transfer_current returns that pair and nothing else, so
+Y itself is never formed.  The spectral identities are checked on an
+integer multiple of Y as integer comparisons and integer determinants,
+with zero tolerance, and the float projector is read off the same pair by
+one correctly rounded integer division per entry.  The float side covers
+orthonormal bases, principal angles, and the deviation target, where
+double precision is the natural currency.  Orthonormalization and the
+target also take stacks of bases, so a batch of search walkers is bumped
+and scored with one SVD call each (the target in bounded slices).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .weights import BruteForceCapError, spanning_trees
+from .weights import BruteForceCapError
 
 DEFAULT_SUBSET_CAP = 12
 # Most k-by-k coordinate submatrices gathered for one batched SVD; a larger
@@ -42,17 +44,6 @@ class RankDeficientError(ValueError):
 # ---------------------------------------------------------------------------
 # exact matrices (numpy object arrays of Fraction or Python int)
 # ---------------------------------------------------------------------------
-
-def rational_matrix(rows) -> np.ndarray:
-    data = [[Fraction(x) for x in row] for row in rows]
-    out = np.empty((len(data), len(data[0])), dtype=object)
-    for i, row in enumerate(data):
-        if len(row) != out.shape[1]:
-            raise ValueError("rows must have equal length")
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
-
 
 def bareiss(rows):
     """Determinant and adjugate of a square integer matrix, exactly.
@@ -114,16 +105,18 @@ def laplacian(B: np.ndarray, weights) -> np.ndarray:
     return (B * w[None, :]).dot(B.T)
 
 
-def integer_transfer_current(B: np.ndarray, weights):
+def transfer_current(B: np.ndarray, weights):
     """(T, T Y) for the transfer current matrix Y = W B^T L^+ B, in integers.
 
-    Y is unchanged when all weights scale together, so they are scaled to
-    coprime integers first.  Grounding vertex 0 leaves the reduced
-    Laplacian L0 = B0 W B0^T (B0 is B without row 0), nonsingular exactly
-    when the graph is connected.  One integer elimination gives
-    T = det L0, the weighted spanning-tree count of the scaled weights,
-    and adj(L0), and then T Y = W B0^T adj(L0) B0 is an integer matrix
-    (an object array of Python ints).
+    Y is an oblique projection: entry (e, f) is the current through e,
+    taken along e's own direction, when a unit current is driven from f's
+    tail to f's head.  It is unchanged when all weights scale together, so
+    they are scaled to coprime integers first.  Grounding vertex 0 leaves
+    the reduced Laplacian L0 = B0 W B0^T (B0 is B without row 0),
+    nonsingular exactly when the graph is connected.  One integer
+    elimination gives T = det L0, the weighted spanning-tree count of the
+    scaled weights, and adj(L0), and then T Y = W B0^T adj(L0) B0 is an
+    integer matrix (an object array of Python ints).
     """
     n = B.shape[1]
     w = [Fraction(weights[e]) for e in range(n)]
@@ -140,76 +133,21 @@ def integer_transfer_current(B: np.ndarray, weights):
     return det, B0.T.dot(adj).dot(B0) * w_int[:, None]
 
 
-def transfer_current(B: np.ndarray, weights) -> np.ndarray:
-    """Y = W B^T L^+ B, exact: T Y / T from integer_transfer_current.
-
-    An oblique projection: entry (e, f) is the current through e, taken
-    along e's own direction, when a unit current is driven from f's tail
-    to f's head.  Idempotent with trace equal to the graph rank.
-    """
-    det, scaled = integer_transfer_current(B, weights)
-    return scaled * Fraction(1, det)
-
-
-def transfer_current_combinatorial(graph, weights) -> np.ndarray:
-    """Spanning-tree form of the transfer current matrix.
-
-    Diagonal (e, e): weight of trees through e over the weight of all
-    trees.  Off-diagonal (e, f): for each tree, the unique tree path
-    joining f's endpoints contributes the tree weight with sign +1 when it
-    crosses e along e's direction while walking from f's tail to f's head,
-    -1 against it, 0 when it avoids e.
-    """
-    n = len(graph.edges)
-    trees = spanning_trees(graph)
-    endpoints = {e: (t, h) for t, h, e in graph.edges}
-    w = {e: Fraction(weights[e]) for e in range(n)}
-
-    Y = np.full((n, n), Fraction(0), dtype=object)
-    total = Fraction(0)
-    for subset in trees:
-        tw = math.prod(w[e] for e in subset)
-        total += tw
-        adjacency: dict[int, list] = {}
-        for e in subset:
-            t, h = endpoints[e]
-            adjacency.setdefault(t, []).append((h, e, 1))
-            adjacency.setdefault(h, []).append((t, e, -1))
-        members = set(subset)
-        for e in subset:
-            Y[e, e] += tw
-        for f in range(n):
-            if f in members:
-                continue
-            src, dst = endpoints[f]
-            parent = {src: None}
-            stack = [src]
-            while dst not in parent:
-                v = stack.pop()
-                for u, e, sense in adjacency.get(v, ()):
-                    if u not in parent:
-                        parent[u] = (v, e, sense)
-                        stack.append(u)
-            v = dst
-            while parent[v] is not None:
-                prev, e, sense = parent[v]
-                Y[e, f] += sense * tw
-                v = prev
-    return Y * (Fraction(1) / total)
-
-
-def projection(Y: np.ndarray, weights) -> np.ndarray:
+def projection(s: int, sY: np.ndarray, weights) -> np.ndarray:
     """Float orthogonal projector onto the column space of W^(1/2) B^T.
 
-    Read off the transfer current matrix Y = W B^T L^+ B: the projector is
-    W^(-1/2) Y W^(1/2), i.e. P[i, j] = Y[i, j] sqrt(w_j / w_i).  It is
-    evaluated as the exact symmetric core Y[i, j] / w_i rounded once,
-    times sqrt(w_i) sqrt(w_j), so P is exactly symmetric.
+    Read off any integer multiple sY = s Y of the transfer current matrix
+    Y = W B^T L^+ B: the projector is W^(-1/2) Y W^(1/2), i.e.
+    P[i, j] = Y[i, j] sqrt(w_j / w_i).  With w_i = p_i / q_i it is
+    evaluated as the exact symmetric core Y[i, j] / w_i, the integer true
+    division sY[i, j] q_i / (s p_i), which rounds once and correctly, times
+    sqrt(w_i) sqrt(w_j), so P is exactly symmetric.
     """
-    n = Y.shape[0]
-    w = _weight_column(weights, n)
-    core = to_float(Y / w[:, None])
-    root = np.sqrt(to_float(w))
+    n = sY.shape[0]
+    w = [Fraction(weights[i]) for i in range(n)]
+    core = np.array([[x * wi.denominator / (s * wi.numerator) for x in row]
+                     for row, wi in zip(sY.tolist(), w)])
+    root = np.sqrt([float(wi) for wi in w])
     return core * np.outer(root, root)
 
 
@@ -285,7 +223,7 @@ def coordinate_subsets(n: int, k: int):
     return subsets, index
 
 
-def stacked_target(bases: np.ndarray, subset_cap: int = DEFAULT_SUBSET_CAP):
+def stacked_target(bases: np.ndarray):
     """The target of every basis in an (R, n, k) stack.
 
     Batched SVDs of the (R, C(n, k), k, k) coordinate submatrices, taken
@@ -295,9 +233,9 @@ def stacked_target(bases: np.ndarray, subset_cap: int = DEFAULT_SUBSET_CAP):
     in coordinate_subsets(n, k); ties go to the lexicographically first.
     """
     _, n, k = bases.shape
-    if n > subset_cap:
+    if n > DEFAULT_SUBSET_CAP:
         raise BruteForceCapError(
-            f"target sweep needs at most {subset_cap} ambient dimensions, got {n}")
+            f"target sweep needs at most {DEFAULT_SUBSET_CAP} ambient dimensions, got {n}")
     _, index = coordinate_subsets(n, k)
     step = max(1, STACK_SUBMATRICES // len(index))
     sigma_min = np.concatenate([
@@ -308,7 +246,7 @@ def stacked_target(bases: np.ndarray, subset_cap: int = DEFAULT_SUBSET_CAP):
     return angles, np.argmax(sigma_min, axis=1)
 
 
-def target(sub: Subspace, subset_cap: int = DEFAULT_SUBSET_CAP):
+def target(sub: Subspace):
     """Least deviation from the coordinate k-subspaces, with its argmin.
 
     The deviation from a coordinate subspace is the largest principal
@@ -316,7 +254,7 @@ def target(sub: Subspace, subset_cap: int = DEFAULT_SUBSET_CAP):
     submatrix of the basis; the sweep is exhaustive over all C(n, k)
     subsets.  Ties go to the lexicographically first subset.
     """
-    angles, best = stacked_target(sub.basis[None], subset_cap)
+    angles, best = stacked_target(sub.basis[None])
     subsets, _ = coordinate_subsets(sub.ambient, sub.dim)
     return float(angles[0]), subsets[best[0]]
 

@@ -7,8 +7,7 @@ spanning tree, an eigenvector of the matching transfer-current submatrix.
 Everything is exact: weights and tree sums are Fractions, and the
 coefficients come out as integers over one common denominator, from two
 passes over the decomposition tree laid out once per instance.  The
-brute-force subset sweeps double as oracles for the closed-form
-recurrences.
+brute-force spanning-tree sweep lists the trees the exact checks run on.
 """
 
 from __future__ import annotations
@@ -235,36 +234,12 @@ def _is_forest(graph, subset) -> bool:
     return _forest_find(graph, subset) is not None
 
 
-def _separates_terminals(graph, subset) -> bool:
-    find = _forest_find(graph, subset)
-    l, r = graph.terminals
-    return find is not None and find(l) != find(r)
-
-
 def spanning_trees(graph) -> list[tuple]:
     """All spanning trees as sorted edge-id tuples, in lexicographic order."""
     n = len(graph.edges)
     _require_under_cap(n)
     size = graph.num_vertices - 1
     return [s for s in combinations(range(n), size) if _is_forest(graph, s)]
-
-
-def two_component_forests(graph) -> list[tuple]:
-    """Spanning 2-forests with the terminals in different components."""
-    n = len(graph.edges)
-    _require_under_cap(n)
-    size = graph.num_vertices - 2
-    return [s for s in combinations(range(n), size) if _separates_terminals(graph, s)]
-
-
-def brute_tree_sums(graph, weights) -> TreeSums:
-    """Exhaustive-enumeration oracle for tree_sums."""
-    w = {e: Fraction(v) for e, v in weights.items()}
-    total = sum((math.prod(w[e] for e in s) for s in spanning_trees(graph)),
-                Fraction(0))
-    split = sum((math.prod(w[e] for e in s) for s in two_component_forests(graph)),
-                Fraction(0))
-    return TreeSums(total, split)
 
 
 def weights_to_json(weights) -> dict[str, str]:

@@ -1,16 +1,23 @@
-"""Test oracles for the integer exact checks: the Fraction paths.
+"""Test oracles for the integer exact core: the Fraction paths.
 
-induced_coefficients here finds, for every node of the decomposition, by
-its own union-find over the node's tau edges whether tau connects the
-node's terminals, and walks the series chains in Fraction arithmetic.
-check_eigen and check_degenerate work on the Fraction matrix Y, the
-latter through rational_det, which clears each row's denominators before
-one integer elimination.  The integer checks on D Y in spextremal must
-agree with these on every spanning tree and every non-tree subset.
+fraction_y forms the Fraction matrix Y from an integer pair (s, s Y), as
+spextremal.transfer_current returns it or as an instance holds it in
+(D, D Y); fraction_projection reads the float projector off that Y in
+Fractions, and transfer_current_combinatorial sums Y over the spanning
+trees.  induced_coefficients here finds, for every node of the
+decomposition, by its own union-find over the node's tau edges whether
+tau connects the node's terminals, and walks the series chains in
+Fraction arithmetic.  check_eigen and check_degenerate work on the
+Fraction matrix Y, the latter through rational_det, which clears each
+row's denominators before one integer elimination.  brute_tree_sums
+sweeps every edge subset for the weighted tree and 2-forest sums.  The
+integer routines in spextremal must agree with these on every spanning
+tree and every non-tree subset.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +32,117 @@ from spextremal.sptree import (
     parallel_rooted,
     realize_with_spans,
 )
-from spextremal.weights import _forest_find
+from spextremal.weights import TreeSums, _forest_find, spanning_trees
+
+
+def rational_matrix(rows) -> np.ndarray:
+    data = [[Fraction(x) for x in row] for row in rows]
+    out = np.empty((len(data), len(data[0])), dtype=object)
+    for i, row in enumerate(data):
+        if len(row) != out.shape[1]:
+            raise ValueError("rows must have equal length")
+        for j, x in enumerate(row):
+            out[i, j] = x
+    return out
+
+
+def fraction_y(s, sY) -> np.ndarray:
+    """The Fraction matrix Y from an integer multiple sY = s Y."""
+    return sY * Fraction(1, s)
+
+
+def fraction_projection(Y, weights) -> np.ndarray:
+    """The float projector by the Fraction route: Y[i, j] / w_i in
+    Fractions, rounded once, times sqrt(w_i) sqrt(w_j)."""
+    n = Y.shape[0]
+    w = np.array([Fraction(weights[e]) for e in range(n)], dtype=object)
+    core = (Y / w[:, None]).astype(float)
+    root = np.sqrt(w.astype(float))
+    return core * np.outer(root, root)
+
+
+def transfer_current_combinatorial(graph, weights) -> np.ndarray:
+    """Spanning-tree form of the transfer current matrix.
+
+    Diagonal (e, e): weight of trees through e over the weight of all
+    trees.  Off-diagonal (e, f): for each tree, the unique tree path
+    joining f's endpoints contributes the tree weight with sign +1 when it
+    crosses e along e's direction while walking from f's tail to f's head,
+    -1 against it, 0 when it avoids e.
+    """
+    n = len(graph.edges)
+    trees = spanning_trees(graph)
+    endpoints = {e: (t, h) for t, h, e in graph.edges}
+    w = {e: Fraction(weights[e]) for e in range(n)}
+
+    Y = np.full((n, n), Fraction(0), dtype=object)
+    total = Fraction(0)
+    for subset in trees:
+        tw = math.prod(w[e] for e in subset)
+        total += tw
+        adjacency: dict[int, list] = {}
+        for e in subset:
+            t, h = endpoints[e]
+            adjacency.setdefault(t, []).append((h, e, 1))
+            adjacency.setdefault(h, []).append((t, e, -1))
+        members = set(subset)
+        for e in subset:
+            Y[e, e] += tw
+        for f in range(n):
+            if f in members:
+                continue
+            src, dst = endpoints[f]
+            parent = {src: None}
+            stack = [src]
+            while dst not in parent:
+                v = stack.pop()
+                for u, e, sense in adjacency.get(v, ()):
+                    if u not in parent:
+                        parent[u] = (v, e, sense)
+                        stack.append(u)
+            v = dst
+            while parent[v] is not None:
+                prev, e, sense = parent[v]
+                Y[e, f] += sense * tw
+                v = prev
+    return Y * (Fraction(1) / total)
+
+
+def _separates_terminals(graph, subset) -> bool:
+    find = _forest_find(graph, subset)
+    l, r = graph.terminals
+    return find is not None and find(l) != find(r)
+
+
+def two_component_forests(graph) -> list[tuple]:
+    """Spanning 2-forests with the terminals in different components."""
+    n = len(graph.edges)
+    size = graph.num_vertices - 2
+    return [s for s in combinations(range(n), size) if _separates_terminals(graph, s)]
+
+
+def brute_tree_sums(graph, weights) -> TreeSums:
+    """Exhaustive-enumeration oracle for tree_sums."""
+    w = {e: Fraction(v) for e, v in weights.items()}
+    total = sum((math.prod(w[e] for e in s) for s in spanning_trees(graph)),
+                Fraction(0))
+    split = sum((math.prod(w[e] for e in s) for s in two_component_forests(graph)),
+                Fraction(0))
+    return TreeSums(total, split)
+
+
+def least_eigenvalue_report(inst) -> list[tuple[tuple, float]]:
+    """Smallest eigenvalue of the projector submatrix on each spanning tree.
+
+    Observed (not proven) to equal 1/n; reported so counterexamples would
+    surface.
+    """
+    out = []
+    for tau in spanning_trees(inst.graph):
+        idx = list(tau)
+        sub = inst.P[np.ix_(idx, idx)]
+        out.append((tau, float(np.linalg.eigvalsh(sub)[0])))
+    return out
 
 
 def rational_det(a: np.ndarray) -> Fraction:
@@ -92,9 +209,10 @@ def check_eigen(inst, tau) -> bool:
     n = len(inst.graph.edges)
     y = induced_coefficients(inst.tree, tau, inst.graph)
     idx = sorted(tau)
+    sub = fraction_y(inst.D, inst.DY[np.ix_(idx, idx)])
     lam = Fraction(1, n)
-    for e in idx:
-        image = sum((inst.Y[e, f] * y[f] for f in idx), Fraction(0))
+    for row, e in zip(sub, idx):
+        image = sum((x * y[f] for x, f in zip(row, idx)), Fraction(0))
         if image != lam * y[e]:
             return False
     return True
@@ -103,4 +221,4 @@ def check_eigen(inst, tau) -> bool:
 def check_degenerate(inst, subset) -> bool:
     """det Y[S, S] == 0 through rational_det."""
     idx = sorted(subset)
-    return rational_det(inst.Y[np.ix_(idx, idx)]) == 0
+    return rational_det(fraction_y(inst.D, inst.DY[np.ix_(idx, idx)])) == 0

@@ -10,6 +10,8 @@ is checked against it.
 
 import numpy as np
 
+from exact_oracles import fraction_y
+
 
 def _swap_is_automorphism(Q: np.ndarray, i: int, j: int) -> bool:
     if Q[i, i] != Q[j, j]:
@@ -77,7 +79,8 @@ def canonical_matrix_form(Q: np.ndarray):
 
 
 def squared_projector(inst) -> np.ndarray:
-    return inst.Y * inst.Y.T
+    Y = fraction_y(inst.D, inst.DY)
+    return Y * Y.T
 
 
 def oracle_key(inst):

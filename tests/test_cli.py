@@ -94,6 +94,24 @@ class TestVerify:
         payload = json.loads(out)
         assert all(inst["k"] == 2 for inst in payload["instances"])
 
+    def test_single_size_with_k(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "4", "2")
+        assert code == 0
+        instances = json.loads(out)["instances"]
+        assert len(instances) == len(sp.enumerate_rooted(4, 2)) == 2
+        assert all(inst["k"] == 2 for inst in instances)
+
+    def test_single_size_is_one_size_range(self, capsys):
+        _, single, _ = run_cli(capsys, "verify", "5")
+        _, ranged, _ = run_cli(capsys, "verify", "5..5")
+        assert json.loads(single)["instances"] == json.loads(ranged)["instances"]
+
+    def test_tree_with_k_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "P(e,S(e,e))", "2")
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_corrupted_weights_exit_one(self, capsys, monkeypatch):
         from fractions import Fraction
         import spextremal.extremal as extremal
@@ -209,7 +227,7 @@ class TestSearch:
     def test_violation_exit_code(self, capsys, monkeypatch):
         import spextremal.search as search_mod
 
-        def fake_target(sub, subset_cap=12):
+        def fake_target(sub):
             return math.acos(0.2), (0,)
 
         monkeypatch.setattr(search_mod, "target", fake_target)

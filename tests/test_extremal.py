@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import spextremal as sp
-from spextremal.numeric import rational_matrix
 
 import exact_oracles as oracle
+from exact_oracles import rational_matrix
 from matrix_canon import canonical_matrix_form, oracle_key, squared_projector
 
 
@@ -32,7 +32,7 @@ class TestBuild:
             [[1 - third, -third, -third],
              [-third, 1 - third, -third],
              [-third, -third, 1 - third]])
-        assert exact_equal(inst.Y, expected)
+        assert exact_equal(oracle.fraction_y(inst.D, inst.DY), expected)
 
     def test_banana_line(self):
         n = 5
@@ -52,7 +52,7 @@ class TestCheckEigen:
     def test_triangle_hand_values(self):
         inst = sp.build(sp.parse_tree("P(e,S(e,e))"), [False, True, True])
         tau = (1, 2)
-        sub = inst.Y[np.ix_(tau, tau)]
+        sub = oracle.fraction_y(inst.D, inst.DY)[np.ix_(tau, tau)]
         expected = rational_matrix(
             [[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]])
         assert exact_equal(sub, expected)
@@ -64,8 +64,9 @@ class TestCheckEigen:
         n = 4
         t = sp.make_parallel([sp.make_leaf(i) for i in range(n)])
         inst = sp.build(t)
+        Y = oracle.fraction_y(inst.D, inst.DY)
         for e in range(n):
-            assert inst.Y[e, e] == Fraction(1, n)
+            assert Y[e, e] == Fraction(1, n)
             assert sp.check_eigen(inst, (e,))
 
     def test_holds_for_every_spanning_tree_small(self):
@@ -127,19 +128,33 @@ def assert_agrees_with_oracles(inst):
             assert sp.check_degenerate(inst, s) == oracle.check_degenerate(inst, s), name
 
 
+def assert_build_matches_fraction_route(inst):
+    """transfer_current returns ints, D is the least that clears Y, and P
+    is bitwise the projector the Fraction route reads off Y."""
+    T, TY = sp.transfer_current(inst.B, inst.weights)
+    assert type(T) is int and all(type(x) is int for x in TY.flat)
+    assert math.gcd(inst.D, *inst.DY.flat) == 1
+    Y = oracle.fraction_y(T, TY)
+    assert exact_equal(oracle.fraction_y(inst.D, inst.DY), Y)
+    want = oracle.fraction_projection(Y, inst.weights)
+    assert inst.P.shape == want.shape and inst.P.tobytes() == want.tobytes()
+
+
 class TestIntegerChecksMatchOracles:
     def test_every_instance_to_7(self, instances_to_7):
-        for inst in instances_to_7:
-            assert_agrees_with_oracles(inst)
-            assert_agrees_with_oracles(sp.build(inst.tree, flipped_directions(inst.tree)))
+        for natural in instances_to_7:
+            for inst in (natural, sp.build(natural.tree, flipped_directions(natural.tree))):
+                assert_agrees_with_oracles(inst)
+                assert_build_matches_fraction_route(inst)
 
     @pytest.mark.long
     @pytest.mark.parametrize("n", [8, 9])
     def test_every_instance_long(self, n):
         for k in range(1, n):
             for t in sp.enumerate_rooted(n, k):
-                assert_agrees_with_oracles(sp.build(t))
-                assert_agrees_with_oracles(sp.build(t, flipped_directions(t)))
+                for inst in (sp.build(t), sp.build(t, flipped_directions(t))):
+                    assert_agrees_with_oracles(inst)
+                    assert_build_matches_fraction_route(inst)
 
     def test_bumped_entry_fails_eigen(self, instances_to_6):
         # every coefficient is nonzero, so any changed entry of the tau
@@ -190,9 +205,8 @@ class TestCheckTarget:
         B = sp.incidence_matrix(g)
         root = np.sqrt([float(bad[e]) for e in range(4)])
         basis = sp.orthonormalize((root[:, None] * B.astype(float).T)[:, 1:])
-        Y = sp.transfer_current(B, bad)
-        T, TY = sp.integer_transfer_current(B, bad)
-        corrupted = dataclasses.replace(inst, weights=bad, B=B, Y=Y, P=sp.projection(Y, bad),
+        T, TY = sp.transfer_current(B, bad)
+        corrupted = dataclasses.replace(inst, weights=bad, B=B, P=sp.projection(T, TY, bad),
                                         subspace=basis, D=T, DY=TY)
         assert not sp.check_target(corrupted)
 
@@ -312,5 +326,5 @@ class TestReports:
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     inst = sp.build(t)
-                    for _, eig in sp.least_eigenvalue_report(inst):
+                    for _, eig in oracle.least_eigenvalue_report(inst):
                         assert abs(eig - 1.0 / n) < 1e-8

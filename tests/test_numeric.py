@@ -11,12 +11,16 @@ from spextremal import numeric
 from spextremal.numeric import (
     bareiss,
     coordinate_subsets,
-    rational_matrix,
     require_orthonormal,
     stacked_target,
 )
 
-from exact_oracles import rational_det
+from exact_oracles import (
+    fraction_y,
+    rational_det,
+    rational_matrix,
+    transfer_current_combinatorial,
+)
 
 
 def exact_equal(a, b):
@@ -155,14 +159,14 @@ class TestTransferCurrent:
     def test_banana_two(self):
         t = sp.make_parallel([sp.make_leaf(0), sp.make_leaf(1)])
         g = sp.realize(t)
-        Y = sp.transfer_current(sp.incidence_matrix(g), unit_weights(2))
+        Y = fraction_y(*sp.transfer_current(sp.incidence_matrix(g), unit_weights(2)))
         half = Fraction(1, 2)
         assert exact_equal(Y, rational_matrix([[half, half], [half, half]]))
 
     def test_triangle_consistent_orientation(self):
         t = sp.parse_tree("P(e,S(e,e))")
         g = sp.realize(t, [False, True, True])
-        Y = sp.transfer_current(sp.incidence_matrix(g), unit_weights(3))
+        Y = fraction_y(*sp.transfer_current(sp.incidence_matrix(g), unit_weights(3)))
         third = Fraction(1, 3)
         expected = rational_matrix(
             [[1 - third, -third, -third],
@@ -176,7 +180,7 @@ class TestTransferCurrent:
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
                     w = sp.induced_weights(t)
-                    Y = sp.transfer_current(sp.incidence_matrix(g), w)
+                    Y = fraction_y(*sp.transfer_current(sp.incidence_matrix(g), w))
                     assert exact_equal(Y.dot(Y), Y)
                     assert sum(Y[i, i] for i in range(n)) == k
 
@@ -189,8 +193,8 @@ class TestTransferCurrent:
                     for w in (sp.induced_weights(t),
                               {e: Fraction(rng.randint(1, 9), rng.randint(1, 9))
                                for e in range(n)}):
-                        Y = sp.transfer_current(sp.incidence_matrix(g), w)
-                        Yc = sp.transfer_current_combinatorial(g, w)
+                        Y = fraction_y(*sp.transfer_current(sp.incidence_matrix(g), w))
+                        Yc = transfer_current_combinatorial(g, w)
                         assert exact_equal(Y, Yc)
 
     def test_disconnected_rejected(self):
@@ -218,14 +222,15 @@ class TestTransferCurrent:
                 expected = (math.prod(inst.weights[e] for e in s) / total
                             if s in trees else 0)
                 idx = list(s)
-                assert rational_det(inst.Y[np.ix_(idx, idx)]) == expected
+                Y = fraction_y(inst.D, inst.DY[np.ix_(idx, idx)])
+                assert rational_det(Y) == expected
 
     def test_diagonal_strictly_inside_unit_interval(self):
         for n in range(2, 7):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
-                    Y = sp.transfer_current_combinatorial(g, sp.induced_weights(t))
+                    Y = transfer_current_combinatorial(g, sp.induced_weights(t))
                     assert all(0 < Y[e, e] < 1 for e in range(n))
 
 
@@ -234,7 +239,7 @@ class TestProjection:
         # unit weights make the projector and the transfer current coincide
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"), [False, True, True])
         w = unit_weights(3)
-        P = sp.projection(sp.transfer_current(sp.incidence_matrix(g), w), w)
+        P = sp.projection(*sp.transfer_current(sp.incidence_matrix(g), w), w)
         assert np.allclose(P, np.eye(3) - np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
     def test_symmetric_idempotent(self):
@@ -243,7 +248,7 @@ class TestProjection:
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
                     w = sp.induced_weights(t)
-                    P = sp.projection(sp.transfer_current(sp.incidence_matrix(g), w), w)
+                    P = sp.projection(*sp.transfer_current(sp.incidence_matrix(g), w), w)
                     assert np.allclose(P, P.T, atol=1e-12)
                     assert np.allclose(P @ P, P, atol=1e-12)
 
@@ -252,8 +257,9 @@ class TestProjection:
             t = sp.parse_tree(tree_text)
             g = sp.realize(t)
             w = sp.induced_weights(t)
-            Y = sp.transfer_current(sp.incidence_matrix(g), w)
-            P = sp.projection(Y, w)
+            T, TY = sp.transfer_current(sp.incidence_matrix(g), w)
+            Y = fraction_y(T, TY)
+            P = sp.projection(T, TY, w)
             Q = (Y * Y.T).astype(float)
             assert np.max(np.abs(P * P - Q)) < 1e-12
 

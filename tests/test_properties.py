@@ -1,13 +1,14 @@
 """Property tests over random parallel-rooted trees with at most 8 edges."""
 
 import math
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spextremal as sp
 from spextremal.sptree import relabel_leaves
+
+from exact_oracles import brute_tree_sums, fraction_y, transfer_current_combinatorial
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 
@@ -49,7 +50,7 @@ def test_decompose_recovers_the_tree(tree):
 @given(trees())
 def test_tree_sums_match_brute_force(tree):
     w = sp.induced_weights(tree)
-    assert sp.tree_sums(tree, w) == sp.brute_tree_sums(sp.realize(tree), w)
+    assert sp.tree_sums(tree, w) == brute_tree_sums(sp.realize(tree), w)
 
 
 @PROPERTY
@@ -66,12 +67,12 @@ def test_integer_core_counts_trees(tree, data):
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     w = sp.induced_weights(tree)
-    T, TY = sp.integer_transfer_current(sp.incidence_matrix(sp.realize(tree, directions)), w)
+    T, TY = sp.transfer_current(sp.incidence_matrix(sp.realize(tree, directions)), w)
     # the weights the core eliminates with: coprime integers
     common = math.lcm(*(x.denominator for x in w.values()))
     scaled = {e: x * common for e, x in w.items()}
     g = math.gcd(*(int(x) for x in scaled.values()))
     scaled = {e: x / g for e, x in scaled.items()}
     assert T == sp.tree_sums(tree, scaled).trees
-    assert (TY * Fraction(1, T) == sp.transfer_current_combinatorial(
+    assert (fraction_y(T, TY) == transfer_current_combinatorial(
         sp.realize(tree, directions), w)).all()

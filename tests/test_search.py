@@ -249,7 +249,7 @@ class TestAccumulate:
         # fabricate one since no real subspace has ever produced it
         import spextremal.search as search_mod
 
-        def fake_target(sub, subset_cap=12):
+        def fake_target(sub):
             return math.acos(0.2), (0,)
 
         monkeypatch.setattr(search_mod, "target", fake_target)

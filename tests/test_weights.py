@@ -7,8 +7,7 @@ import pytest
 import spextremal as sp
 from spextremal.numeric import laplacian, incidence_matrix
 
-from exact_oracles import rational_det
-from spextremal.weights import brute_tree_sums, two_component_forests
+from exact_oracles import brute_tree_sums, rational_det, two_component_forests
 
 
 def random_weights(rng, n):
