@@ -41,6 +41,7 @@ from .sptree import (
 from .weights import (
     BruteForceCapError,
     TreeSums,
+    cycle_basis,
     induced_coefficients,
     induced_weights,
     spanning_trees,

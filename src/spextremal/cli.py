@@ -125,10 +125,12 @@ def _verify_trees(args):
             raise UsageError("k range must look like 2 or 2..4")
         klo = int(kmatch.group(1))
         khi = int(kmatch.group(2) or klo)
+        if klo < 1 or khi < klo:
+            raise UsageError("k range must satisfy 1 <= klo <= khi")
     else:
         klo, khi = 1, 11
     for n in range(lo, hi + 1):
-        for k in range(max(1, klo), min(n - 1, khi) + 1):
+        for k in range(klo, min(n - 1, khi) + 1):
             yield from enumerate_rooted(n, k)
 
 
@@ -145,6 +147,8 @@ def cmd_verify(args) -> int:
         if not passed:
             ok = False
             print(json.dumps(report), file=sys.stderr)
+    if not reports:
+        raise UsageError("no instance matches; each has 1 <= k <= n - 1")
     _emit_json({"manifest": manifest, "instances": reports, "all_ok": ok})
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

@@ -7,10 +7,12 @@ makes D Y integral (one gcd over the pair transfer_current returns), the
 float projector read off that pair, the orthonormalized star-space basis,
 and the tree's layout for the induced coefficients.  The check_* family
 verifies the spectral facts that make the subspace extremal; the exact
-ones are integer comparisons and integer determinants on D Y, so each
-spanning tree and each subset costs no setup and no Fraction arithmetic.
-check_dual cross-checks the planar-dual instance, and count_classes folds
-the enumerated trees into symmetry classes of the resulting subspaces by
+ones are integer products with D Y, one per instance each: check_eigen
+multiplies D Y by the stacked coefficient vectors of all the spanning
+trees it is given, and check_degenerate by a cycle basis, which certifies
+every non-tree minor zero without looking at a single subset.  check_dual
+cross-checks the planar-dual instance, and count_classes folds the
+enumerated trees into symmetry classes of the resulting subspaces by
 sptree.class_key, which reads the class off the tree without building an
 instance.
 """
@@ -19,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .numeric import (
     Subspace,
-    bareiss,
     incidence_matrix,
     match_sign_diagonal,
     orthonormalize,
@@ -46,6 +46,7 @@ from .sptree import (
 )
 from .weights import (
     coefficient_layout,
+    cycle_basis,
     induced_weights,
     scaled_coefficients,
     spanning_trees,
@@ -89,26 +90,43 @@ def build(tree, directions=None) -> ExtremalInstance:
                             coefficient_layout(tree, directions))
 
 
-def check_eigen(inst: ExtremalInstance, tau) -> bool:
-    """Exact check that the induced coefficients on tau are an eigenvector
-    of the tau submatrix of Y with eigenvalue exactly 1/n.
+def check_eigen(inst: ExtremalInstance, trees) -> bool:
+    """Exact check that on every spanning tree tau in trees the induced
+    coefficients are an eigenvector of Y[tau, tau] with eigenvalue exactly
+    1/n.
 
-    With y the coefficients times their common denominator, it tests
-    n (D Y)[tau, tau] y == D y in integers.
+    Column j of the integer matrix C holds tree j's coefficients times
+    their common denominator (weights.scaled_coefficients), zero off
+    tau_j, so the one product (D Y) C holds every tree's image, and the
+    test is n (D Y C)[e, j] == D C[e, j] for each e in tau_j.  Raises
+    SpTreeError when some tau is not a spanning tree.
     """
     n = len(inst.graph.edges)
-    _, y = scaled_coefficients(inst.layout, tau)
-    idx = list(y)
-    vec = np.array(list(y.values()), dtype=object)
-    return bool((n * inst.DY[np.ix_(idx, idx)].dot(vec) == inst.D * vec).all())
+    trees = list(trees)
+    C = np.zeros((n, len(trees)), dtype=object)
+    on = np.zeros((n, len(trees)), dtype=bool)
+    for j, tau in enumerate(trees):
+        _, y = scaled_coefficients(inst.layout, tau)
+        idx = list(y)
+        C[idx, j] = list(y.values())
+        on[idx, j] = True
+    return bool((n * inst.DY.dot(C)[on] == inst.D * C[on]).all())
 
 
-def check_degenerate(inst: ExtremalInstance, subset) -> bool:
-    """Exact-zero determinant of the Y submatrix on a non-tree subset,
-    tested as det (D Y)[S, S] == 0 by one integer elimination."""
-    idx = sorted(subset)
-    det, _ = bareiss(inst.DY[np.ix_(idx, idx)].tolist())
-    return det == 0
+def check_degenerate(inst: ExtremalInstance) -> bool:
+    """Exact certificate that every non-tree k-minor of Y is zero.
+
+    With Z = weights.cycle_basis(graph), it tests B Z == 0 and
+    (D Y) Z == 0 in integers.  Why that is a proof: B Z = 0 puts Z's
+    columns in the cycle space, and Z spans it (full column rank n - k).
+    A k-subset S of the edges that is not a spanning tree of the k + 1
+    vertices contains a circuit C, and C's signed vector z_C, supported on
+    S, lies in the cycle space and so in Z's span.  So (D Y) z_C = 0, which
+    makes z_C restricted to S a nonzero kernel vector of (D Y)[S, S]:
+    det Y[S, S] = 0.
+    """
+    Z = cycle_basis(inst.graph)
+    return bool((inst.B.dot(Z) == 0).all() and (inst.DY.dot(Z) == 0).all())
 
 
 def check_target(inst: ExtremalInstance, tol: float = 1e-9) -> bool:
@@ -165,12 +183,8 @@ def verify_instance(inst: ExtremalInstance, tol: float = 1e-9) -> dict:
     """Run every check on one instance and report the outcome."""
     n = len(inst.graph.edges)
     k = inst.subspace.dim
-    trees = spanning_trees(inst.graph)
-    tree_set = set(trees)
-    eigen_ok = all(check_eigen(inst, tau) for tau in trees)
-    degenerate_ok = all(check_degenerate(inst, s)
-                        for s in combinations(range(n), k)
-                        if s not in tree_set)
+    eigen_ok = check_eigen(inst, spanning_trees(inst.graph))
+    degenerate_ok = check_degenerate(inst)
     angle, _ = target(inst.subspace)
     target_ok = abs(math.cos(angle) - 1.0 / math.sqrt(n)) <= tol
     dual_ok, _ = check_dual(inst, tol)

@@ -6,8 +6,8 @@ such elimination of the grounded integer Laplacian gives the weighted
 spanning-tree count T and the integer matrix T Y, where Y is the transfer
 current matrix; transfer_current returns that pair and nothing else, so
 Y itself is never formed.  The spectral identities are checked on an
-integer multiple of Y as integer comparisons and integer determinants,
-with zero tolerance, and the float projector is read off the same pair by
+integer multiple of Y as integer products and comparisons, with zero
+tolerance, and the float projector is read off the same pair by
 one correctly rounded integer division per entry.  The float side covers
 orthonormal bases, principal angles, and the deviation target, where
 double precision is the natural currency.  Orthonormalization and the

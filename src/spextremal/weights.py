@@ -7,16 +7,21 @@ spanning tree, an eigenvector of the matching transfer-current submatrix.
 Everything is exact: weights and tree sums are Fractions, and the
 coefficients come out as integers over one common denominator, from two
 passes over the decomposition tree laid out once per instance.  The
-brute-force spanning-tree sweep lists the trees the exact checks run on.
+brute-force spanning-tree sweep lists the trees the eigen check runs on,
+and cycle_basis gives the signed fundamental cycles that certify every
+non-tree minor zero at once.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
+
+import numpy as np
 
 from .sptree import (
     Leaf,
@@ -240,6 +245,47 @@ def spanning_trees(graph) -> list[tuple]:
     _require_under_cap(n)
     size = graph.num_vertices - 1
     return [s for s in combinations(range(n), size) if _is_forest(graph, s)]
+
+
+def cycle_basis(graph) -> np.ndarray:
+    """The signed fundamental cycles of a BFS spanning tree from vertex 0.
+
+    Returns the n x (n - k) integer matrix Z (an object array of Python
+    ints) of a connected graph on k + 1 vertices and n edges, with one
+    column per non-tree edge f, in edge-id order.  The column is +1 on f,
+    and on the tree path that walks back from f's head to its tail it is
+    +1 on each edge walked along its direction and -1 on each edge walked
+    against it, so B Z = 0.  Each non-tree edge is +1 in its own column and
+    0 in the others, so Z has full column rank n - k, the dimension of the
+    cycle space: its columns are a basis of that space.  Raises
+    SpTreeError when the graph is disconnected.
+    """
+    adjacency = [[] for _ in range(graph.num_vertices)]
+    for tail, head, e in graph.edges:
+        adjacency[tail].append((head, e, 1))
+        adjacency[head].append((tail, e, -1))
+    # vertex -> the signed tree path from vertex 0 to it, as {edge: sign}
+    path = {0: {}}
+    tree = set()
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v, e, sign in adjacency[u]:
+            if v not in path:
+                path[v] = {**path[u], e: sign}
+                tree.add(e)
+                queue.append(v)
+    if len(path) != graph.num_vertices:
+        raise SpTreeError("graph is disconnected")
+    chords = [(t, h, f) for t, h, f in graph.edges if f not in tree]
+    Z = np.zeros((len(graph.edges), len(chords)), dtype=object)
+    for j, (tail, head, f) in enumerate(chords):
+        Z[f, j] = 1
+        for e, sign in path[tail].items():
+            Z[e, j] += sign
+        for e, sign in path[head].items():
+            Z[e, j] -= sign
+    return Z
 
 
 def weights_to_json(weights) -> dict[str, str]:

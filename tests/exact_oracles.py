@@ -8,11 +8,12 @@ trees.  induced_coefficients here finds, for every node of the
 decomposition, by its own union-find over the node's tau edges whether
 tau connects the node's terminals, and walks the series chains in
 Fraction arithmetic.  check_eigen and check_degenerate work on the
-Fraction matrix Y, the latter through rational_det, which clears each
-row's denominators before one integer elimination.  brute_tree_sums
-sweeps every edge subset for the weighted tree and 2-forest sums.  The
-integer routines in spextremal must agree with these on every spanning
-tree and every non-tree subset.
+Fraction matrix Y one subset at a time, the latter through rational_det,
+which clears each row's denominators before one integer elimination.
+brute_tree_sums sweeps every edge subset for the weighted tree and
+2-forest sums.  The integer routines in spextremal must agree with these:
+the batched eigen check with check_eigen on every spanning tree, and the
+cycle-space certificate with check_degenerate on every non-tree subset.
 """
 
 import math

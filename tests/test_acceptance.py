@@ -16,8 +16,8 @@ import pytest
 import spextremal as sp
 from spextremal.search import (
     SearchConfig,
+    _climb,
     accumulate,
-    optimize,
     sample_uniform,
     symmetry_equivalent,
 )
@@ -58,14 +58,15 @@ def test_criterion_2_exact_spectral_identities(instances_to_7):
         k = inst.subspace.dim
         trees = sp.spanning_trees(inst.graph)
         tree_set = set(trees)
-        for tau in trees:
-            assert sp.check_eigen(inst, tau), sp.format_tree(inst.tree)
-            eigen_checked += 1
+        assert sp.check_eigen(inst, trees), sp.format_tree(inst.tree)
+        eigen_checked += len(trees)
+        assert sp.check_degenerate(inst), sp.format_tree(inst.tree)
         for subset in combinations(range(n), k):
             if subset not in tree_set:
-                assert sp.check_degenerate(inst, subset), sp.format_tree(inst.tree)
+                assert oracle.check_degenerate(inst, subset), sp.format_tree(inst.tree)
                 degenerate_checked += 1
     report(f"2 PASS: eigen identity exact on {eigen_checked} spanning trees, "
+           f"cycle-space certificate exact on {len(instances_to_7)} instances, "
            f"det zero exact on {degenerate_checked} non-tree subsets")
 
 
@@ -160,12 +161,15 @@ def test_criterion_8_search_reproduction():
         for member, _ in result.classes:
             assert any(symmetry_equivalent(member, c, 1e-3) for c in constructive), \
                 (n, k)
+    # 100 one-walker optimize runs, climbed as one lockstep batch: each
+    # walker draws its start and its steps from its own stream, as alone
     cfg = SearchConfig(seed=0)
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=99, spawn_key=(i,)))
+            for i in range(100)]
+    starts = np.stack([sample_uniform(4, 2, rng).basis for rng in rngs])
     hits = 0
-    for i in range(100):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=99,
-                                                           spawn_key=(i,)))
-        sub = optimize(sample_uniform(4, 2, rng), cfg, rng)
+    for basis in _climb(starts, rngs, cfg):
+        sub = sp.Subspace(4, 2, basis)
         if abs(math.cos(sp.target(sub)[0]) - 0.5) <= 1e-3:
             hits += 1
     assert hits >= 50, f"only {hits}/100 restarts reached cos 1/2 within 1e-3"

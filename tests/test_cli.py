@@ -112,6 +112,25 @@ class TestVerify:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec, k_range", [
+        ("5", "0"),         # klo < 1
+        ("5", "3..2"),      # khi < klo
+        ("5", "7"),         # well formed, but every n = 5 instance has k <= 4
+        ("2..4", "4..9"),
+    ])
+    def test_empty_selection_is_usage_error(self, capsys, spec, k_range):
+        code, out, err = run_cli(capsys, "verify", spec, k_range)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    def test_k_beyond_small_sizes_keeps_larger_ones(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "2..6", "5")
+        assert code == 0
+        instances = json.loads(out)["instances"]
+        assert len(instances) == len(sp.enumerate_rooted(6, 5))
+        assert all((inst["n"], inst["k"]) == (6, 5) for inst in instances)
+
     def test_corrupted_weights_exit_one(self, capsys, monkeypatch):
         from fractions import Fraction
         import spextremal.extremal as extremal

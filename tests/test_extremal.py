@@ -58,7 +58,7 @@ class TestCheckEigen:
         assert exact_equal(sub, expected)
         y = sp.induced_coefficients(inst.tree, tau, inst.graph)
         assert y[1] == y[2]  # proportional to (1, 1)
-        assert sp.check_eigen(inst, tau)
+        assert sp.check_eigen(inst, [tau])
 
     def test_banana_single_edges(self):
         n = 4
@@ -67,26 +67,30 @@ class TestCheckEigen:
         Y = oracle.fraction_y(inst.D, inst.DY)
         for e in range(n):
             assert Y[e, e] == Fraction(1, n)
-            assert sp.check_eigen(inst, (e,))
+            assert sp.check_eigen(inst, [(e,)])
 
     def test_holds_for_every_spanning_tree_small(self):
         for n in range(2, 6):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     inst = sp.build(t)
-                    for tau in sp.spanning_trees(inst.graph):
-                        assert sp.check_eigen(inst, tau)
+                    trees = sp.spanning_trees(inst.graph)
+                    assert sp.check_eigen(inst, trees)
+                    assert all(sp.check_eigen(inst, [tau]) for tau in trees)
 
     def test_rejects_non_tree(self):
         inst = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
         with pytest.raises(sp.SpTreeError):
-            sp.check_eigen(inst, (2, 3))
+            sp.check_eigen(inst, [(2, 3)])
+        with pytest.raises(sp.SpTreeError):
+            sp.check_eigen(inst, sp.spanning_trees(inst.graph) + [(2, 3)])
 
 
 class TestCheckDegenerate:
     def test_diamond_parallel_pair(self):
         inst = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
-        assert sp.check_degenerate(inst, (2, 3))
+        assert oracle.check_degenerate(inst, (2, 3))
+        assert sp.check_degenerate(inst)
 
     def test_banana_has_no_degenerate_subsets(self):
         t = sp.make_parallel([sp.make_leaf(i) for i in range(3)])
@@ -94,16 +98,18 @@ class TestCheckDegenerate:
         trees = set(sp.spanning_trees(inst.graph))
         non_trees = [s for s in combinations(range(3), 1) if s not in trees]
         assert non_trees == []
+        assert sp.check_degenerate(inst)
 
     def test_all_non_tree_subsets_small(self):
         for n in range(2, 6):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     inst = sp.build(t)
+                    assert sp.check_degenerate(inst)
                     trees = set(sp.spanning_trees(inst.graph))
                     for s in combinations(range(n), k):
                         if s not in trees:
-                            assert sp.check_degenerate(inst, s)
+                            assert oracle.check_degenerate(inst, s)
 
 
 def flipped_directions(tree):
@@ -113,19 +119,27 @@ def flipped_directions(tree):
 
 
 def assert_agrees_with_oracles(inst):
-    """Integer checks equal the Fraction oracles on every k-subset."""
+    """Integer checks equal the Fraction oracles: the eigen check on each
+    spanning tree and on all of them at once, and the cycle-space
+    certificate with the sweep over every non-tree k-subset."""
     n, k = len(inst.graph.edges), inst.subspace.dim
-    trees = set(sp.spanning_trees(inst.graph))
+    trees = sp.spanning_trees(inst.graph)
+    tree_set = set(trees)
     name = sp.format_tree(inst.tree)
+    eigen_all = minors_zero = True
     for s in combinations(range(n), k):
-        if s in trees:
+        if s in tree_set:
             y = sp.induced_coefficients(inst.tree, s, inst.graph)
             assert y == oracle.induced_coefficients(inst.tree, s, inst.graph), name
-            assert sp.check_eigen(inst, s) == oracle.check_eigen(inst, s), name
+            eigen = oracle.check_eigen(inst, s)
+            assert sp.check_eigen(inst, [s]) == eigen, name
+            eigen_all = eigen_all and eigen
         else:
             with pytest.raises(sp.SpTreeError):
                 sp.induced_coefficients(inst.tree, s, inst.graph)
-            assert sp.check_degenerate(inst, s) == oracle.check_degenerate(inst, s), name
+            minors_zero = minors_zero and oracle.check_degenerate(inst, s)
+    assert sp.check_eigen(inst, trees) == eigen_all, name
+    assert sp.check_degenerate(inst) == minors_zero, name
 
 
 def assert_build_matches_fraction_route(inst):
@@ -157,37 +171,36 @@ class TestIntegerChecksMatchOracles:
                     assert_build_matches_fraction_route(inst)
 
     def test_bumped_entry_fails_eigen(self, instances_to_6):
-        # every coefficient is nonzero, so any changed entry of the tau
-        # block moves n (D Y) y away from D y
+        # every coefficient is nonzero, so a changed entry of a tree's block
+        # moves that tree's n (D Y) y away from D y; an entry in no tree's
+        # block is not read
         for inst in instances_to_6:
+            n = len(inst.graph.edges)
+            trees = sp.spanning_trees(inst.graph)
             DY = inst.DY.copy()
             bumped = dataclasses.replace(inst, DY=DY)
-            for tau in sp.spanning_trees(inst.graph):
-                for e in tau:
-                    for f in tau:
-                        DY[e, f] += 1
-                        assert not sp.check_eigen(bumped, tau)
-                        DY[e, f] -= 1
-                assert sp.check_eigen(bumped, tau)
+            for e in range(n):
+                for f in range(n):
+                    read = any(e in tau and f in tau for tau in trees)
+                    DY[e, f] += 1
+                    assert sp.check_eigen(bumped, trees) == (not read)
+                    DY[e, f] -= 1
+            assert sp.check_eigen(bumped, trees)
 
-    def test_nonzero_minor_fails_degenerate(self, instances_to_6):
-        nonzero = 0
+    def test_bumped_entry_fails_certificate(self, instances_to_6):
+        # every edge of a 2-connected graph lies on a fundamental cycle, so
+        # a changed entry (e, f) changes row e of (D Y) Z
         for inst in instances_to_6:
-            n, k = len(inst.graph.edges), inst.subspace.dim
-            trees = set(sp.spanning_trees(inst.graph))
+            n = len(inst.graph.edges)
             DY = inst.DY.copy()
             bumped = dataclasses.replace(inst, DY=DY)
-            for s in combinations(range(n), k):
-                if s in trees:
-                    continue
-                idx = list(s)
-                for e in s:
-                    DY[e, e] += 1
-                    det = oracle.rational_det(DY[np.ix_(idx, idx)] * Fraction(1, inst.D))
-                    assert sp.check_degenerate(bumped, s) == (det == 0)
-                    nonzero += det != 0
-                    DY[e, e] -= 1
-        assert nonzero > 0
+            for e in range(n):
+                for f in range(n):
+                    for delta in (1, -1):
+                        DY[e, f] += delta
+                        assert not sp.check_degenerate(bumped)
+                        DY[e, f] -= delta
+            assert sp.check_degenerate(bumped)
 
 
 class TestCheckTarget:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,14 @@ def test_dual_weights_reciprocal_up_to_one_factor(tree):
     assert len({w[e] * dual[e] for e in w}) == 1
 
 
+def coprime_weights(w):
+    """The weights scaled to coprime integers, as transfer_current scales them."""
+    common = math.lcm(*(x.denominator for x in w.values()))
+    scaled = {e: int(x * common) for e, x in w.items()}
+    g = math.gcd(*scaled.values())
+    return {e: x // g for e, x in scaled.items()}
+
+
 @PROPERTY
 @given(trees(), st.data())
 def test_integer_core_counts_trees(tree, data):
@@ -68,11 +77,21 @@ def test_integer_core_counts_trees(tree, data):
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     w = sp.induced_weights(tree)
     T, TY = sp.transfer_current(sp.incidence_matrix(sp.realize(tree, directions)), w)
-    # the weights the core eliminates with: coprime integers
-    common = math.lcm(*(x.denominator for x in w.values()))
-    scaled = {e: x * common for e, x in w.items()}
-    g = math.gcd(*(int(x) for x in scaled.values()))
-    scaled = {e: x / g for e, x in scaled.items()}
-    assert T == sp.tree_sums(tree, scaled).trees
+    assert T == sp.tree_sums(tree, coprime_weights(w)).trees
     assert (fraction_y(T, TY) == transfer_current_combinatorial(
         sp.realize(tree, directions), w)).all()
+
+
+@PROPERTY
+@given(trees(), st.data())
+def test_tree_minor_is_tree_weight_over_tree_count(tree, data):
+    # Burton and Pemantle (Ann. Probab. 21, 1993): det Y[tau, tau] is the
+    # probability w(tau) / T that the weighted random spanning tree is tau
+    n = sp.leaf_count(tree)
+    directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    inst = sp.build(tree, directions)
+    tau = list(data.draw(st.sampled_from(sp.spanning_trees(inst.graph))))
+    T, _ = sp.transfer_current(inst.B, inst.weights)
+    w = coprime_weights(inst.weights)
+    det, _ = sp.bareiss(inst.DY[np.ix_(tau, tau)].tolist())
+    assert det * T == inst.D ** len(tau) * math.prod(w[e] for e in tau)

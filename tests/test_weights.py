@@ -1,7 +1,9 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import spextremal as sp
@@ -140,6 +142,38 @@ class TestBruteEnumeration:
         t = sp.parse_tree("P(e,S(e,e,e))")
         with pytest.raises(sp.BruteForceCapError):
             sp.spanning_trees(sp.realize(t))
+
+
+class TestCycleBasis:
+    def test_diamond_by_hand(self):
+        g = sp.realize(sp.parse_tree("P(e,S(e,P(e,e)))"))
+        # BFS from vertex 0 keeps edges 0 and 1; the chords 2 and 3 close
+        # their cycles back through them
+        Z = sp.cycle_basis(g)
+        assert Z.tolist() == [[-1, -1], [1, 1], [1, 0], [0, 1]]
+        assert all(type(x) is int for x in Z.flat)
+
+    def test_basis_of_the_cycle_space(self):
+        rng = random.Random(5)
+        for n in range(2, 8):
+            for k in range(1, n):
+                for t in sp.enumerate_rooted(n, k):
+                    g = sp.realize(t, [rng.random() < 0.5 for _ in range(n)])
+                    Z = sp.cycle_basis(g)
+                    assert Z.shape == (n, n - k)
+                    assert (incidence_matrix(g).dot(Z) == 0).all()
+                    # the chords, in edge-id order, carry the identity block,
+                    # and the other edges form a spanning tree
+                    trees = set(sp.spanning_trees(g))
+                    assert any(
+                        (Z[list(chords)] == np.eye(n - k, dtype=int)).all()
+                        and tuple(e for e in range(n) if e not in chords) in trees
+                        for chords in combinations(range(n), n - k))
+
+    def test_disconnected_rejected(self):
+        g = sp.MultiGraph(3, ((0, 1, 0), (0, 1, 1)), (0, 1))
+        with pytest.raises(sp.SpTreeError):
+            sp.cycle_basis(g)
 
 
 class TestTerminalInvariance:
