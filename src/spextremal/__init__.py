@@ -39,7 +39,6 @@ from .sptree import (
     skeleton_key,
 )
 from .weights import (
-    BruteForceCapError,
     TreeSums,
     cycle_basis,
     induced_coefficients,
@@ -50,6 +49,7 @@ from .weights import (
     weights_to_json,
 )
 from .numeric import (
+    BruteForceCapError,
     RankDeficientError,
     SingularMatrixError,
     Subspace,

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .extremal import build, class_table, verify_instance
-from .numeric import target
+from .numeric import BruteForceCapError, target
 from .search import SearchConfig, accumulate
 from .sptree import (
     Parallel,
@@ -31,7 +31,7 @@ from .sptree import (
     format_tree,
     parse_tree,
 )
-from .weights import BruteForceCapError, induced_weights, weights_to_json
+from .weights import induced_weights, weights_to_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

@@ -10,7 +10,11 @@ verifies the spectral facts that make the subspace extremal; the exact
 ones are integer products with D Y, one per instance each: check_eigen
 multiplies D Y by the stacked coefficient vectors of all the spanning
 trees it is given, and check_degenerate by a cycle basis, which certifies
-every non-tree minor zero without looking at a single subset.  check_dual
+every non-tree minor zero without looking at a single subset.  Nothing on
+the verify path sweeps the k-subsets: the spanning trees come from one
+batched determinant (weights.spanning_trees), and the target is scored
+over them alone, because every other coordinate submatrix of the star
+space is singular.  check_dual
 cross-checks the planar-dual instance, and count_classes folds the
 enumerated trees into symmetry classes of the resulting subspaces by
 sptree.class_key, which reads the class off the tree without building an
@@ -37,6 +41,7 @@ from .numeric import (
 from .sptree import (
     MultiGraph,
     SpTree,
+    SpTreeError,
     class_key,
     dualize,
     enumerate_rooted,
@@ -99,10 +104,14 @@ def check_eigen(inst: ExtremalInstance, trees) -> bool:
     their common denominator (weights.scaled_coefficients), zero off
     tau_j, so the one product (D Y) C holds every tree's image, and the
     test is n (D Y C)[e, j] == D C[e, j] for each e in tau_j.  Raises
-    SpTreeError when some tau is not a spanning tree.
+    SpTreeError when some tau is not a spanning tree, and when trees is
+    empty: a connected graph has a spanning tree, so an empty list means
+    its source failed, not that the identity holds.
     """
     n = len(inst.graph.edges)
     trees = list(trees)
+    if not trees:
+        raise SpTreeError("no spanning tree to check")
     C = np.zeros((n, len(trees)), dtype=object)
     on = np.zeros((n, len(trees)), dtype=bool)
     for j, tau in enumerate(trees):
@@ -130,8 +139,9 @@ def check_degenerate(inst: ExtremalInstance) -> bool:
 
 
 def check_target(inst: ExtremalInstance, tol: float = 1e-9) -> bool:
-    """Deviation cosine within tol of 1/sqrt(n)."""
-    angle, _ = target(inst.subspace)
+    """Deviation cosine within tol of 1/sqrt(n), the target scored over the
+    graph's spanning trees (numeric.target says why that is the sweep)."""
+    angle, _ = target(inst.subspace, spanning_trees(inst.graph))
     n = len(inst.graph.edges)
     return abs(math.cos(angle) - 1.0 / math.sqrt(n)) <= tol
 
@@ -183,9 +193,10 @@ def verify_instance(inst: ExtremalInstance, tol: float = 1e-9) -> dict:
     """Run every check on one instance and report the outcome."""
     n = len(inst.graph.edges)
     k = inst.subspace.dim
-    eigen_ok = check_eigen(inst, spanning_trees(inst.graph))
+    trees = spanning_trees(inst.graph)
+    eigen_ok = check_eigen(inst, trees)
     degenerate_ok = check_degenerate(inst)
-    angle, _ = target(inst.subspace)
+    angle, _ = target(inst.subspace, trees)
     target_ok = abs(math.cos(angle) - 1.0 / math.sqrt(n)) <= tol
     dual_ok, _ = check_dual(inst, tol)
     return {

@@ -12,7 +12,10 @@ one correctly rounded integer division per entry.  The float side covers
 orthonormal bases, principal angles, and the deviation target, where
 double precision is the natural currency.  Orthonormalization and the
 target also take stacks of bases, so a batch of search walkers is bumped
-and scored with one SVD call each (the target in bounded slices).
+and scored with one SVD call each (the target in bounded slices).  The
+target sweeps every coordinate subset by default; verify passes the
+spanning trees instead, since every other coordinate submatrix of a star
+space is singular.
 """
 
 from __future__ import annotations
@@ -25,12 +28,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .weights import BruteForceCapError
+from .sptree import SpTreeError
 
 DEFAULT_SUBSET_CAP = 12
-# Most k-by-k coordinate submatrices gathered for one batched SVD; a larger
-# stack of bases is scored a slice at a time, which bounds its memory.
+# Most k-by-k coordinate submatrices gathered for one batched SVD or
+# determinant; a larger stack is handled a slice at a time, which bounds
+# its memory.
 STACK_SUBMATRICES = 1 << 14
+
+
+class BruteForceCapError(RuntimeError):
+    """An exhaustive subset sweep would exceed the configured edge cap."""
 
 
 class SingularMatrixError(ValueError):
@@ -223,20 +231,23 @@ def coordinate_subsets(n: int, k: int):
     return subsets, index
 
 
-def stacked_target(bases: np.ndarray):
+def stacked_target(bases: np.ndarray, index=None):
     """The target of every basis in an (R, n, k) stack.
 
     Batched SVDs of the (R, C(n, k), k, k) coordinate submatrices, taken
     as whole bases at most STACK_SUBMATRICES submatrices at a time; every
     submatrix is decomposed on its own, so the slicing changes no bit.
+    index, a (count, k) integer array of row subsets, narrows the sweep to
+    those subsets; by default it is coordinate_subsets(n, k)'s table.
     Returns the R angles and, for each, the position of its argmin subset
-    in coordinate_subsets(n, k); ties go to the lexicographically first.
+    in the index; ties go to the first.
     """
     _, n, k = bases.shape
     if n > DEFAULT_SUBSET_CAP:
         raise BruteForceCapError(
             f"target sweep needs at most {DEFAULT_SUBSET_CAP} ambient dimensions, got {n}")
-    _, index = coordinate_subsets(n, k)
+    if index is None:
+        _, index = coordinate_subsets(n, k)
     step = max(1, STACK_SUBMATRICES // len(index))
     sigma_min = np.concatenate([
         np.linalg.svd(bases[i:i + step, index, :], compute_uv=False)[..., -1]
@@ -246,16 +257,29 @@ def stacked_target(bases: np.ndarray):
     return angles, np.argmax(sigma_min, axis=1)
 
 
-def target(sub: Subspace):
+def target(sub: Subspace, subsets=None):
     """Least deviation from the coordinate k-subspaces, with its argmin.
 
     The deviation from a coordinate subspace is the largest principal
     angle, i.e. arccos of the smallest singular value of the k-by-k row
-    submatrix of the basis; the sweep is exhaustive over all C(n, k)
-    subsets.  Ties go to the lexicographically first subset.
+    submatrix of the basis.  With subsets None the sweep is exhaustive
+    over all C(n, k) subsets, in lexicographic order; otherwise it covers
+    the given k-subsets, in their order, and raises SpTreeError when there
+    are none.  For the star space of a graph the spanning trees, in
+    lexicographic order, give the same angle and subset bit for bit: the
+    rows of B^T over any other k-subset contain a circuit and so are
+    dependent, the submatrix is singular (in floats its smallest singular
+    value is a rounding residue, far below the trees' maximum), and every
+    submatrix is decomposed on its own.  Ties go to the first subset.
     """
-    angles, best = stacked_target(sub.basis[None])
-    subsets, _ = coordinate_subsets(sub.ambient, sub.dim)
+    index = None
+    if subsets is not None:
+        if not subsets:
+            raise SpTreeError("no spanning tree to score")
+        index = np.array(subsets)
+    angles, best = stacked_target(sub.basis[None], index)
+    if subsets is None:
+        subsets, _ = coordinate_subsets(sub.ambient, sub.dim)
     return float(angles[0]), subsets[best[0]]
 
 

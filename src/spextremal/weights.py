@@ -6,9 +6,11 @@ coordinate subspace.  The companion signed coefficients form, on each
 spanning tree, an eigenvector of the matching transfer-current submatrix.
 Everything is exact: weights and tree sums are Fractions, and the
 coefficients come out as integers over one common denominator, from two
-passes over the decomposition tree laid out once per instance.  The
-brute-force spanning-tree sweep lists the trees the eigen check runs on,
-and cycle_basis gives the signed fundamental cycles that certify every
+passes over the decomposition tree laid out once per instance.
+spanning_trees lists the trees the eigen check and the target run on,
+from one batched determinant over all edge subsets of the reduced
+incidence matrix, exact because that matrix is totally unimodular, and
+cycle_basis gives the signed fundamental cycles that certify every
 non-tree minor zero at once.
 """
 
@@ -18,26 +20,23 @@ import math
 import os
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, islice
 from typing import NamedTuple
 
 import numpy as np
 
+from . import numeric
+from .numeric import BruteForceCapError
 from .sptree import (
     Leaf,
     Parallel,
     Series,
     SpTreeError,
-    leaf_count,
     parallel_rooted,
     realize,
 )
 
 DEFAULT_BRUTE_CAP = 16
-
-
-class BruteForceCapError(RuntimeError):
-    """An exhaustive subset sweep would exceed the configured edge cap."""
 
 
 def brute_force_cap() -> int:
@@ -60,32 +59,30 @@ def induced_weights(tree) -> dict[int, Fraction]:
     part with b edges contributes phi(a)/phi(b) with phi(x) = x*(n - x);
     chains ending at a parallel level end with a dummy serial step that
     contributes nothing.  Edges sitting directly in the root bundle get
-    weight 1.
+    weight 1.  The subnetwork sizes come from one post-order pass
+    (coefficient_layout); one top-down pass multiplies the ratios along
+    each chain as integer numerators and denominators.
     """
     if isinstance(tree, Series):
         tree = parallel_rooted(tree)
     if not isinstance(tree, Parallel):
         raise SpTreeError("induced weights need a 2-connected (parallel-rooted) tree")
-    n = leaf_count(tree)
+    layout = coefficient_layout(tree)
+    n = layout[-1][1]
 
-    def phi(x: int) -> Fraction:
-        return Fraction(x * (n - x))
+    def phi(x: int) -> int:
+        return x * (n - x)
 
-    out: dict[int, Fraction] = {}
-
-    def walk(node, factor: Fraction):
-        if isinstance(node, Leaf):
-            out[node.eid] = factor
-        elif isinstance(node, Series):
-            top = phi(leaf_count(node))
-            for child in node.children:
-                walk(child, factor * top / phi(leaf_count(child)))
-        else:
-            for child in node.children:
-                walk(child, factor)
-
-    walk(tree, Fraction(1))
-    return out
+    num, den = [1] * len(layout), [1] * len(layout)
+    for i in reversed(range(len(layout))):
+        kids, size, is_series, _, _ = layout[i]
+        for c in kids:
+            if is_series:
+                num[c], den[c] = num[i] * phi(size), den[i] * phi(layout[c][1])
+            else:
+                num[c], den[c] = num[i], den[i]
+    return {eid: Fraction(num[i], den[i])
+            for i, (kids, _, _, eid, _) in enumerate(layout) if not kids}
 
 
 def coefficient_layout(tree, directions=None) -> tuple:
@@ -216,35 +213,39 @@ def tree_sums(tree, weights) -> TreeSums:
     return rec(tree)
 
 
-def _forest_find(graph, edges):
-    """Union-find over the endpoints of edges: its find, or None on a cycle."""
-    parent = list(range(graph.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    endpoints = {e: (t, h) for t, h, e in graph.edges}
-    for e in edges:
-        rt, rh = find(endpoints[e][0]), find(endpoints[e][1])
-        if rt == rh:
-            return None
-        parent[rt] = rh
-    return find
-
-
-def _is_forest(graph, subset) -> bool:
-    return _forest_find(graph, subset) is not None
-
-
 def spanning_trees(graph) -> list[tuple]:
-    """All spanning trees as sorted edge-id tuples, in lexicographic order."""
+    """All spanning trees as sorted edge-id tuples, in lexicographic order.
+
+    With k + 1 vertices, n edges and B0 the incidence matrix without
+    vertex 0's row, a k-subset S of the edges is a spanning tree exactly
+    when det B0[:, S] != 0.  One batched float np.linalg.det tests every
+    S on the (C(n, k), k, k) stack of those submatrices, built and
+    factored numeric.STACK_SUBMATRICES submatrices at a time to bound its
+    memory.  Why floats decide it exactly: B0 is totally unimodular (every
+    square submatrix has determinant 0 or +-1; a loop is a zero column).
+    LU with partial pivoting keeps every intermediate matrix a Schur
+    complement of B0[:, S] with its rows permuted, whose entries are ratios
+    of two of its minors, the denominator the nonzero product of the
+    pivots so far; so every entry, pivot and multiplier lies in {0, +-1},
+    and every update is a sum of at most k + 1 products of such numbers,
+    an integer that floats hold exactly.  By induction, in any order of
+    operations, the float factorization is the exact one, U's diagonal
+    lies in {0, +-1}, and det is exactly 0 or +-1.
+    """
     n = len(graph.edges)
     _require_under_cap(n)
     size = graph.num_vertices - 1
-    return [s for s in combinations(range(n), size) if _is_forest(graph, s)]
+    rows = np.zeros((n, graph.num_vertices))  # B^T: one row per edge
+    for tail, head, e in graph.edges:
+        rows[e, head] += 1
+        rows[e, tail] -= 1
+    rows = rows[:, 1:]
+    subsets = combinations(range(n), size)
+    trees = []
+    while chunk := list(islice(subsets, numeric.STACK_SUBMATRICES)):
+        det = np.linalg.det(rows[np.array(chunk, dtype=int)])
+        trees.extend(compress(chunk, det))
+    return trees
 
 
 def cycle_basis(graph) -> np.ndarray:

@@ -11,9 +11,11 @@ Fraction arithmetic.  check_eigen and check_degenerate work on the
 Fraction matrix Y one subset at a time, the latter through rational_det,
 which clears each row's denominators before one integer elimination.
 brute_tree_sums sweeps every edge subset for the weighted tree and
-2-forest sums.  The integer routines in spextremal must agree with these:
-the batched eigen check with check_eigen on every spanning tree, and the
-cycle-space certificate with check_degenerate on every non-tree subset.
+2-forest sums, and spanning_trees keeps the k-subsets on which a
+union-find closes no cycle.  The integer routines in spextremal must agree
+with these: the batched eigen check with check_eigen on every spanning
+tree, the cycle-space certificate with check_degenerate on every non-tree
+subset, and the batched determinant with the union-find sweep.
 """
 
 import math
@@ -33,7 +35,37 @@ from spextremal.sptree import (
     parallel_rooted,
     realize_with_spans,
 )
-from spextremal.weights import TreeSums, _forest_find, spanning_trees
+from spextremal.weights import TreeSums
+
+
+def _forest_find(graph, edges):
+    """Union-find over the endpoints of edges: its find, or None on a cycle."""
+    parent = list(range(graph.num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    endpoints = {e: (t, h) for t, h, e in graph.edges}
+    for e in edges:
+        rt, rh = find(endpoints[e][0]), find(endpoints[e][1])
+        if rt == rh:
+            return None
+        parent[rt] = rh
+    return find
+
+
+def _is_forest(graph, subset) -> bool:
+    return _forest_find(graph, subset) is not None
+
+
+def spanning_trees(graph) -> list[tuple]:
+    """All spanning trees, one union-find per k-subset, in lexicographic order."""
+    n = len(graph.edges)
+    size = graph.num_vertices - 1
+    return [s for s in combinations(range(n), size) if _is_forest(graph, s)]
 
 
 def rational_matrix(rows) -> np.ndarray:

@@ -85,6 +85,12 @@ class TestCheckEigen:
         with pytest.raises(sp.SpTreeError):
             sp.check_eigen(inst, sp.spanning_trees(inst.graph) + [(2, 3)])
 
+    def test_rejects_empty_tree_list(self):
+        # a connected graph has a spanning tree: no tree to check is a fault
+        inst = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
+        with pytest.raises(sp.SpTreeError):
+            sp.check_eigen(inst, [])
+
 
 class TestCheckDegenerate:
     def test_diamond_parallel_pair(self):
@@ -121,11 +127,17 @@ def flipped_directions(tree):
 def assert_agrees_with_oracles(inst):
     """Integer checks equal the Fraction oracles: the eigen check on each
     spanning tree and on all of them at once, and the cycle-space
-    certificate with the sweep over every non-tree k-subset."""
+    certificate with the sweep over every non-tree k-subset.  The batched
+    determinant lists the union-find sweep's trees, and the target over
+    them equals the exhaustive one bit for bit, angle and subset."""
     n, k = len(inst.graph.edges), inst.subspace.dim
     trees = sp.spanning_trees(inst.graph)
-    tree_set = set(trees)
     name = sp.format_tree(inst.tree)
+    assert trees == oracle.spanning_trees(inst.graph), name
+    (angle, best), (whole_angle, whole_best) = (
+        sp.target(inst.subspace, trees), sp.target(inst.subspace))
+    assert angle.hex() == whole_angle.hex() and best == whole_best, name
+    tree_set = set(trees)
     eigen_all = minors_zero = True
     for s in combinations(range(n), k):
         if s in tree_set:

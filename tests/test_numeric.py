@@ -382,6 +382,21 @@ class TestTarget:
         s = sp.orthonormalize(np.eye(13)[:, :2])
         with pytest.raises(sp.BruteForceCapError):
             sp.target(s)
+        with pytest.raises(sp.BruteForceCapError):
+            sp.target(s, [(0, 1)])
+
+    def test_given_subsets_in_their_order(self):
+        s = sp.orthonormalize(np.eye(5)[:, :2])
+        angle, subset = sp.target(s, [(2, 3), (0, 1), (1, 2)])
+        assert angle <= 1e-12 and subset == (0, 1)
+        angle, subset = sp.target(s, [(2, 3), (1, 4)])
+        assert abs(angle - math.pi / 2) <= 1e-12 and subset == (2, 3)
+
+    def test_empty_subset_list_rejected(self):
+        # verify passes the spanning trees, and a connected graph has one
+        inst = sp.build(sp.parse_tree("P(e,S(e,e))"))
+        with pytest.raises(sp.SpTreeError):
+            sp.target(inst.subspace, [])
 
     def test_stack_agrees_with_single_bases(self):
         rng = np.random.default_rng(32)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import spextremal as sp
 from spextremal.sptree import relabel_leaves
 
+import exact_oracles as oracle
 from exact_oracles import brute_tree_sums, fraction_y, transfer_current_combinatorial
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
@@ -95,3 +96,18 @@ def test_tree_minor_is_tree_weight_over_tree_count(tree, data):
     w = coprime_weights(inst.weights)
     det, _ = sp.bareiss(inst.DY[np.ix_(tau, tau)].tolist())
     assert det * T == inst.D ** len(tau) * math.prod(w[e] for e in tau)
+
+
+@PROPERTY
+@given(trees(), st.data())
+def test_determinant_trees_match_union_find(tree, data):
+    # the batched unimodular determinant lists the union-find sweep's trees,
+    # and the target over them is the exhaustive target, bit for bit
+    n = sp.leaf_count(tree)
+    directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    inst = sp.build(tree, directions)
+    trees = sp.spanning_trees(inst.graph)
+    assert trees == oracle.spanning_trees(inst.graph)
+    (angle, best), (whole_angle, whole_best) = (
+        sp.target(inst.subspace, trees), sp.target(inst.subspace))
+    assert angle.hex() == whole_angle.hex() and best == whole_best

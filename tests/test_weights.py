@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import spextremal as sp
+from spextremal import numeric
 from spextremal.numeric import laplacian, incidence_matrix
 
+import exact_oracles as oracle
 from exact_oracles import brute_tree_sums, rational_det, two_component_forests
 
 
@@ -142,6 +144,22 @@ class TestBruteEnumeration:
         t = sp.parse_tree("P(e,S(e,e,e))")
         with pytest.raises(sp.BruteForceCapError):
             sp.spanning_trees(sp.realize(t))
+
+    @pytest.mark.parametrize("limit", [1, 7, 35])
+    def test_sliced_determinant_stack_is_identical(self, monkeypatch, limit):
+        # n = 7 has up to 35 subsets: one per slice, slices with a
+        # remainder, and one whole slice
+        graphs = [sp.realize(t) for k in range(1, 7) for t in sp.enumerate_rooted(7, k)]
+        whole = [sp.spanning_trees(g) for g in graphs]
+        monkeypatch.setattr(numeric, "STACK_SUBMATRICES", limit)
+        assert [sp.spanning_trees(g) for g in graphs] == whole
+
+    def test_loops_and_disconnected_graphs(self):
+        # a loop is a zero column of the incidence matrix: in no tree
+        looped = sp.MultiGraph(2, ((0, 1, 0), (1, 1, 1), (1, 0, 2)), (0, 1))
+        assert sp.spanning_trees(looped) == oracle.spanning_trees(looped) == [(0,), (2,)]
+        apart = sp.MultiGraph(4, ((0, 1, 0), (2, 3, 1), (3, 2, 2)), (0, 1))
+        assert sp.spanning_trees(apart) == oracle.spanning_trees(apart) == []
 
 
 class TestCycleBasis:
