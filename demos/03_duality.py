@@ -32,5 +32,11 @@ print("max entry error:",
 
 print("\nranks: primal", primal.subspace.dim, " dual", dual.subspace.dim,
       " (sum = number of edges)")
-ok, diagnostics = sp.check_dual(primal)
+# the dual shares the edge ids, and its spanning trees are the complements
+# of the primal's: check_dual scores the dual on those
+trees = sp.spanning_trees(primal.graph)
+print("\nprimal spanning trees:", trees)
+print("their complements:    ", sorted(tuple(sorted(set(range(4)) - set(t))) for t in trees))
+print("dual spanning trees:  ", sp.spanning_trees(dual.graph))
+ok, diagnostics = sp.check_dual(primal, trees)
 print("full duality check:", ok, diagnostics)

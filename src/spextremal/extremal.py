@@ -1,24 +1,24 @@
 """Assembled extremal instances and their verification.
 
 build() turns a decomposition tree into the full bundle: realized graph,
-induced weights, incidence matrix, the transfer current matrix Y held
-only as the integer pair (D, D Y), D the least positive integer that
-makes D Y integral (one gcd over the pair transfer_current returns), the
-float projector read off that pair, the orthonormalized star-space basis,
-and the tree's layout for the induced coefficients.  The check_* family
+the tree's post-order layout and the induced weights read off it,
+incidence matrix, the transfer current matrix Y held only as the integer
+pair (D, D Y), D the least positive integer that makes D Y integral (one
+gcd over the pair transfer_current returns), the float projector read off
+that pair, and the orthonormalized star-space basis.  The check_* family
 verifies the spectral facts that make the subspace extremal; the exact
 ones are integer products with D Y, one per instance each: check_eigen
-multiplies D Y by the stacked coefficient vectors of all the spanning
-trees it is given, and check_degenerate by a cycle basis, which certifies
-every non-tree minor zero without looking at a single subset.  Nothing on
-the verify path sweeps the k-subsets: the spanning trees come from one
-batched determinant (weights.spanning_trees), and the target is scored
-over them alone, because every other coordinate submatrix of the star
-space is singular.  check_dual
-cross-checks the planar-dual instance, and count_classes folds the
-enumerated trees into symmetry classes of the resulting subspaces by
-sptree.class_key, which reads the class off the tree without building an
-instance.
+multiplies D Y by the coefficient vectors of all the spanning trees it is
+given, stacked from one pass over the layout, and check_degenerate by a
+cycle basis, which certifies every non-tree minor zero without looking at
+a single subset.  Nothing on the verify path sweeps the k-subsets: the
+spanning trees come from one batched determinant (weights.spanning_trees)
+per instance, the target is scored over them alone, because every other
+coordinate submatrix of the star space is singular, and check_dual scores
+the planar-dual instance over their complements, which are the dual's
+spanning trees.  count_classes folds the enumerated trees into symmetry
+classes of the resulting subspaces by sptree.class_key, which reads the
+class off the tree without building an instance.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .numeric import (
 from .sptree import (
     MultiGraph,
     SpTree,
-    SpTreeError,
     class_key,
     dualize,
     enumerate_rooted,
@@ -50,11 +49,11 @@ from .sptree import (
     realize,
 )
 from .weights import (
+    _layout_weights,
     coefficient_layout,
     cycle_basis,
-    induced_weights,
-    scaled_coefficients,
     spanning_trees,
+    stacked_coefficients,
     weights_to_json,
 )
 
@@ -80,7 +79,8 @@ def build(tree, directions=None) -> ExtremalInstance:
     """
     tree = parallel_rooted(tree)
     graph = realize(tree, directions)
-    w = induced_weights(tree)
+    layout = coefficient_layout(tree, directions)
+    w = _layout_weights(layout)
     B = incidence_matrix(graph)
     T, TY = transfer_current(B, w)
     g = math.gcd(T, *TY.flat)
@@ -91,8 +91,7 @@ def build(tree, directions=None) -> ExtremalInstance:
     scaled = root[:, None] * to_float(B).T
     # dropping one vertex column keeps the span: the columns sum to zero
     subspace = orthonormalize(scaled[:, 1:])
-    return ExtremalInstance(tree, graph, w, B, P, subspace, D, DY,
-                            coefficient_layout(tree, directions))
+    return ExtremalInstance(tree, graph, w, B, P, subspace, D, DY, layout)
 
 
 def check_eigen(inst: ExtremalInstance, trees) -> bool:
@@ -101,24 +100,16 @@ def check_eigen(inst: ExtremalInstance, trees) -> bool:
     1/n.
 
     Column j of the integer matrix C holds tree j's coefficients times
-    their common denominator (weights.scaled_coefficients), zero off
-    tau_j, so the one product (D Y) C holds every tree's image, and the
-    test is n (D Y C)[e, j] == D C[e, j] for each e in tau_j.  Raises
-    SpTreeError when some tau is not a spanning tree, and when trees is
-    empty: a connected graph has a spanning tree, so an empty list means
-    its source failed, not that the identity holds.
+    their common denominator, zero off tau_j, all columns from one pass
+    over the layout (weights.stacked_coefficients), so the one product
+    (D Y) C holds every tree's image, and the test is
+    n (D Y C)[e, j] == D C[e, j] for each e in tau_j.  Raises SpTreeError
+    when some tau is not a spanning tree, and when trees is empty: a
+    connected graph has a spanning tree, so an empty list means its source
+    failed, not that the identity holds.
     """
     n = len(inst.graph.edges)
-    trees = list(trees)
-    if not trees:
-        raise SpTreeError("no spanning tree to check")
-    C = np.zeros((n, len(trees)), dtype=object)
-    on = np.zeros((n, len(trees)), dtype=bool)
-    for j, tau in enumerate(trees):
-        _, y = scaled_coefficients(inst.layout, tau)
-        idx = list(y)
-        C[idx, j] = list(y.values())
-        on[idx, j] = True
+    _, C, on = stacked_coefficients(inst.layout, trees)
     return bool((n * inst.DY.dot(C)[on] == inst.D * C[on]).all())
 
 
@@ -138,21 +129,24 @@ def check_degenerate(inst: ExtremalInstance) -> bool:
     return bool((inst.B.dot(Z) == 0).all() and (inst.DY.dot(Z) == 0).all())
 
 
-def check_target(inst: ExtremalInstance, tol: float = 1e-9) -> bool:
-    """Deviation cosine within tol of 1/sqrt(n), the target scored over the
-    graph's spanning trees (numeric.target says why that is the sweep)."""
-    angle, _ = target(inst.subspace, spanning_trees(inst.graph))
+def check_target(inst: ExtremalInstance, trees, tol: float = 1e-9) -> bool:
+    """Deviation cosine within tol of 1/sqrt(n), the target scored over
+    trees, the graph's spanning trees in lexicographic order
+    (numeric.target says why that is the sweep)."""
+    angle, _ = target(inst.subspace, trees)
     n = len(inst.graph.edges)
     return abs(math.cos(angle) - 1.0 / math.sqrt(n)) <= tol
 
 
-def check_dual(inst: ExtremalInstance, tol: float = 1e-9):
+def check_dual(inst: ExtremalInstance, trees, tol: float = 1e-9):
     """Cross-checks against the planar-dual instance.
 
     (a) dual weights are componentwise reciprocal up to one common factor,
     (b) some +-1 diagonal D maps I - P onto the dual projector,
     (c) the dual instance reaches the same deviation value.
-    Returns (ok, diagnostics).
+    trees are the primal's spanning trees.  The dual shares the edge ids,
+    and its spanning trees are exactly their complements, so (c) scores
+    the dual on the sorted complements.  Returns (ok, diagnostics).
     """
     dual = build(dualize(inst.tree))
     products = {e: dual.weights[e] * inst.weights[e] for e in inst.weights}
@@ -160,7 +154,9 @@ def check_dual(inst: ExtremalInstance, tol: float = 1e-9):
     complement = np.eye(len(inst.weights)) - inst.P
     signs = match_sign_diagonal(dual.P, complement, tol)
     complement_ok = signs is not None
-    target_ok = check_target(dual, tol)
+    edges = frozenset(inst.weights)
+    complements = sorted(tuple(sorted(edges.difference(tau))) for tau in trees)
+    target_ok = check_target(dual, complements, tol)
     diagnostics = {
         "weight_product": str(next(iter(products.values()))),
         "reciprocal_ok": reciprocal_ok,
@@ -198,7 +194,7 @@ def verify_instance(inst: ExtremalInstance, tol: float = 1e-9) -> dict:
     degenerate_ok = check_degenerate(inst)
     angle, _ = target(inst.subspace, trees)
     target_ok = abs(math.cos(angle) - 1.0 / math.sqrt(n)) <= tol
-    dual_ok, _ = check_dual(inst, tol)
+    dual_ok, _ = check_dual(inst, trees, tol)
     return {
         "tree": format_tree(inst.tree),
         "weights": weights_to_json(inst.weights),

@@ -153,11 +153,12 @@ def skeleton_key(tree):
     if isinstance(tree, Leaf):
         return (1, 0, ())
     kid_keys = [skeleton_key(c) for c in tree.children]
+    size = sum(key[0] for key in kid_keys)
     if isinstance(tree, Parallel):
-        return (leaf_count(tree), 1, tuple(sorted(kid_keys)))
+        return (size, 1, tuple(sorted(kid_keys)))
     forward = tuple(kid_keys)
     backward = tuple(reversed(kid_keys))
-    return (leaf_count(tree), 2, min(forward, backward))
+    return (size, 2, min(forward, backward))
 
 
 def _canonical_oriented(tree):

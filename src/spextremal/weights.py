@@ -5,13 +5,16 @@ series-parallel graph sit at cosine exactly 1/sqrt(n) from every
 coordinate subspace.  The companion signed coefficients form, on each
 spanning tree, an eigenvector of the matching transfer-current submatrix.
 Everything is exact: weights and tree sums are Fractions, and the
-coefficients come out as integers over one common denominator, from two
-passes over the decomposition tree laid out once per instance.
-spanning_trees lists the trees the eigen check and the target run on,
-from one batched determinant over all edge subsets of the reduced
-incidence matrix, exact because that matrix is totally unimodular, and
-cycle_basis gives the signed fundamental cycles that certify every
-non-tree minor zero at once.
+coefficients come out as integers over one common denominator per tree.
+The decomposition tree is laid out once per instance (coefficient_layout);
+the weights come from one top-down pass over that layout, and the
+coefficients of every spanning tree from one bottom-up and one top-down
+pass, each step an array operation over all the trees at once
+(stacked_coefficients).  spanning_trees lists the trees the eigen check
+and the target run on, from one batched determinant over all edge subsets
+of the reduced incidence matrix, exact because that matrix is totally
+unimodular, and cycle_basis gives the signed fundamental cycles that
+certify every non-tree minor zero at once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import os
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, compress, islice
+from itertools import chain, combinations, compress, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -67,7 +70,12 @@ def induced_weights(tree) -> dict[int, Fraction]:
         tree = parallel_rooted(tree)
     if not isinstance(tree, Parallel):
         raise SpTreeError("induced weights need a 2-connected (parallel-rooted) tree")
-    layout = coefficient_layout(tree)
+    return _layout_weights(coefficient_layout(tree))
+
+
+def _layout_weights(layout) -> dict[int, Fraction]:
+    """induced_weights of the tree laid out by coefficient_layout, read off
+    the sizes alone, so the directions the layout carries do not matter."""
     n = layout[-1][1]
 
     def phi(x: int) -> int:
@@ -86,7 +94,7 @@ def induced_weights(tree) -> dict[int, Fraction]:
 
 
 def coefficient_layout(tree, directions=None) -> tuple:
-    """The part of induced_coefficients that does not depend on tau.
+    """The part of the weights and coefficients that no spanning tree changes.
 
     Lists the parallel-rooted tree in post-order, root last, each node as
     (children, size, is_series, eid, sign): children are positions in the
@@ -110,51 +118,71 @@ def coefficient_layout(tree, directions=None) -> tuple:
     return tuple(nodes)
 
 
-def scaled_coefficients(layout, tau) -> tuple[int, dict[int, int]]:
-    """(s, y): y[e] / s is the induced coefficient of each edge e of tau.
+def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, C, on): C[e, j] / s[j] is the induced coefficient of edge e on
+    the spanning tree trees[j], and on[e, j] says whether e lies in it.
 
-    A bottom-up pass gives each node the deficit of tau restricted to its
-    edges: 0 when that is a spanning tree of the node (its terminals are
-    connected), 1 when it is a spanning 2-forest separating the
-    terminals.  A series node sums its children's deficits; a parallel
-    node sums them and subtracts one less than its number of children,
-    since siblings share only the terminals.  Any other value marks a
-    cycle or a stray component and stays out of range up to the root, so
-    tau is a spanning tree exactly when the root's deficit is 0.  A
-    top-down pass then multiplies the psi ratios along each series chain
-    as integer numerators and denominators.  Raises SpTreeError when tau
-    is not a spanning tree.
+    C is n x T, zero off each tree; C and s are object arrays of Python
+    ints, so no product can overflow, and on is boolean.  One pass over
+    the layout serves every tree at once, each node's step one array
+    operation over all T columns.  Bottom up, each node gets the deficit
+    of each tree restricted to its edges: 0 when that is a spanning tree
+    of the node (its terminals are connected), 1 when it is a spanning
+    2-forest separating the terminals.  A series node sums its children's
+    deficits; a parallel node sums them and subtracts one less than its
+    number of children, since siblings share only the terminals.  Any
+    other value marks a cycle or a stray component and stays out of range
+    up to the root, so a column is a spanning tree exactly when the root's
+    deficit is 0.  Top down, the psi ratios multiply along each series
+    chain as integer numerators and denominators, and s[j] is the lcm of
+    tree j's denominators.  Raises SpTreeError when trees is empty (a
+    connected graph has a spanning tree, so an empty list means its source
+    failed) and when some entry is not a spanning tree: an edge id outside
+    0..n-1, a repeated edge, a cycle or too few edges.
     """
     n = layout[-1][1]
-    tau = set(tau)
-    invalid = n + 1  # a parallel node subtracts fewer than n
-    deficit, psi = [], []
-    for kids, size, is_series, eid, _ in layout:
-        if not kids:
-            d = 0 if eid in tau else 1
-        else:
-            d = sum(deficit[c] for c in kids) - (0 if is_series else len(kids) - 1)
-            if not 0 <= d <= 1:
-                d = invalid
-        deficit.append(d)
-        psi.append(n - size if d == 0 else -size)
+    trees = list(trees)
+    if not trees:
+        raise SpTreeError("no spanning tree to check")
+    sizes = [len(tau) for tau in trees]
+    edges = np.fromiter(chain.from_iterable(trees), dtype=int, count=sum(sizes))
+    if edges.size and not 0 <= edges.min() <= edges.max() < n:
+        raise SpTreeError("edge subset names an edge the graph lacks")
+    on = np.zeros((n, len(trees)), dtype=bool)
+    on[edges, np.repeat(np.arange(len(trees)), sizes)] = True
+    if (on.sum(axis=0) != sizes).any():
+        raise SpTreeError("edge subset repeats an edge")
 
-    num, den = [1] * len(layout), [1] * len(layout)
+    invalid = n + 1  # a parallel node subtracts fewer than n
+    deficit = np.empty((len(layout), len(trees)), dtype=int)
+    leaves = [i for i, node in enumerate(layout) if not node[0]]
+    eids = [layout[i][3] for i in leaves]
+    deficit[leaves] = ~on[eids]
+    for i, (kids, _, is_series, _, _) in enumerate(layout):
+        if kids:
+            d = deficit[list(kids)].sum(axis=0) - (0 if is_series else len(kids) - 1)
+            deficit[i] = np.where((d == 0) | (d == 1), d, invalid)
+    if deficit[-1].any():
+        raise SpTreeError("edge subset is not a spanning tree")
+    size = np.array([node[1] for node in layout])[:, None]
+    psi = np.where(deficit == 0, n - size, -size).astype(object)
+
+    # rows are shared, never written: a parallel child takes its parent's
+    num, den = [None] * len(layout), [None] * len(layout)
+    num[-1] = den[-1] = np.ones(len(trees), dtype=object)
     for i in reversed(range(len(layout))):
         kids, _, is_series, _, _ = layout[i]
+        top = num[i] * psi[i] if is_series else num[i]
         for c in kids:
-            if is_series:
-                num[c], den[c] = num[i] * psi[i], den[i] * psi[c]
-            else:
-                num[c], den[c] = num[i], den[i]
-    leaves = [(eid, sign * num[i], den[i])
-              for i, (kids, _, _, eid, sign) in enumerate(layout)
-              if not kids and eid in tau]
-    # len(leaves) < len(tau) when tau names an edge the graph lacks
-    if deficit[-1] != 0 or len(leaves) != len(tau):
-        raise SpTreeError("edge subset is not a spanning tree")
-    scale = math.lcm(*(d for _, _, d in leaves))
-    return scale, {e: p * (scale // d) for e, p, d in leaves}
+            num[c] = top
+            den[c] = den[i] * psi[c] if is_series else den[i]
+    C = np.zeros(on.shape, dtype=object)
+    dens = np.ones(on.shape, dtype=object)
+    C[eids] = [layout[i][4] * num[i] for i in leaves]
+    dens[eids] = [den[i] for i in leaves]
+    dens[~on] = 1
+    scale = np.lcm.reduce(dens, axis=0)
+    return scale, np.where(on, C * (scale // dens), 0), on
 
 
 def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
@@ -177,8 +205,8 @@ def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
     if ref_pairs != got_pairs or reference.num_vertices != graph.num_vertices:
         raise SpTreeError("graph does not realize this tree")
     flips = [got != ref for got, ref in zip(graph.edges, reference.edges)]
-    scale, y = scaled_coefficients(coefficient_layout(tree, flips), tau)
-    return {e: Fraction(v, scale) for e, v in y.items()}
+    scale, C, on = stacked_coefficients(coefficient_layout(tree, flips), [tau])
+    return {e: Fraction(C[e, 0], scale[0]) for e in np.flatnonzero(on[:, 0]).tolist()}
 
 
 class TreeSums(NamedTuple):

@@ -7,7 +7,9 @@ Fractions, and transfer_current_combinatorial sums Y over the spanning
 trees.  induced_coefficients here finds, for every node of the
 decomposition, by its own union-find over the node's tau edges whether
 tau connects the node's terminals, and walks the series chains in
-Fraction arithmetic.  check_eigen and check_degenerate work on the
+Fraction arithmetic; scaled_coefficients is the integer pass over the
+layout for one tree at a time, which weights.stacked_coefficients runs
+for all of them at once.  check_eigen and check_degenerate work on the
 Fraction matrix Y one subset at a time, the latter through rational_det,
 which clears each row's denominators before one integer elimination.
 brute_tree_sums sweeps every edge subset for the weighted tree and
@@ -15,7 +17,8 @@ brute_tree_sums sweeps every edge subset for the weighted tree and
 union-find closes no cycle.  The integer routines in spextremal must agree
 with these: the batched eigen check with check_eigen on every spanning
 tree, the cycle-space certificate with check_degenerate on every non-tree
-subset, and the batched determinant with the union-find sweep.
+subset, the stacked coefficients with scaled_coefficients on every
+tree, and the batched determinant with the union-find sweep.
 """
 
 import math
@@ -188,6 +191,53 @@ def rational_det(a: np.ndarray) -> Fraction:
         scale *= s
     det, _ = bareiss(rows)
     return Fraction(det, scale)
+
+
+def scaled_coefficients(layout, tau) -> tuple[int, dict[int, int]]:
+    """(s, y): y[e] / s is the induced coefficient of each edge e of tau.
+
+    A bottom-up pass gives each node the deficit of tau restricted to its
+    edges: 0 when that is a spanning tree of the node (its terminals are
+    connected), 1 when it is a spanning 2-forest separating the
+    terminals.  A series node sums its children's deficits; a parallel
+    node sums them and subtracts one less than its number of children,
+    since siblings share only the terminals.  Any other value marks a
+    cycle or a stray component and stays out of range up to the root, so
+    tau is a spanning tree exactly when the root's deficit is 0.  A
+    top-down pass then multiplies the psi ratios along each series chain
+    as integer numerators and denominators.  Raises SpTreeError when tau
+    is not a spanning tree.
+    """
+    n = layout[-1][1]
+    tau = set(tau)
+    invalid = n + 1  # a parallel node subtracts fewer than n
+    deficit, psi = [], []
+    for kids, size, is_series, eid, _ in layout:
+        if not kids:
+            d = 0 if eid in tau else 1
+        else:
+            d = sum(deficit[c] for c in kids) - (0 if is_series else len(kids) - 1)
+            if not 0 <= d <= 1:
+                d = invalid
+        deficit.append(d)
+        psi.append(n - size if d == 0 else -size)
+
+    num, den = [1] * len(layout), [1] * len(layout)
+    for i in reversed(range(len(layout))):
+        kids, _, is_series, _, _ = layout[i]
+        for c in kids:
+            if is_series:
+                num[c], den[c] = num[i] * psi[i], den[i] * psi[c]
+            else:
+                num[c], den[c] = num[i], den[i]
+    leaves = [(eid, sign * num[i], den[i])
+              for i, (kids, _, _, eid, sign) in enumerate(layout)
+              if not kids and eid in tau]
+    # len(leaves) < len(tau) when tau names an edge the graph lacks
+    if deficit[-1] != 0 or len(leaves) != len(tau):
+        raise SpTreeError("edge subset is not a spanning tree")
+    scale = math.lcm(*(d for _, _, d in leaves))
+    return scale, {e: p * (scale // d) for e, p, d in leaves}
 
 
 def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:

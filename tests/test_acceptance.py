@@ -141,7 +141,7 @@ def test_criterion_6_terminal_invariance(instances_to_6):
 
 def test_criterion_7_duality(instances_to_6):
     for inst in instances_to_6:
-        ok, diag = sp.check_dual(inst)
+        ok, diag = sp.check_dual(inst, sp.spanning_trees(inst.graph))
         assert ok, (sp.format_tree(inst.tree), diag)
     for n in range(2, 8):
         row = [sp.count_classes(n, k) for k in range(1, n)]

@@ -134,14 +134,14 @@ class TestVerify:
     def test_corrupted_weights_exit_one(self, capsys, monkeypatch):
         from fractions import Fraction
         import spextremal.extremal as extremal
-        real = extremal.__dict__["induced_weights"]
+        real = extremal.__dict__["_layout_weights"]
 
-        def corrupt(tree):
-            w = real(tree)
+        def corrupt(layout):
+            w = real(layout)
             w[0] = w[0] + Fraction(1, 7)
             return w
 
-        monkeypatch.setitem(extremal.__dict__, "induced_weights", corrupt)
+        monkeypatch.setitem(extremal.__dict__, "_layout_weights", corrupt)
         code, out, err = run_cli(capsys, "verify", "P(e,S(e,e))")
         assert code == 1
         payload = json.loads(out)

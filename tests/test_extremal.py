@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spextremal as sp
+from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
 from exact_oracles import rational_matrix
@@ -79,11 +80,14 @@ class TestCheckEigen:
                     assert all(sp.check_eigen(inst, [tau]) for tau in trees)
 
     def test_rejects_non_tree(self):
+        # a cycle, too few edges, too many, a repeated edge, an edge id >= n
+        # and a negative one, alone and anywhere in a batch of trees
         inst = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
-        with pytest.raises(sp.SpTreeError):
-            sp.check_eigen(inst, [(2, 3)])
-        with pytest.raises(sp.SpTreeError):
-            sp.check_eigen(inst, sp.spanning_trees(inst.graph) + [(2, 3)])
+        trees = sp.spanning_trees(inst.graph)
+        for bad in [(2, 3), (1,), (0, 1, 2), (1, 1), (0, 4), (-1, 0)]:
+            for batch in ([bad], trees + [bad], [bad] + trees):
+                with pytest.raises(sp.SpTreeError):
+                    sp.check_eigen(inst, batch)
 
     def test_rejects_empty_tree_list(self):
         # a connected graph has a spanning tree: no tree to check is a fault
@@ -124,6 +128,25 @@ def flipped_directions(tree):
     return [rng.random() < 0.5 for _ in range(sp.leaf_count(tree))]
 
 
+def assert_stacked_matches_per_tree(inst, trees):
+    """All trees' coefficients from one pass equal the per-tree pass, scale,
+    values and support, as Python ints; and the trees' complements, sorted,
+    are exactly the dual's spanning trees, which check_dual relies on."""
+    n = len(inst.graph.edges)
+    name = sp.format_tree(inst.tree)
+    scale, C, on = stacked_coefficients(inst.layout, trees)
+    assert C.shape == on.shape == (n, len(trees)), name
+    for j, tau in enumerate(trees):
+        s, y = oracle.scaled_coefficients(inst.layout, tau)
+        assert type(scale[j]) is int and scale[j] == s, name
+        assert all(type(x) is int for x in C[:, j]), name
+        assert np.flatnonzero(on[:, j]).tolist() == sorted(y), name
+        assert {e: C[e, j] for e in y} == y and not C[~on[:, j], j].any(), name
+    complements = [tuple(e for e in range(n) if e not in tau) for tau in trees]
+    dual = sp.realize(sp.parallel_rooted(sp.dualize(inst.tree)))
+    assert sorted(complements) == sp.spanning_trees(dual), name
+
+
 def assert_agrees_with_oracles(inst):
     """Integer checks equal the Fraction oracles: the eigen check on each
     spanning tree and on all of them at once, and the cycle-space
@@ -134,6 +157,7 @@ def assert_agrees_with_oracles(inst):
     trees = sp.spanning_trees(inst.graph)
     name = sp.format_tree(inst.tree)
     assert trees == oracle.spanning_trees(inst.graph), name
+    assert_stacked_matches_per_tree(inst, trees)
     (angle, best), (whole_angle, whole_best) = (
         sp.target(inst.subspace, trees), sp.target(inst.subspace))
     assert angle.hex() == whole_angle.hex() and best == whole_best, name
@@ -157,6 +181,9 @@ def assert_agrees_with_oracles(inst):
 def assert_build_matches_fraction_route(inst):
     """transfer_current returns ints, D is the least that clears Y, and P
     is bitwise the projector the Fraction route reads off Y."""
+    weights = sp.induced_weights(inst.tree)
+    assert list(inst.weights.items()) == list(weights.items())
+    assert all(type(w) is Fraction for w in inst.weights.values())
     T, TY = sp.transfer_current(inst.B, inst.weights)
     assert type(T) is int and all(type(x) is int for x in TY.flat)
     assert math.gcd(inst.D, *inst.DY.flat) == 1
@@ -194,9 +221,10 @@ class TestIntegerChecksMatchOracles:
             for e in range(n):
                 for f in range(n):
                     read = any(e in tau and f in tau for tau in trees)
-                    DY[e, f] += 1
-                    assert sp.check_eigen(bumped, trees) == (not read)
-                    DY[e, f] -= 1
+                    for delta in (1, -1):
+                        DY[e, f] += delta
+                        assert sp.check_eigen(bumped, trees) == (not read)
+                        DY[e, f] -= delta
             assert sp.check_eigen(bumped, trees)
 
     def test_bumped_entry_fails_certificate(self, instances_to_6):
@@ -220,7 +248,8 @@ class TestCheckTarget:
         for n in range(2, 6):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
-                    assert sp.check_target(sp.build(t))
+                    inst = sp.build(t)
+                    assert sp.check_target(inst, sp.spanning_trees(inst.graph))
 
     def test_corrupted_weights_fail(self):
         inst = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
@@ -233,24 +262,29 @@ class TestCheckTarget:
         T, TY = sp.transfer_current(B, bad)
         corrupted = dataclasses.replace(inst, weights=bad, B=B, P=sp.projection(T, TY, bad),
                                         subspace=basis, D=T, DY=TY)
-        assert not sp.check_target(corrupted)
+        assert not sp.check_target(corrupted, sp.spanning_trees(g))
+
+
+def dual_check(tree):
+    inst = sp.build(tree)
+    return sp.check_dual(inst, sp.spanning_trees(inst.graph))
 
 
 class TestCheckDual:
     def test_banana_cycle_pair(self):
         t = sp.make_parallel([sp.make_leaf(i) for i in range(4)])
-        ok, diag = sp.check_dual(sp.build(t))
+        ok, diag = dual_check(t)
         assert ok, diag
 
     def test_triangle(self):
-        ok, diag = sp.check_dual(sp.build(sp.parse_tree("P(e,S(e,e))")))
+        ok, diag = dual_check(sp.parse_tree("P(e,S(e,e))"))
         assert ok, diag
 
     def test_all_small(self):
         for n in range(2, 6):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
-                    ok, diag = sp.check_dual(sp.build(t))
+                    ok, diag = dual_check(t)
                     assert ok, (sp.format_tree(t), diag)
 
 

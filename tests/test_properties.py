@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import spextremal as sp
 from spextremal.sptree import relabel_leaves
+from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
 from exact_oracles import brute_tree_sums, fraction_y, transfer_current_combinatorial
@@ -111,3 +112,21 @@ def test_determinant_trees_match_union_find(tree, data):
     (angle, best), (whole_angle, whole_best) = (
         sp.target(inst.subspace, trees), sp.target(inst.subspace))
     assert angle.hex() == whole_angle.hex() and best == whole_best
+
+
+@PROPERTY
+@given(trees(), st.data())
+def test_stacked_coefficients_match_per_tree_pass(tree, data):
+    # one pass over the layout gives every tree's coefficients, column for
+    # column the per-tree pass; the complements are the dual's trees
+    n = sp.leaf_count(tree)
+    directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    inst = sp.build(tree, directions)
+    trees = sp.spanning_trees(inst.graph)
+    scale, C, on = stacked_coefficients(inst.layout, trees)
+    for j, tau in enumerate(trees):
+        s, y = oracle.scaled_coefficients(inst.layout, tau)
+        assert scale[j] == s and {e: C[e, j] for e in range(n) if on[e, j]} == y
+    dual = sp.realize(sp.parallel_rooted(sp.dualize(tree)))
+    assert sorted(tuple(e for e in range(n) if e not in tau) for tau in trees) \
+        == sp.spanning_trees(dual)

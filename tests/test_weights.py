@@ -87,6 +87,9 @@ class TestInducedCoefficients:
         gd = sp.realize(diamond)
         with pytest.raises(sp.SpTreeError):
             sp.induced_coefficients(diamond, (2, 3), gd)  # contains a cycle
+        banana = sp.make_parallel([sp.make_leaf(i) for i in range(3)])
+        with pytest.raises(sp.SpTreeError):
+            sp.induced_coefficients(banana, (0, 0), sp.realize(banana))  # repeats
 
 
 class TestTreeSums:
