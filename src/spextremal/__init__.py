@@ -61,7 +61,6 @@ from .numeric import (
     principal_angles,
     projection,
     target,
-    to_float,
     transfer_current,
 )
 from .extremal import (

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .extremal import build, class_table, verify_instance
-from .numeric import BruteForceCapError, target
+from .numeric import MAX_EDGES, BruteForceCapError, target
 from .search import SearchConfig, accumulate
 from .sptree import (
     Parallel,
@@ -79,8 +79,8 @@ def _parse_two_sp(text: str):
 
 
 def cmd_enumerate(args) -> int:
-    if args.n < 2 or args.n > 12 or args.k < 1:
-        raise UsageError("need 2 <= n <= 12 and k >= 1")
+    if args.n < 2 or args.n > MAX_EDGES or args.k < 1:
+        raise UsageError(f"need 2 <= n <= {MAX_EDGES} and k >= 1")
     trees = enumerate_rooted(args.n, args.k)
     classes = len({class_key(t) for t in trees})
     if args.format == "json":
@@ -117,8 +117,8 @@ def _verify_trees(args):
         return
     lo = int(match.group(1))
     hi = int(match.group(2) or lo)
-    if lo < 2 or hi < lo or hi > 12:
-        raise UsageError("verify sizes must satisfy 2 <= lo <= hi <= 12")
+    if lo < 2 or hi < lo or hi > MAX_EDGES:
+        raise UsageError(f"verify sizes must satisfy 2 <= lo <= hi <= {MAX_EDGES}")
     if args.k_range:
         kmatch = _SIZES.match(args.k_range)
         if not kmatch:
@@ -128,13 +128,15 @@ def _verify_trees(args):
         if klo < 1 or khi < klo:
             raise UsageError("k range must satisfy 1 <= klo <= khi")
     else:
-        klo, khi = 1, 11
+        klo, khi = 1, hi - 1
     for n in range(lo, hi + 1):
         for k in range(klo, min(n - 1, khi) + 1):
             yield from enumerate_rooted(n, k)
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError("--tol must be finite and >= 0")
     manifest = run_manifest("verify", {"spec": args.spec, "k_range": args.k_range,
                                        "tol": args.tol})
     reports = []

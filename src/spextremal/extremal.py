@@ -35,7 +35,6 @@ from .numeric import (
     orthonormalize,
     projection,
     target,
-    to_float,
     transfer_current,
 )
 from .sptree import (
@@ -88,7 +87,7 @@ def build(tree, directions=None) -> ExtremalInstance:
     P = projection(D, DY, w)
     n = len(graph.edges)
     root = np.sqrt([float(w[e]) for e in range(n)])
-    scaled = root[:, None] * to_float(B).T
+    scaled = root[:, None] * B.astype(float).T
     # dropping one vertex column keeps the span: the columns sum to zero
     subspace = orthonormalize(scaled[:, 1:])
     return ExtremalInstance(tree, graph, w, B, P, subspace, D, DY, layout)

@@ -30,7 +30,9 @@ import numpy as np
 
 from .sptree import SpTreeError
 
-DEFAULT_SUBSET_CAP = 12
+# The most edges, i.e. coordinates, that an exhaustive sweep takes: the
+# spanning trees, the target, and the enumerate and verify commands.
+MAX_EDGES = 12
 # Most k-by-k coordinate submatrices gathered for one batched SVD or
 # determinant; a larger stack is handled a slice at a time, which bounds
 # its memory.
@@ -38,7 +40,7 @@ STACK_SUBMATRICES = 1 << 14
 
 
 class BruteForceCapError(RuntimeError):
-    """An exhaustive subset sweep would exceed the configured edge cap."""
+    """An exhaustive subset sweep would exceed MAX_EDGES."""
 
 
 class SingularMatrixError(ValueError):
@@ -82,8 +84,10 @@ def bareiss(rows):
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
-def to_float(a: np.ndarray) -> np.ndarray:
-    return a.astype(float)
+def require_edge_limit(n: int) -> None:
+    """Raise BruteForceCapError when n edges exceed MAX_EDGES."""
+    if n > MAX_EDGES:
+        raise BruteForceCapError(f"{n} edges exceed the limit of {MAX_EDGES}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +247,7 @@ def stacked_target(bases: np.ndarray, index=None):
     in the index; ties go to the first.
     """
     _, n, k = bases.shape
-    if n > DEFAULT_SUBSET_CAP:
-        raise BruteForceCapError(
-            f"target sweep needs at most {DEFAULT_SUBSET_CAP} ambient dimensions, got {n}")
+    require_edge_limit(n)
     if index is None:
         _, index = coordinate_subsets(n, k)
     step = max(1, STACK_SUBMATRICES // len(index))

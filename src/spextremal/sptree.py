@@ -11,7 +11,9 @@ text grammar, canonical forms modulo the tree symmetries (reordering of
 parallel branches, reversal of series chains), the class key of the
 cycle matroid, duality, exhaustive enumeration, realization as a directed
 multigraph, and the reduction of a concrete multigraph back to its
-canonical tree.
+canonical tree.  Realization walks the tree once, top-down, handing each
+node its terminal pair, and numbers the vertices by first appearance along
+the leaves in reading order, the left end of a leaf before its right end.
 """
 
 from __future__ import annotations
@@ -161,25 +163,18 @@ def skeleton_key(tree):
     return (size, 2, min(forward, backward))
 
 
-def _canonical_oriented(tree):
-    """Canonical shape keeping original leaf ids.
-
-    Returns (shape, flipped) where flipped is the set of leaf ids whose
-    natural left-to-right sense got inverted by series-chain reversals.
-    """
+def _canonical_shape(tree):
+    """Canonical shape keeping original leaf ids."""
     if isinstance(tree, Leaf):
-        return tree, frozenset()
-    parts = [_canonical_oriented(c) for c in tree.children]
-    children = [p[0] for p in parts]
-    flipped = frozenset().union(*(p[1] for p in parts))
+        return tree
+    children = [_canonical_shape(c) for c in tree.children]
     if isinstance(tree, Parallel):
         children.sort(key=skeleton_key)
-        return Parallel(tuple(children)), flipped
+        return Parallel(tuple(children))
     keys = [skeleton_key(c) for c in children]
     if tuple(reversed(keys)) < tuple(keys):
         children.reverse()
-        flipped = flipped ^ frozenset(leaf_ids(tree))
-    return Series(tuple(children)), flipped
+    return Series(tuple(children))
 
 
 def relabel_leaves(tree) -> SpTree:
@@ -200,8 +195,7 @@ def canonicalize(tree) -> SpTree:
     Two trees canonicalize identically iff they are related by those
     symmetries; edge ids are reassigned in reading order afterwards.
     """
-    shape, _ = _canonical_oriented(tree)
-    return relabel_leaves(shape)
+    return relabel_leaves(_canonical_shape(tree))
 
 
 def dualize(tree) -> SpTree:
@@ -431,92 +425,53 @@ class MultiGraph:
 
 
 def realize(tree, directions=None) -> MultiGraph:
-    """Glue the tree into its directed multigraph.
+    """Place the tree's edges between vertices, top-down.
 
-    directions[eid] = True flips that edge against its natural
-    left-to-right sense.  A series root is read as the closed-up chain
-    (rewritten through parallel_rooted), which is how duals realize.
+    The root spans the terminal pair; a parallel node hands its pair to
+    every child, and a series node puts fresh interior vertices between
+    its children and hands each child its consecutive pair.  Vertices are
+    then numbered 0, 1, ... by first appearance along the leaves in reading
+    order, the left end of a leaf before its right end, so the left
+    terminal is vertex 0.  directions[eid] = True flips that edge against
+    its natural left-to-right sense.  A series root is read as the
+    closed-up chain (rewritten through parallel_rooted), which is how
+    duals realize.
     """
-    graph, _ = realize_with_spans(tree, directions)
-    return graph
-
-
-def realize_with_spans(tree, directions=None):
-    """realize plus each node's terminal pair in final vertex labels."""
     if isinstance(tree, Series):
         tree = parallel_rooted(tree)
     if isinstance(tree, Leaf):
         raise SpTreeError("a single edge is not a 2-connected network")
-    ids = leaf_ids(tree)
-    n = len(ids)
-    if sorted(ids) != list(range(n)):
+    ends = []
+    fresh = itertools.count(2)
+
+    def place(node, left, right):
+        if isinstance(node, Leaf):
+            ends.append((left, right, node.eid))
+        elif isinstance(node, Parallel):
+            for child in node.children:
+                place(child, left, right)
+        else:
+            stops = [left, *itertools.islice(fresh, len(node.children) - 1), right]
+            for child, a, b in zip(node.children, stops, stops[1:]):
+                place(child, a, b)
+
+    place(tree, 0, 1)
+    n = len(ends)
+    if sorted(e for _, _, e in ends) != list(range(n)):
         raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
     if directions is None:
         directions = [False] * n
     if len(directions) != n:
         raise SpTreeError("need one direction flag per edge")
-
-    parent: list[int] = []
-
-    def fresh():
-        parent.append(len(parent))
-        return len(parent) - 1
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    raw_edges = []
-    spans = {}
-
-    def build(node):
-        if isinstance(node, Leaf):
-            left, right = fresh(), fresh()
-            raw_edges.append((left, right, node.eid))
-        elif isinstance(node, Series):
-            left, right = build(node.children[0])
-            for child in node.children[1:]:
-                cl, cr = build(child)
-                union(right, cl)
-                right = cr
-        else:
-            pairs = [build(child) for child in node.children]
-            left, right = pairs[0]
-            for cl, cr in pairs[1:]:
-                union(left, cl)
-                union(right, cr)
-        spans[node] = (left, right)
-        return left, right
-
-    root_l, root_r = build(tree)
-
     label = {}
-    for pv in range(len(parent)):
-        root = find(pv)
-        if root not in label:
-            label[root] = len(label)
-
-    def lab(pv):
-        return label[find(pv)]
-
-    edges = []
-    for tail, head, eid in raw_edges:
-        t, h = lab(tail), lab(head)
-        if directions[eid]:
-            t, h = h, t
-        edges.append((t, h, eid))
-    edges.sort(key=lambda e: e[2])
-
-    node_spans = {node: (lab(a), lab(b)) for node, (a, b) in spans.items()}
-    graph = MultiGraph(len(label), tuple(edges), (lab(root_l), lab(root_r)))
-    return graph, node_spans
+    for left, right, _ in ends:
+        label.setdefault(left, len(label))
+        label.setdefault(right, len(label))
+    edges = [None] * n
+    for left, right, e in ends:
+        t, h = label[left], label[right]
+        edges[e] = (h, t, e) if directions[e] else (t, h, e)
+    return MultiGraph(len(label), tuple(edges), (label[0], label[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +586,7 @@ def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
     if not isinstance(final.tree, Parallel):
         raise SpTreeError("graph is not 2-connected (outermost composition is not parallel)")
 
-    shape, _ = _canonical_oriented(final.tree)
+    shape = _canonical_shape(final.tree)
     order = leaf_ids(shape)
     tree = relabel_leaves(shape)
     raw_flips = tuple(final.flips[e] for e in range(len(final.flips)))

@@ -20,7 +20,6 @@ certify every non-tree minor zero at once.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, compress, islice
@@ -29,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numeric
-from .numeric import BruteForceCapError
 from .sptree import (
     Leaf,
     Parallel,
@@ -38,22 +36,6 @@ from .sptree import (
     parallel_rooted,
     realize,
 )
-
-DEFAULT_BRUTE_CAP = 16
-
-
-def brute_force_cap() -> int:
-    env = os.environ.get("EXTREMAL_BRUTE_CAP")
-    return int(env) if env else DEFAULT_BRUTE_CAP
-
-
-def _require_under_cap(n: int) -> None:
-    cap = brute_force_cap()
-    if n > cap:
-        raise BruteForceCapError(
-            f"{n} edges exceeds the spanning-tree cap of {cap} edges "
-            f"(override with EXTREMAL_BRUTE_CAP)")
-
 
 def induced_weights(tree) -> dict[int, Fraction]:
     """Edge weights read off the alternating decomposition chain.
@@ -261,7 +243,7 @@ def spanning_trees(graph) -> list[tuple]:
     lies in {0, +-1}, and det is exactly 0 or +-1.
     """
     n = len(graph.edges)
-    _require_under_cap(n)
+    numeric.require_edge_limit(n)
     size = graph.num_vertices - 1
     rows = np.zeros((n, graph.num_vertices))  # B^T: one row per edge
     for tail, head, e in graph.edges:

@@ -14,11 +14,14 @@ Fraction matrix Y one subset at a time, the latter through rational_det,
 which clears each row's denominators before one integer elimination.
 brute_tree_sums sweeps every edge subset for the weighted tree and
 2-forest sums, and spanning_trees keeps the k-subsets on which a
-union-find closes no cycle.  The integer routines in spextremal must agree
-with these: the batched eigen check with check_eigen on every spanning
-tree, the cycle-space certificate with check_degenerate on every non-tree
-subset, the stacked coefficients with scaled_coefficients on every
-tree, and the batched determinant with the union-find sweep.
+union-find closes no cycle.  realize_with_spans glues the graph from two
+fresh vertices per leaf by a union-find and keeps every node's terminal
+pair.  The integer routines in spextremal must agree with these: the
+batched eigen check with check_eigen on every spanning tree, the
+cycle-space certificate with check_degenerate on every non-tree subset,
+the stacked coefficients with scaled_coefficients on every tree, the
+batched determinant with the union-find sweep, and the top-down
+sptree.realize with realize_with_spans.
 """
 
 import math
@@ -30,15 +33,101 @@ import numpy as np
 from spextremal.numeric import bareiss
 from spextremal.sptree import (
     Leaf,
+    MultiGraph,
     Parallel,
     Series,
     SpTreeError,
     leaf_count,
     leaf_ids,
     parallel_rooted,
-    realize_with_spans,
 )
 from spextremal.weights import TreeSums
+
+
+def realize_with_spans(tree, directions=None):
+    """sptree.realize by gluing, plus each node's terminal pair.
+
+    Every leaf gets two fresh vertices; a series node glues each child's
+    right end to the next child's left end, a parallel node glues all its
+    children's left ends and all their right ends, each by a union-find
+    that keeps the smaller root.  A vertex is labelled by the order of its
+    class's least fresh vertex.  Returns the graph and a map from every
+    node to its terminal pair in those labels.
+    """
+    if isinstance(tree, Series):
+        tree = parallel_rooted(tree)
+    if isinstance(tree, Leaf):
+        raise SpTreeError("a single edge is not a 2-connected network")
+    ids = leaf_ids(tree)
+    n = len(ids)
+    if sorted(ids) != list(range(n)):
+        raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
+    if directions is None:
+        directions = [False] * n
+    if len(directions) != n:
+        raise SpTreeError("need one direction flag per edge")
+
+    parent: list[int] = []
+
+    def fresh():
+        parent.append(len(parent))
+        return len(parent) - 1
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    raw_edges = []
+    spans = {}
+
+    def build(node):
+        if isinstance(node, Leaf):
+            left, right = fresh(), fresh()
+            raw_edges.append((left, right, node.eid))
+        elif isinstance(node, Series):
+            left, right = build(node.children[0])
+            for child in node.children[1:]:
+                cl, cr = build(child)
+                union(right, cl)
+                right = cr
+        else:
+            pairs = [build(child) for child in node.children]
+            left, right = pairs[0]
+            for cl, cr in pairs[1:]:
+                union(left, cl)
+                union(right, cr)
+        spans[node] = (left, right)
+        return left, right
+
+    root_l, root_r = build(tree)
+
+    label = {}
+    for pv in range(len(parent)):
+        root = find(pv)
+        if root not in label:
+            label[root] = len(label)
+
+    def lab(pv):
+        return label[find(pv)]
+
+    edges = []
+    for tail, head, eid in raw_edges:
+        t, h = lab(tail), lab(head)
+        if directions[eid]:
+            t, h = h, t
+        edges.append((t, h, eid))
+    edges.sort(key=lambda e: e[2])
+
+    node_spans = {node: (lab(a), lab(b)) for node, (a, b) in spans.items()}
+    graph = MultiGraph(len(label), tuple(edges), (lab(root_l), lab(root_r)))
+    return graph, node_spans
 
 
 def _forest_find(graph, edges):

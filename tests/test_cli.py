@@ -149,20 +149,19 @@ class TestVerify:
         assert err.strip()  # failing instance echoed
 
 
-    def test_target_cap_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "P(" + ",".join(["e"] * 13) + ")")
+    @pytest.mark.parametrize("edges", [13, 18])
+    def test_target_cap_is_usage_error(self, capsys, edges):
+        code, out, err = run_cli(capsys, "verify", "P(" + ",".join(["e"] * edges) + ")")
         assert code == 64
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "at most 12 ambient dimensions" in err
+        assert err == f"error: {edges} edges exceed the limit of 12\n"
 
-    def test_spanning_tree_cap_names_override(self, capsys, monkeypatch):
-        monkeypatch.delenv("EXTREMAL_BRUTE_CAP", raising=False)
-        code, out, err = run_cli(capsys, "verify", "P(" + ",".join(["e"] * 18) + ")")
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify", "2..3", "--tol", tol)
         assert code == 64
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "cap of 16 edges" in err and "EXTREMAL_BRUTE_CAP" in err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 class TestTable:

@@ -50,6 +50,23 @@ def test_decompose_recovers_the_tree(tree):
 
 
 @PROPERTY
+@given(trees(), st.data())
+def test_realize_matches_union_find_oracle(tree, data):
+    n = sp.leaf_count(tree)
+    ids = data.draw(st.permutations(range(n)))
+    directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+    def renumber(node):
+        if isinstance(node, sp.Leaf):
+            return sp.Leaf(ids[node.eid])
+        return type(node)(tuple(renumber(c) for c in node.children))
+
+    for t in (renumber(tree), sp.dualize(renumber(tree))):
+        graph, _ = oracle.realize_with_spans(t, directions)
+        assert sp.realize(t, directions) == graph
+
+
+@PROPERTY
 @given(trees())
 def test_tree_sums_match_brute_force(tree):
     w = sp.induced_weights(tree)

@@ -5,6 +5,8 @@ import pytest
 import spextremal as sp
 from spextremal.sptree import Leaf, Parallel, Series
 
+import exact_oracles as oracle
+
 
 def leaf(i=0):
     return sp.make_leaf(i)
@@ -200,7 +202,43 @@ def connected_after_removal(graph, victim):
     return len(seen) == len(verts)
 
 
+def realize_cases(n):
+    """Every tree with n edges and its dual, each with the natural
+    directions and with one seeded flip set."""
+    for k in range(1, n):
+        for t in sp.enumerate_rooted(n, k):
+            for tree in (t, sp.dualize(t)):
+                rng = random.Random(sp.format_tree(tree))
+                yield tree, None
+                yield tree, [rng.random() < 0.5 for _ in range(n)]
+
+
 class TestRealize:
+    def test_matches_union_find_oracle_to_7(self):
+        for n in range(2, 8):
+            for tree, directions in realize_cases(n):
+                graph, _ = oracle.realize_with_spans(tree, directions)
+                assert sp.realize(tree, directions) == graph, sp.format_tree(tree)
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_matches_union_find_oracle_long(self, n):
+        for tree, directions in realize_cases(n):
+            graph, _ = oracle.realize_with_spans(tree, directions)
+            assert sp.realize(tree, directions) == graph, sp.format_tree(tree)
+
+    @pytest.mark.parametrize("tree, directions", [
+        (Leaf(0), None),                           # a single edge
+        (Parallel((Leaf(0), Leaf(0))), None),      # an edge id twice
+        (Parallel((Leaf(0), Leaf(2))), None),      # an edge id missing
+        (Parallel((Leaf(0), Leaf(1))), [True]),    # too few direction flags
+    ])
+    def test_malformed_input_rejected(self, tree, directions):
+        with pytest.raises(sp.SpTreeError):
+            sp.realize(tree, directions)
+        with pytest.raises(sp.SpTreeError):
+            oracle.realize_with_spans(tree, directions)
+
     def test_two_cycle(self):
         g = sp.realize(sp.parse_tree("P(e,e)"))
         assert g.num_vertices == 2

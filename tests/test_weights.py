@@ -142,10 +142,9 @@ class TestBruteEnumeration:
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"))
         assert len(two_component_forests(g)) == 2
 
-    def test_cap_is_enforced(self, monkeypatch):
-        monkeypatch.setenv("EXTREMAL_BRUTE_CAP", "3")
-        t = sp.parse_tree("P(e,S(e,e,e))")
-        with pytest.raises(sp.BruteForceCapError):
+    def test_cap_is_enforced(self):
+        t = sp.parse_tree("P(e,S(e,e,e,e,e,e,e,e,e,e,e,e))")
+        with pytest.raises(sp.BruteForceCapError, match="13 edges exceed the limit of 12"):
             sp.spanning_trees(sp.realize(t))
 
     @pytest.mark.parametrize("limit", [1, 7, 35])
