@@ -58,20 +58,21 @@ from .numeric import (
     laplacian,
     match_sign_diagonal,
     orthonormalize,
+    positive_definite,
     principal_angles,
-    projection,
     target,
     transfer_current,
 )
 from .extremal import (
     ExtremalInstance,
     build,
+    check_attained,
     check_degenerate,
     check_dual,
     check_eigen,
-    check_target,
     class_table,
     count_classes,
+    dual_transfer_current,
     verify_instance,
 )
 from .search import (

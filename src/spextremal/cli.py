@@ -79,8 +79,8 @@ def _parse_two_sp(text: str):
 
 
 def cmd_enumerate(args) -> int:
-    if args.n < 2 or args.n > MAX_EDGES or args.k < 1:
-        raise UsageError(f"need 2 <= n <= {MAX_EDGES} and k >= 1")
+    if args.n < 2 or args.n > MAX_EDGES or not 1 <= args.k < args.n:
+        raise UsageError(f"need 2 <= n <= {MAX_EDGES} and 1 <= k <= n - 1")
     trees = enumerate_rooted(args.n, args.k)
     classes = len({class_key(t) for t in trees})
     if args.format == "json":
@@ -135,14 +135,11 @@ def _verify_trees(args):
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise UsageError("--tol must be finite and >= 0")
-    manifest = run_manifest("verify", {"spec": args.spec, "k_range": args.k_range,
-                                       "tol": args.tol})
+    manifest = run_manifest("verify", {"spec": args.spec, "k_range": args.k_range})
     reports = []
     ok = True
     for tree in _verify_trees(args):
-        report = verify_instance(build(tree), tol=args.tol)
+        report = verify_instance(build(tree))
         passed = (report["eigen_ok"] and report["degenerate_ok"]
                   and report["target_ok"] and report["dual_ok"])
         reports.append(report)
@@ -228,7 +225,6 @@ def build_parser() -> _Parser:
                        "2..7, optionally with k like 2 or 2..4; or one tree)")
     p.add_argument("spec")
     p.add_argument("k_range", nargs="?", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="CSV triangle of class counts")

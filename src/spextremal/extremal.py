@@ -1,24 +1,23 @@
-"""Assembled extremal instances and their verification.
+"""Assembled extremal instances and their exact verification.
 
 build() turns a decomposition tree into the full bundle: realized graph,
 the tree's post-order layout and the induced weights read off it,
 incidence matrix, the transfer current matrix Y held only as the integer
 pair (D, D Y), D the least positive integer that makes D Y integral (one
-gcd over the pair transfer_current returns), the float projector read off
-that pair, and the orthonormalized star-space basis.  The check_* family
-verifies the spectral facts that make the subspace extremal; the exact
-ones are integer products with D Y, one per instance each: check_eigen
-multiplies D Y by the coefficient vectors of all the spanning trees it is
-given, stacked from one pass over the layout, and check_degenerate by a
-cycle basis, which certifies every non-tree minor zero without looking at
-a single subset.  Nothing on the verify path sweeps the k-subsets: the
-spanning trees come from one batched determinant (weights.spanning_trees)
-per instance, the target is scored over them alone, because every other
-coordinate submatrix of the star space is singular, and check_dual scores
-the planar-dual instance over their complements, which are the dual's
-spanning trees.  count_classes folds the enumerated trees into symmetry
-classes of the resulting subspaces by sptree.class_key, which reads the
-class off the tree without building an instance.
+gcd over the pair transfer_current returns), and the orthonormalized
+star-space basis.  That is the one elimination an instance needs.  The
+check_* family proves the facts that make the subspace extremal by
+integer products with D Y, with no tolerance: check_eigen multiplies it
+by the coefficient vectors of all the given spanning trees, stacked from
+one pass over the layout; check_degenerate by a cycle basis, which
+certifies every non-tree minor zero without looking at a single subset;
+check_attained proves the bound attained on one tree; and check_dual
+reads the planar dual's transfer current off the primal's and proves it.
+Nothing on the verify path sweeps the k-subsets: the spanning trees come
+from one batched determinant (weights.spanning_trees), and the float
+target that verify reports is scored over them alone, because every
+other coordinate submatrix of the star space is singular.  count_classes
+folds the enumerated trees into symmetry classes by sptree.class_key.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ import numpy as np
 from .numeric import (
     Subspace,
     incidence_matrix,
-    match_sign_diagonal,
     orthonormalize,
-    projection,
+    positive_definite,
     target,
     transfer_current,
 )
@@ -63,7 +61,6 @@ class ExtremalInstance:
     graph: MultiGraph
     weights: dict
     B: np.ndarray
-    P: np.ndarray
     subspace: Subspace
     D: int            # the least positive integer that makes D Y integral
     DY: np.ndarray    # D Y, an object array of Python ints
@@ -83,14 +80,12 @@ def build(tree, directions=None) -> ExtremalInstance:
     B = incidence_matrix(graph)
     T, TY = transfer_current(B, w)
     g = math.gcd(T, *TY.flat)
-    D, DY = T // g, TY // g
-    P = projection(D, DY, w)
     n = len(graph.edges)
     root = np.sqrt([float(w[e]) for e in range(n)])
     scaled = root[:, None] * B.astype(float).T
     # dropping one vertex column keeps the span: the columns sum to zero
     subspace = orthonormalize(scaled[:, 1:])
-    return ExtremalInstance(tree, graph, w, B, P, subspace, D, DY, layout)
+    return ExtremalInstance(tree, graph, w, B, subspace, T // g, TY // g, layout)
 
 
 def check_eigen(inst: ExtremalInstance, trees) -> bool:
@@ -107,8 +102,12 @@ def check_eigen(inst: ExtremalInstance, trees) -> bool:
     connected graph has a spanning tree, so an empty list means its source
     failed, not that the identity holds.
     """
-    n = len(inst.graph.edges)
     _, C, on = stacked_coefficients(inst.layout, trees)
+    return _eigen_holds(inst, C, on)
+
+
+def _eigen_holds(inst: ExtremalInstance, C, on) -> bool:
+    n = len(inst.graph.edges)
     return bool((n * inst.DY.dot(C)[on] == inst.D * C[on]).all())
 
 
@@ -128,41 +127,86 @@ def check_degenerate(inst: ExtremalInstance) -> bool:
     return bool((inst.B.dot(Z) == 0).all() and (inst.DY.dot(Z) == 0).all())
 
 
-def check_target(inst: ExtremalInstance, trees, tol: float = 1e-9) -> bool:
-    """Deviation cosine within tol of 1/sqrt(n), the target scored over
-    trees, the graph's spanning trees in lexicographic order
-    (numeric.target says why that is the sweep)."""
-    angle, _ = target(inst.subspace, trees)
-    n = len(inst.graph.edges)
-    return abs(math.cos(angle) - 1.0 / math.sqrt(n)) <= tol
+def check_attained(inst: ExtremalInstance, tau, c) -> bool:
+    """Exact proof that P[tau, tau], P the projector onto the star space,
+    has least eigenvalue 1/n; c is tau's column of stacked_coefficients.
 
-
-def check_dual(inst: ExtremalInstance, trees, tol: float = 1e-9):
-    """Cross-checks against the planar-dual instance.
-
-    (a) dual weights are componentwise reciprocal up to one common factor,
-    (b) some +-1 diagonal D maps I - P onto the dual projector,
-    (c) the dual instance reaches the same deviation value.
-    trees are the primal's spanning trees.  The dual shares the edge ids,
-    and its spanning trees are exactly their complements, so (c) scores
-    the dual on the sorted complements.  Returns (ok, diagnostics).
+    With w = p / q, L = lcm(p) and a = L q / p, the integer matrix
+    M = n diag(a) (D Y)[tau, tau] - D diag(a) is congruent to
+    P[tau, tau] - I/n, since P = W^(-1/2) Y W^(1/2).  It must be symmetric
+    with M c == 0, c != 0, and positive definite less the row and column
+    of an edge with c_e != 0; then, by Cauchy interlacing, M is
+    semidefinite with kernel spanned by c.  With check_eigen and
+    check_degenerate this makes the target exactly arccos(1/sqrt(n)).
     """
-    dual = build(dualize(inst.tree))
-    products = {e: dual.weights[e] * inst.weights[e] for e in inst.weights}
-    reciprocal_ok = len(set(products.values())) == 1
-    complement = np.eye(len(inst.weights)) - inst.P
-    signs = match_sign_diagonal(dual.P, complement, tol)
-    complement_ok = signs is not None
-    edges = frozenset(inst.weights)
-    complements = sorted(tuple(sorted(edges.difference(tau))) for tau in trees)
-    target_ok = check_target(dual, complements, tol)
-    diagnostics = {
-        "weight_product": str(next(iter(products.values()))),
-        "reciprocal_ok": reciprocal_ok,
-        "complement_ok": complement_ok,
-        "dual_target_ok": target_ok,
-    }
-    return reciprocal_ok and complement_ok and target_ok, diagnostics
+    n = len(inst.graph.edges)
+    idx = list(tau)
+    lcm = math.lcm(*(inst.weights[e].numerator for e in idx))
+    a = np.array([lcm // inst.weights[e].numerator * inst.weights[e].denominator
+                  for e in idx], dtype=object)
+    M = n * a[:, None] * inst.DY[np.ix_(idx, idx)] - np.diag(inst.D * a)
+    c = np.asarray(c, dtype=object)[idx]
+    support = np.flatnonzero(c)
+    if not support.size or (M != M.T).any() or M.dot(c).any():
+        return False
+    rest = np.delete(np.arange(len(idx)), support[-1])
+    return positive_definite(M[np.ix_(rest, rest)].tolist())
+
+
+def dual_transfer_current(inst: ExtremalInstance):
+    """The planar dual's graph, weights, signs s and D Y*, read off the
+    primal's pair with no elimination: D Y* = S (D I - (D Y)^T) S.
+
+    The dual tree is realized with natural directions and keeps the edge
+    ids.  Its closed chain is rooted at the primal root's first branch,
+    which leaves every other branch reversed, so s_e is +1 on that
+    branch, -1 off it, times e's own direction sign; check_dual tests
+    B S B*^T == 0 rather than assume it.  Why the formula: I - Y^T
+    projects onto W^(-1) ker B along range(B^T), S ker B = range(B*^T),
+    S range(B^T) = ker B*, and W* is proportional to W^(-1), so
+    S (I - Y^T) S projects onto range(W* B*^T) along ker B*: it is Y*.
+    """
+    tree = parallel_rooted(dualize(inst.tree))
+    first = inst.layout[-1][0][0]  # post-order: its leaves come first
+    signs = np.empty(len(inst.weights), dtype=object)
+    for i, (kids, _, _, eid, sign) in enumerate(inst.layout):
+        if not kids:
+            signs[eid] = sign if i <= first else -sign
+    identity = np.diag(np.full(len(signs), inst.D, dtype=object))
+    DY = (identity - inst.DY.T) * np.outer(signs, signs)
+    return realize(tree), _layout_weights(coefficient_layout(tree)), signs, DY
+
+
+def check_dual(inst: ExtremalInstance) -> bool:
+    """Exact check of the planar dual, read off the primal.
+
+    With dual_transfer_current's graph, weights w*, signs s and X, and B*
+    the dual incidence matrix: (a) B S B*^T == 0; (b) w* is reciprocal to
+    w up to one factor, as cross products p_e p*_e Q == q_e q*_e P for
+    P / Q = w_0 w*_0; (c) B* X == D B*, B* Z* == 0 and X Z* == 0 for the
+    dual cycle basis Z*, and diag(1/w*) X is symmetric.  (c) makes X/D
+    the projection along ker B* that is self-adjoint for diag(1/w*): D
+    times the dual's transfer current.  The dual's target is the primal's:
+    by (a) and (b) the dual star space is S V^perp, and its spanning trees
+    are the complements of the primal's.  For V and a coordinate subspace
+    E of equal dimension, the orthogonal [E E^perp]^T [V V^perp] has
+    diagonal blocks E^T V and E^perp^T V^perp whose squared singular
+    values are 1 minus those of one off-diagonal block, up to extra ones:
+    both least singular values, the deviation cosines, agree.
+    """
+    graph, dual_w, signs, X = dual_transfer_current(inst)
+    Bd = incidence_matrix(graph)
+    Z = cycle_basis(graph)
+    edges = range(len(signs))
+    top = [inst.weights[e].numerator * dual_w[e].numerator for e in edges]
+    bottom = [inst.weights[e].denominator * dual_w[e].denominator for e in edges]
+    p = np.array([dual_w[e].numerator for e in edges], dtype=object)
+    q = np.array([dual_w[e].denominator for e in edges], dtype=object)
+    K = X * np.outer(q, p)
+    return bool(not inst.B.dot(signs[:, None] * Bd.T).any()
+                and all(t * bottom[0] == b * top[0] for t, b in zip(top, bottom))
+                and (Bd.dot(X) == inst.D * Bd).all() and not Bd.dot(Z).any()
+                and not X.dot(Z).any() and (K == K.T).all())
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +228,21 @@ def class_table(n_max: int, n_min: int = 2) -> list[list[int]]:
 # reports
 # ---------------------------------------------------------------------------
 
-def verify_instance(inst: ExtremalInstance, tol: float = 1e-9) -> dict:
-    """Run every check on one instance and report the outcome."""
+def verify_instance(inst: ExtremalInstance) -> dict:
+    """Run every check on one instance and report the outcome; the eigen
+    check and the attainment proof share one pass over the layout."""
     n = len(inst.graph.edges)
-    k = inst.subspace.dim
     trees = spanning_trees(inst.graph)
-    eigen_ok = check_eigen(inst, trees)
-    degenerate_ok = check_degenerate(inst)
-    angle, _ = target(inst.subspace, trees)
-    target_ok = abs(math.cos(angle) - 1.0 / math.sqrt(n)) <= tol
-    dual_ok, _ = check_dual(inst, trees, tol)
+    _, C, on = stacked_coefficients(inst.layout, trees)
+    angle, tau = target(inst.subspace, trees)
     return {
         "tree": format_tree(inst.tree),
         "weights": weights_to_json(inst.weights),
         "n": n,
-        "k": k,
+        "k": inst.subspace.dim,
         "target_cos": math.cos(angle),
-        "eigen_ok": eigen_ok,
-        "degenerate_ok": degenerate_ok,
-        "target_ok": target_ok,
-        "dual_ok": dual_ok,
+        "eigen_ok": _eigen_holds(inst, C, on),
+        "degenerate_ok": check_degenerate(inst),
+        "target_ok": check_attained(inst, tau, C[:, trees.index(tau)]),
+        "dual_ok": check_dual(inst),
     }
-

@@ -1,14 +1,14 @@
 """Dense linear algebra for the construction: exact core, float geometry.
 
-The exact side has one elimination routine, bareiss, a fraction-free
-integer Gauss-Jordan that returns a determinant and an adjugate.  A single
-such elimination of the grounded integer Laplacian gives the weighted
-spanning-tree count T and the integer matrix T Y, where Y is the transfer
-current matrix; transfer_current returns that pair and nothing else, so
-Y itself is never formed.  The spectral identities are checked on an
-integer multiple of Y as integer products and comparisons, with zero
-tolerance, and the float projector is read off the same pair by
-one correctly rounded integer division per entry.  The float side covers
+The exact side is fraction-free integer elimination (Bareiss).  bareiss
+returns a determinant and an adjugate: one such elimination of the
+grounded integer Laplacian gives the weighted spanning-tree count T and
+the integer matrix T Y, where Y is the transfer current matrix;
+transfer_current returns that pair and nothing else, so Y itself is never
+formed.  positive_definite runs the same elimination forward, without
+pivoting, and decides Sylvester's criterion from its pivots.  The
+spectral identities are checked on an integer multiple of Y as integer
+products and comparisons, with zero tolerance.  The float side covers
 orthonormal bases, principal angles, and the deviation target, where
 double precision is the natural currency.  Orthonormalization and the
 target also take stacks of bases, so a batch of search walkers is bumped
@@ -84,6 +84,27 @@ def bareiss(rows):
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
+def positive_definite(rows) -> bool:
+    """Whether a symmetric integer matrix is positive definite, exactly.
+
+    In fraction-free elimination without pivoting (Bareiss) the pivot of
+    column j is the leading principal minor of order j + 1, so by
+    Sylvester's criterion every pivot must be positive; the elimination
+    stops at the first that is not.
+    """
+    m = [list(row) for row in rows]
+    prev = 1
+    for col, top in enumerate(m):
+        pv = top[col]
+        if pv <= 0:
+            return False
+        for r in range(col + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(pv * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = pv
+    return True
+
+
 def require_edge_limit(n: int) -> None:
     """Raise BruteForceCapError when n edges exceed MAX_EDGES."""
     if n > MAX_EDGES:
@@ -143,24 +164,6 @@ def transfer_current(B: np.ndarray, weights):
             "reduced Laplacian is singular; the graph is disconnected")
     adj = np.array(adj, dtype=object)
     return det, B0.T.dot(adj).dot(B0) * w_int[:, None]
-
-
-def projection(s: int, sY: np.ndarray, weights) -> np.ndarray:
-    """Float orthogonal projector onto the column space of W^(1/2) B^T.
-
-    Read off any integer multiple sY = s Y of the transfer current matrix
-    Y = W B^T L^+ B: the projector is W^(-1/2) Y W^(1/2), i.e.
-    P[i, j] = Y[i, j] sqrt(w_j / w_i).  With w_i = p_i / q_i it is
-    evaluated as the exact symmetric core Y[i, j] / w_i, the integer true
-    division sY[i, j] q_i / (s p_i), which rounds once and correctly, times
-    sqrt(w_i) sqrt(w_j), so P is exactly symmetric.
-    """
-    n = sY.shape[0]
-    w = [Fraction(weights[i]) for i in range(n)]
-    core = np.array([[x * wi.denominator / (s * wi.numerator) for x in row]
-                     for row, wi in zip(sY.tolist(), w)])
-    root = np.sqrt([float(wi) for wi in w])
-    return core * np.outer(root, root)
 
 
 # ---------------------------------------------------------------------------

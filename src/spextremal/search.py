@@ -20,7 +20,7 @@ exactly the restarts a one-at-a-time loop would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,12 @@ class SearchConfig:
     dedup_tol: float = 1e-3      # principal-angle tolerance for class identity
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.attempts < 1:
             raise ValueError("attempts must be at least 1")
         if not 0.0 < self.eps < 1.0:

@@ -3,7 +3,7 @@
 fraction_y forms the Fraction matrix Y from an integer pair (s, s Y), as
 spextremal.transfer_current returns it or as an instance holds it in
 (D, D Y); fraction_projection reads the float projector off that Y in
-Fractions, and transfer_current_combinatorial sums Y over the spanning
+Fractions (spextremal itself no longer forms it), and transfer_current_combinatorial sums Y over the spanning
 trees.  induced_coefficients here finds, for every node of the
 decomposition, by its own union-find over the node's tau edges whether
 tau connects the node's terminals, and walks the series chains in
@@ -263,9 +263,10 @@ def least_eigenvalue_report(inst) -> list[tuple[tuple, float]]:
     surface.
     """
     out = []
+    P = fraction_projection(fraction_y(inst.D, inst.DY), inst.weights)
     for tau in spanning_trees(inst.graph):
         idx = list(tau)
-        sub = inst.P[np.ix_(idx, idx)]
+        sub = P[np.ix_(idx, idx)]
         out.append((tau, float(np.linalg.eigvalsh(sub)[0])))
     return out
 

@@ -28,10 +28,13 @@ class TestEnumerate:
         assert code == 0
         assert "P(e,e)" in out and "classes: 1" in out
 
-    def test_infeasible_is_empty_success(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "3", "3")
-        assert code == 0
-        assert "classes: 0" in out
+    def test_infeasible_is_usage_error(self, capsys):
+        # every instance has 1 <= k <= n - 1, as verify also requires
+        for n, k in (("3", "3"), ("5", "7")):
+            code, out, err = run_cli(capsys, "enumerate", n, k)
+            assert code == 64
+            assert out == ""
+            assert err.startswith("usage error: ") and err.count("\n") == 1
 
     def test_bad_range_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "1", "0")
@@ -107,10 +110,12 @@ class TestVerify:
         assert json.loads(single)["instances"] == json.loads(ranged)["instances"]
 
     def test_tree_with_k_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "P(e,S(e,e))", "2")
-        assert code == 64
-        assert out == ""
-        assert err.startswith("usage error: ") and err.count("\n") == 1
+        # and so is --tol, which verify no longer takes: its verdict is exact
+        for argv in (["P(e,S(e,e))", "2"], ["2..3", "--tol", "1e-9"]):
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert code == 64
+            assert out == ""
+            assert err.startswith("usage error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("spec, k_range", [
         ("5", "0"),         # klo < 1
@@ -155,13 +160,6 @@ class TestVerify:
         assert code == 64
         assert out == ""
         assert err == f"error: {edges} edges exceed the limit of 12\n"
-
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_tol_must_be_finite_and_nonnegative(self, capsys, tol):
-        code, out, err = run_cli(capsys, "verify", "2..3", "--tol", tol)
-        assert code == 64
-        assert out == ""
-        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 class TestTable:
@@ -219,6 +217,11 @@ class TestSearch:
         ("--decay", "1.5", "decay must lie in (0, 1)"),
         ("--dedup-tol", "-1", "dedup_tol must be positive"),
         ("--min-magnitude", "0", "min_magnitude must be positive"),
+        ("--init-magnitude", "nan", "init_magnitude must be finite"),
+        ("--init-magnitude", "inf", "init_magnitude must be finite"),
+        ("--dedup-tol", "nan", "dedup_tol must be finite"),
+        ("--min-magnitude", "nan", "min_magnitude must be finite"),
+        ("--seed", "-1", "seed must be non-negative"),
     ])
     def test_invalid_config_is_usage_error(self, capsys, option, value, message):
         code, out, err = run_cli(capsys, "search", "3", "1", "--seed", "1",

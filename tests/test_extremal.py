@@ -179,8 +179,7 @@ def assert_agrees_with_oracles(inst):
 
 
 def assert_build_matches_fraction_route(inst):
-    """transfer_current returns ints, D is the least that clears Y, and P
-    is bitwise the projector the Fraction route reads off Y."""
+    """transfer_current returns ints, and D is the least that clears Y."""
     weights = sp.induced_weights(inst.tree)
     assert list(inst.weights.items()) == list(weights.items())
     assert all(type(w) is Fraction for w in inst.weights.values())
@@ -189,8 +188,34 @@ def assert_build_matches_fraction_route(inst):
     assert math.gcd(inst.D, *inst.DY.flat) == 1
     Y = oracle.fraction_y(T, TY)
     assert exact_equal(oracle.fraction_y(inst.D, inst.DY), Y)
-    want = oracle.fraction_projection(Y, inst.weights)
-    assert inst.P.shape == want.shape and inst.P.tobytes() == want.tobytes()
+
+
+def assert_dual_matches_build(inst):
+    """The dual pair read off the primal's equals the dual instance's own
+    elimination: graph, weights, D and D Y, all Python ints; the signs
+    satisfy B S B*^T = 0; and check_dual accepts it."""
+    name = sp.format_tree(inst.tree)
+    graph, weights, signs, DY = sp.dual_transfer_current(inst)
+    dual = sp.build(sp.dualize(inst.tree))
+    assert graph == dual.graph and weights == dual.weights, name
+    assert dual.D == inst.D and exact_equal(DY, dual.DY), name
+    assert all(type(x) is int for x in DY.flat), name
+    assert len(signs) == len(inst.weights) and set(signs.tolist()) <= {1, -1}, name
+    assert not inst.B.dot(signs[:, None] * dual.B.T).any(), name
+    assert sp.check_dual(inst), name
+
+
+def assert_attained_on_every_tree(inst):
+    """check_attained proves the bound on every spanning tree, not only on
+    the one the target picks, and the float least eigenvalue agrees."""
+    n = len(inst.graph.edges)
+    trees = sp.spanning_trees(inst.graph)
+    _, C, _ = stacked_coefficients(inst.layout, trees)
+    P = oracle.fraction_projection(oracle.fraction_y(inst.D, inst.DY), inst.weights)
+    for j, tau in enumerate(trees):
+        assert sp.check_attained(inst, tau, C[:, j]), (sp.format_tree(inst.tree), tau)
+        least = np.linalg.eigvalsh(P[np.ix_(tau, tau)])[0]
+        assert abs(least - 1 / n) < 1e-9
 
 
 class TestIntegerChecksMatchOracles:
@@ -199,6 +224,8 @@ class TestIntegerChecksMatchOracles:
             for inst in (natural, sp.build(natural.tree, flipped_directions(natural.tree))):
                 assert_agrees_with_oracles(inst)
                 assert_build_matches_fraction_route(inst)
+                assert_dual_matches_build(inst)
+                assert_attained_on_every_tree(inst)
 
     @pytest.mark.long
     @pytest.mark.parametrize("n", [8, 9])
@@ -208,6 +235,8 @@ class TestIntegerChecksMatchOracles:
                 for inst in (sp.build(t), sp.build(t, flipped_directions(t))):
                     assert_agrees_with_oracles(inst)
                     assert_build_matches_fraction_route(inst)
+                    assert_dual_matches_build(inst)
+                    assert_attained_on_every_tree(inst)
 
     def test_bumped_entry_fails_eigen(self, instances_to_6):
         # every coefficient is nonzero, so a changed entry of a tree's block
@@ -244,12 +273,17 @@ class TestIntegerChecksMatchOracles:
 
 
 class TestCheckTarget:
+    """The target verdict: check_attained proves cos(target) = 1/sqrt(n)."""
+
     def test_small_instances(self):
         for n in range(2, 6):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     inst = sp.build(t)
-                    assert sp.check_target(inst, sp.spanning_trees(inst.graph))
+                    trees = sp.spanning_trees(inst.graph)
+                    _, tau = sp.target(inst.subspace, trees)
+                    _, C, _ = stacked_coefficients(inst.layout, [tau])
+                    assert sp.check_attained(inst, tau, C[:, 0])
 
     def test_corrupted_weights_fail(self):
         inst = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
@@ -260,32 +294,154 @@ class TestCheckTarget:
         root = np.sqrt([float(bad[e]) for e in range(4)])
         basis = sp.orthonormalize((root[:, None] * B.astype(float).T)[:, 1:])
         T, TY = sp.transfer_current(B, bad)
-        corrupted = dataclasses.replace(inst, weights=bad, B=B, P=sp.projection(T, TY, bad),
-                                        subspace=basis, D=T, DY=TY)
-        assert not sp.check_target(corrupted, sp.spanning_trees(g))
+        corrupted = dataclasses.replace(inst, weights=bad, B=B, subspace=basis,
+                                        D=T, DY=TY)
+        trees = sp.spanning_trees(g)
+        _, C, _ = stacked_coefficients(corrupted.layout, trees)
+        assert not any(sp.check_attained(corrupted, tau, C[:, j])
+                       for j, tau in enumerate(trees))
 
+    def test_zero_column_fails(self):
+        inst = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
+        assert not sp.check_attained(inst, (0, 1), [0, 0, 0, 0])
 
-def dual_check(tree):
-    inst = sp.build(tree)
-    return sp.check_dual(inst, sp.spanning_trees(inst.graph))
+    def test_kernel_alone_is_not_enough(self, instances_to_6):
+        # adding t u v^T to M through D Y, v orthogonal to c, keeps M c == 0:
+        # with u = -v and t large M gains a negative eigenvalue, which the
+        # elimination catches; with u = e_0, M is no longer symmetric, and on
+        # some trees only the symmetry test catches that
+        symmetry_only = 0
+        for inst in instances_to_6:
+            n, k = len(inst.graph.edges), inst.subspace.dim
+            if k < 2:
+                continue
+            trees = sp.spanning_trees(inst.graph)
+            _, C, _ = stacked_coefficients(inst.layout, trees)
+            for j, tau in enumerate(trees):
+                idx, c = list(tau), C[list(tau), j]
+                w = [inst.weights[e] for e in idx]
+                lcm = math.lcm(*(x.numerator for x in w))
+                a = [lcm // x.numerator * x.denominator for x in w]
+                v = np.zeros(k, dtype=object)
+                v[0], v[1] = c[1], -c[0]
+                big = 1 + int(np.abs(inst.DY).sum()) * inst.D * lcm
+                for u, t in ((-v, big), (np.eye(k, dtype=int)[0].astype(object), 1)):
+                    DY = inst.DY.copy()
+                    step = math.lcm(*a) * t * np.outer(u, v)
+                    DY[np.ix_(idx, idx)] += np.array([step[i] // a[i] for i in range(k)])
+                    bumped = dataclasses.replace(inst, DY=DY)
+                    assert not sp.check_attained(bumped, tau, C[:, j])
+                    M = n * np.array(a, dtype=object)[:, None] * DY[np.ix_(idx, idx)] \
+                        - np.diag(inst.D * np.array(a, dtype=object))
+                    assert not M.dot(c).any()
+                    symmetry_only += t == 1 and sp.positive_definite(M[:-1, :-1].tolist())
+        assert symmetry_only > 0
+
+    def test_claiming_one_over_n_minus_one_fails(self, instances_to_6):
+        # D n and D Y (n - 1) state Y's eigenvalue on c as 1/(n - 1): the
+        # kernel test fails on every tree, and the positive definiteness
+        # test of the same M agrees with the float spectrum of its minor
+        rejected = 0
+        for inst in instances_to_6:
+            n = len(inst.graph.edges)
+            claim = dataclasses.replace(inst, D=inst.D * n, DY=inst.DY * (n - 1))
+            trees = sp.spanning_trees(inst.graph)
+            _, C, _ = stacked_coefficients(inst.layout, trees)
+            Y = oracle.fraction_y(inst.D, inst.DY)
+            for j, tau in enumerate(trees):
+                assert not sp.check_attained(claim, tau, C[:, j])
+                rows = [[((n - 1) * Y[e, f] - (e == f)) / inst.weights[e] for f in tau]
+                        for e in tau]
+                scale = math.lcm(*(x.denominator for row in rows for x in row))
+                M = [[int(x * scale) for x in row] for row in rows]
+                assert not sp.positive_definite(M)
+                minor = [row[1:] for row in M[1:]]
+                least = np.linalg.eigvalsh(np.array(minor, dtype=float))[0] if minor else 1.0
+                if abs(least) <= 1e-9 * max(abs(x) for row in M for x in row):
+                    # lambda_2 is exactly 1/(n - 1): the minor is singular
+                    assert oracle.rational_det(np.array(minor, dtype=object)) == 0
+                    least = 0.0
+                assert sp.positive_definite(minor) == (least > 0)
+                rejected += least <= 0
+        assert rejected > 0
 
 
 class TestCheckDual:
     def test_banana_cycle_pair(self):
         t = sp.make_parallel([sp.make_leaf(i) for i in range(4)])
-        ok, diag = dual_check(t)
-        assert ok, diag
+        assert sp.check_dual(sp.build(t))
 
     def test_triangle(self):
-        ok, diag = dual_check(sp.parse_tree("P(e,S(e,e))"))
-        assert ok, diag
+        assert sp.check_dual(sp.build(sp.parse_tree("P(e,S(e,e))")))
 
     def test_all_small(self):
         for n in range(2, 6):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
-                    ok, diag = dual_check(t)
-                    assert ok, (sp.format_tree(t), diag)
+                    assert sp.check_dual(sp.build(t)), sp.format_tree(t)
+
+    def test_bumped_entry_fails(self, instances_to_6):
+        # entry (e, f) of D Y is entry (f, e) of the derived dual matrix X,
+        # and a dual edge is no loop, so B* X == D B* sees it
+        for inst in instances_to_6:
+            n = len(inst.graph.edges)
+            DY = inst.DY.copy()
+            bumped = dataclasses.replace(inst, DY=DY)
+            for e in range(n):
+                for f in range(n):
+                    for delta in (1, -1):
+                        DY[e, f] += delta
+                        assert not sp.check_dual(bumped)
+                        DY[e, f] -= delta
+            assert sp.check_dual(bumped)
+
+    def test_each_identity_is_needed(self, instances_to_6):
+        # changes E of the derived X = D Y*, made through D Y, that keep two
+        # of B* X == D B*, X Z* == 0 and diag(1/w*) X symmetric and break the
+        # third: with u a dual vertex's cut and z a dual cycle, c W* u u^T,
+        # c z z^T W*^(-1) and z u^T
+        for inst in instances_to_6:
+            graph, dual_w, signs, X = sp.dual_transfer_current(inst)
+            n = len(signs)
+            Bd, Z = sp.incidence_matrix(graph), sp.cycle_basis(graph)
+            p = [dual_w[e].numerator for e in range(n)]
+            q = [dual_w[e].denominator for e in range(n)]
+            w = np.array([math.lcm(*q) * p[e] // q[e] for e in range(n)], dtype=object)
+            winv = np.array([math.lcm(*p) * q[e] // p[e] for e in range(n)], dtype=object)
+            u, z = Bd[1], Z[:, 0]
+
+            def holds(X):
+                K = X * np.outer(q, p)
+                return [bool((Bd.dot(X) == inst.D * Bd).all()), not X.dot(Z).any(),
+                        bool((K == K.T).all())]
+
+            assert holds(X) == [True, True, True]
+            for broken, E in enumerate([np.outer(w * u, u), np.outer(z, winv * z),
+                                        np.outer(z, u)]):
+                assert holds(X + E) == [i != broken for i in range(3)]
+                DY = inst.DY - (np.outer(signs, signs) * E).T
+                assert not sp.check_dual(dataclasses.replace(inst, DY=DY))
+
+    def test_bumped_dual_weight_fails(self, instances_to_6, monkeypatch):
+        import spextremal.extremal as extremal
+        real = extremal._layout_weights
+        bump = {}
+
+        def bumped(layout):
+            w = real(layout)
+            for e, delta in bump.items():
+                w[e] += delta
+            return w
+
+        monkeypatch.setattr(extremal, "_layout_weights", bumped)
+        for inst in instances_to_6:
+            for e in range(len(inst.graph.edges)):
+                for delta in (1, -1):
+                    bump.clear()
+                    bump[e] = delta
+                    assert not sp.check_dual(inst), (sp.format_tree(inst.tree), e)
+            bump.clear()
+            assert sp.check_dual(inst)
 
 
 def same_partition(items, key_a, key_b):

@@ -16,6 +16,7 @@ from spextremal.numeric import (
 )
 
 from exact_oracles import (
+    fraction_projection,
     fraction_y,
     rational_det,
     rational_matrix,
@@ -113,6 +114,38 @@ class TestRationalCore:
         a = rational_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert rational_det(a) == 0
         assert bareiss([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (0, None)
+
+
+class TestPositiveDefinite:
+    def test_matches_leading_minors_and_spectrum(self):
+        # G^T G shifted by a multiple of I: definite, semidefinite and
+        # indefinite matrices, decided by the Leibniz leading minors
+        rng = random.Random(13)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            shift = rng.randint(-4, 4)
+            a = [[sum(g[r][i] * g[r][j] for r in range(n)) + shift * (i == j)
+                  for j in range(n)] for i in range(n)]
+            want = all(leibniz_det([row[:m] for row in a[:m]]) > 0
+                       for m in range(1, n + 1))
+            assert numeric.positive_definite(a) == want
+            least = np.linalg.eigvalsh(np.array(a, dtype=float))[0]
+            if abs(least) > 1e-9:
+                assert want == (least > 0)
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_small_cases(self):
+        assert numeric.positive_definite([])
+        # a zero first pivot ends the elimination before it divides by it
+        assert not numeric.positive_definite([[0, 1], [1, 1]])
+        assert not numeric.positive_definite([[1, 2], [2, 1]])
+        assert numeric.positive_definite([[2, -1], [-1, 2]])
+        big = 10 ** 40
+        assert numeric.positive_definite([[big, big - 1], [big - 1, big]])
+        assert not numeric.positive_definite([[big, big + 1], [big + 1, big]])
 
 
 class TestIncidence:
@@ -239,7 +272,7 @@ class TestProjection:
         # unit weights make the projector and the transfer current coincide
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"), [False, True, True])
         w = unit_weights(3)
-        P = sp.projection(*sp.transfer_current(sp.incidence_matrix(g), w), w)
+        P = fraction_projection(fraction_y(*sp.transfer_current(sp.incidence_matrix(g), w)), w)
         assert np.allclose(P, np.eye(3) - np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
     def test_symmetric_idempotent(self):
@@ -248,7 +281,7 @@ class TestProjection:
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
                     w = sp.induced_weights(t)
-                    P = sp.projection(*sp.transfer_current(sp.incidence_matrix(g), w), w)
+                    P = fraction_projection(fraction_y(*sp.transfer_current(sp.incidence_matrix(g), w)), w)
                     assert np.allclose(P, P.T, atol=1e-12)
                     assert np.allclose(P @ P, P, atol=1e-12)
 
@@ -259,7 +292,7 @@ class TestProjection:
             w = sp.induced_weights(t)
             T, TY = sp.transfer_current(sp.incidence_matrix(g), w)
             Y = fraction_y(T, TY)
-            P = sp.projection(T, TY, w)
+            P = fraction_projection(Y, w)
             Q = (Y * Y.T).astype(float)
             assert np.max(np.abs(P * P - Q)) < 1e-12
 

@@ -242,6 +242,12 @@ class TestAccumulate:
             SearchConfig(min_magnitude=0.0)
         with pytest.raises(ValueError, match="min_magnitude must be positive"):
             SearchConfig(min_magnitude=-1.0)
+        for name in ("eps", "init_magnitude", "decay", "min_magnitude", "dedup_tol"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SearchConfig(**{name: value})
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SearchConfig(seed=-1)
         assert SearchConfig(max_steps=0).max_steps == 0
 
     def test_violation_is_a_distinguished_return(self, monkeypatch):
