@@ -6,27 +6,39 @@ the corresponding transfer-current submatrix with eigenvalue exactly 1/n,
 every non-tree square submatrix is exactly singular, and the star space
 sits at cosine exactly 1/sqrt(n) from the nearest coordinate subspace.
 
-Both exact facts are one integer product per instance.  The eigen check
-stacks the coefficient vectors of all spanning trees.  Singularity is
-certified by a cycle basis Z of the graph: B Z = 0 and (D Y) Z = 0.  A
-non-tree edge subset on k + 1 vertices contains a circuit, whose signed
-vector lies in the span of Z, so it is a kernel vector of that subset's
-submatrix, and no subset is looked at one by one.  Attainment is proved
-on the tree the float target picks: an integer matrix congruent to
-P[tau, tau] - I/n kills the coefficient vector and is positive definite
-without that vector's row and column, by one elimination.
+Both exact facts are integer products with D Y.  The eigen check
+stacks the coefficient vectors of all spanning trees.  Singularity
+follows from four identities that prove D Y is D times the transfer
+current: B (D Y) = D B, (D Y)^2 = D (D Y), trace(D Y) = k D, and
+diag(1/w) (D Y) symmetric.  They make Y the projection onto range(W B^T)
+along ker B; a non-tree edge subset on k + 1 vertices contains a
+circuit, whose signed vector lies in ker B, so it is a kernel vector of
+that subset's submatrix, and no subset is looked at one by one.
+Attainment is proved on the tree the float target picks: an integer
+matrix congruent to P[tau, tau] - I/n kills the coefficient vector and
+is positive definite without that vector's row and column, by one
+elimination.
 """
 
 import math
 
+import numpy as np
+
 import spextremal as sp
 
 diamond = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
-Z = sp.cycle_basis(diamond.graph)
-print("the diamond P(e,S(e,P(e,e))): one column of Z per fundamental cycle")
-print(f"  Z       = {Z.tolist()}")
-print(f"  B Z     = {diamond.B.dot(Z).tolist()}")
-print(f"  (D Y) Z = {diamond.DY.dot(Z).tolist()}")
+B, D, X = diamond.B, diamond.D, diamond.DY
+w = [diamond.weights[e] for e in range(len(X))]
+K = X * np.outer([x.denominator for x in w], [x.numerator for x in w])
+print("the diamond P(e,S(e,P(e,e))): D Y is D times the transfer current")
+print(f"  D = {D}, D Y = {X.tolist()}")
+for label, holds in [
+        ("B (D Y) == D B", (B.dot(X) == D * B).all()),
+        ("(D Y)^2 == D (D Y)", (X.dot(X) == D * X).all()),
+        (f"trace(D Y) == k D, {X.trace()} == {diamond.subspace.dim} * {D}",
+         X.trace() == diamond.subspace.dim * D),
+        ("diag(1/w) (D Y) symmetric", (K == K.T).all())]:
+    print(f"  {label:36s} {bool(holds)}")
 print()
 
 for n in range(2, 7):

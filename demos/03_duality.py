@@ -6,7 +6,9 @@ ones, and the dual star space is the orthogonal complement of the primal
 one up to per-coordinate sign flips, which is why the class-count
 triangle is symmetric.  So the dual's transfer current needs no
 elimination of its own: with the signs S that make B S B*^T = 0, it is
-S (I - Y^T) S, read off the primal's integer pair (D, D Y).
+S (I - Y^T) S, read off the primal's integer pair (D, D Y).  planar_dual
+gives the dual's graph, weights and signs and builds no matrix; X is
+formed here only to show it.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ print("dual tree:  ", sp.format_tree(dual_tree),
       " (series root = closed chain; realized below)")
 
 primal = sp.build(tree)
-graph, weights, signs, DY = sp.dual_transfer_current(primal)
+graph, weights, signs = sp.planar_dual(primal)
 print("\nprimal weights:", {e: str(w) for e, w in sorted(primal.weights.items())})
 print("dual weights:  ", {e: str(w) for e, w in sorted(weights.items())})
 print("products:      ", {e: str(primal.weights[e] * weights[e])
@@ -31,12 +33,14 @@ print("\nsigns s:", signs.tolist())
 print("B S B*^T =", primal.B.dot(signs[:, None] * dual_B.T).tolist())
 print("D =", primal.D)
 print("D Y  =", primal.DY.tolist())
-print("D Y* = S (D I - (D Y)^T) S =", DY.tolist())
+identity = np.diag(np.full(len(signs), primal.D, dtype=object))
+X = (identity - primal.DY.T) * np.outer(signs, signs)
+print("D Y* = S (D I - (D Y)^T) S =", X.tolist())
 
 # the dual's own elimination gives the same pair
 dual = sp.build(dual_tree)
 print("equals the dual's own (D, D Y):",
-      dual.D == primal.D and bool((dual.DY == DY).all()))
+      dual.D == primal.D and bool((dual.DY == X).all()))
 
 print("\nranks: primal", primal.subspace.dim, " dual", dual.subspace.dim,
       " (sum = number of edges)")

@@ -40,7 +40,6 @@ from .sptree import (
 )
 from .weights import (
     TreeSums,
-    cycle_basis,
     induced_coefficients,
     induced_weights,
     spanning_trees,
@@ -58,7 +57,6 @@ from .numeric import (
     laplacian,
     match_sign_diagonal,
     orthonormalize,
-    positive_definite,
     principal_angles,
     target,
     transfer_current,
@@ -72,7 +70,7 @@ from .extremal import (
     check_eigen,
     class_table,
     count_classes,
-    dual_transfer_current,
+    planar_dual,
     verify_instance,
 )
 from .search import (
@@ -80,9 +78,6 @@ from .search import (
     SearchResult,
     ViolationReport,
     accumulate,
-    optimize,
-    perturb,
-    projection_profile,
     sample_uniform,
     symmetry_equivalent,
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -20,7 +19,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .extremal import build, class_table, verify_instance
-from .numeric import MAX_EDGES, BruteForceCapError, target
+from .numeric import MAX_EDGES, BruteForceCapError
 from .search import SearchConfig, accumulate
 from .sptree import (
     Parallel,
@@ -192,9 +191,7 @@ def cmd_search(args) -> int:
             [float(x) for x in member.basis.flatten()]
             for member, _ in result.classes
         ],
-        "scores": [
-            float(math.cos(target(member)[0])) for member, _ in result.classes
-        ],
+        "scores": [score for _, score in result.classes],
     }
     if result.violation is not None:
         payload["violation_report"] = {

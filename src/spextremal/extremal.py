@@ -9,10 +9,11 @@ star-space basis.  That is the one elimination an instance needs.  The
 check_* family proves the facts that make the subspace extremal by
 integer products with D Y, with no tolerance: check_eigen multiplies it
 by the coefficient vectors of all the given spanning trees, stacked from
-one pass over the layout; check_degenerate by a cycle basis, which
-certifies every non-tree minor zero without looking at a single subset;
-check_attained proves the bound attained on one tree; and check_dual
-reads the planar dual's transfer current off the primal's and proves it.
+one pass over the layout; check_degenerate proves by four identities
+that D Y is D times the transfer current, which makes every non-tree
+minor zero without looking at a single subset; check_attained proves
+the bound attained on one tree; and check_dual reads the planar dual off
+that proof, with two tests of the dual's graph and weights.
 Nothing on the verify path sweeps the k-subsets: the spanning trees come
 from one batched determinant (weights.spanning_trees), and the float
 target that verify reports is scored over them alone, because every
@@ -29,9 +30,9 @@ import numpy as np
 
 from .numeric import (
     Subspace,
+    bareiss,
     incidence_matrix,
     orthonormalize,
-    positive_definite,
     target,
     transfer_current,
 )
@@ -48,7 +49,6 @@ from .sptree import (
 from .weights import (
     _layout_weights,
     coefficient_layout,
-    cycle_basis,
     spanning_trees,
     stacked_coefficients,
     weights_to_json,
@@ -112,19 +112,31 @@ def _eigen_holds(inst: ExtremalInstance, C, on) -> bool:
 
 
 def check_degenerate(inst: ExtremalInstance) -> bool:
-    """Exact certificate that every non-tree k-minor of Y is zero.
+    """Exact proof that D Y is D times the transfer current, which makes
+    every non-tree k-minor of Y zero.
 
-    With Z = weights.cycle_basis(graph), it tests B Z == 0 and
-    (D Y) Z == 0 in integers.  Why that is a proof: B Z = 0 puts Z's
-    columns in the cycle space, and Z spans it (full column rank n - k).
-    A k-subset S of the edges that is not a spanning tree of the k + 1
-    vertices contains a circuit C, and C's signed vector z_C, supported on
-    S, lies in the cycle space and so in Z's span.  So (D Y) z_C = 0, which
-    makes z_C restricted to S a nonzero kernel vector of (D Y)[S, S]:
-    det Y[S, S] = 0.
+    With X = D Y, w = p / q and k the vertex count less one, the rank of
+    B (realize glues a connected graph), it tests four integer
+    identities: (a) B X == D B; (b) X X == D X; (c) trace X == k D; and
+    (d) X[e, f] q_e p_f is symmetric, that is diag(1/w) Y is symmetric.
+    Why that is a proof: by (b) and (d) Y is idempotent and self-adjoint
+    for <a, b> = a^T W^(-1) b, so it is an orthogonal projection.  By (d)
+    Y^T = W^(-1) Y W, which turns (a), B Y = B, into Y W B^T = W B^T: Y
+    fixes range(W B^T), of dimension k, and by (c) its rank, which is its
+    trace, is k.  So Y is the projection onto range(W B^T) along the
+    complement orthogonal to it for that product, ker B: the transfer
+    current.  A k-subset S of the edges that is not a spanning tree of
+    the k + 1 vertices contains a circuit C, whose signed vector z_C,
+    supported on S, lies in ker B.  So Y z_C = 0, which makes z_C
+    restricted to S a nonzero kernel vector of Y[S, S]: det Y[S, S] = 0.
     """
-    Z = cycle_basis(inst.graph)
-    return bool((inst.B.dot(Z) == 0).all() and (inst.DY.dot(Z) == 0).all())
+    X, D, B = inst.DY, inst.D, inst.B
+    w = [inst.weights[e] for e in range(len(X))]
+    p = np.array([x.numerator for x in w], dtype=object)
+    q = np.array([x.denominator for x in w], dtype=object)
+    K = X * np.outer(q, p)
+    return bool((B.dot(X) == D * B).all() and X.trace() == (len(B) - 1) * D
+                and (K == K.T).all() and (X.dot(X) == D * X).all())
 
 
 def check_attained(inst: ExtremalInstance, tau, c) -> bool:
@@ -150,21 +162,17 @@ def check_attained(inst: ExtremalInstance, tau, c) -> bool:
     if not support.size or (M != M.T).any() or M.dot(c).any():
         return False
     rest = np.delete(np.arange(len(idx)), support[-1])
-    return positive_definite(M[np.ix_(rest, rest)].tolist())
+    return bareiss(M[np.ix_(rest, rest)].tolist()) is not None
 
 
-def dual_transfer_current(inst: ExtremalInstance):
-    """The planar dual's graph, weights, signs s and D Y*, read off the
-    primal's pair with no elimination: D Y* = S (D I - (D Y)^T) S.
+def planar_dual(inst: ExtremalInstance):
+    """The planar dual's graph, weights and signs s, read off the primal.
 
     The dual tree is realized with natural directions and keeps the edge
     ids.  Its closed chain is rooted at the primal root's first branch,
     which leaves every other branch reversed, so s_e is +1 on that
     branch, -1 off it, times e's own direction sign; check_dual tests
-    B S B*^T == 0 rather than assume it.  Why the formula: I - Y^T
-    projects onto W^(-1) ker B along range(B^T), S ker B = range(B*^T),
-    S range(B^T) = ker B*, and W* is proportional to W^(-1), so
-    S (I - Y^T) S projects onto range(W* B*^T) along ker B*: it is Y*.
+    B S B*^T == 0 rather than assume it.
     """
     tree = parallel_rooted(dualize(inst.tree))
     first = inst.layout[-1][0][0]  # post-order: its leaves come first
@@ -172,41 +180,37 @@ def dual_transfer_current(inst: ExtremalInstance):
     for i, (kids, _, _, eid, sign) in enumerate(inst.layout):
         if not kids:
             signs[eid] = sign if i <= first else -sign
-    identity = np.diag(np.full(len(signs), inst.D, dtype=object))
-    DY = (identity - inst.DY.T) * np.outer(signs, signs)
-    return realize(tree), _layout_weights(coefficient_layout(tree)), signs, DY
+    return realize(tree), _layout_weights(coefficient_layout(tree)), signs
 
 
 def check_dual(inst: ExtremalInstance) -> bool:
     """Exact check of the planar dual, read off the primal.
 
-    With dual_transfer_current's graph, weights w*, signs s and X, and B*
-    the dual incidence matrix: (a) B S B*^T == 0; (b) w* is reciprocal to
-    w up to one factor, as cross products p_e p*_e Q == q_e q*_e P for
-    P / Q = w_0 w*_0; (c) B* X == D B*, B* Z* == 0 and X Z* == 0 for the
-    dual cycle basis Z*, and diag(1/w*) X is symmetric.  (c) makes X/D
-    the projection along ker B* that is self-adjoint for diag(1/w*): D
-    times the dual's transfer current.  The dual's target is the primal's:
-    by (a) and (b) the dual star space is S V^perp, and its spanning trees
-    are the complements of the primal's.  For V and a coordinate subspace
-    E of equal dimension, the orthogonal [E E^perp]^T [V V^perp] has
-    diagonal blocks E^T V and E^perp^T V^perp whose squared singular
-    values are 1 minus those of one off-diagonal block, up to extra ones:
-    both least singular values, the deviation cosines, agree.
+    With planar_dual's graph, weights w* and signs s, and B* the dual
+    incidence matrix: (a) B S B*^T == 0; (b) w* is reciprocal to w up to
+    one factor, as cross products p_e p*_e Q == q_e q*_e P for
+    P / Q = w_0 w*_0.  With check_degenerate's proof that Y is the
+    transfer current, these give the dual's Y* = S (I - Y^T) S, so the
+    primal's D clears it too.  Why: the dual graph is connected on
+    n - k + 1 vertices (Euler's formula), so by (a) S range(B*^T), of
+    dimension n - k, is ker B, and S range(B^T) = ker B*.  I - Y^T
+    projects onto W^(-1) ker B along range(B^T), and by (b) W* is
+    proportional to W^(-1), so S (I - Y^T) S projects onto
+    range(W* B*^T) along ker B*: it is Y*.
+    The dual's target is the primal's: the dual star space is S V^perp,
+    and its spanning trees are the complements of the primal's.  For V
+    and a coordinate subspace E of equal dimension, the orthogonal
+    [E E^perp]^T [V V^perp] has diagonal blocks E^T V and
+    E^perp^T V^perp whose squared singular values are 1 minus those of
+    one off-diagonal block, up to extra ones: both least singular values,
+    the deviation cosines, agree.
     """
-    graph, dual_w, signs, X = dual_transfer_current(inst)
-    Bd = incidence_matrix(graph)
-    Z = cycle_basis(graph)
+    graph, dual_w, signs = planar_dual(inst)
     edges = range(len(signs))
     top = [inst.weights[e].numerator * dual_w[e].numerator for e in edges]
     bottom = [inst.weights[e].denominator * dual_w[e].denominator for e in edges]
-    p = np.array([dual_w[e].numerator for e in edges], dtype=object)
-    q = np.array([dual_w[e].denominator for e in edges], dtype=object)
-    K = X * np.outer(q, p)
-    return bool(not inst.B.dot(signs[:, None] * Bd.T).any()
-                and all(t * bottom[0] == b * top[0] for t, b in zip(top, bottom))
-                and (Bd.dot(X) == inst.D * Bd).all() and not Bd.dot(Z).any()
-                and not X.dot(Z).any() and (K == K.T).all())
+    return bool(not inst.B.dot(signs[:, None] * incidence_matrix(graph).T).any()
+                and all(t * bottom[0] == b * top[0] for t, b in zip(top, bottom)))
 
 
 # ---------------------------------------------------------------------------

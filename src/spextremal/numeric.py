@@ -5,17 +5,18 @@ returns a determinant and an adjugate: one such elimination of the
 grounded integer Laplacian gives the weighted spanning-tree count T and
 the integer matrix T Y, where Y is the transfer current matrix;
 transfer_current returns that pair and nothing else, so Y itself is never
-formed.  positive_definite runs the same elimination forward, without
-pivoting, and decides Sylvester's criterion from its pivots.  The
-spectral identities are checked on an integer multiple of Y as integer
-products and comparisons, with zero tolerance.  The float side covers
-orthonormal bases, principal angles, and the deviation target, where
-double precision is the natural currency.  Orthonormalization and the
-target also take stacks of bases, so a batch of search walkers is bumped
-and scored with one SVD call each (the target in bounded slices).  The
-target sweeps every coordinate subset by default; verify passes the
-spanning trees instead, since every other coordinate submatrix of a star
-space is singular.
+formed.  The elimination takes no pivots, because it only sees matrices
+that must be positive definite (the reduced Laplacian of a connected
+graph and the minor of the attainment proof), and it decides Sylvester's
+criterion from its pivots on the way.  The spectral identities are
+checked on an integer multiple of Y as integer products and comparisons,
+with zero tolerance.  The float side covers orthonormal bases, principal
+angles, and the deviation target, where double precision is the natural
+currency.  Orthonormalization and the target also take stacks of bases,
+so a batch of search walkers is bumped and scored with one SVD call each
+(the target in bounded slices).  The target sweeps every coordinate
+subset by default; verify passes the spanning trees instead, since every
+other coordinate submatrix of a star space is singular.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .sptree import SpTreeError
 # The most edges, i.e. coordinates, that an exhaustive sweep takes: the
 # spanning trees, the target, and the enumerate and verify commands.
 MAX_EDGES = 12
-# Most k-by-k coordinate submatrices gathered for one batched SVD or
-# determinant; a larger stack is handled a slice at a time, which bounds
-# its memory.
+# Most k-by-k coordinate submatrices gathered for one batched SVD; a
+# larger stack is handled a slice at a time, and a search batch launches
+# no more walkers than one slice holds, which bounds their memory.
 STACK_SUBMATRICES = 1 << 14
 
 
@@ -56,53 +57,32 @@ class RankDeficientError(ValueError):
 # ---------------------------------------------------------------------------
 
 def bareiss(rows):
-    """Determinant and adjugate of a square integer matrix, exactly.
+    """(det A, adj A) of a symmetric integer matrix A, exactly, or None
+    when A is not positive definite.
 
-    Fraction-free Gauss-Jordan elimination on [A | I] (Bareiss, Math.
-    Comp. 22, 1968): each update divides by the previous pivot, and the
-    division is exact, so every entry stays an integer.  The left block
-    ends as det(A) I and the right block as adj(A).  Returns (0, None)
-    when A is singular.
+    Fraction-free Gauss-Jordan elimination on [A | I] without pivoting
+    (Bareiss, Math. Comp. 22, 1968): each update divides by the previous
+    pivot, and the division is exact, so every entry stays an integer.
+    The pivot of column j is the leading principal minor of order j + 1,
+    so by Sylvester's criterion every pivot of a positive definite matrix
+    is positive, and the elimination returns None at the first that is
+    not.  Otherwise the left block ends as det(A) I and the right block
+    as adj(A).
     """
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev, sign = 1, 1
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0, None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
         top = m[col]
         pv = top[col]
+        if pv <= 0:
+            return None
         for r in range(n):
             if r != col:
                 f = m[r][col]
                 m[r] = [(pv * x - f * y) // prev for x, y in zip(m[r], top)]
         prev = pv
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
-
-
-def positive_definite(rows) -> bool:
-    """Whether a symmetric integer matrix is positive definite, exactly.
-
-    In fraction-free elimination without pivoting (Bareiss) the pivot of
-    column j is the leading principal minor of order j + 1, so by
-    Sylvester's criterion every pivot must be positive; the elimination
-    stops at the first that is not.
-    """
-    m = [list(row) for row in rows]
-    prev = 1
-    for col, top in enumerate(m):
-        pv = top[col]
-        if pv <= 0:
-            return False
-        for r in range(col + 1, len(m)):
-            f = m[r][col]
-            m[r] = [(pv * x - f * y) // prev for x, y in zip(m[r], top)]
-        prev = pv
-    return True
+    return prev, [row[n:] for row in m]
 
 
 def require_edge_limit(n: int) -> None:
@@ -158,10 +138,11 @@ def transfer_current(B: np.ndarray, weights):
     g = math.gcd(*w_int)
     w_int = _weight_column([x // g for x in w_int], n)
     B0 = B[1:]
-    det, adj = bareiss(laplacian(B0, w_int).tolist())
-    if det == 0:
-        raise SingularMatrixError(
-            "reduced Laplacian is singular; the graph is disconnected")
+    eliminated = bareiss(laplacian(B0, w_int).tolist())
+    if eliminated is None:
+        raise SingularMatrixError("reduced Laplacian is not positive definite; "
+                                  "the graph is disconnected or a weight is not positive")
+    det, adj = eliminated
     adj = np.array(adj, dtype=object)
     return det, B0.T.dot(adj).dot(B0) * w_int[:, None]
 

@@ -1,6 +1,6 @@
 """Randomized search for maximally deviating subspaces.
 
-Hill climbing on the Grassmannian: perturb the current basis with
+Hill climbing on the Grassmannian: bump the current basis with
 Gaussian noise, keep strict improvements of the deviation target, shrink
 the step on every rejection.  Walkers climb in lockstep on an (R, n, k)
 stack of bases.  Each step bumps every walker still climbing with noise
@@ -13,8 +13,10 @@ representative per symmetry class of the extremal subspaces it reaches; a
 subspace beating the arccos(1/sqrt(n)) bound would be returned as a
 distinguished violation result.  Restarts are launched in batches as large
 as the remaining attempt budget, which is the least number of restarts
-still to run, and their results are taken in restart order, so a run does
-exactly the restarts a one-at-a-time loop would.
+still to run, but no larger than one slice of the batched target
+(numeric.STACK_SUBMATRICES coordinate submatrices), which bounds a
+batch's memory whatever the budget.  Their results are taken in restart
+order, so a run does exactly the restarts a one-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import numeric
 from .numeric import (
     Subspace,
     match_sign_diagonal,
@@ -38,7 +41,7 @@ from .numeric import (
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the optimizer and the accumulation loop."""
+    """Knobs for the climber and the accumulation loop."""
 
     attempts: int = 200          # consecutive fruitless restarts before stopping
     eps: float = 1e-4            # extremality tolerance, cosine scale
@@ -83,7 +86,7 @@ class ViolationReport:
 
 @dataclass
 class SearchResult:
-    """Accumulated classes (subspace plus its float profile key)."""
+    """Accumulated classes, each a (subspace, cosine score) pair."""
 
     classes: list
     violation: ViolationReport | None
@@ -151,26 +154,6 @@ def _climb(bases: np.ndarray, rngs, cfg: SearchConfig) -> np.ndarray:
     return out
 
 
-def perturb(sub: Subspace, magnitude: float, rng) -> Subspace:
-    """Gaussian bump of the basis, re-orthonormalized: one walker's bump."""
-    basis = _bump(sub.basis[None], np.array([magnitude], dtype=float), [rng])[0]
-    return Subspace(sub.ambient, sub.dim, basis)
-
-
-def optimize(sub: Subspace, cfg: SearchConfig, rng=None) -> Subspace:
-    """Accept-improving random walk; shrinks the step on every rejection."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return Subspace(sub.ambient, sub.dim, _climb(sub.basis[None], [rng], cfg)[0])
-
-
-def projection_profile(sub: Subspace) -> np.ndarray:
-    """Sorted row norms of the orthogonal projector; invariant under signed
-    coordinate permutations."""
-    P = sub.basis @ sub.basis.T
-    return np.sort(np.linalg.norm(P, axis=1))
-
-
 def symmetry_equivalent(a: Subspace, b: Subspace, tol: float = 1e-3) -> bool:
     """Does some signed coordinate permutation carry col(a) onto col(b)?
 
@@ -224,7 +207,7 @@ def symmetry_equivalent(a: Subspace, b: Subspace, tol: float = 1e-3) -> bool:
 def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     """Restart until the class set plateaus or the bound breaks.
 
-    Each restart draws a uniform subspace, optimizes it, and scores it in
+    Each restart draws a uniform subspace, climbs from it, and scores it in
     cosine scale.  A score below 1/sqrt(n) - eps disproves the bound and
     returns immediately as a violation; scores within eps of the bound
     join the set when not symmetric to a known member, resetting the
@@ -234,15 +217,16 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     if not n > k > 0:
         raise ValueError("need n > k > 0")
     bound = 1.0 / math.sqrt(n)
-    members: list[tuple[Subspace, np.ndarray]] = []
+    members: list[tuple[Subspace, float]] = []
     budget = cfg.attempts
     restarts = 0
+    cap = max(1, numeric.STACK_SUBMATRICES // math.comb(n, k))
     while budget > 0:
         # every restart of the batch is one the serial rule runs: a result
         # lowers the budget by at most one, so it stays positive until the last
         rngs = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                              spawn_key=(i,)))
-                for i in range(restarts, restarts + budget)]
+                for i in range(restarts, restarts + min(budget, cap))]
         starts = np.stack([sample_uniform(n, k, rng).basis for rng in rngs])
         for basis in _climb(starts, rngs, cfg):
             sub = Subspace(n, k, basis)
@@ -256,7 +240,7 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
             if abs(score - bound) <= cfg.eps and not any(
                     symmetry_equivalent(sub, member, cfg.dedup_tol)
                     for member, _ in members):
-                members.append((sub, projection_profile(sub)))
+                members.append((sub, score))
                 budget = cfg.attempts
             else:
                 budget -= 1

@@ -13,16 +13,14 @@ pass, each step an array operation over all the trees at once
 (stacked_coefficients).  spanning_trees lists the trees the eigen check
 and the target run on, from one batched determinant over all edge subsets
 of the reduced incidence matrix, exact because that matrix is totally
-unimodular, and cycle_basis gives the signed fundamental cycles that
-certify every non-tree minor zero at once.
+unimodular.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
-from itertools import chain, combinations, compress, islice
+from itertools import chain, combinations, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -229,9 +227,8 @@ def spanning_trees(graph) -> list[tuple]:
     With k + 1 vertices, n edges and B0 the incidence matrix without
     vertex 0's row, a k-subset S of the edges is a spanning tree exactly
     when det B0[:, S] != 0.  One batched float np.linalg.det tests every
-    S on the (C(n, k), k, k) stack of those submatrices, built and
-    factored numeric.STACK_SUBMATRICES submatrices at a time to bound its
-    memory.  Why floats decide it exactly: B0 is totally unimodular (every
+    S on the (C(n, k), k, k) stack of those submatrices, at most
+    C(12, 6) = 924 of them under numeric.MAX_EDGES.  Why floats decide it exactly: B0 is totally unimodular (every
     square submatrix has determinant 0 or +-1; a loop is a zero column).
     LU with partial pivoting keeps every intermediate matrix a Schur
     complement of B0[:, S] with its rows permuted, whose entries are ratios
@@ -250,53 +247,9 @@ def spanning_trees(graph) -> list[tuple]:
         rows[e, head] += 1
         rows[e, tail] -= 1
     rows = rows[:, 1:]
-    subsets = combinations(range(n), size)
-    trees = []
-    while chunk := list(islice(subsets, numeric.STACK_SUBMATRICES)):
-        det = np.linalg.det(rows[np.array(chunk, dtype=int)])
-        trees.extend(compress(chunk, det))
-    return trees
-
-
-def cycle_basis(graph) -> np.ndarray:
-    """The signed fundamental cycles of a BFS spanning tree from vertex 0.
-
-    Returns the n x (n - k) integer matrix Z (an object array of Python
-    ints) of a connected graph on k + 1 vertices and n edges, with one
-    column per non-tree edge f, in edge-id order.  The column is +1 on f,
-    and on the tree path that walks back from f's head to its tail it is
-    +1 on each edge walked along its direction and -1 on each edge walked
-    against it, so B Z = 0.  Each non-tree edge is +1 in its own column and
-    0 in the others, so Z has full column rank n - k, the dimension of the
-    cycle space: its columns are a basis of that space.  Raises
-    SpTreeError when the graph is disconnected.
-    """
-    adjacency = [[] for _ in range(graph.num_vertices)]
-    for tail, head, e in graph.edges:
-        adjacency[tail].append((head, e, 1))
-        adjacency[head].append((tail, e, -1))
-    # vertex -> the signed tree path from vertex 0 to it, as {edge: sign}
-    path = {0: {}}
-    tree = set()
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v, e, sign in adjacency[u]:
-            if v not in path:
-                path[v] = {**path[u], e: sign}
-                tree.add(e)
-                queue.append(v)
-    if len(path) != graph.num_vertices:
-        raise SpTreeError("graph is disconnected")
-    chords = [(t, h, f) for t, h, f in graph.edges if f not in tree]
-    Z = np.zeros((len(graph.edges), len(chords)), dtype=object)
-    for j, (tail, head, f) in enumerate(chords):
-        Z[f, j] = 1
-        for e, sign in path[tail].items():
-            Z[e, j] += sign
-        for e, sign in path[head].items():
-            Z[e, j] -= sign
-    return Z
+    subsets = list(combinations(range(n), size))
+    det = np.linalg.det(rows[np.array(subsets, dtype=int).reshape(len(subsets), size)])
+    return list(compress(subsets, det))
 
 
 def weights_to_json(weights) -> dict[str, str]:

@@ -11,16 +11,17 @@ Fraction arithmetic; scaled_coefficients is the integer pass over the
 layout for one tree at a time, which weights.stacked_coefficients runs
 for all of them at once.  check_eigen and check_degenerate work on the
 Fraction matrix Y one subset at a time, the latter through rational_det,
-which clears each row's denominators before one integer elimination.
-brute_tree_sums sweeps every edge subset for the weighted tree and
-2-forest sums, and spanning_trees keeps the k-subsets on which a
-union-find closes no cycle.  realize_with_spans glues the graph from two
-fresh vertices per leaf by a union-find and keeps every node's terminal
-pair.  The integer routines in spextremal must agree with these: the
-batched eigen check with check_eigen on every spanning tree, the
-cycle-space certificate with check_degenerate on every non-tree subset,
-the stacked coefficients with scaled_coefficients on every tree, the
-batched determinant with the union-find sweep, and the top-down
+which clears each row's denominators before one integer elimination by
+bareiss, the pivoting version of numeric.bareiss for matrices that are
+not positive definite.  brute_tree_sums sweeps every edge subset for the
+weighted tree and 2-forest sums, and spanning_trees keeps the k-subsets
+on which a union-find closes no cycle.  realize_with_spans glues the
+graph from two fresh vertices per leaf by a union-find and keeps every
+node's terminal pair.  The integer routines in spextremal must agree
+with these: the batched eigen check with check_eigen on every spanning
+tree, the transfer-current proof with check_degenerate on every non-tree
+subset, the stacked coefficients with scaled_coefficients on every tree,
+the batched determinant with the union-find sweep, and the top-down
 sptree.realize with realize_with_spans.
 """
 
@@ -30,7 +31,6 @@ from itertools import combinations
 
 import numpy as np
 
-from spextremal.numeric import bareiss
 from spextremal.sptree import (
     Leaf,
     MultiGraph,
@@ -269,6 +269,35 @@ def least_eigenvalue_report(inst) -> list[tuple[tuple, float]]:
         sub = P[np.ix_(idx, idx)]
         out.append((tau, float(np.linalg.eigvalsh(sub)[0])))
     return out
+
+
+def bareiss(rows):
+    """Determinant and adjugate of any square integer matrix, exactly.
+
+    Fraction-free Gauss-Jordan elimination on [A | I] with a row swap to
+    the first nonzero pivot (Bareiss, Math. Comp. 22, 1968); the left
+    block ends as det(A) I and the right block as adj(A).  Returns
+    (0, None) when A is singular.  numeric.bareiss is the same
+    elimination without the swaps, for positive definite matrices only.
+    """
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev, sign = 1, 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0, None
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        top = m[col]
+        pv = top[col]
+        for r in range(n):
+            if r != col:
+                f = m[r][col]
+                m[r] = [(pv * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = pv
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def rational_det(a: np.ndarray) -> Fraction:

@@ -2,7 +2,7 @@
 
 Each restart draws a uniform start, then perturbs, orthonormalizes and
 scores one candidate at a time with plain two- and three-dimensional numpy
-calls and one Subspace per candidate.  search.optimize and
+calls and one Subspace per candidate.  search._bump, search._climb and
 search.accumulate stack their walkers and must reproduce this bit for bit.
 """
 
@@ -15,7 +15,6 @@ from spextremal.numeric import Subspace
 from spextremal.search import (
     SearchResult,
     ViolationReport,
-    projection_profile,
     symmetry_equivalent,
 )
 
@@ -86,7 +85,7 @@ def accumulate(n, k, cfg):
         if abs(score - bound) <= cfg.eps and not any(
                 symmetry_equivalent(sub, member, cfg.dedup_tol)
                 for member, _ in members):
-            members.append((sub, projection_profile(sub)))
+            members.append((sub, score))
             budget = cfg.attempts
         else:
             budget -= 1

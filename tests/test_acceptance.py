@@ -66,7 +66,7 @@ def test_criterion_2_exact_spectral_identities(instances_to_7):
                 assert oracle.check_degenerate(inst, subset), sp.format_tree(inst.tree)
                 degenerate_checked += 1
     report(f"2 PASS: eigen identity exact on {eigen_checked} spanning trees, "
-           f"cycle-space certificate exact on {len(instances_to_7)} instances, "
+           f"transfer-current proof exact on {len(instances_to_7)} instances, "
            f"det zero exact on {degenerate_checked} non-tree subsets")
 
 
@@ -160,7 +160,7 @@ def test_criterion_8_search_reproduction():
         for member, _ in result.classes:
             assert any(symmetry_equivalent(member, c, 1e-3) for c in constructive), \
                 (n, k)
-    # 100 one-walker optimize runs, climbed as one lockstep batch: each
+    # 100 one-walker climbs, run as one lockstep batch: each
     # walker draws its start and its steps from its own stream, as alone
     cfg = SearchConfig(seed=0)
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=99, spawn_key=(i,)))

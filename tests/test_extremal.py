@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spextremal as sp
+from spextremal import numeric
 from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
@@ -17,6 +18,21 @@ from matrix_canon import canonical_matrix_form, oracle_key, squared_projector
 
 def exact_equal(a, b):
     return a.shape == b.shape and bool((a == b).all())
+
+
+def positive_definite(rows):
+    return numeric.bareiss(rows) is not None
+
+
+def degenerate_identities(inst, X, D):
+    """check_degenerate's four identities for the pair (D, X), each on its
+    own: B X == D B, X X == D X, trace X == k D and diag(1/w) X symmetric."""
+    B, n = inst.B, len(X)
+    p = np.array([inst.weights[e].numerator for e in range(n)], dtype=object)
+    q = np.array([inst.weights[e].denominator for e in range(n)], dtype=object)
+    K = X * np.outer(q, p)
+    return [bool((B.dot(X) == D * B).all()), bool((X.dot(X) == D * X).all()),
+            X.trace() == (len(B) - 1) * D, bool((K == K.T).all())]
 
 
 class TestBuild:
@@ -121,6 +137,43 @@ class TestCheckDegenerate:
                         if s not in trees:
                             assert oracle.check_degenerate(inst, s)
 
+    def test_each_identity_is_needed(self, instances_to_6):
+        # changes of X = D Y that keep three identities and break one, with
+        # z, z' columns of D I - X (they span ker B), |z|^2 = z . (winv z)
+        # for winv = lcm(p) q / p, and u a vertex's row of B: S X S, S
+        # flipping one edge's sign, breaks B X == D B; adding
+        # |z'|^2 z (winv z)^T - |z|^2 z' (winv z')^T keeps the trace and
+        # breaks X X == D X, which needs two independent cycles; D I breaks
+        # the trace; adding z u^T breaks the symmetry
+        two_cycles = 0
+        for inst in instances_to_6:
+            X, D, n = inst.DY, inst.D, len(inst.DY)
+            name = sp.format_tree(inst.tree)
+            assert degenerate_identities(inst, X, D) == [True] * 4, name
+            assert sp.check_degenerate(inst), name
+            p = [inst.weights[e].numerator for e in range(n)]
+            q = [inst.weights[e].denominator for e in range(n)]
+            winv = np.array([math.lcm(*p) * q[e] // p[e] for e in range(n)], dtype=object)
+            kernel = np.diag(np.full(n, D, dtype=object)) - X
+            z = kernel[:, np.flatnonzero(kernel.any(axis=0))[0]]
+            flip = np.ones(n, dtype=object)
+            flip[0] = -1
+            changed = {0: X * np.outer(flip, flip), 2: np.diag(np.full(n, D, dtype=object)),
+                       3: X + np.outer(z, inst.B[1])}
+            for j in range(n):
+                z2 = kernel[:, j]
+                E = (z2.dot(winv * z2) * np.outer(z, winv * z)
+                     - z.dot(winv * z) * np.outer(z2, winv * z2))
+                if E.any():
+                    changed[1] = X + E
+                    two_cycles += 1
+                    break
+            for broken, bad in changed.items():
+                holds = degenerate_identities(inst, bad, D)
+                assert holds == [i != broken for i in range(4)], (name, broken)
+                assert not sp.check_degenerate(dataclasses.replace(inst, DY=bad)), name
+        assert two_cycles > 0
+
 
 def flipped_directions(tree):
     """One fixed pseudo-random direction set per tree."""
@@ -149,8 +202,8 @@ def assert_stacked_matches_per_tree(inst, trees):
 
 def assert_agrees_with_oracles(inst):
     """Integer checks equal the Fraction oracles: the eigen check on each
-    spanning tree and on all of them at once, and the cycle-space
-    certificate with the sweep over every non-tree k-subset.  The batched
+    spanning tree and on all of them at once, and the transfer-current
+    proof with the sweep over every non-tree k-subset.  The batched
     determinant lists the union-find sweep's trees, and the target over
     them equals the exhaustive one bit for bit, angle and subset."""
     n, k = len(inst.graph.edges), inst.subspace.dim
@@ -191,15 +244,18 @@ def assert_build_matches_fraction_route(inst):
 
 
 def assert_dual_matches_build(inst):
-    """The dual pair read off the primal's equals the dual instance's own
-    elimination: graph, weights, D and D Y, all Python ints; the signs
-    satisfy B S B*^T = 0; and check_dual accepts it."""
+    """planar_dual's graph and weights, and X = S (D I - (D Y)^T) S formed
+    with its signs, equal the dual instance's own elimination: graph,
+    weights, D and D Y, all Python ints; the signs satisfy B S B*^T = 0;
+    and check_dual accepts it."""
     name = sp.format_tree(inst.tree)
-    graph, weights, signs, DY = sp.dual_transfer_current(inst)
+    graph, weights, signs = sp.planar_dual(inst)
+    identity = np.diag(np.full(len(signs), inst.D, dtype=object))
+    X = (identity - inst.DY.T) * np.outer(signs, signs)
     dual = sp.build(sp.dualize(inst.tree))
     assert graph == dual.graph and weights == dual.weights, name
-    assert dual.D == inst.D and exact_equal(DY, dual.DY), name
-    assert all(type(x) is int for x in DY.flat), name
+    assert dual.D == inst.D and exact_equal(X, dual.DY), name
+    assert all(type(x) is int for x in X.flat), name
     assert len(signs) == len(inst.weights) and set(signs.tolist()) <= {1, -1}, name
     assert not inst.B.dot(signs[:, None] * dual.B.T).any(), name
     assert sp.check_dual(inst), name
@@ -257,8 +313,8 @@ class TestIntegerChecksMatchOracles:
             assert sp.check_eigen(bumped, trees)
 
     def test_bumped_entry_fails_certificate(self, instances_to_6):
-        # every edge of a 2-connected graph lies on a fundamental cycle, so
-        # a changed entry (e, f) changes row e of (D Y) Z
+        # no edge of a 2-connected graph is a loop, so a changed entry
+        # (e, f) changes column f of B (D Y) in the rows of e's two ends
         for inst in instances_to_6:
             n = len(inst.graph.edges)
             DY = inst.DY.copy()
@@ -334,7 +390,7 @@ class TestCheckTarget:
                     M = n * np.array(a, dtype=object)[:, None] * DY[np.ix_(idx, idx)] \
                         - np.diag(inst.D * np.array(a, dtype=object))
                     assert not M.dot(c).any()
-                    symmetry_only += t == 1 and sp.positive_definite(M[:-1, :-1].tolist())
+                    symmetry_only += t == 1 and positive_definite(M[:-1, :-1].tolist())
         assert symmetry_only > 0
 
     def test_claiming_one_over_n_minus_one_fails(self, instances_to_6):
@@ -354,14 +410,14 @@ class TestCheckTarget:
                         for e in tau]
                 scale = math.lcm(*(x.denominator for row in rows for x in row))
                 M = [[int(x * scale) for x in row] for row in rows]
-                assert not sp.positive_definite(M)
+                assert not positive_definite(M)
                 minor = [row[1:] for row in M[1:]]
                 least = np.linalg.eigvalsh(np.array(minor, dtype=float))[0] if minor else 1.0
                 if abs(least) <= 1e-9 * max(abs(x) for row in M for x in row):
                     # lambda_2 is exactly 1/(n - 1): the minor is singular
                     assert oracle.rational_det(np.array(minor, dtype=object)) == 0
                     least = 0.0
-                assert sp.positive_definite(minor) == (least > 0)
+                assert positive_definite(minor) == (least > 0)
                 rejected += least <= 0
         assert rejected > 0
 
@@ -381,8 +437,8 @@ class TestCheckDual:
                     assert sp.check_dual(sp.build(t)), sp.format_tree(t)
 
     def test_bumped_entry_fails(self, instances_to_6):
-        # entry (e, f) of D Y is entry (f, e) of the derived dual matrix X,
-        # and a dual edge is no loop, so B* X == D B* sees it
+        # the dual is read off D Y, so the verdict on it rests on the proof
+        # that D Y is right: a changed entry fails it
         for inst in instances_to_6:
             n = len(inst.graph.edges)
             DY = inst.DY.copy()
@@ -391,36 +447,30 @@ class TestCheckDual:
                 for f in range(n):
                     for delta in (1, -1):
                         DY[e, f] += delta
-                        assert not sp.check_dual(bumped)
+                        assert not (sp.check_degenerate(bumped) and sp.check_dual(bumped))
                         DY[e, f] -= delta
-            assert sp.check_dual(bumped)
+            assert sp.check_degenerate(bumped) and sp.check_dual(bumped)
 
-    def test_each_identity_is_needed(self, instances_to_6):
-        # changes E of the derived X = D Y*, made through D Y, that keep two
-        # of B* X == D B*, X Z* == 0 and diag(1/w*) X symmetric and break the
-        # third: with u a dual vertex's cut and z a dual cycle, c W* u u^T,
-        # c z z^T W*^(-1) and z u^T
+    def test_flipped_sign_fails(self, instances_to_6, monkeypatch):
+        # flipping s_e adds -2 s_e B[:, e] B*[:, e]^T to B S B*^T, which
+        # is nonzero because neither graph has a loop
+        import spextremal.extremal as extremal
+        real = extremal.planar_dual
+        flip = []
+
+        def flipped(inst):
+            graph, weights, signs = real(inst)
+            signs = signs.copy()
+            signs[flip] *= -1
+            return graph, weights, signs
+
+        monkeypatch.setattr(extremal, "planar_dual", flipped)
         for inst in instances_to_6:
-            graph, dual_w, signs, X = sp.dual_transfer_current(inst)
-            n = len(signs)
-            Bd, Z = sp.incidence_matrix(graph), sp.cycle_basis(graph)
-            p = [dual_w[e].numerator for e in range(n)]
-            q = [dual_w[e].denominator for e in range(n)]
-            w = np.array([math.lcm(*q) * p[e] // q[e] for e in range(n)], dtype=object)
-            winv = np.array([math.lcm(*p) * q[e] // p[e] for e in range(n)], dtype=object)
-            u, z = Bd[1], Z[:, 0]
-
-            def holds(X):
-                K = X * np.outer(q, p)
-                return [bool((Bd.dot(X) == inst.D * Bd).all()), not X.dot(Z).any(),
-                        bool((K == K.T).all())]
-
-            assert holds(X) == [True, True, True]
-            for broken, E in enumerate([np.outer(w * u, u), np.outer(z, winv * z),
-                                        np.outer(z, u)]):
-                assert holds(X + E) == [i != broken for i in range(3)]
-                DY = inst.DY - (np.outer(signs, signs) * E).T
-                assert not sp.check_dual(dataclasses.replace(inst, DY=DY))
+            for e in range(len(inst.graph.edges)):
+                flip[:] = [e]
+                assert not sp.check_dual(inst), (sp.format_tree(inst.tree), e)
+            flip.clear()
+            assert sp.check_dual(inst)
 
     def test_bumped_dual_weight_fails(self, instances_to_6, monkeypatch):
         import spextremal.extremal as extremal

@@ -9,13 +9,13 @@ import pytest
 import spextremal as sp
 from spextremal import numeric
 from spextremal.numeric import (
-    bareiss,
     coordinate_subsets,
     require_orthonormal,
     stacked_target,
 )
 
 from exact_oracles import (
+    bareiss,
     fraction_projection,
     fraction_y,
     rational_det,
@@ -40,7 +40,7 @@ def unit_weights(n):
 
 
 def leibniz_det(a):
-    """Permutation-expansion determinant, the oracle for bareiss."""
+    """Permutation-expansion determinant, the oracle for both eliminations."""
     n = len(a)
     total = 0
     for perm in permutations(range(n)):
@@ -117,6 +117,10 @@ class TestRationalCore:
 
 
 class TestPositiveDefinite:
+    """numeric.bareiss, which takes no pivots, returns None exactly when a
+    symmetric matrix is not positive definite, and otherwise the pivoting
+    oracle's determinant and adjugate."""
+
     def test_matches_leading_minors_and_spectrum(self):
         # G^T G shifted by a multiple of I: definite, semidefinite and
         # indefinite matrices, decided by the Leibniz leading minors
@@ -130,7 +134,10 @@ class TestPositiveDefinite:
                   for j in range(n)] for i in range(n)]
             want = all(leibniz_det([row[:m] for row in a[:m]]) > 0
                        for m in range(1, n + 1))
-            assert numeric.positive_definite(a) == want
+            got = numeric.bareiss(a)
+            assert (got is not None) == want
+            if want:
+                assert got == bareiss(a)
             least = np.linalg.eigvalsh(np.array(a, dtype=float))[0]
             if abs(least) > 1e-9:
                 assert want == (least > 0)
@@ -138,14 +145,14 @@ class TestPositiveDefinite:
         assert seen == {True, False}
 
     def test_small_cases(self):
-        assert numeric.positive_definite([])
+        assert numeric.bareiss([]) == (1, [])
         # a zero first pivot ends the elimination before it divides by it
-        assert not numeric.positive_definite([[0, 1], [1, 1]])
-        assert not numeric.positive_definite([[1, 2], [2, 1]])
-        assert numeric.positive_definite([[2, -1], [-1, 2]])
+        assert numeric.bareiss([[0, 1], [1, 1]]) is None
+        assert numeric.bareiss([[1, 2], [2, 1]]) is None
+        assert numeric.bareiss([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
         big = 10 ** 40
-        assert numeric.positive_definite([[big, big - 1], [big - 1, big]])
-        assert not numeric.positive_definite([[big, big + 1], [big + 1, big]])
+        assert numeric.bareiss([[big, big - 1], [big - 1, big]]) is not None
+        assert numeric.bareiss([[big, big + 1], [big + 1, big]]) is None
 
 
 class TestIncidence:

@@ -7,14 +7,12 @@ from scipy import stats
 import serial_search
 import spextremal as sp
 import spextremal.search as search_mod
+from spextremal import numeric
 from spextremal.search import (
     SearchConfig,
     _bump,
     _climb,
     accumulate,
-    optimize,
-    perturb,
-    projection_profile,
     sample_uniform,
     symmetry_equivalent,
 )
@@ -23,6 +21,17 @@ from spextremal.search import (
 def rng_for(entropy, index=0):
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy,
                                                         spawn_key=(index,)))
+
+
+def bump_one(sub, magnitude, rng):
+    """One walker's bump: _bump on a one-row stack."""
+    basis = _bump(sub.basis[None], np.array([magnitude], dtype=float), [rng])[0]
+    return sp.Subspace(sub.ambient, sub.dim, basis)
+
+
+def climb_one(sub, cfg, rng):
+    """One walker's climb: _climb on a one-row stack."""
+    return sp.Subspace(sub.ambient, sub.dim, _climb(sub.basis[None], [rng], cfg)[0])
 
 
 class TestSampleUniform:
@@ -62,7 +71,7 @@ class TestPerturb:
     def test_zero_magnitude_is_identity(self):
         rng = np.random.default_rng(3)
         s = sample_uniform(5, 2, rng)
-        moved = perturb(s, 0.0, rng)
+        moved = bump_one(s, 0.0, rng)
         residual = moved.basis - s.basis @ (s.basis.T @ moved.basis)
         assert np.linalg.norm(residual, 2) <= 1e-12
 
@@ -70,7 +79,7 @@ class TestPerturb:
         rng = np.random.default_rng(4)
         s = sample_uniform(5, 2, rng)
         for mag in (1e-6, 0.1, 10.0):
-            moved = perturb(s, mag, rng)
+            moved = bump_one(s, mag, rng)
             assert np.allclose(moved.basis.T @ moved.basis, np.eye(2), atol=1e-12)
 
     def test_displacement_grows_with_magnitude(self):
@@ -79,7 +88,7 @@ class TestPerturb:
         mags = np.geomspace(1e-4, 1.0, 12)
         angles = []
         for mag in mags:
-            trial = [sp.principal_angles(s, perturb(s, mag, rng))[-1]
+            trial = [sp.principal_angles(s, bump_one(s, mag, rng))[-1]
                      for _ in range(80)]
             angles.append(np.mean(trial))
         rho, _ = stats.spearmanr(mags, angles)
@@ -125,14 +134,14 @@ class TestOptimize:
             rng = rng_for(50, i)
             start = sample_uniform(4, 2, rng)
             before = sp.target(start)[0]
-            after = sp.target(optimize(start, cfg, rng))[0]
+            after = sp.target(climb_one(start, cfg, rng))[0]
             assert after >= before
 
     def test_plane_line_converges(self):
         cfg = SearchConfig(seed=0)
         for i in range(5):
             rng = rng_for(51, i)
-            final = optimize(sample_uniform(2, 1, rng), cfg, rng)
+            final = climb_one(sample_uniform(2, 1, rng), cfg, rng)
             assert abs(math.cos(sp.target(final)[0]) - 1 / math.sqrt(2)) < 1e-6
 
     def test_matches_serial_oracle_bitwise(self):
@@ -140,7 +149,7 @@ class TestOptimize:
         for n, k in ((4, 2), (5, 2)):
             for i in range(3):
                 got_rng, want_rng = rng_for(52, i), rng_for(52, i)
-                got = optimize(sample_uniform(n, k, got_rng), cfg, got_rng)
+                got = climb_one(sample_uniform(n, k, got_rng), cfg, got_rng)
                 want = serial_search.optimize(
                     serial_search.sample_uniform(n, k, want_rng), cfg, want_rng)
                 assert got.basis.tobytes() == want.basis.tobytes()
@@ -192,15 +201,6 @@ class TestSymmetryEquivalent:
         a, b = list(keys.values())[:2]
         assert not symmetry_equivalent(a, b, 1e-3)
         assert len(reps) >= 2
-
-    def test_profile_is_signed_permutation_invariant(self):
-        rng = np.random.default_rng(14)
-        s = sample_uniform(6, 2, rng)
-        perm = rng.permutation(6)
-        moved_basis = s.basis[np.argsort(perm), :] * rng.choice([-1, 1], size=(6, 1))
-        moved = sp.Subspace(6, 2, moved_basis)
-        assert np.allclose(projection_profile(s), projection_profile(moved),
-                           atol=1e-12)
 
 
 class TestAccumulate:
@@ -265,6 +265,28 @@ class TestAccumulate:
         assert abs(res.violation.deviation_cos - 0.2) < 1e-12
         assert res.violation.subset == (0,)
 
+    def test_batches_are_capped_and_change_no_bit(self, monkeypatch):
+        # a batch launches at most STACK_SUBMATRICES // C(n, k) restarts, so
+        # its memory does not grow with the budget; batching changes no bit
+        cfg = SearchConfig(seed=7, attempts=10)
+        whole = accumulate(3, 2, cfg)
+        sizes = []
+        climb = search_mod._climb
+
+        def counting_climb(bases, rngs, cfg):
+            sizes.append(len(bases))
+            return climb(bases, rngs, cfg)
+
+        monkeypatch.setattr(search_mod, "_climb", counting_climb)
+        monkeypatch.setattr(numeric, "STACK_SUBMATRICES", 12)
+        capped = accumulate(3, 2, cfg)
+        assert max(sizes) == 12 // math.comb(3, 2) and len(sizes) > 2
+        assert capped.restarts == whole.restarts and capped.violation is None
+        assert len(capped.classes) == len(whole.classes) > 0
+        for (a, score_a), (b, score_b) in zip(capped.classes, whole.classes):
+            assert a.basis.tobytes() == b.basis.tobytes()
+            assert score_a.hex() == score_b.hex()
+
     @pytest.mark.parametrize("n, k, seed", [(2, 1, 7), (3, 2, 7), (4, 2, 7), (5, 2, 1)])
     def test_matches_serial_oracle(self, n, k, seed):
         cfg = SearchConfig(seed=seed, attempts=40)
@@ -273,6 +295,6 @@ class TestAccumulate:
         assert got.violation is None and want.violation is None
         assert got.restarts == want.restarts
         assert len(got.classes) == len(want.classes)
-        for (a, profile_a), (b, profile_b) in zip(got.classes, want.classes):
+        for (a, score_a), (b, score_b) in zip(got.classes, want.classes):
             assert a.basis.tobytes() == b.basis.tobytes()
-            assert profile_a.tobytes() == profile_b.tobytes()
+            assert score_a.hex() == score_b.hex()

@@ -1,13 +1,10 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
 
-import numpy as np
 import pytest
 
 import spextremal as sp
-from spextremal import numeric
 from spextremal.numeric import laplacian, incidence_matrix
 
 import exact_oracles as oracle
@@ -147,53 +144,12 @@ class TestBruteEnumeration:
         with pytest.raises(sp.BruteForceCapError, match="13 edges exceed the limit of 12"):
             sp.spanning_trees(sp.realize(t))
 
-    @pytest.mark.parametrize("limit", [1, 7, 35])
-    def test_sliced_determinant_stack_is_identical(self, monkeypatch, limit):
-        # n = 7 has up to 35 subsets: one per slice, slices with a
-        # remainder, and one whole slice
-        graphs = [sp.realize(t) for k in range(1, 7) for t in sp.enumerate_rooted(7, k)]
-        whole = [sp.spanning_trees(g) for g in graphs]
-        monkeypatch.setattr(numeric, "STACK_SUBMATRICES", limit)
-        assert [sp.spanning_trees(g) for g in graphs] == whole
-
     def test_loops_and_disconnected_graphs(self):
         # a loop is a zero column of the incidence matrix: in no tree
         looped = sp.MultiGraph(2, ((0, 1, 0), (1, 1, 1), (1, 0, 2)), (0, 1))
         assert sp.spanning_trees(looped) == oracle.spanning_trees(looped) == [(0,), (2,)]
         apart = sp.MultiGraph(4, ((0, 1, 0), (2, 3, 1), (3, 2, 2)), (0, 1))
         assert sp.spanning_trees(apart) == oracle.spanning_trees(apart) == []
-
-
-class TestCycleBasis:
-    def test_diamond_by_hand(self):
-        g = sp.realize(sp.parse_tree("P(e,S(e,P(e,e)))"))
-        # BFS from vertex 0 keeps edges 0 and 1; the chords 2 and 3 close
-        # their cycles back through them
-        Z = sp.cycle_basis(g)
-        assert Z.tolist() == [[-1, -1], [1, 1], [1, 0], [0, 1]]
-        assert all(type(x) is int for x in Z.flat)
-
-    def test_basis_of_the_cycle_space(self):
-        rng = random.Random(5)
-        for n in range(2, 8):
-            for k in range(1, n):
-                for t in sp.enumerate_rooted(n, k):
-                    g = sp.realize(t, [rng.random() < 0.5 for _ in range(n)])
-                    Z = sp.cycle_basis(g)
-                    assert Z.shape == (n, n - k)
-                    assert (incidence_matrix(g).dot(Z) == 0).all()
-                    # the chords, in edge-id order, carry the identity block,
-                    # and the other edges form a spanning tree
-                    trees = set(sp.spanning_trees(g))
-                    assert any(
-                        (Z[list(chords)] == np.eye(n - k, dtype=int)).all()
-                        and tuple(e for e in range(n) if e not in chords) in trees
-                        for chords in combinations(range(n), n - k))
-
-    def test_disconnected_rejected(self):
-        g = sp.MultiGraph(3, ((0, 1, 0), (0, 1, 1)), (0, 1))
-        with pytest.raises(sp.SpTreeError):
-            sp.cycle_basis(g)
 
 
 class TestTerminalInvariance:
