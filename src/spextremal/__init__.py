@@ -21,6 +21,7 @@ from .sptree import (
     TreeParseError,
     canonicalize,
     check_invariants,
+    class_counts,
     class_key,
     decompose,
     dualize,

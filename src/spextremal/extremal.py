@@ -18,7 +18,8 @@ Nothing on the verify path sweeps the k-subsets: the spanning trees come
 from one batched determinant (weights.spanning_trees), and the float
 target that verify reports is scored over them alone, because every
 other coordinate submatrix of the star space is singular.  count_classes
-folds the enumerated trees into symmetry classes by sptree.class_key.
+reads the symmetry classes off their generating function
+(sptree.class_counts), with no tree enumerated.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from .numeric import (
 from .sptree import (
     MultiGraph,
     SpTree,
-    class_key,
+    class_counts,
     dualize,
-    enumerate_rooted,
     format_tree,
     parallel_rooted,
     realize,
@@ -219,13 +219,15 @@ def check_dual(inst: ExtremalInstance) -> bool:
 
 def count_classes(n: int, k: int) -> int:
     """Number of symmetry classes among all (n, k) instances."""
-    return len({class_key(t) for t in enumerate_rooted(n, k)})
+    if n < 2 or k < 1 or k >= n:
+        return 0
+    return class_counts(n)[n][k]
 
 
 def class_table(n_max: int, n_min: int = 2) -> list[list[int]]:
     """Triangle of class counts; row n holds k = 1..n-1."""
-    return [[count_classes(n, k) for k in range(1, n)]
-            for n in range(n_min, n_max + 1)]
+    rows = class_counts(n_max)
+    return [list(rows[n][1:n]) for n in range(n_min, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ is parallel, so those are the trees with a Parallel root here.
 This module provides the tree type with normalizing constructors, a strict
 text grammar, canonical forms modulo the tree symmetries (reordering of
 parallel branches, reversal of series chains), the class key of the
-cycle matroid, duality, exhaustive enumeration, realization as a directed
-multigraph, and the reduction of a concrete multigraph back to its
-canonical tree.  Realization walks the tree once, top-down, handing each
-node its terminal pair, and numbers the vertices by first appearance along
-the leaves in reading order, the left end of a leaf before its right end.
+cycle matroid, the class counts from the generating function of those
+keys (no tree enumerated), duality, exhaustive enumeration, realization
+as a directed multigraph, and the reduction of a concrete multigraph back
+to its canonical tree.  Realization walks the tree once, top-down,
+handing each node its terminal pair, and numbers the vertices by first
+appearance along the leaves in reading order, the left end of a leaf
+before its right end.
 """
 
 from __future__ import annotations
@@ -267,6 +269,143 @@ def class_key(tree):
     return min(code(i, None) for i in range(len(labels)))
 
 
+def _times(a, b):
+    """Product of two polynomials in y, cut to the length of a.
+
+    The cut drops nothing here: rank never exceeds the element count, so
+    no coefficient's y-degree exceeds its x-degree, which is below width.
+    """
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(len(a) - i):
+                out[i + j] += ai * b[j]
+    return out
+
+
+def _plus(a, b, sign=1):
+    return [u + sign * v for u, v in zip(a, b)]
+
+
+def _exact_div(a, m):
+    out = []
+    for v in a:
+        q, r = divmod(v, m)
+        if r:
+            raise ArithmeticError(f"coefficient {v} is not divisible by {m}")
+        out.append(q)
+    return out
+
+
+class _Multisets:
+    """The multiset transform MSET(F) = exp sum_i F(x^i, y^i) / i.
+
+    F arrives one power of x at a time (f_n, with f_0 = 0), and so do the
+    coefficients g_n of MSET(F), by n g_n = sum_(m=1..n) c_m g_(n-m) with
+    c_m(y) = sum_(d | m) d f_d(y^(m/d)).  A coefficient is a list of ints
+    indexed by the power of y, of y-degree at most its x-degree.
+    """
+
+    def __init__(self, width):
+        self.f = [[0] * width]
+        self.c = [[0] * width]
+        self.g = [[1] + [0] * (width - 1)]
+
+    def _c(self, n, fn):
+        """c_n, with fn in place of f_n."""
+        c = [n * v for v in fn]
+        for d in range(1, n):
+            if n % d == 0:
+                for j, v in enumerate(self.f[d]):
+                    if v:
+                        c[j * (n // d)] += d * v
+        return c
+
+    def beyond(self):
+        """[MSET(F) - F]_n for the next n, which needs f_1..f_(n-1) only:
+        f_n enters n g_n once, as the n f_n in c_n."""
+        n = len(self.f)
+        total = self._c(n, [0] * len(self.f[0]))
+        for m in range(1, n):
+            total = _plus(total, _times(self.c[m], self.g[n - m]))
+        return _exact_div(total, n)
+
+    def push(self, fn, beyond):
+        """Append f_n, where beyond() returned beyond."""
+        n = len(self.f)
+        self.c.append(self._c(n, fn))
+        self.f.append(fn)
+        self.g.append(_plus(beyond, fn))
+
+    def beyond_pairs(self, n):
+        """[MSET(F) - 1 - F - (F^2 + F(x^2, y^2)) / 2]_n, the multisets of
+        at least three (n >= 1, once f_n is pushed)."""
+        f = self.f
+        pairs = [0] * len(f[0])
+        if n % 2 == 0:
+            for j, v in enumerate(f[n // 2]):
+                if v:
+                    pairs[2 * j] += v
+        for i in range(1, n):
+            pairs = _plus(pairs, _times(f[i], f[n - i]))
+        return _plus(_plus(self.g[n], f[n], -1), _exact_div(pairs, 2), -1)
+
+
+@lru_cache(maxsize=None)
+def class_counts(n_max: int) -> tuple:
+    """Class counts of every (n, k) with n <= n_max, with no tree built.
+
+    Row n of the result holds at index k the number of distinct class_key
+    values among enumerate_rooted(n, k), for k = 0..n.  A class is an
+    unrooted tree of polygons and bonds (class_key), and these are counted
+    by Polya's multiset transform MSET and the dissymmetry theorem
+    (Bergeron, Labelle and Leroux, Combinatorial Species, 1998).  x counts
+    elements and y rank: a polygon of m elements has rank m - 1, a bond
+    rank 1, and each tree edge (a 2-sum) loses one, charged to the child.
+    The planted polygons A and planted bonds B, which hang off a parent by
+    one tree edge, satisfy
+
+        A = y^-1 MSET>=2(xy + yB),     B = MSET>=2(x + A),
+
+    which fixes both one power of x at a time.  Rooting a tree at a
+    polygon, at a bond, or at one of its edges, which always join a
+    polygon to a bond, gives
+
+        classes = y^-1 MSET>=3(xy + yB) + y MSET>=3(x + A) - y A B,
+
+    plus x^2 y for the lone two-element polygon, the only special case.
+    Every coefficient is an exact integer; ArithmeticError says a division
+    left a remainder.
+    """
+    width = max(n_max, 0) + 1
+    zero = [0] * width
+    polygons, bonds = _Multisets(width), _Multisets(width)  # of xy + yB, x + A
+    A, B = [zero], [zero]
+    for n in range(1, width):
+        planted_polygon, planted_bond = polygons.beyond(), bonds.beyond()
+        A.append(planted_polygon[1:] + [0])
+        B.append(planted_bond)
+        xy_yB = [0] + B[n][:-1]
+        x_A = A[n][:]
+        if n == 1:
+            xy_yB[1] += 1
+            x_A[0] += 1
+        polygons.push(xy_yB, planted_polygon)
+        bonds.push(x_A, planted_bond)
+
+    rows = [(0,)]
+    for n in range(1, width):
+        on_edge = zero
+        for i in range(1, n):
+            on_edge = _plus(on_edge, _times(A[i], B[n - i]))
+        row = _plus(polygons.beyond_pairs(n)[1:] + [0],
+                    [0] + _plus(bonds.beyond_pairs(n), on_edge, -1)[:-1])
+        if n == 2:
+            row[1] += 1
+        rows.append(tuple(row[:n + 1]))
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # text grammar:  tree := "e" | "P(" tree ("," tree)+ ")" | "S(" tree ("," tree)+ ")"
 # ---------------------------------------------------------------------------
@@ -340,9 +479,13 @@ def parse_tree(text: str) -> SpTree:
 # enumeration
 # ---------------------------------------------------------------------------
 
+_LEAF = (skeleton_key(Leaf(0)), Leaf(0))
+
+
 @lru_cache(maxsize=None)
 def _series_shapes(n: int, k: int) -> tuple:
-    """Canonical series chains with n edges and rank k (placeholder ids)."""
+    """Canonical series chains with n edges and rank k (placeholder ids),
+    each as a (skeleton_key, shape) pair."""
     if n < 2 or k < 2 or k > n:
         return ()
     out = []
@@ -350,13 +493,13 @@ def _series_shapes(n: int, k: int) -> tuple:
     def extend(seq, edges_left, rank_left):
         if edges_left == 0:
             if rank_left == 0 and len(seq) >= 2:
-                keys = tuple(skeleton_key(c) for c in seq)
-                if keys <= tuple(reversed(keys)):
-                    out.append(Series(tuple(seq)))
+                keys = tuple(key for key, _ in seq)
+                if keys <= keys[::-1]:
+                    out.append(((n, 2, keys), Series(tuple(c for _, c in seq))))
             return
         if rank_left < 1 or rank_left > edges_left:
             return
-        extend(seq + [Leaf(0)], edges_left - 1, rank_left - 1)
+        extend(seq + [_LEAF], edges_left - 1, rank_left - 1)
         limit = edges_left - 1 if not seq else edges_left
         for n2 in range(2, limit + 1):
             for k2 in range(1, min(rank_left, n2 - 1) + 1):
@@ -369,30 +512,33 @@ def _series_shapes(n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _parallel_shapes(n: int, k: int) -> tuple:
-    """Canonical parallel bundles with n edges and rank k (placeholder ids)."""
+    """Canonical parallel bundles with n edges and rank k (placeholder ids),
+    each as a (skeleton_key, shape) pair."""
     if n < 2 or k < 1 or k >= n:
         return ()
-    comps = [Leaf(0)]
+    # (pair, edges, rank - 1) of every part of rank <= k; no other part fits
+    comps = [(_LEAF, 1, 0)]
     for n2 in range(2, n):
-        for k2 in range(2, n2 + 1):
-            comps.extend(_series_shapes(n2, k2))
-    # skeleton_key leads with the leaf count, so sizes[i][0] never decreases
-    comps.sort(key=skeleton_key)
-    sizes = [(leaf_count(c), rank(c) - 1) for c in comps]
+        for k2 in range(2, min(n2, k) + 1):
+            comps.extend((pair, n2, k2 - 1) for pair in _series_shapes(n2, k2))
+    # skeleton_key leads with the leaf count, so the edge counts never
+    # decrease, and the chosen parts come in sorted key order
+    comps.sort(key=lambda c: c[0][0])
     out = []
 
     def choose(idx, count, edges_left, rankdef_left, acc):
         if edges_left == 0:
             if rankdef_left == 0 and count >= 2:
-                out.append(Parallel(tuple(acc)))
+                out.append(((n, 1, tuple(key for key, _ in acc)),
+                            Parallel(tuple(c for _, c in acc))))
             return
         for i in range(idx, len(comps)):
-            ne, rdef = sizes[i]
+            pair, ne, rdef = comps[i]
             if ne > edges_left:
                 break
             if rdef > rankdef_left:
                 continue
-            acc.append(comps[i])
+            acc.append(pair)
             choose(i, count + 1, edges_left - ne, rankdef_left - rdef, acc)
             acc.pop()
 
@@ -407,8 +553,8 @@ def enumerate_rooted(n: int, k: int) -> list:
     """
     if n < 2 or k < 1 or k >= n:
         return []
-    shapes = sorted(_parallel_shapes(n, k), key=skeleton_key)
-    return [relabel_leaves(s) for s in shapes]
+    pairs = sorted(_parallel_shapes(n, k), key=lambda pair: pair[0])
+    return [relabel_leaves(shape) for _, shape in pairs]
 
 
 # ---------------------------------------------------------------------------

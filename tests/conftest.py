@@ -5,7 +5,7 @@ import spextremal as sp
 
 def pytest_addoption(parser):
     parser.addoption("--runlong", action="store_true", default=False,
-                     help="run the long exhaustive checks (table rows n = 8, 9)")
+                     help="run the long exhaustive checks (n = 8, 9; class counts to 12)")
 
 
 def pytest_collection_modifyitems(config, items):

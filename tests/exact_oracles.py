@@ -22,7 +22,9 @@ with these: the batched eigen check with check_eigen on every spanning
 tree, the transfer-current proof with check_degenerate on every non-tree
 subset, the stacked coefficients with scaled_coefficients on every tree,
 the batched determinant with the union-find sweep, and the top-down
-sptree.realize with realize_with_spans.
+sptree.realize with realize_with_spans.  enumerated_class_count folds
+the enumerated trees by sptree.class_key, which is what the generating
+function sptree.class_counts must count.
 """
 
 import math
@@ -37,6 +39,8 @@ from spextremal.sptree import (
     Parallel,
     Series,
     SpTreeError,
+    class_key,
+    enumerate_rooted,
     leaf_count,
     leaf_ids,
     parallel_rooted,
@@ -158,6 +162,11 @@ def spanning_trees(graph) -> list[tuple]:
     n = len(graph.edges)
     size = graph.num_vertices - 1
     return [s for s in combinations(range(n), size) if _is_forest(graph, s)]
+
+
+def enumerated_class_count(n: int, k: int) -> int:
+    """Number of symmetry classes among the enumerated (n, k) trees."""
+    return len({class_key(t) for t in enumerate_rooted(n, k)})
 
 
 def rational_matrix(rows) -> np.ndarray:

@@ -178,9 +178,18 @@ class TestTable:
         assert len(rows) == 8
         assert rows[6] == "8,1,5,14,19,14,5,1"
 
+    def test_row_thirty(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "30")
+        assert code == 0
+        rows = out.strip().splitlines()[2:]
+        assert len(rows) == 29
+        assert rows[-1].startswith("30,1,75,3643,")
+
     def test_cap(self, capsys):
-        code, _, _ = run_cli(capsys, "table", "10")
+        code, out, err = run_cli(capsys, "table", "31")
         assert code == 64
+        assert out == ""
+        assert err.startswith("usage error:") and "30" in err
 
 
 class TestSearch:

@@ -578,6 +578,37 @@ class TestCountClasses:
     def test_small_triangle(self):
         assert sp.class_table(5) == [[1], [1, 1], [1, 1, 1], [1, 2, 2, 1]]
 
+    def test_matches_enumeration(self):
+        for n in range(0, 11):
+            for k in range(-1, n + 2):
+                assert sp.count_classes(n, k) == oracle.enumerated_class_count(n, k), (n, k)
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_matches_enumeration_long(self, n):
+        for k in range(1, n):
+            assert sp.count_classes(n, k) == oracle.enumerated_class_count(n, k), (n, k)
+
+    def test_table_reads_the_same_counts(self):
+        assert sp.class_table(30, 3) == [[sp.count_classes(n, k) for k in range(1, n)]
+                                         for n in range(3, 31)]
+        assert sp.class_table(1) == []
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_closed_forms(self, n):
+        row = [sp.count_classes(n, k) for k in range(1, n)]
+        # duality pairs rank k with n - k
+        assert row == row[::-1]
+        assert row[0] == row[-1] == 1
+        if n >= 3:
+            # rank 2: a triangle whose three bundle sizes partition n
+            assert row[1] == round(n * n / 12)
+
+    @pytest.mark.parametrize("n, k", [(5, 5), (5, 6), (5, 0), (5, -1), (1, 1),
+                                      (1, 0), (0, 0), (-1, 1), (31, 31)])
+    def test_out_of_range_is_zero(self, n, k):
+        assert sp.count_classes(n, k) == 0
+
 
 class TestReports:
     def test_verify_instance_shape(self):
