@@ -10,6 +10,7 @@ limit hit, 65 parse error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -18,16 +19,16 @@ from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 from . import __version__
-from .extremal import build, class_table, verify_instance
-from .numeric import MAX_EDGES, BruteForceCapError
+from .extremal import build, class_table, count_classes, verify_instance
+from .numeric import MAX_EDGES, BruteForceCapError, require_edge_limit
 from .search import SearchConfig, accumulate
 from .sptree import (
     Parallel,
     SpTreeError,
     TreeParseError,
-    class_key,
     enumerate_rooted,
     format_tree,
+    leaf_count,
     parse_tree,
 )
 from .weights import induced_weights, weights_to_json
@@ -41,6 +42,12 @@ EXIT_PARSE = 65
 # the largest row table prints: row 30 takes about 50 ms, and its
 # entries already run to 12 digits
 TABLE_MAX = 30
+
+# the deepest nesting of compositions a tree argument may have: the
+# recursive walks (parse, layout, realize, format) take at most two frames
+# per level and fail near 495 levels at Python's default recursion limit
+# of 1000, so 400 leaves room for the caller's frames
+NESTING_MAX = 400
 
 # a size N or a range N..M, for verify's spec and its k range
 _SIZES = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
@@ -74,6 +81,9 @@ def _emit_json(payload: dict) -> None:
 
 
 def _parse_two_sp(text: str):
+    depth = max(itertools.accumulate((c == "(") - (c == ")") for c in text), default=0)
+    if depth > NESTING_MAX:
+        raise UsageError(f"tree nests {depth} levels deep, above the limit of {NESTING_MAX}")
     tree = parse_tree(text)
     if not isinstance(tree, Parallel):
         raise TreeParseError(
@@ -85,7 +95,7 @@ def cmd_enumerate(args) -> int:
     if args.n < 2 or args.n > MAX_EDGES or not 1 <= args.k < args.n:
         raise UsageError(f"need 2 <= n <= {MAX_EDGES} and 1 <= k <= n - 1")
     trees = enumerate_rooted(args.n, args.k)
-    classes = len({class_key(t) for t in trees})
+    classes = count_classes(args.n, args.k)
     if args.format == "json":
         manifest = run_manifest("enumerate", {"n": args.n, "k": args.k})
         _emit_json({
@@ -116,7 +126,9 @@ def _verify_trees(args):
     if not match:
         if args.k_range:
             raise UsageError("a tree spec takes no k range")
-        yield _parse_two_sp(args.spec)
+        tree = _parse_two_sp(args.spec)
+        require_edge_limit(leaf_count(tree))
+        yield tree
         return
     lo = int(match.group(1))
     hi = int(match.group(2) or lo)

@@ -8,14 +8,13 @@ is parallel, so those are the trees with a Parallel root here.
 
 This module provides the tree type with normalizing constructors, a strict
 text grammar, canonical forms modulo the tree symmetries (reordering of
-parallel branches, reversal of series chains), the class key of the
-cycle matroid, the class counts from the generating function of those
-keys (no tree enumerated), duality, exhaustive enumeration, realization
-as a directed multigraph, and the reduction of a concrete multigraph back
-to its canonical tree.  Realization walks the tree once, top-down,
-handing each node its terminal pair, and numbers the vertices by first
-appearance along the leaves in reading order, the left end of a leaf
-before its right end.
+parallel branches, reversal of series chains), the symmetry-class counts
+from a generating function (no tree enumerated), duality, exhaustive
+enumeration, realization as a directed multigraph, and the reduction of a
+concrete multigraph back to its canonical tree.  Realization walks the
+tree once, top-down, handing each node its terminal pair, and numbers the
+vertices by first appearance along the leaves in reading order, the left
+end of a leaf before its right end.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class Parallel:
 
 
 SpTree = Leaf | Series | Parallel
-
-
-def make_leaf(eid: int = 0) -> Leaf:
-    return Leaf(eid)
 
 
 def make_series(children) -> SpTree:
@@ -229,46 +224,6 @@ def parallel_rooted(tree) -> SpTree:
     return make_parallel([kids[0], make_series(kids[1:])])
 
 
-def class_key(tree):
-    """Canonical key of the cycle matroid of the tree's 2-connected graph.
-
-    Keys are equal exactly when the subspaces agree up to signed coordinate
-    permutations.  Such a permutation carries the matroid of the star space,
-    the cycle matroid, along; conversely the induced weights are fixed by
-    the tree up to scale, and graphs with isomorphic cycle matroids are
-    2-isomorphic (Whitney, Amer. J. Math. 55, 1933), so their star spaces
-    agree up to reorientation.  The matroid is the unrooted tree of polygons
-    (series nodes) and bonds (parallel nodes) of its canonical decomposition
-    (Cunningham and Edmonds, Canad. J. Math. 32, 1980), and the elements
-    within a node are interchangeable.  A node is labelled by its kind and
-    its number of leaves; the key is the least AHU code (label, sorted child
-    codes) over all rootings.  No graph or matrix is built.
-    """
-    tree = parallel_rooted(tree)
-    if len(tree.children) == 2:
-        # a bond of two elements is no node: its sides form one polygon
-        tree = make_series(tree.children)
-    labels, links = [], []
-
-    def add(node):
-        i = len(labels)
-        leaves = sum(isinstance(c, Leaf) for c in node.children)
-        labels.append((isinstance(node, Series), leaves))
-        links.append([])
-        for child in node.children:
-            if not isinstance(child, Leaf):
-                j = add(child)
-                links[i].append(j)
-                links[j].append(i)
-        return i
-
-    def code(i, up):
-        return labels[i], tuple(sorted(code(j, i) for j in links[i] if j != up))
-
-    add(tree)
-    return min(code(i, None) for i in range(len(labels)))
-
-
 def _times(a, b):
     """Product of two polynomials in y, cut to the length of a.
 
@@ -355,13 +310,20 @@ class _Multisets:
 def class_counts(n_max: int) -> tuple:
     """Class counts of every (n, k) with n <= n_max, with no tree built.
 
-    Row n of the result holds at index k the number of distinct class_key
-    values among enumerate_rooted(n, k), for k = 0..n.  A class is an
-    unrooted tree of polygons and bonds (class_key), and these are counted
-    by Polya's multiset transform MSET and the dissymmetry theorem
-    (Bergeron, Labelle and Leroux, Combinatorial Species, 1998).  x counts
-    elements and y rank: a polygon of m elements has rank m - 1, a bond
-    rank 1, and each tree edge (a 2-sum) loses one, charged to the child.
+    Row n of the result holds at index k the number of symmetry classes
+    among the enumerate_rooted(n, k) subspaces, for k = 0..n.  Two
+    subspaces agree up to signed coordinate permutations exactly when
+    their cycle matroids are isomorphic: the weights are fixed by the tree
+    up to scale, and graphs with isomorphic cycle matroids are 2-isomorphic
+    (Whitney, Amer. J. Math. 55, 1933), so their star spaces agree up to
+    reorientation.  A class is thus the unrooted tree of polygons (series
+    nodes) and bonds (parallel nodes) of the matroid's canonical
+    decomposition (Cunningham and Edmonds, Canad. J. Math. 32, 1980), and
+    these trees are counted by Polya's multiset transform MSET and the
+    dissymmetry theorem (Bergeron, Labelle and Leroux, Combinatorial
+    Species, 1998).  x counts elements and y rank: a polygon of m elements
+    has rank m - 1, a bond rank 1, and each tree edge (a 2-sum) loses one,
+    charged to the child.
     The planted polygons A and planted bonds B, which hang off a parent by
     one tree edge, satisfy
 
@@ -414,7 +376,7 @@ def format_tree(tree) -> str:
     if isinstance(tree, Leaf):
         return "e"
     tag = "P" if isinstance(tree, Parallel) else "S"
-    return tag + "(" + ",".join(format_tree(c) for c in tree.children) + ")"
+    return tag + "(" + ",".join([format_tree(c) for c in tree.children]) + ")"
 
 
 def parse_tree(text: str) -> SpTree:

@@ -6,14 +6,14 @@ coordinate subspace.  The companion signed coefficients form, on each
 spanning tree, an eigenvector of the matching transfer-current submatrix.
 Everything is exact: weights and tree sums are Fractions, and the
 coefficients come out as integers over one common denominator per tree.
-The decomposition tree is laid out once per instance (coefficient_layout);
-the weights come from one top-down pass over that layout, and the
-coefficients of every spanning tree from one bottom-up and one top-down
-pass, each step an array operation over all the trees at once
-(stacked_coefficients).  spanning_trees lists the trees the eigen check
-and the target run on, from one batched determinant over all edge subsets
-of the reduced incidence matrix, exact because that matrix is totally
-unimodular.
+The decomposition tree is laid out once per instance, each leaf with its
+direction sign (coefficient_layout); the weights come from one top-down
+pass over that layout, and the coefficients of every spanning tree from
+one bottom-up and one top-down pass, each step an array operation over
+all the trees at once (stacked_coefficients).  spanning_trees lists the
+trees the eigen check and the target run on, from one batched determinant
+over all edge subsets of the reduced incidence matrix, exact because that
+matrix is totally unimodular.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .sptree import (
     Series,
     SpTreeError,
     parallel_rooted,
-    realize,
 )
+
 
 def induced_weights(tree) -> dict[int, Fraction]:
     """Edge weights read off the alternating decomposition chain.
@@ -165,30 +165,6 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     return scale, np.where(on, C * (scale // dens), 0), on
 
 
-def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
-    """Signed value on each edge of the spanning tree tau.
-
-    Magnitudes follow the same decomposition chain as the weights with
-    psi(sub) = n - |sub| when tau restricted to sub connects sub's
-    terminals and -|sub| otherwise.  The sign is positive when the edge
-    direction recorded in graph agrees with the edge's natural
-    left-to-right sense.  The result is an eigenvector of the tau
-    submatrix of the transfer current matrix with eigenvalue 1/n.
-    """
-    if isinstance(tree, Series):
-        tree = parallel_rooted(tree)
-    if not isinstance(tree, Parallel):
-        raise SpTreeError("induced coefficients need a 2-connected tree")
-    reference = realize(tree)
-    ref_pairs = {e: frozenset((t, h)) for t, h, e in reference.edges}
-    got_pairs = {e: frozenset((t, h)) for t, h, e in graph.edges}
-    if ref_pairs != got_pairs or reference.num_vertices != graph.num_vertices:
-        raise SpTreeError("graph does not realize this tree")
-    flips = [got != ref for got, ref in zip(graph.edges, reference.edges)]
-    scale, C, on = stacked_coefficients(coefficient_layout(tree, flips), [tau])
-    return {e: Fraction(C[e, 0], scale[0]) for e in np.flatnonzero(on[:, 0]).tolist()}
-
-
 class TreeSums(NamedTuple):
     """Weighted count of spanning trees and of terminal-splitting 2-forests."""
 
@@ -260,6 +236,3 @@ def weights_to_json(weights) -> dict[str, str]:
         out[str(e)] = f"{f.numerator}/{f.denominator}"
     return out
 
-
-def weights_from_json(obj) -> dict[int, Fraction]:
-    return {int(e): Fraction(s) for e, s in obj.items()}

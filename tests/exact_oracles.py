@@ -20,11 +20,15 @@ graph from two fresh vertices per leaf by a union-find and keeps every
 node's terminal pair.  The integer routines in spextremal must agree
 with these: the batched eigen check with check_eigen on every spanning
 tree, the transfer-current proof with check_degenerate on every non-tree
-subset, the stacked coefficients with scaled_coefficients on every tree,
-the batched determinant with the union-find sweep, and the top-down
-sptree.realize with realize_with_spans.  enumerated_class_count folds
-the enumerated trees by sptree.class_key, which is what the generating
-function sptree.class_counts must count.
+subset, the stacked coefficients with scaled_coefficients and with
+induced_coefficients on every tree, the batched determinant with the
+union-find sweep, and the top-down sptree.realize with
+realize_with_spans.  class_key is the canonical key of a tree's cycle
+matroid, read off its polygon-bond tree, and enumerated_class_count
+folds the enumerated trees by it: that is what the generating function
+sptree.class_counts must count, and so what count_classes and the cli's
+table and enumerate print.  matrix_canon.oracle_key in turn checks
+class_key against the subspaces themselves.
 """
 
 import math
@@ -39,10 +43,10 @@ from spextremal.sptree import (
     Parallel,
     Series,
     SpTreeError,
-    class_key,
     enumerate_rooted,
     leaf_count,
     leaf_ids,
+    make_series,
     parallel_rooted,
 )
 from spextremal.weights import TreeSums
@@ -162,6 +166,46 @@ def spanning_trees(graph) -> list[tuple]:
     n = len(graph.edges)
     size = graph.num_vertices - 1
     return [s for s in combinations(range(n), size) if _is_forest(graph, s)]
+
+
+def class_key(tree):
+    """Canonical key of the cycle matroid of the tree's 2-connected graph.
+
+    Keys are equal exactly when the subspaces agree up to signed coordinate
+    permutations.  Such a permutation carries the matroid of the star space,
+    the cycle matroid, along; conversely the induced weights are fixed by
+    the tree up to scale, and graphs with isomorphic cycle matroids are
+    2-isomorphic (Whitney, Amer. J. Math. 55, 1933), so their star spaces
+    agree up to reorientation.  The matroid is the unrooted tree of polygons
+    (series nodes) and bonds (parallel nodes) of its canonical decomposition
+    (Cunningham and Edmonds, Canad. J. Math. 32, 1980), and the elements
+    within a node are interchangeable.  A node is labelled by its kind and
+    its number of leaves; the key is the least AHU code (label, sorted child
+    codes) over all rootings.  No graph or matrix is built.
+    """
+    tree = parallel_rooted(tree)
+    if len(tree.children) == 2:
+        # a bond of two elements is no node: its sides form one polygon
+        tree = make_series(tree.children)
+    labels, links = [], []
+
+    def add(node):
+        i = len(labels)
+        leaves = sum(isinstance(c, Leaf) for c in node.children)
+        labels.append((isinstance(node, Series), leaves))
+        links.append([])
+        for child in node.children:
+            if not isinstance(child, Leaf):
+                j = add(child)
+                links[i].append(j)
+                links[j].append(i)
+        return i
+
+    def code(i, up):
+        return labels[i], tuple(sorted(code(j, i) for j in links[i] if j != up))
+
+    add(tree)
+    return min(code(i, None) for i in range(len(labels)))
 
 
 def enumerated_class_count(n: int, k: int) -> int:

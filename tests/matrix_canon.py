@@ -4,8 +4,9 @@ Q = Y o Y^T is exact-rational, symmetric and invariant under edge
 redirections and weight rescalings, so two instances whose Q matrices
 have the same least encoding over simultaneous row/column permutations
 span subspaces equal up to signed coordinate permutations.  This is a
-backtracking search over permutations; sptree.class_key replaces it and
-is checked against it.
+backtracking search over permutations; the generating function
+sptree.class_counts counts what it separates, through the tree-level
+oracle exact_oracles.class_key, which is checked against it.
 """
 
 import numpy as np

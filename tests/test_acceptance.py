@@ -14,6 +14,9 @@ import numpy as np
 import pytest
 
 import spextremal as sp
+from spextremal.numeric import Subspace
+from spextremal.sptree import decompose
+from spextremal.weights import tree_sums
 from spextremal.search import (
     SearchConfig,
     _climb,
@@ -108,7 +111,7 @@ def test_criterion_4_recurrence_oracle(instances_to_7):
         weightings += [{e: Fraction(rng.randint(1, 12), rng.randint(1, 12))
                         for e in range(n)} for _ in range(20)]
         for w in weightings:
-            assert sp.tree_sums(inst.tree, w) == oracle.brute_tree_sums(inst.graph, w)
+            assert tree_sums(inst.tree, w) == oracle.brute_tree_sums(inst.graph, w)
             cases += 1
     report(f"4 PASS: closed-form tree sums equal brute-force sums on {cases} "
            f"weighted instances")
@@ -129,7 +132,7 @@ def test_criterion_6_terminal_invariance(instances_to_6):
     for inst in instances_to_6:
         n = len(inst.graph.edges)
         for tail, head, _ in inst.graph.edges:
-            redone = sp.decompose(inst.graph, tail, head)
+            redone = decompose(inst.graph, tail, head)
             new_weights = sp.induced_weights(redone.tree)
             ratios = {new_weights[c] / inst.weights[redone.edge_map[c]]
                       for c in range(n)}
@@ -168,7 +171,7 @@ def test_criterion_8_search_reproduction():
     starts = np.stack([sample_uniform(4, 2, rng).basis for rng in rngs])
     hits = 0
     for basis in _climb(starts, rngs, cfg):
-        sub = sp.Subspace(4, 2, basis)
+        sub = Subspace(4, 2, basis)
         if abs(math.cos(sp.target(sub)[0]) - 0.5) <= 1e-3:
             hits += 1
     assert hits >= 50, f"only {hits}/100 restarts reached cos 1/2 within 1e-3"

@@ -8,6 +8,10 @@ import pytest
 
 import spextremal as sp
 from spextremal import cli
+from spextremal.search import SearchConfig
+from spextremal.weights import coefficient_layout
+
+from exact_oracles import enumerated_class_count
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +53,17 @@ class TestEnumerate:
         assert payload["manifest"]["command"] == "enumerate"
         assert payload["classes"] == 1
         assert len(payload["trees"]) == 2
+
+    def test_class_count_matches_oracle(self, capsys):
+        # the printed count comes from the generating function; the oracle
+        # folds the listed trees by their class key
+        for n in range(2, 9):
+            for k in range(1, n):
+                code, out, _ = run_cli(capsys, "enumerate", str(n), str(k))
+                assert code == 0
+                *trees, last = out.splitlines()
+                assert len(trees) == len(sp.enumerate_rooted(n, k))
+                assert last == f"classes: {enumerated_class_count(n, k)}", (n, k)
 
 
 class TestWeights:
@@ -154,12 +169,52 @@ class TestVerify:
         assert err.strip()  # failing instance echoed
 
 
-    @pytest.mark.parametrize("edges", [13, 18])
-    def test_target_cap_is_usage_error(self, capsys, edges):
+    @pytest.mark.parametrize("edges", [13, 18, 80])
+    def test_target_cap_is_usage_error(self, capsys, monkeypatch, edges):
+        # the limit is checked on the parsed tree, before any instance is built
+        def unreachable(*args):
+            raise AssertionError("build ran on a tree above the edge limit")
+
+        monkeypatch.setattr(cli, "build", unreachable)
         code, out, err = run_cli(capsys, "verify", "P(" + ",".join(["e"] * edges) + ")")
         assert code == 64
         assert out == ""
         assert err == f"error: {edges} edges exceed the limit of 12\n"
+
+
+def nested(depth):
+    """P(e,S(e,P(e,...))) with depth nested compositions."""
+    text = "e"
+    for level in reversed(range(depth)):
+        text = ("S(e," if level % 2 else "P(e,") + text + ")"
+    return text
+
+
+class TestNestingLimit:
+    def test_every_walk_fits_at_the_limit(self):
+        tree = sp.parse_tree(nested(cli.NESTING_MAX))
+        assert sp.format_tree(tree) == nested(cli.NESTING_MAX)
+        assert sp.leaf_count(tree) == cli.NESTING_MAX + 1
+        assert len(coefficient_layout(tree)) == 2 * cli.NESTING_MAX + 1
+        assert len(sp.realize(tree).edges) == cli.NESTING_MAX + 1
+        assert sp.format_tree(sp.dualize(sp.dualize(tree))) == nested(cli.NESTING_MAX)
+
+    def test_at_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "weights", nested(cli.NESTING_MAX))
+        assert code == 0 and err == ""
+        assert out.count(",") == cli.NESTING_MAX
+        code, out, err = run_cli(capsys, "verify", nested(cli.NESTING_MAX))
+        assert code == 64 and out == ""
+        assert err == f"error: {cli.NESTING_MAX + 1} edges exceed the limit of 12\n"
+
+    @pytest.mark.parametrize("command", ["weights", "verify"])
+    def test_above_the_limit_is_usage_error(self, capsys, command):
+        for depth in (cli.NESTING_MAX + 1, 1200):
+            code, out, err = run_cli(capsys, command, nested(depth))
+            assert code == 64
+            assert out == ""
+            assert err == (f"usage error: tree nests {depth} levels deep, above the "
+                           f"limit of {cli.NESTING_MAX}\n")
 
 
 class TestTable:
@@ -205,7 +260,7 @@ class TestSearch:
     def test_defaults_come_from_search_config(self):
         args = cli.build_parser().parse_args(["search", "5", "2", "--seed", "1"])
         options = {"attempts": "N"}
-        for field in fields(sp.SearchConfig):
+        for field in fields(SearchConfig):
             if field.name != "seed":
                 assert getattr(args, options.get(field.name, field.name)) == \
                     field.default, field.name

@@ -9,10 +9,19 @@ import pytest
 import spextremal as sp
 from spextremal import numeric
 from spextremal.numeric import (
+    RankDeficientError,
+    SingularMatrixError,
+    Subspace,
     coordinate_subsets,
+    laplacian,
+    orthonormalize,
+    principal_angles,
     require_orthonormal,
     stacked_target,
+    transfer_current,
 )
+from spextremal.sptree import Leaf, MultiGraph, make_parallel
+from spextremal.weights import tree_sums
 
 from exact_oracles import (
     bareiss,
@@ -157,7 +166,7 @@ class TestPositiveDefinite:
 
 class TestIncidence:
     def test_single_edge_column(self):
-        g = sp.MultiGraph(2, ((0, 1, 0),), (0, 1))
+        g = MultiGraph(2, ((0, 1, 0),), (0, 1))
         B = sp.incidence_matrix(g)
         assert list(B[:, 0]) == [Fraction(-1), Fraction(1)]
 
@@ -173,40 +182,40 @@ class TestIncidence:
                     g = sp.realize(t)
                     # B has full row rank once a vertex is dropped exactly
                     # when the reduced unit-weight Laplacian is nonsingular
-                    L = sp.laplacian(sp.incidence_matrix(g), unit_weights(n))
+                    L = laplacian(sp.incidence_matrix(g), unit_weights(n))
                     assert rational_det(L[1:, 1:]) != 0
 
 
 class TestLaplacian:
     def test_single_unit_edge(self):
-        g = sp.MultiGraph(2, ((0, 1, 0),), (0, 1))
-        L = sp.laplacian(sp.incidence_matrix(g), unit_weights(1))
+        g = MultiGraph(2, ((0, 1, 0),), (0, 1))
+        L = laplacian(sp.incidence_matrix(g), unit_weights(1))
         assert exact_equal(L, rational_matrix([[1, -1], [-1, 1]]))
 
     def test_banana_scales(self):
         n = 5
-        t = sp.make_parallel([sp.make_leaf(i) for i in range(n)])
-        L = sp.laplacian(sp.incidence_matrix(sp.realize(t)), unit_weights(n))
+        t = make_parallel([Leaf(i) for i in range(n)])
+        L = laplacian(sp.incidence_matrix(sp.realize(t)), unit_weights(n))
         assert exact_equal(L, rational_matrix([[n, -n], [-n, n]]))
 
     def test_triangle_pattern(self):
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"))
-        L = sp.laplacian(sp.incidence_matrix(g), unit_weights(3))
+        L = laplacian(sp.incidence_matrix(g), unit_weights(3))
         assert exact_equal(L, rational_matrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
 
 
 class TestTransferCurrent:
     def test_banana_two(self):
-        t = sp.make_parallel([sp.make_leaf(0), sp.make_leaf(1)])
+        t = make_parallel([Leaf(0), Leaf(1)])
         g = sp.realize(t)
-        Y = fraction_y(*sp.transfer_current(sp.incidence_matrix(g), unit_weights(2)))
+        Y = fraction_y(*transfer_current(sp.incidence_matrix(g), unit_weights(2)))
         half = Fraction(1, 2)
         assert exact_equal(Y, rational_matrix([[half, half], [half, half]]))
 
     def test_triangle_consistent_orientation(self):
         t = sp.parse_tree("P(e,S(e,e))")
         g = sp.realize(t, [False, True, True])
-        Y = fraction_y(*sp.transfer_current(sp.incidence_matrix(g), unit_weights(3)))
+        Y = fraction_y(*transfer_current(sp.incidence_matrix(g), unit_weights(3)))
         third = Fraction(1, 3)
         expected = rational_matrix(
             [[1 - third, -third, -third],
@@ -220,7 +229,7 @@ class TestTransferCurrent:
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
                     w = sp.induced_weights(t)
-                    Y = fraction_y(*sp.transfer_current(sp.incidence_matrix(g), w))
+                    Y = fraction_y(*transfer_current(sp.incidence_matrix(g), w))
                     assert exact_equal(Y.dot(Y), Y)
                     assert sum(Y[i, i] for i in range(n)) == k
 
@@ -233,14 +242,14 @@ class TestTransferCurrent:
                     for w in (sp.induced_weights(t),
                               {e: Fraction(rng.randint(1, 9), rng.randint(1, 9))
                                for e in range(n)}):
-                        Y = fraction_y(*sp.transfer_current(sp.incidence_matrix(g), w))
+                        Y = fraction_y(*transfer_current(sp.incidence_matrix(g), w))
                         Yc = transfer_current_combinatorial(g, w)
                         assert exact_equal(Y, Yc)
 
     def test_disconnected_rejected(self):
-        g = sp.MultiGraph(3, ((0, 1, 0),), (0, 1))
-        with pytest.raises(sp.SingularMatrixError):
-            sp.transfer_current(sp.incidence_matrix(g), unit_weights(1))
+        g = MultiGraph(3, ((0, 1, 0),), (0, 1))
+        with pytest.raises(SingularMatrixError):
+            transfer_current(sp.incidence_matrix(g), unit_weights(1))
 
     def test_reduced_determinant_is_tree_count(self):
         # matrix-tree theorem: grounding vertex 0 leaves det L0 = T(G)
@@ -248,15 +257,15 @@ class TestTransferCurrent:
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     w = sp.induced_weights(t)
-                    L = sp.laplacian(sp.incidence_matrix(sp.realize(t)), w)
-                    assert rational_det(L[1:, 1:]) == sp.tree_sums(t, w).trees
+                    L = laplacian(sp.incidence_matrix(sp.realize(t)), w)
+                    assert rational_det(L[1:, 1:]) == tree_sums(t, w).trees
 
     def test_burton_pemantle_minors(self, instances_to_7):
         # det Y[S,S] is the probability that the weighted uniform spanning
         # tree contains S: w(S)/T(G) for a spanning tree S, else 0
         for inst in instances_to_7:
             n, k = len(inst.graph.edges), inst.subspace.dim
-            total = sp.tree_sums(inst.tree, inst.weights).trees
+            total = tree_sums(inst.tree, inst.weights).trees
             trees = set(sp.spanning_trees(inst.graph))
             for s in combinations(range(n), k):
                 expected = (math.prod(inst.weights[e] for e in s) / total
@@ -279,7 +288,7 @@ class TestProjection:
         # unit weights make the projector and the transfer current coincide
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"), [False, True, True])
         w = unit_weights(3)
-        P = fraction_projection(fraction_y(*sp.transfer_current(sp.incidence_matrix(g), w)), w)
+        P = fraction_projection(fraction_y(*transfer_current(sp.incidence_matrix(g), w)), w)
         assert np.allclose(P, np.eye(3) - np.full((3, 3), 1.0 / 3.0), atol=1e-14)
 
     def test_symmetric_idempotent(self):
@@ -288,7 +297,7 @@ class TestProjection:
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
                     w = sp.induced_weights(t)
-                    P = fraction_projection(fraction_y(*sp.transfer_current(sp.incidence_matrix(g), w)), w)
+                    P = fraction_projection(fraction_y(*transfer_current(sp.incidence_matrix(g), w)), w)
                     assert np.allclose(P, P.T, atol=1e-12)
                     assert np.allclose(P @ P, P, atol=1e-12)
 
@@ -297,7 +306,7 @@ class TestProjection:
             t = sp.parse_tree(tree_text)
             g = sp.realize(t)
             w = sp.induced_weights(t)
-            T, TY = sp.transfer_current(sp.incidence_matrix(g), w)
+            T, TY = transfer_current(sp.incidence_matrix(g), w)
             Y = fraction_y(T, TY)
             P = fraction_projection(Y, w)
             Q = (Y * Y.T).astype(float)
@@ -306,21 +315,21 @@ class TestProjection:
 
 class TestOrthonormalize:
     def test_identity_unchanged(self):
-        s = sp.orthonormalize(np.eye(4)[:, :2])
+        s = orthonormalize(np.eye(4)[:, :2])
         assert np.allclose(np.abs(s.basis), np.eye(4)[:, :2], atol=1e-14)
 
     def test_diagonal_line(self):
-        s = sp.orthonormalize(np.array([[1.0], [1.0]]))
+        s = orthonormalize(np.array([[1.0], [1.0]]))
         assert np.allclose(np.abs(s.basis), np.full((2, 1), 1 / math.sqrt(2)))
 
     def test_column_space_preserved(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             m = rng.standard_normal((6, 3))
-            a = sp.orthonormalize(m)
+            a = orthonormalize(m)
             # reference basis from a QR factorization of the same input
             q, _ = np.linalg.qr(m)
-            ref = sp.Subspace(6, 3, q)
+            ref = Subspace(6, 3, q)
             assert subspace_gap(a, ref) <= 1e-10
 
     def test_column_space_invariant_under_right_multiplication(self):
@@ -329,53 +338,53 @@ class TestOrthonormalize:
             m = rng.standard_normal((6, 3))
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             g = q * rng.uniform(0.5, 2.0, size=3)  # well conditioned
-            a = sp.orthonormalize(m)
-            b = sp.orthonormalize(m @ g)
+            a = orthonormalize(m)
+            b = orthonormalize(m @ g)
             assert subspace_gap(a, b) <= 1e-10
 
     def test_rank_deficient_rejected(self):
         m = np.ones((4, 2))
-        with pytest.raises(sp.RankDeficientError):
-            sp.orthonormalize(m)
+        with pytest.raises(RankDeficientError):
+            orthonormalize(m)
 
     def test_orthonormality_checked_per_basis_and_per_stack(self):
         rng = np.random.default_rng(3)
-        stack = np.stack([sp.orthonormalize(rng.standard_normal((5, 2))).basis
+        stack = np.stack([orthonormalize(rng.standard_normal((5, 2))).basis
                           for _ in range(3)])
         require_orthonormal(stack)
         stack[1, 0, 0] += 1e-9
         with pytest.raises(ValueError, match="orthonormal"):
             require_orthonormal(stack)
         with pytest.raises(ValueError, match="orthonormal"):
-            sp.Subspace(5, 2, stack[1])
+            Subspace(5, 2, stack[1])
 
 
 class TestPrincipalAngles:
     def test_equal_subspaces(self):
-        s = sp.orthonormalize(np.eye(3)[:, :2])
-        assert np.allclose(sp.principal_angles(s, s), 0.0, atol=1e-12)
+        s = orthonormalize(np.eye(3)[:, :2])
+        assert np.allclose(principal_angles(s, s), 0.0, atol=1e-12)
 
     def test_orthogonal_lines(self):
-        a = sp.orthonormalize(np.eye(2)[:, :1])
-        b = sp.orthonormalize(np.eye(2)[:, 1:])
-        assert np.allclose(sp.principal_angles(a, b), [math.pi / 2], atol=1e-12)
+        a = orthonormalize(np.eye(2)[:, :1])
+        b = orthonormalize(np.eye(2)[:, 1:])
+        assert np.allclose(principal_angles(a, b), [math.pi / 2], atol=1e-12)
 
     def test_diagonal_line_against_axis(self):
-        a = sp.orthonormalize(np.array([[1.0], [1.0]]))
-        b = sp.orthonormalize(np.eye(2)[:, :1])
-        assert np.allclose(sp.principal_angles(a, b), [math.pi / 4], atol=1e-12)
+        a = orthonormalize(np.array([[1.0], [1.0]]))
+        b = orthonormalize(np.eye(2)[:, :1])
+        assert np.allclose(principal_angles(a, b), [math.pi / 4], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        a = sp.orthonormalize(np.eye(3)[:, :1])
-        b = sp.orthonormalize(np.eye(4)[:, :1])
+        a = orthonormalize(np.eye(3)[:, :1])
+        b = orthonormalize(np.eye(4)[:, :1])
         with pytest.raises(ValueError):
-            sp.principal_angles(a, b)
+            principal_angles(a, b)
 
     def test_svd_matches_eigenvalue_route(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
-            a = sp.orthonormalize(rng.standard_normal((6, 2)))
-            b = sp.orthonormalize(rng.standard_normal((6, 2)))
+            a = orthonormalize(rng.standard_normal((6, 2)))
+            b = orthonormalize(rng.standard_normal((6, 2)))
             m = a.basis.T @ b.basis
             s = np.linalg.svd(m, compute_uv=False)
             eigs = np.sqrt(np.clip(np.linalg.eigvalsh(m.T @ m), 0.0, None))[::-1]
@@ -384,13 +393,13 @@ class TestPrincipalAngles:
 
 class TestTarget:
     def test_coordinate_subspace_is_at_zero(self):
-        s = sp.orthonormalize(np.eye(5)[:, :2])
+        s = orthonormalize(np.eye(5)[:, :2])
         angle, subset = sp.target(s)
         assert angle <= 1e-12
         assert subset == (0, 1)
 
     def test_diagonal_line_in_r4(self):
-        s = sp.orthonormalize(np.full((4, 1), 0.5))
+        s = orthonormalize(np.full((4, 1), 0.5))
         angle, subset = sp.target(s)
         assert abs(angle - math.pi / 3) < 1e-12
         assert subset == (0,)
@@ -410,7 +419,7 @@ class TestTarget:
             moved_basis = np.zeros_like(s.basis)
             for i in range(s.ambient):
                 moved_basis[perm[i], :] = signs[i] * s.basis[i, :]
-            moved = sp.Subspace(s.ambient, s.dim, moved_basis)
+            moved = Subspace(s.ambient, s.dim, moved_basis)
             angle2, _ = sp.target(moved)
             assert abs(angle2 - angle) <= 1e-12
             # the image of the optimal subset still attains the optimum
@@ -419,14 +428,14 @@ class TestTarget:
             assert abs(smin - math.cos(angle)) <= 1e-12
 
     def test_cap_enforced(self):
-        s = sp.orthonormalize(np.eye(13)[:, :2])
+        s = orthonormalize(np.eye(13)[:, :2])
         with pytest.raises(sp.BruteForceCapError):
             sp.target(s)
         with pytest.raises(sp.BruteForceCapError):
             sp.target(s, [(0, 1)])
 
     def test_given_subsets_in_their_order(self):
-        s = sp.orthonormalize(np.eye(5)[:, :2])
+        s = orthonormalize(np.eye(5)[:, :2])
         angle, subset = sp.target(s, [(2, 3), (0, 1), (1, 2)])
         assert angle <= 1e-12 and subset == (0, 1)
         angle, subset = sp.target(s, [(2, 3), (1, 4)])
@@ -440,8 +449,8 @@ class TestTarget:
 
     def test_stack_agrees_with_single_bases(self):
         rng = np.random.default_rng(32)
-        subs = [sp.orthonormalize(rng.standard_normal((6, 3))) for _ in range(5)]
-        subs.append(sp.orthonormalize(np.eye(6)[:, 3:]))  # the last subset
+        subs = [orthonormalize(rng.standard_normal((6, 3))) for _ in range(5)]
+        subs.append(orthonormalize(np.eye(6)[:, 3:]))  # the last subset
         angles, best = stacked_target(np.stack([s.basis for s in subs]))
         subsets, _ = coordinate_subsets(6, 3)
         for sub, angle, position in zip(subs, angles, best):
@@ -453,7 +462,7 @@ class TestTarget:
         # (6, 3) has 20 subsets: one basis per slice, one, and two with a
         # remainder of one
         rng = np.random.default_rng(33)
-        bases = np.stack([sp.orthonormalize(rng.standard_normal((6, 3))).basis
+        bases = np.stack([orthonormalize(rng.standard_normal((6, 3))).basis
                           for _ in range(7)])
         whole_angles, whole_best = stacked_target(bases)
         monkeypatch.setattr(numeric, "STACK_SUBMATRICES", limit)

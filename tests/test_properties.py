@@ -7,8 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spextremal as sp
-from spextremal.sptree import relabel_leaves
-from spextremal.weights import stacked_coefficients
+from spextremal.numeric import transfer_current
+from spextremal.sptree import (
+    Leaf,
+    Parallel,
+    Series,
+    canonicalize,
+    check_invariants,
+    decompose,
+    parallel_rooted,
+    relabel_leaves,
+)
+from spextremal.weights import stacked_coefficients, tree_sums
 
 import exact_oracles as oracle
 from exact_oracles import brute_tree_sums, fraction_y, transfer_current_combinatorial
@@ -22,20 +32,20 @@ def trees(draw, max_edges=8):
 
     def grow(size, kind):
         if size == 1:
-            return sp.make_leaf()
+            return Leaf()
         cuts = sorted(draw(st.sets(st.integers(1, size - 1), min_size=1,
                                    max_size=size - 1)))
         parts = [b - a for a, b in zip([0] + cuts, cuts + [size])]
-        other = sp.Series if kind is sp.Parallel else sp.Parallel
+        other = Series if kind is Parallel else Parallel
         return kind(tuple(grow(p, other) for p in parts))
 
-    return relabel_leaves(grow(draw(st.integers(2, max_edges)), sp.Parallel))
+    return relabel_leaves(grow(draw(st.integers(2, max_edges)), Parallel))
 
 
 @PROPERTY
 @given(trees())
 def test_format_parse_round_trip(tree):
-    sp.check_invariants(tree)
+    check_invariants(tree)
     text = sp.format_tree(tree)
     assert sp.parse_tree(text) == tree
     assert sp.format_tree(sp.parse_tree(text)) == text
@@ -45,8 +55,8 @@ def test_format_parse_round_trip(tree):
 @given(trees())
 def test_decompose_recovers_the_tree(tree):
     graph = sp.realize(tree)
-    raw = sp.decompose(graph, *graph.terminals).raw_tree
-    assert sp.canonicalize(raw) == sp.canonicalize(tree)
+    raw = decompose(graph, *graph.terminals).raw_tree
+    assert canonicalize(raw) == canonicalize(tree)
 
 
 @PROPERTY
@@ -57,8 +67,8 @@ def test_realize_matches_union_find_oracle(tree, data):
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
 
     def renumber(node):
-        if isinstance(node, sp.Leaf):
-            return sp.Leaf(ids[node.eid])
+        if isinstance(node, Leaf):
+            return Leaf(ids[node.eid])
         return type(node)(tuple(renumber(c) for c in node.children))
 
     for t in (renumber(tree), sp.dualize(renumber(tree))):
@@ -70,7 +80,7 @@ def test_realize_matches_union_find_oracle(tree, data):
 @given(trees())
 def test_tree_sums_match_brute_force(tree):
     w = sp.induced_weights(tree)
-    assert sp.tree_sums(tree, w) == brute_tree_sums(sp.realize(tree), w)
+    assert tree_sums(tree, w) == brute_tree_sums(sp.realize(tree), w)
 
 
 @PROPERTY
@@ -95,8 +105,8 @@ def test_integer_core_counts_trees(tree, data):
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     w = sp.induced_weights(tree)
-    T, TY = sp.transfer_current(sp.incidence_matrix(sp.realize(tree, directions)), w)
-    assert T == sp.tree_sums(tree, coprime_weights(w)).trees
+    T, TY = transfer_current(sp.incidence_matrix(sp.realize(tree, directions)), w)
+    assert T == tree_sums(tree, coprime_weights(w)).trees
     assert (fraction_y(T, TY) == transfer_current_combinatorial(
         sp.realize(tree, directions), w)).all()
 
@@ -110,7 +120,7 @@ def test_tree_minor_is_tree_weight_over_tree_count(tree, data):
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     inst = sp.build(tree, directions)
     tau = list(data.draw(st.sampled_from(sp.spanning_trees(inst.graph))))
-    T, _ = sp.transfer_current(inst.B, inst.weights)
+    T, _ = transfer_current(inst.B, inst.weights)
     w = coprime_weights(inst.weights)
     det, _ = oracle.bareiss(inst.DY[np.ix_(tau, tau)].tolist())
     assert det * T == inst.D ** len(tau) * math.prod(w[e] for e in tau)
@@ -144,6 +154,6 @@ def test_stacked_coefficients_match_per_tree_pass(tree, data):
     for j, tau in enumerate(trees):
         s, y = oracle.scaled_coefficients(inst.layout, tau)
         assert scale[j] == s and {e: C[e, j] for e in range(n) if on[e, j]} == y
-    dual = sp.realize(sp.parallel_rooted(sp.dualize(tree)))
+    dual = sp.realize(parallel_rooted(sp.dualize(tree)))
     assert sorted(tuple(e for e in range(n) if e not in tau) for tau in trees) \
         == sp.spanning_trees(dual)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import serial_search
 import spextremal as sp
 import spextremal.search as search_mod
 from spextremal import numeric
+from spextremal.numeric import Subspace, orthonormalize, principal_angles
 from spextremal.search import (
     SearchConfig,
     _bump,
@@ -16,6 +16,9 @@ from spextremal.search import (
     sample_uniform,
     symmetry_equivalent,
 )
+
+import serial_search
+from exact_oracles import class_key
 
 
 def rng_for(entropy, index=0):
@@ -26,12 +29,12 @@ def rng_for(entropy, index=0):
 def bump_one(sub, magnitude, rng):
     """One walker's bump: _bump on a one-row stack."""
     basis = _bump(sub.basis[None], np.array([magnitude], dtype=float), [rng])[0]
-    return sp.Subspace(sub.ambient, sub.dim, basis)
+    return Subspace(sub.ambient, sub.dim, basis)
 
 
 def climb_one(sub, cfg, rng):
     """One walker's climb: _climb on a one-row stack."""
-    return sp.Subspace(sub.ambient, sub.dim, _climb(sub.basis[None], [rng], cfg)[0])
+    return Subspace(sub.ambient, sub.dim, _climb(sub.basis[None], [rng], cfg)[0])
 
 
 class TestSampleUniform:
@@ -62,8 +65,8 @@ class TestSampleUniform:
         for i in range(400):
             s = sample_uniform(4, 2, rng_for(1000, i))
             plain.append(math.cos(sp.target(s)[0]))
-            moved = sp.Subspace(4, 2, q @ s.basis)
-            rotated.append(math.cos(sp.target(sp.orthonormalize(moved.basis))[0]))
+            moved = Subspace(4, 2, q @ s.basis)
+            rotated.append(math.cos(sp.target(orthonormalize(moved.basis))[0]))
         assert abs(np.mean(plain) - np.mean(rotated)) < 0.02
 
 
@@ -88,7 +91,7 @@ class TestPerturb:
         mags = np.geomspace(1e-4, 1.0, 12)
         angles = []
         for mag in mags:
-            trial = [sp.principal_angles(s, bump_one(s, mag, rng))[-1]
+            trial = [principal_angles(s, bump_one(s, mag, rng))[-1]
                      for _ in range(80)]
             angles.append(np.mean(trial))
         rho, _ = stats.spearmanr(mags, angles)
@@ -189,7 +192,7 @@ class TestSymmetryEquivalent:
         moved_basis = np.zeros_like(s.basis)
         for i in range(5):
             moved_basis[perm[i], :] = signs[i] * s.basis[i, :]
-        moved = sp.Subspace(5, 2, moved_basis)
+        moved = Subspace(5, 2, moved_basis)
         assert symmetry_equivalent(s, moved, 1e-8)
 
     def test_distinct_classes_are_inequivalent(self):
@@ -197,7 +200,7 @@ class TestSymmetryEquivalent:
         keys = {}
         for t in sp.enumerate_rooted(5, 2):
             inst = sp.build(t)
-            keys.setdefault(sp.class_key(t), inst.subspace)
+            keys.setdefault(class_key(t), inst.subspace)
         a, b = list(keys.values())[:2]
         assert not symmetry_equivalent(a, b, 1e-3)
         assert len(reps) >= 2

@@ -3,13 +3,25 @@ import random
 import pytest
 
 import spextremal as sp
-from spextremal.sptree import Leaf, Parallel, Series
+from spextremal.sptree import (
+    Leaf,
+    MultiGraph,
+    Parallel,
+    Series,
+    canonicalize,
+    check_invariants,
+    decompose,
+    leaf_ids,
+    make_parallel,
+    make_series,
+    skeleton_key,
+)
 
 import exact_oracles as oracle
 
 
 def leaf(i=0):
-    return sp.make_leaf(i)
+    return Leaf(i)
 
 
 def random_tree(rng, n_edges):
@@ -40,27 +52,27 @@ def random_tree(rng, n_edges):
 
 class TestConstructors:
     def test_parallel_pair(self):
-        t = sp.make_parallel([leaf(0), leaf(1)])
+        t = make_parallel([leaf(0), leaf(1)])
         assert isinstance(t, Parallel) and len(t.children) == 2
 
     def test_series_flattening(self):
-        t = sp.make_series([leaf(0), sp.make_series([leaf(1), leaf(2)])])
+        t = make_series([leaf(0), make_series([leaf(1), leaf(2)])])
         assert isinstance(t, Series) and len(t.children) == 3
 
     def test_parallel_flattening(self):
-        t = sp.make_parallel([leaf(0), sp.make_parallel([leaf(1), leaf(2)])])
+        t = make_parallel([leaf(0), make_parallel([leaf(1), leaf(2)])])
         assert isinstance(t, Parallel) and len(t.children) == 3
 
     def test_single_child_identity(self):
         e = leaf(0)
-        assert sp.make_parallel([e]) is e
-        assert sp.make_series([e]) is e
+        assert make_parallel([e]) is e
+        assert make_series([e]) is e
 
     def test_invariants_on_random_compositions(self):
         rng = random.Random(42)
         for _ in range(200):
             t = random_tree(rng, rng.randint(2, 9))
-            sp.check_invariants(t)
+            check_invariants(t)
 
 
 class TestRank:
@@ -92,7 +104,7 @@ class TestGrammar:
 
     def test_leaf_ids_reading_order(self):
         t = sp.parse_tree("P(e,S(e,e))")
-        assert sp.leaf_ids(t) == [0, 1, 2]
+        assert leaf_ids(t) == [0, 1, 2]
 
     def test_alternation_rejected_with_position(self):
         with pytest.raises(sp.TreeParseError) as err:
@@ -114,27 +126,27 @@ class TestGrammar:
 
 class TestCanonicalize:
     def test_parallel_children_sorted(self):
-        t = sp.make_parallel([sp.make_series([leaf(0), leaf(1)]), leaf(2)])
-        assert sp.format_tree(sp.canonicalize(t)) == "P(e,S(e,e))"
+        t = make_parallel([make_series([leaf(0), leaf(1)]), leaf(2)])
+        assert sp.format_tree(canonicalize(t)) == "P(e,S(e,e))"
 
     def test_series_reversal_identified(self):
         a = sp.parse_tree("S(P(e,e),e)")
         b = sp.parse_tree("S(e,P(e,e))")
-        assert sp.canonicalize(a) == sp.canonicalize(b)
+        assert canonicalize(a) == canonicalize(b)
 
     def test_idempotent_on_random_trees(self):
         rng = random.Random(7)
         for _ in range(200):
             t = random_tree(rng, rng.randint(2, 9))
-            c = sp.canonicalize(t)
-            assert sp.canonicalize(c) == c
+            c = canonicalize(t)
+            assert canonicalize(c) == c
 
     def test_enumeration_is_duplicate_free(self):
         for n in range(2, 8):
             for k in range(1, n):
                 trees = sp.enumerate_rooted(n, k)
-                assert len({sp.skeleton_key(t) for t in trees}) == len(trees)
-                assert all(sp.canonicalize(t) == t for t in trees)
+                assert len({skeleton_key(t) for t in trees}) == len(trees)
+                assert all(canonicalize(t) == t for t in trees)
 
 
 class TestEnumerate:
@@ -268,7 +280,7 @@ class TestRealize:
 class TestDecompose:
     def test_triangle(self):
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"))
-        d = sp.decompose(g, *g.terminals)
+        d = decompose(g, *g.terminals)
         assert sp.format_tree(d.tree) == "P(e,S(e,e))"
 
     def test_round_trip_for_all_enumerated(self):
@@ -276,22 +288,22 @@ class TestDecompose:
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
-                    d = sp.decompose(g, *g.terminals)
-                    assert d.tree == sp.canonicalize(t)
+                    d = decompose(g, *g.terminals)
+                    assert d.tree == canonicalize(t)
 
     def test_path_graph_rejected(self):
-        g = sp.MultiGraph(3, ((0, 1, 0), (1, 2, 1)), (0, 2))
+        g = MultiGraph(3, ((0, 1, 0), (1, 2, 1)), (0, 2))
         with pytest.raises(sp.SpTreeError):
-            sp.decompose(g, 0, 2)
+            decompose(g, 0, 2)
 
     def test_reduction_order_confluence(self):
         trees = [t for n in range(4, 7) for k in range(1, n)
                  for t in sp.enumerate_rooted(n, k)]
         for t in trees:
             g = sp.realize(t)
-            baseline = sp.decompose(g, *g.terminals).tree
+            baseline = decompose(g, *g.terminals).tree
             for seed in range(3):
-                shuffled = sp.decompose(g, *g.terminals, rng=random.Random(seed))
+                shuffled = decompose(g, *g.terminals, rng=random.Random(seed))
                 assert shuffled.tree == baseline
 
     def test_realization_reproduces_input(self):
@@ -302,7 +314,7 @@ class TestDecompose:
                     dirs = [rng.random() < 0.5 for _ in range(n)]
                     g = sp.realize(t, dirs)
                     for tail, head, _ in g.edges:
-                        d = sp.decompose(g, tail, head)
+                        d = decompose(g, tail, head)
                         rebuilt = sp.realize(d.raw_tree, list(d.raw_flips))
                         original = {e: (t2, h2) for t2, h2, e in g.edges}
                         fwd, back = {}, {}
@@ -318,8 +330,8 @@ class TestDecompose:
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
                     for tail, head, _ in g.edges:
-                        d = sp.decompose(g, tail, head)
-                        assert sp.canonicalize(d.raw_tree) == d.tree
+                        d = decompose(g, tail, head)
+                        assert canonicalize(d.raw_tree) == d.tree
 
     def test_terminal_choice_at_any_edge_endpoint(self):
         for n in range(3, 6):
@@ -327,5 +339,5 @@ class TestDecompose:
                 for t in sp.enumerate_rooted(n, k):
                     g = sp.realize(t)
                     for tail, head, _ in g.edges:
-                        d = sp.decompose(g, tail, head)
+                        d = decompose(g, tail, head)
                         assert sp.leaf_count(d.tree) == n
