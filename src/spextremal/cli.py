@@ -10,7 +10,6 @@ limit hit, 65 parse error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -42,12 +41,6 @@ EXIT_PARSE = 65
 # the largest row table prints: row 30 takes about 50 ms, and its
 # entries already run to 12 digits
 TABLE_MAX = 30
-
-# the deepest nesting of compositions a tree argument may have: the
-# recursive walks (parse, layout, realize, format) take at most two frames
-# per level and fail near 495 levels at Python's default recursion limit
-# of 1000, so 400 leaves room for the caller's frames
-NESTING_MAX = 400
 
 # a size N or a range N..M, for verify's spec and its k range
 _SIZES = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
@@ -81,9 +74,6 @@ def _emit_json(payload: dict) -> None:
 
 
 def _parse_two_sp(text: str):
-    depth = max(itertools.accumulate((c == "(") - (c == ")") for c in text), default=0)
-    if depth > NESTING_MAX:
-        raise UsageError(f"tree nests {depth} levels deep, above the limit of {NESTING_MAX}")
     tree = parse_tree(text)
     if not isinstance(tree, Parallel):
         raise TreeParseError(

@@ -41,6 +41,7 @@ from .sptree import (
     MultiGraph,
     SpTree,
     class_counts,
+    coefficient_layout,
     dualize,
     format_tree,
     parallel_rooted,
@@ -48,7 +49,6 @@ from .sptree import (
 )
 from .weights import (
     _layout_weights,
-    coefficient_layout,
     spanning_trees,
     stacked_coefficients,
     weights_to_json,
@@ -64,7 +64,7 @@ class ExtremalInstance:
     subspace: Subspace
     D: int            # the least positive integer that makes D Y integral
     DY: np.ndarray    # D Y, an object array of Python ints
-    layout: tuple     # weights.coefficient_layout of the realized tree
+    layout: tuple     # sptree.coefficient_layout of the realized tree
 
 
 def build(tree, directions=None) -> ExtremalInstance:

@@ -11,10 +11,15 @@ text grammar, canonical forms modulo the tree symmetries (reordering of
 parallel branches, reversal of series chains), the symmetry-class counts
 from a generating function (no tree enumerated), duality, exhaustive
 enumeration, realization as a directed multigraph, and the reduction of a
-concrete multigraph back to its canonical tree.  Realization walks the
-tree once, top-down, handing each node its terminal pair, and numbers the
-vertices by first appearance along the leaves in reading order, the left
-end of a leaf before its right end.
+concrete multigraph back to its canonical tree.  One function descends
+the nested nodes: coefficient_layout lists them in post-order with an
+explicit stack, and every other walk (counting, formatting, reversal,
+relabeling, duality, canonical forms, realization) is a loop over that
+list, so no tree is too deep for Python's recursion limit, and neither
+is the text parse_tree reads.  Realization runs the list top-down,
+handing each node its terminal pair, and numbers the vertices by first
+appearance along the leaves in reading order, the left end of a leaf
+before its right end.
 """
 
 from __future__ import annotations
@@ -84,61 +89,61 @@ def make_parallel(children) -> SpTree:
     return Parallel(tuple(flat))
 
 
+def coefficient_layout(tree, directions=None) -> tuple:
+    """The tree in post-order, root last, so the leaves in reading order.
+
+    Each node is (children, size, is_series, eid, sign): children are
+    positions in the list and size is the leaf count; a leaf also carries
+    its edge id and a sign, -1 when directions (as given to realize) flips
+    the edge against its natural left-to-right sense and +1 otherwise.
+    No spanning tree changes it, and every walk over a tree reads it.
+    """
+    order, stack = [], [tree]  # parents first, last child first: post-order reversed
+    while stack:
+        order.append(stack.pop())
+        if not isinstance(order[-1], Leaf):
+            stack.extend(order[-1].children)
+    nodes, done = [], []  # done: positions of the subtrees whose parent comes later
+    for node in reversed(order):
+        if isinstance(node, Leaf):
+            sign = -1 if directions and directions[node.eid] else 1
+            nodes.append(((), 1, False, node.eid, sign))
+        else:
+            kids = tuple(done[len(done) - len(node.children):])
+            del done[len(done) - len(kids):]
+            size = sum([nodes[c][1] for c in kids])
+            nodes.append((kids, size, isinstance(node, Series), None, 0))
+        done.append(len(nodes) - 1)
+    return tuple(nodes)
+
+
 def leaf_count(tree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return sum(leaf_count(c) for c in tree.children)
+    return coefficient_layout(tree)[-1][1]
 
 
 def leaf_ids(tree) -> list[int]:
     """Edge ids in left-to-right reading order."""
-    if isinstance(tree, Leaf):
-        return [tree.eid]
-    out = []
-    for c in tree.children:
-        out.extend(leaf_ids(c))
-    return out
+    return [eid for kids, _, _, eid, _ in coefficient_layout(tree) if not kids]
 
 
 def rank(tree) -> int:
     """Edge count of any spanning tree of the two-terminal realization.
 
-    Leaf counts 1, a series chain adds its parts, a parallel bundle glues
-    terminals so each extra part loses one.
+    Every leaf counts 1, and a parallel bundle glues terminals, so each of
+    its parts but one loses one.
     """
-    if isinstance(tree, Leaf):
-        return 1
-    if isinstance(tree, Series):
-        return sum(rank(c) for c in tree.children)
-    return sum(rank(c) - 1 for c in tree.children) + 1
-
-
-def check_invariants(tree) -> None:
-    """Raise unless alternation, arity, and edge-id invariants hold."""
-
-    def walk(node):
-        if isinstance(node, Leaf):
-            return
-        if len(node.children) < 2:
-            raise SpTreeError("composition nodes need at least 2 children")
-        for c in node.children:
-            if type(c) is type(node):
-                raise SpTreeError("series and parallel compositions must alternate")
-            walk(c)
-
-    walk(tree)
-    ids = leaf_ids(tree)
-    if sorted(ids) != list(range(len(ids))):
-        raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
+    layout = coefficient_layout(tree)
+    return layout[-1][1] - sum([len(kids) - 1 for kids, _, is_series, _, _ in layout
+                                if kids and not is_series])
 
 
 def reverse_tree(tree) -> SpTree:
     """The same network traversed from the other terminal."""
-    if isinstance(tree, Leaf):
-        return tree
-    if isinstance(tree, Parallel):
-        return Parallel(tuple(reverse_tree(c) for c in tree.children))
-    return Series(tuple(reverse_tree(c) for c in reversed(tree.children)))
+    out = []
+    for kids, _, is_series, eid, _ in coefficient_layout(tree):
+        parts = tuple([out[c] for c in (kids[::-1] if is_series else kids)])
+        out.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid))
+    return out[-1]
 
 
 def skeleton_key(tree):
@@ -149,41 +154,31 @@ def skeleton_key(tree):
     smaller of the two reading directions, so the key is already invariant
     under the tree symmetries.
     """
-    if isinstance(tree, Leaf):
-        return (1, 0, ())
-    kid_keys = [skeleton_key(c) for c in tree.children]
-    size = sum(key[0] for key in kid_keys)
-    if isinstance(tree, Parallel):
-        return (size, 1, tuple(sorted(kid_keys)))
-    forward = tuple(kid_keys)
-    backward = tuple(reversed(kid_keys))
-    return (size, 2, min(forward, backward))
+    return _canonical_shape(tree)[0]
 
 
 def _canonical_shape(tree):
-    """Canonical shape keeping original leaf ids."""
-    if isinstance(tree, Leaf):
-        return tree
-    children = [_canonical_shape(c) for c in tree.children]
-    if isinstance(tree, Parallel):
-        children.sort(key=skeleton_key)
-        return Parallel(tuple(children))
-    keys = [skeleton_key(c) for c in children]
-    if tuple(reversed(keys)) < tuple(keys):
-        children.reverse()
-    return Series(tuple(children))
+    """(skeleton_key, canonical shape keeping original leaf ids), from one
+    bottom-up pass that orders each node's children by their keys."""
+    keys, shapes = [], []
+    for kids, size, is_series, eid, _ in coefficient_layout(tree):
+        if not is_series:
+            kids = sorted(kids, key=keys.__getitem__)
+        elif tuple([keys[c] for c in reversed(kids)]) < tuple([keys[c] for c in kids]):
+            kids = kids[::-1]
+        keys.append((size, 2 if is_series else 1 if kids else 0, tuple([keys[c] for c in kids])))
+        parts = tuple([shapes[c] for c in kids])
+        shapes.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid))
+    return keys[-1], shapes[-1]
 
 
 def relabel_leaves(tree) -> SpTree:
     """Reassign edge ids 0..n-1 in left-to-right reading order."""
-    counter = itertools.count()
-
-    def rebuild(node):
-        if isinstance(node, Leaf):
-            return Leaf(next(counter))
-        return type(node)(tuple(rebuild(c) for c in node.children))
-
-    return rebuild(tree)
+    out, ids = [], itertools.count()
+    for kids, _, is_series, _, _ in coefficient_layout(tree):
+        parts = tuple([out[c] for c in kids])
+        out.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(next(ids)))
+    return out[-1]
 
 
 def canonicalize(tree) -> SpTree:
@@ -192,7 +187,7 @@ def canonicalize(tree) -> SpTree:
     Two trees canonicalize identically iff they are related by those
     symmetries; edge ids are reassigned in reading order afterwards.
     """
-    return relabel_leaves(_canonical_shape(tree))
+    return relabel_leaves(_canonical_shape(tree)[1])
 
 
 def dualize(tree) -> SpTree:
@@ -203,10 +198,11 @@ def dualize(tree) -> SpTree:
     closed into a cycle; realize and parallel_rooted interpret it that way,
     so the realized dual has rank n - rank(tree).
     """
-    if isinstance(tree, Leaf):
-        return tree
-    kids = tuple(dualize(c) for c in tree.children)
-    return Series(kids) if isinstance(tree, Parallel) else Parallel(kids)
+    out = []
+    for kids, _, is_series, eid, _ in coefficient_layout(tree):
+        parts = tuple([out[c] for c in kids])
+        out.append(Parallel(parts) if is_series else Series(parts) if kids else Leaf(eid))
+    return out[-1]
 
 
 def parallel_rooted(tree) -> SpTree:
@@ -373,10 +369,12 @@ def class_counts(n_max: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def format_tree(tree) -> str:
-    if isinstance(tree, Leaf):
-        return "e"
-    tag = "P" if isinstance(tree, Parallel) else "S"
-    return tag + "(" + ",".join([format_tree(c) for c in tree.children]) + ")"
+    texts = []  # the text of each subtree whose parent comes later
+    for kids, _, is_series, _, _ in coefficient_layout(tree):
+        first = len(texts) - len(kids)
+        text = ("S(" if is_series else "P(") + ",".join(texts[first:]) + ")" if kids else "e"
+        texts[first:] = [text]
+    return texts[0]
 
 
 def parse_tree(text: str) -> SpTree:
@@ -384,64 +382,66 @@ def parse_tree(text: str) -> SpTree:
 
     Leaves get edge ids in reading order.  Same-kind nesting and
     single-operand compositions are rejected with the offending offset.
+    The open compositions wait on an explicit stack, so any depth parses.
     """
     pos = 0
     counter = itertools.count()
 
-    def skip_ws():
+    def peek():
+        """The next character past whitespace, "" at the end."""
         nonlocal pos
         while pos < len(text) and text[pos].isspace():
             pos += 1
+        return text[pos:pos + 1]
 
     def fail(msg):
         raise TreeParseError(msg, pos)
 
-    def node(parent_kind):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
+    open_nodes = []  # (kind, offset, operands so far) of each open composition
+    while True:
+        ch = peek()
+        if not ch:
             fail("unexpected end of input")
-        ch = text[pos]
-        if ch == "e":
-            pos += 1
-            return Leaf(next(counter))
         if ch in "PS":
             kind = Parallel if ch == "P" else Series
-            if kind is parent_kind:
+            if open_nodes and open_nodes[-1][0] is kind:
                 fail("series and parallel compositions must alternate")
-            start = pos
+            open_nodes.append((kind, pos, []))
             pos += 1
-            skip_ws()
-            if pos >= len(text) or text[pos] != "(":
+            if peek() != "(":
                 fail("expected '('")
             pos += 1
-            kids = [node(kind)]
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
+            continue
+        if ch != "e":
+            fail(f"expected 'e', 'P' or 'S', found {ch!r}")
+        pos += 1
+        done = Leaf(next(counter))
+        # hand the finished operand up, closing each composition it ends
+        while open_nodes:
+            kind, start, kids = open_nodes[-1]
+            kids.append(done)
+            if peek() == ",":
                 pos += 1
-                kids.append(node(kind))
-                skip_ws()
-            if pos >= len(text) or text[pos] != ")":
+                break
+            if peek() != ")":
                 fail("expected ',' or ')'")
             pos += 1
             if len(kids) < 2:
-                pos = start
-                fail("composition needs at least 2 operands")
-            return kind(tuple(kids))
-        fail(f"expected 'e', 'P' or 'S', found {ch!r}")
-
-    tree = node(None)
-    skip_ws()
-    if pos != len(text):
+                raise TreeParseError("composition needs at least 2 operands", start)
+            open_nodes.pop()
+            done = kind(tuple(kids))
+        if not open_nodes:
+            break
+    if peek():
         fail("trailing input after tree")
-    return tree
+    return done
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-_LEAF = (skeleton_key(Leaf(0)), Leaf(0))
+_LEAF = _canonical_shape(Leaf(0))
 
 
 @lru_cache(maxsize=None)
@@ -523,6 +523,12 @@ def enumerate_rooted(n: int, k: int) -> list:
 # realization
 # ---------------------------------------------------------------------------
 
+def _require_edge_ids(ids) -> None:
+    ids = sorted(ids)
+    if ids != list(range(len(ids))):
+        raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
+
+
 @dataclass(frozen=True)
 class MultiGraph:
     """Directed multigraph; edges[i] = (tail, head, edge id), sorted by id."""
@@ -549,24 +555,19 @@ def realize(tree, directions=None) -> MultiGraph:
         tree = parallel_rooted(tree)
     if isinstance(tree, Leaf):
         raise SpTreeError("a single edge is not a 2-connected network")
-    ends = []
+    layout = coefficient_layout(tree)
+    span = {len(layout) - 1: (0, 1)}  # each node's terminal pair
     fresh = itertools.count(2)
-
-    def place(node, left, right):
-        if isinstance(node, Leaf):
-            ends.append((left, right, node.eid))
-        elif isinstance(node, Parallel):
-            for child in node.children:
-                place(child, left, right)
-        else:
-            stops = [left, *itertools.islice(fresh, len(node.children) - 1), right]
-            for child, a, b in zip(node.children, stops, stops[1:]):
-                place(child, a, b)
-
-    place(tree, 0, 1)
+    for i in reversed(range(len(layout))):
+        kids, _, is_series, _, _ = layout[i]
+        if is_series:
+            stops = [span[i][0], *itertools.islice(fresh, len(kids) - 1), span[i][1]]
+            span.update(zip(kids, zip(stops, stops[1:])))
+        elif kids:
+            span.update(dict.fromkeys(kids, span[i]))
+    ends = [(*span[i], eid) for i, (kids, _, _, eid, _) in enumerate(layout) if not kids]
     n = len(ends)
-    if sorted(e for _, _, e in ends) != list(range(n)):
-        raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
+    _require_edge_ids(e for _, _, e in ends)
     if directions is None:
         directions = [False] * n
     if len(directions) != n:
@@ -632,6 +633,7 @@ def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
     nv = graph.num_vertices
     if not (0 <= l < nv and 0 <= r < nv) or l == r:
         raise SpTreeError("terminals must be two distinct vertices of the graph")
+    _require_edge_ids(eid for _, _, eid in graph.edges)
     vedges = []
     for tail, head, eid in graph.edges:
         if tail == head:
@@ -694,7 +696,7 @@ def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
     if not isinstance(final.tree, Parallel):
         raise SpTreeError("graph is not 2-connected (outermost composition is not parallel)")
 
-    shape = _canonical_shape(final.tree)
+    _, shape = _canonical_shape(final.tree)
     order = leaf_ids(shape)
     tree = relabel_leaves(shape)
     raw_flips = tuple(final.flips[e] for e in range(len(final.flips)))

@@ -4,16 +4,17 @@ The weight family computed here makes the star space of a 2-connected
 series-parallel graph sit at cosine exactly 1/sqrt(n) from every
 coordinate subspace.  The companion signed coefficients form, on each
 spanning tree, an eigenvector of the matching transfer-current submatrix.
-Everything is exact: weights and tree sums are Fractions, and the
-coefficients come out as integers over one common denominator per tree.
-The decomposition tree is laid out once per instance, each leaf with its
-direction sign (coefficient_layout); the weights come from one top-down
-pass over that layout, and the coefficients of every spanning tree from
-one bottom-up and one top-down pass, each step an array operation over
-all the trees at once (stacked_coefficients).  spanning_trees lists the
-trees the eigen check and the target run on, from one batched determinant
-over all edge subsets of the reduced incidence matrix, exact because that
-matrix is totally unimodular.
+Everything is exact: weights are Fractions, and the coefficients come
+out as integers over one common denominator per tree.  The decomposition
+tree is laid out once per instance, each leaf with its direction sign,
+by coefficient_layout, which lives in sptree (the post-order list every
+tree walk reads) and is imported here; the weights come from one
+top-down pass over that layout, and the coefficients of every spanning
+tree from one bottom-up and one top-down pass, each step an array
+operation over all the trees at once (stacked_coefficients).
+spanning_trees lists the trees the eigen check and the target run on,
+from one batched determinant over all edge subsets of the reduced
+incidence matrix, exact because that matrix is totally unimodular.
 """
 
 from __future__ import annotations
@@ -21,16 +22,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, combinations, compress
-from typing import NamedTuple
 
 import numpy as np
 
 from . import numeric
 from .sptree import (
-    Leaf,
     Parallel,
     Series,
     SpTreeError,
+    coefficient_layout,
     parallel_rooted,
 )
 
@@ -44,7 +44,7 @@ def induced_weights(tree) -> dict[int, Fraction]:
     contributes nothing.  Edges sitting directly in the root bundle get
     weight 1.  The subnetwork sizes come from one post-order pass
     (coefficient_layout); one top-down pass multiplies the ratios along
-    each chain as integer numerators and denominators.
+    each chain as integer numerators and denominators in lowest terms.
     """
     if isinstance(tree, Series):
         tree = parallel_rooted(tree)
@@ -66,36 +66,14 @@ def _layout_weights(layout) -> dict[int, Fraction]:
         kids, size, is_series, _, _ = layout[i]
         for c in kids:
             if is_series:
-                num[c], den[c] = num[i] * phi(size), den[i] * phi(layout[c][1])
+                # unreduced, a deep chain's products grow far past its weights
+                p, q = num[i] * phi(size), den[i] * phi(layout[c][1])
+                g = math.gcd(p, q)
+                num[c], den[c] = p // g, q // g
             else:
                 num[c], den[c] = num[i], den[i]
     return {eid: Fraction(num[i], den[i])
             for i, (kids, _, _, eid, _) in enumerate(layout) if not kids}
-
-
-def coefficient_layout(tree, directions=None) -> tuple:
-    """The part of the weights and coefficients that no spanning tree changes.
-
-    Lists the parallel-rooted tree in post-order, root last, each node as
-    (children, size, is_series, eid, sign): children are positions in the
-    list and size is the leaf count; a leaf also carries its edge id and a
-    sign, -1 when directions (as given to realize) flips the edge against
-    its natural left-to-right sense and +1 otherwise.
-    """
-    nodes = []
-
-    def walk(node) -> int:
-        if isinstance(node, Leaf):
-            sign = -1 if directions and directions[node.eid] else 1
-            nodes.append(((), 1, False, node.eid, sign))
-        else:
-            kids = tuple(walk(child) for child in node.children)
-            size = sum(nodes[c][1] for c in kids)
-            nodes.append((kids, size, isinstance(node, Series), None, 0))
-        return len(nodes) - 1
-
-    walk(tree)
-    return tuple(nodes)
 
 
 def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,38 +141,6 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     dens[~on] = 1
     scale = np.lcm.reduce(dens, axis=0)
     return scale, np.where(on, C * (scale // dens), 0), on
-
-
-class TreeSums(NamedTuple):
-    """Weighted count of spanning trees and of terminal-splitting 2-forests."""
-
-    trees: Fraction
-    forests: Fraction
-
-
-def tree_sums(tree, weights) -> TreeSums:
-    """Both sums at once through the series/parallel recurrences.
-
-    A series chain multiplies tree sums and spreads one forest split over
-    its parts; a parallel bundle does the opposite.
-    """
-
-    def rec(node) -> TreeSums:
-        if isinstance(node, Leaf):
-            return TreeSums(Fraction(weights[node.eid]), Fraction(1))
-        parts = [rec(c) for c in node.children]
-        ts = [p.trees for p in parts]
-        fs = [p.forests for p in parts]
-        if isinstance(node, Series):
-            total = math.prod(ts)
-            split = sum(math.prod(ts[:i]) * fs[i] * math.prod(ts[i + 1:])
-                        for i in range(len(parts)))
-            return TreeSums(total, split)
-        total = sum(math.prod(fs[:i]) * ts[i] * math.prod(fs[i + 1:])
-                    for i in range(len(parts)))
-        return TreeSums(total, math.prod(fs))
-
-    return rec(tree)
 
 
 def spanning_trees(graph) -> list[tuple]:

@@ -13,9 +13,11 @@ for all of them at once.  check_eigen and check_degenerate work on the
 Fraction matrix Y one subset at a time, the latter through rational_det,
 which clears each row's denominators before one integer elimination by
 bareiss, the pivoting version of numeric.bareiss for matrices that are
-not positive definite.  brute_tree_sums sweeps every edge subset for the
-weighted tree and 2-forest sums, and spanning_trees keeps the k-subsets
-on which a union-find closes no cycle.  realize_with_spans glues the
+not positive definite.  tree_sums gives the weighted tree and 2-forest
+sums by the series/parallel recurrences (criterion 4 checks them),
+brute_tree_sums by sweeping every edge subset, and spanning_trees keeps
+the k-subsets on which a union-find closes no cycle.  check_invariants
+checks a tree's alternation, arity and edge ids.  realize_with_spans glues the
 graph from two fresh vertices per leaf by a union-find and keeps every
 node's terminal pair.  The integer routines in spextremal must agree
 with these: the batched eigen check with check_eigen on every spanning
@@ -34,6 +36,7 @@ class_key against the subspaces themselves.
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +52,25 @@ from spextremal.sptree import (
     make_series,
     parallel_rooted,
 )
-from spextremal.weights import TreeSums
+
+
+def check_invariants(tree) -> None:
+    """Raise unless alternation, arity, and edge-id invariants hold."""
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            return
+        if len(node.children) < 2:
+            raise SpTreeError("composition nodes need at least 2 children")
+        for c in node.children:
+            if type(c) is type(node):
+                raise SpTreeError("series and parallel compositions must alternate")
+            walk(c)
+
+    walk(tree)
+    ids = leaf_ids(tree)
+    if sorted(ids) != list(range(len(ids))):
+        raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
 
 
 def realize_with_spans(tree, directions=None):
@@ -297,6 +318,38 @@ def two_component_forests(graph) -> list[tuple]:
     n = len(graph.edges)
     size = graph.num_vertices - 2
     return [s for s in combinations(range(n), size) if _separates_terminals(graph, s)]
+
+
+class TreeSums(NamedTuple):
+    """Weighted count of spanning trees and of terminal-splitting 2-forests."""
+
+    trees: Fraction
+    forests: Fraction
+
+
+def tree_sums(tree, weights) -> TreeSums:
+    """Both sums at once through the series/parallel recurrences.
+
+    A series chain multiplies tree sums and spreads one forest split over
+    its parts; a parallel bundle does the opposite.
+    """
+
+    def rec(node) -> TreeSums:
+        if isinstance(node, Leaf):
+            return TreeSums(Fraction(weights[node.eid]), Fraction(1))
+        parts = [rec(c) for c in node.children]
+        ts = [p.trees for p in parts]
+        fs = [p.forests for p in parts]
+        if isinstance(node, Series):
+            total = math.prod(ts)
+            split = sum(math.prod(ts[:i]) * fs[i] * math.prod(ts[i + 1:])
+                        for i in range(len(parts)))
+            return TreeSums(total, split)
+        total = sum(math.prod(fs[:i]) * ts[i] * math.prod(fs[i + 1:])
+                    for i in range(len(parts)))
+        return TreeSums(total, math.prod(fs))
+
+    return rec(tree)
 
 
 def brute_tree_sums(graph, weights) -> TreeSums:

@@ -9,7 +9,7 @@ import pytest
 import spextremal as sp
 from spextremal import cli
 from spextremal.search import SearchConfig
-from spextremal.weights import coefficient_layout
+from spextremal.sptree import canonicalize, coefficient_layout, decompose
 
 from exact_oracles import enumerated_class_count
 
@@ -190,31 +190,54 @@ def nested(depth):
     return text
 
 
-class TestNestingLimit:
-    def test_every_walk_fits_at_the_limit(self):
-        tree = sp.parse_tree(nested(cli.NESTING_MAX))
-        assert sp.format_tree(tree) == nested(cli.NESTING_MAX)
-        assert sp.leaf_count(tree) == cli.NESTING_MAX + 1
-        assert len(coefficient_layout(tree)) == 2 * cli.NESTING_MAX + 1
-        assert len(sp.realize(tree).edges) == cli.NESTING_MAX + 1
-        assert sp.format_tree(sp.dualize(sp.dualize(tree))) == nested(cli.NESTING_MAX)
+class TestDeepTrees:
+    """No walk recurses per level: trees nest to any depth at Python's
+    default recursion limit."""
 
-    def test_at_the_limit(self, capsys):
-        code, out, err = run_cli(capsys, "weights", nested(cli.NESTING_MAX))
+    def test_every_walk_at_depth_10000(self):
+        assert sys.getrecursionlimit() <= 1000
+        text = nested(10_000)
+        tree = sp.parse_tree(text)
+        assert sp.format_tree(tree) == text
+        assert sp.leaf_count(tree) == 10_001
+        graph = sp.realize(tree)
+        assert len(graph.edges) == 10_001
+        assert sp.rank(tree) == graph.num_vertices - 1
+        assert len(coefficient_layout(tree)) == 20_001
+        assert len(sp.induced_weights(tree)) == 10_001
+        assert sp.format_tree(sp.dualize(sp.dualize(tree))) == text
+        assert sp.format_tree(canonicalize(tree)) == text
+
+    def test_decompose_recovers_a_deep_chain(self):
+        # decompose is quadratic in the edge count, so 700 levels, not 10 000
+        tree = sp.parse_tree(nested(700))
+        graph = sp.realize(tree)
+        recovered = decompose(graph, *graph.terminals).tree
+        assert sp.format_tree(recovered) == sp.format_tree(canonicalize(tree))
+
+    def test_weights_of_a_deep_chain(self, capsys):
+        code, out, err = run_cli(capsys, "weights", nested(5000))
         assert code == 0 and err == ""
-        assert out.count(",") == cli.NESTING_MAX
-        code, out, err = run_cli(capsys, "verify", nested(cli.NESTING_MAX))
-        assert code == 64 and out == ""
-        assert err == f"error: {cli.NESTING_MAX + 1} edges exceed the limit of 12\n"
+        assert len(out.split(", ")) == 5001
 
-    @pytest.mark.parametrize("command", ["weights", "verify"])
-    def test_above_the_limit_is_usage_error(self, capsys, command):
-        for depth in (cli.NESTING_MAX + 1, 1200):
-            code, out, err = run_cli(capsys, command, nested(depth))
-            assert code == 64
-            assert out == ""
-            assert err == (f"usage error: tree nests {depth} levels deep, above the "
-                           f"limit of {cli.NESTING_MAX}\n")
+    def test_verify_of_a_deep_chain_hits_the_edge_limit(self, capsys):
+        code, out, err = run_cli(capsys, "verify", nested(5000))
+        assert code == 64 and out == ""
+        assert err == "error: 5001 edges exceed the limit of 12\n"
+
+    @pytest.mark.parametrize("depth", [300, 5000])
+    def test_parse_error_deep_inside(self, capsys, depth):
+        # the innermost composition (a series one at even depth) gets the
+        # single-operand P(e) as its last operand
+        text = nested(depth)
+        at = len(text) - depth - 1
+        text = text[:at] + "P(e)" + text[at + 1:]
+        with pytest.raises(sp.TreeParseError) as caught:
+            sp.parse_tree(text)
+        assert caught.value.position == at
+        code, out, err = run_cli(capsys, "weights", text)
+        assert code == 65 and out == ""
+        assert err == f"parse error: composition needs at least 2 operands (at position {at})\n"
 
 
 class TestTable:

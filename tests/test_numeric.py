@@ -21,7 +21,6 @@ from spextremal.numeric import (
     transfer_current,
 )
 from spextremal.sptree import Leaf, MultiGraph, make_parallel
-from spextremal.weights import tree_sums
 
 from exact_oracles import (
     bareiss,
@@ -30,6 +29,7 @@ from exact_oracles import (
     rational_det,
     rational_matrix,
     transfer_current_combinatorial,
+    tree_sums,
 )
 
 

@@ -13,15 +13,20 @@ from spextremal.sptree import (
     Parallel,
     Series,
     canonicalize,
-    check_invariants,
     decompose,
     parallel_rooted,
     relabel_leaves,
 )
-from spextremal.weights import stacked_coefficients, tree_sums
+from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
-from exact_oracles import brute_tree_sums, fraction_y, transfer_current_combinatorial
+from exact_oracles import (
+    brute_tree_sums,
+    check_invariants,
+    fraction_y,
+    transfer_current_combinatorial,
+    tree_sums,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None)
 

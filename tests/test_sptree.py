@@ -9,7 +9,6 @@ from spextremal.sptree import (
     Parallel,
     Series,
     canonicalize,
-    check_invariants,
     decompose,
     leaf_ids,
     make_parallel,
@@ -18,6 +17,7 @@ from spextremal.sptree import (
 )
 
 import exact_oracles as oracle
+from exact_oracles import check_invariants
 
 
 def leaf(i=0):
@@ -294,6 +294,13 @@ class TestDecompose:
     def test_path_graph_rejected(self):
         g = MultiGraph(3, ((0, 1, 0), (1, 2, 1)), (0, 2))
         with pytest.raises(sp.SpTreeError):
+            decompose(g, 0, 2)
+
+    @pytest.mark.parametrize("ids", [(0, 5, 1), (0, 1, 1)])
+    def test_edge_ids_not_a_permutation_rejected(self, ids):
+        # a gap (5 for 2) or a repeat (1 twice) among the ids of a triangle
+        g = MultiGraph(3, ((0, 1, ids[0]), (1, 2, ids[1]), (0, 2, ids[2])), (0, 2))
+        with pytest.raises(sp.SpTreeError, match="leaf edge ids must be a permutation"):
             decompose(g, 0, 2)
 
     def test_reduction_order_confluence(self):

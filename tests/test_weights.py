@@ -11,12 +11,11 @@ from spextremal.sptree import Leaf, MultiGraph, decompose, make_parallel
 from spextremal.weights import (
     coefficient_layout,
     stacked_coefficients,
-    tree_sums,
     weights_to_json,
 )
 
 import exact_oracles as oracle
-from exact_oracles import brute_tree_sums, rational_det, two_component_forests
+from exact_oracles import brute_tree_sums, rational_det, tree_sums, two_component_forests
 
 
 def random_weights(rng, n):
