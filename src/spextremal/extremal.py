@@ -1,7 +1,7 @@
 """Assembled extremal instances and their exact verification.
 
-build() turns a decomposition tree into the full bundle: realized graph,
-the tree's post-order layout and the induced weights read off it,
+build() turns a decomposition tree into the full bundle: the tree's
+post-order layout, the realized graph and induced weights read off it,
 incidence matrix, the transfer current matrix Y held only as the integer
 pair (D, D Y), D the least positive integer that makes D Y integral (one
 gcd over the pair transfer_current returns), and the orthonormalized
@@ -13,7 +13,8 @@ one pass over the layout; check_degenerate proves by four identities
 that D Y is D times the transfer current, which makes every non-tree
 minor zero without looking at a single subset; check_attained proves
 the bound attained on one tree; and check_dual reads the planar dual off
-that proof, with two tests of the dual's graph and weights.
+that proof, with two tests of the dual's graph and weights, read off a
+layout derived from the primal's: nothing after build lays a tree out.
 Nothing on the verify path sweeps the k-subsets: the spanning trees come
 from one batched determinant (weights.spanning_trees), and the float
 target that verify reports is scored over them alone, because every
@@ -42,10 +43,10 @@ from .sptree import (
     SpTree,
     class_counts,
     coefficient_layout,
-    dualize,
     format_tree,
     parallel_rooted,
     realize,
+    two_terminal_layout,
 )
 from .weights import (
     _layout_weights,
@@ -64,7 +65,7 @@ class ExtremalInstance:
     subspace: Subspace
     D: int            # the least positive integer that makes D Y integral
     DY: np.ndarray    # D Y, an object array of Python ints
-    layout: tuple     # sptree.coefficient_layout of the realized tree
+    layout: tuple     # the tree laid out once; graph, weights, report and dual read it
 
 
 def build(tree, directions=None) -> ExtremalInstance:
@@ -74,8 +75,8 @@ def build(tree, directions=None) -> ExtremalInstance:
     through parallel_rooted first.
     """
     tree = parallel_rooted(tree)
-    graph = realize(tree, directions)
     layout = coefficient_layout(tree, directions)
+    graph = realize(layout)
     w = _layout_weights(layout)
     B = incidence_matrix(graph)
     T, TY = transfer_current(B, w)
@@ -168,19 +169,23 @@ def check_attained(inst: ExtremalInstance, tau, c) -> bool:
 def planar_dual(inst: ExtremalInstance):
     """The planar dual's graph, weights and signs s, read off the primal.
 
-    The dual tree is realized with natural directions and keeps the edge
-    ids.  Its closed chain is rooted at the primal root's first branch,
-    which leaves every other branch reversed, so s_e is +1 on that
-    branch, -1 off it, times e's own direction sign; check_dual tests
-    B S B*^T == 0 rather than assume it.
+    The dual is laid out from the primal's layout, every inner node's
+    kind swapped and every edge natural; its closed chain is rooted at the
+    primal root's first branch (two_terminal_layout), which leaves every
+    other branch reversed, so s_e is +1 on that branch, -1 off it, times
+    e's own direction sign; check_dual tests B S B*^T == 0 rather than
+    assume it.
     """
-    tree = parallel_rooted(dualize(inst.tree))
+    # abs: a leaf's sign becomes +1, an inner node's stays 0
+    layout = two_terminal_layout(tuple([
+        (kids, size, bool(kids) and not is_series, eid, abs(sign))
+        for kids, size, is_series, eid, sign in inst.layout]))
     first = inst.layout[-1][0][0]  # post-order: its leaves come first
     signs = np.empty(len(inst.weights), dtype=object)
     for i, (kids, _, _, eid, sign) in enumerate(inst.layout):
         if not kids:
             signs[eid] = sign if i <= first else -sign
-    return realize(tree), _layout_weights(coefficient_layout(tree)), signs
+    return realize(layout), _layout_weights(layout), signs
 
 
 def check_dual(inst: ExtremalInstance) -> bool:
@@ -189,7 +194,7 @@ def check_dual(inst: ExtremalInstance) -> bool:
     With planar_dual's graph, weights w* and signs s, and B* the dual
     incidence matrix: (a) B S B*^T == 0; (b) w* is reciprocal to w up to
     one factor, as cross products p_e p*_e Q == q_e q*_e P for
-    P / Q = w_0 w*_0.  With check_degenerate's proof that Y is the
+    P / Q = w_0 w*_0 != 0.  With check_degenerate's proof that Y is the
     transfer current, these give the dual's Y* = S (I - Y^T) S, so the
     primal's D clears it too.  Why: the dual graph is connected on
     n - k + 1 vertices (Euler's formula), so by (a) S range(B*^T), of
@@ -210,6 +215,7 @@ def check_dual(inst: ExtremalInstance) -> bool:
     top = [inst.weights[e].numerator * dual_w[e].numerator for e in edges]
     bottom = [inst.weights[e].denominator * dual_w[e].denominator for e in edges]
     return bool(not inst.B.dot(signs[:, None] * incidence_matrix(graph).T).any()
+                and top[0] != 0
                 and all(t * bottom[0] == b * top[0] for t, b in zip(top, bottom)))
 
 
@@ -242,7 +248,7 @@ def verify_instance(inst: ExtremalInstance) -> dict:
     _, C, on = stacked_coefficients(inst.layout, trees)
     angle, tau = target(inst.subspace, trees)
     return {
-        "tree": format_tree(inst.tree),
+        "tree": format_tree(inst.layout),
         "weights": weights_to_json(inst.weights),
         "n": n,
         "k": inst.subspace.dim,

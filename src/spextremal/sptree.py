@@ -16,7 +16,8 @@ the nested nodes: coefficient_layout lists them in post-order with an
 explicit stack, and every other walk (counting, formatting, reversal,
 relabeling, duality, canonical forms, realization) is a loop over that
 list, so no tree is too deep for Python's recursion limit, and neither
-is the text parse_tree reads.  Realization runs the list top-down,
+is the text parse_tree reads; each walk takes the list in place of the
+tree, too.  Realization runs the list top-down,
 handing each node its terminal pair, and numbers the vertices by first
 appearance along the leaves in reading order, the left end of a leaf
 before its right end.
@@ -96,13 +97,24 @@ def coefficient_layout(tree, directions=None) -> tuple:
     positions in the list and size is the leaf count; a leaf also carries
     its edge id and a sign, -1 when directions (as given to realize) flips
     the edge against its natural left-to-right sense and +1 otherwise.
-    No spanning tree changes it, and every walk over a tree reads it.
+    No spanning tree changes it, and every walk over a tree reads it.  A
+    layout is returned as given and takes no directions (it has its
+    signs); directions need edge ids 0..n-1 and one flag for each.
     """
+    if isinstance(tree, tuple):
+        if directions is not None:
+            raise SpTreeError("a layout carries its own direction signs")
+        return tree
     order, stack = [], [tree]  # parents first, last child first: post-order reversed
     while stack:
         order.append(stack.pop())
         if not isinstance(order[-1], Leaf):
             stack.extend(order[-1].children)
+    if directions is not None:
+        ids = [node.eid for node in order if isinstance(node, Leaf)]
+        _require_edge_ids(ids)
+        if len(directions) != len(ids):
+            raise SpTreeError("need one direction flag per edge")
     nodes, done = [], []  # done: positions of the subtrees whose parent comes later
     for node in reversed(order):
         if isinstance(node, Leaf):
@@ -146,30 +158,30 @@ def reverse_tree(tree) -> SpTree:
     return out[-1]
 
 
-def skeleton_key(tree):
-    """Total order on edge-id-erased shapes.
-
-    Key is (leaf count, kind, child keys) with Leaf < Parallel < Series;
-    parallel children compare as a sorted multiset and series chains as the
-    smaller of the two reading directions, so the key is already invariant
-    under the tree symmetries.
-    """
-    return _canonical_shape(tree)[0]
-
-
-def _canonical_shape(tree):
-    """(skeleton_key, canonical shape keeping original leaf ids), from one
-    bottom-up pass that orders each node's children by their keys."""
-    keys, shapes = [], []
-    for kids, size, is_series, eid, _ in coefficient_layout(tree):
-        if not is_series:
-            kids = sorted(kids, key=keys.__getitem__)
-        elif tuple([keys[c] for c in reversed(kids)]) < tuple([keys[c] for c in kids]):
-            kids = kids[::-1]
-        keys.append((size, 2 if is_series else 1 if kids else 0, tuple([keys[c] for c in kids])))
-        parts = tuple([shapes[c] for c in kids])
-        shapes.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid))
-    return keys[-1], shapes[-1]
+def _canonical_shape(tree) -> SpTree:
+    """The canonical shape, keeping the original leaf ids: each node's
+    children in the order of their keys (leaf count, kind, child keys),
+    Leaf < Parallel < Series, parallel children sorted and a series chain
+    in its smaller reading direction.  Ranking the nodes one leaf count at
+    a time, smallest first, a key holds its children's ranks, pairs of
+    ints, in place of their keys, so no comparison descends the tree."""
+    layout = coefficient_layout(tree)
+    ranks, shapes = {}, {}
+    by_size = sorted(range(len(layout)), key=lambda i: layout[i][1])
+    for size, group in itertools.groupby(by_size, key=lambda i: layout[i][1]):
+        keys = {}
+        for i in group:
+            kids, _, is_series, eid, _ = layout[i]
+            if not is_series:
+                kids = sorted(kids, key=ranks.__getitem__)
+            elif [ranks[c] for c in reversed(kids)] < [ranks[c] for c in kids]:
+                kids = kids[::-1]
+            keys[i] = (2 if is_series else 1 if kids else 0, tuple([ranks[c] for c in kids]))
+            parts = tuple([shapes[c] for c in kids])
+            shapes[i] = Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid)
+        rank_of = {key: (size, j) for j, key in enumerate(sorted(keys.values()))}
+        ranks.update({i: rank_of[key] for i, key in keys.items()})
+    return shapes[len(layout) - 1]
 
 
 def relabel_leaves(tree) -> SpTree:
@@ -187,7 +199,7 @@ def canonicalize(tree) -> SpTree:
     Two trees canonicalize identically iff they are related by those
     symmetries; edge ids are reassigned in reading order afterwards.
     """
-    return relabel_leaves(_canonical_shape(tree)[1])
+    return relabel_leaves(_canonical_shape(tree))
 
 
 def dualize(tree) -> SpTree:
@@ -195,8 +207,8 @@ def dualize(tree) -> SpTree:
 
     The output describes the planar dual network.  When the input root is
     parallel the output root is a series chain that has to be read as
-    closed into a cycle; realize and parallel_rooted interpret it that way,
-    so the realized dual has rank n - rank(tree).
+    closed into a cycle; realize, induced_weights and parallel_rooted
+    interpret it that way, so the realized dual has rank n - rank(tree).
     """
     out = []
     for kids, _, is_series, eid, _ in coefficient_layout(tree):
@@ -218,6 +230,21 @@ def parallel_rooted(tree) -> SpTree:
         raise SpTreeError("a single edge has no 2-connected realization")
     kids = list(tree.children)
     return make_parallel([kids[0], make_series(kids[1:])])
+
+
+def two_terminal_layout(tree, directions=None) -> tuple:
+    """coefficient_layout of parallel_rooted(tree), less the flattening,
+    which changes neither the realization nor the weights: a series root
+    becomes a series node over its children but the first, under a new
+    parallel root over the first and that node."""
+    layout = coefficient_layout(tree, directions)
+    kids, size, is_series, _, _ = layout[-1]
+    if not kids:
+        raise SpTreeError("a single edge is not a 2-connected network")
+    if not is_series:
+        return layout
+    rest = layout[:-1] + ((kids[1:], size - layout[kids[0]][1], True, None, 0),)
+    return rest + (((kids[0], len(rest) - 1), size, False, None, 0),)
 
 
 def _times(a, b):
@@ -441,13 +468,15 @@ def parse_tree(text: str) -> SpTree:
 # enumeration
 # ---------------------------------------------------------------------------
 
-_LEAF = _canonical_shape(Leaf(0))
+# shapes come with their keys as in _canonical_shape, each child key nested
+# whole (enumeration stops at 12 edges, so comparisons stay shallow)
+_LEAF = ((1, 0, ()), Leaf(0))
 
 
 @lru_cache(maxsize=None)
 def _series_shapes(n: int, k: int) -> tuple:
     """Canonical series chains with n edges and rank k (placeholder ids),
-    each as a (skeleton_key, shape) pair."""
+    each as a (key, shape) pair."""
     if n < 2 or k < 2 or k > n:
         return ()
     out = []
@@ -475,7 +504,7 @@ def _series_shapes(n: int, k: int) -> tuple:
 @lru_cache(maxsize=None)
 def _parallel_shapes(n: int, k: int) -> tuple:
     """Canonical parallel bundles with n edges and rank k (placeholder ids),
-    each as a (skeleton_key, shape) pair."""
+    each as a (key, shape) pair."""
     if n < 2 or k < 1 or k >= n:
         return ()
     # (pair, edges, rank - 1) of every part of rank <= k; no other part fits
@@ -483,7 +512,7 @@ def _parallel_shapes(n: int, k: int) -> tuple:
     for n2 in range(2, n):
         for k2 in range(2, min(n2, k) + 1):
             comps.extend((pair, n2, k2 - 1) for pair in _series_shapes(n2, k2))
-    # skeleton_key leads with the leaf count, so the edge counts never
+    # a key leads with the leaf count, so the edge counts never
     # decrease, and the chosen parts come in sorted key order
     comps.sort(key=lambda c: c[0][0])
     out = []
@@ -547,15 +576,11 @@ def realize(tree, directions=None) -> MultiGraph:
     then numbered 0, 1, ... by first appearance along the leaves in reading
     order, the left end of a leaf before its right end, so the left
     terminal is vertex 0.  directions[eid] = True flips that edge against
-    its natural left-to-right sense.  A series root is read as the
-    closed-up chain (rewritten through parallel_rooted), which is how
-    duals realize.
+    its natural left-to-right sense (a layout's signs say it).  A series
+    root is read as the closed-up chain (two_terminal_layout), which is
+    how duals realize.
     """
-    if isinstance(tree, Series):
-        tree = parallel_rooted(tree)
-    if isinstance(tree, Leaf):
-        raise SpTreeError("a single edge is not a 2-connected network")
-    layout = coefficient_layout(tree)
+    layout = two_terminal_layout(tree, directions)
     span = {len(layout) - 1: (0, 1)}  # each node's terminal pair
     fresh = itertools.count(2)
     for i in reversed(range(len(layout))):
@@ -565,21 +590,17 @@ def realize(tree, directions=None) -> MultiGraph:
             span.update(zip(kids, zip(stops, stops[1:])))
         elif kids:
             span.update(dict.fromkeys(kids, span[i]))
-    ends = [(*span[i], eid) for i, (kids, _, _, eid, _) in enumerate(layout) if not kids]
-    n = len(ends)
-    _require_edge_ids(e for _, _, e in ends)
-    if directions is None:
-        directions = [False] * n
-    if len(directions) != n:
-        raise SpTreeError("need one direction flag per edge")
+    ends = [(*span[i], eid, sign) for i, (kids, _, _, eid, sign) in enumerate(layout)
+            if not kids]
+    _require_edge_ids(e for _, _, e, _ in ends)
     label = {}
-    for left, right, _ in ends:
+    for left, right, _, _ in ends:
         label.setdefault(left, len(label))
         label.setdefault(right, len(label))
-    edges = [None] * n
-    for left, right, e in ends:
+    edges = [None] * len(ends)
+    for left, right, e, sign in ends:
         t, h = label[left], label[right]
-        edges[e] = (h, t, e) if directions[e] else (t, h, e)
+        edges[e] = (t, h, e) if sign > 0 else (h, t, e)
     return MultiGraph(len(label), tuple(edges), (label[0], label[1]))
 
 
@@ -696,7 +717,7 @@ def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
     if not isinstance(final.tree, Parallel):
         raise SpTreeError("graph is not 2-connected (outermost composition is not parallel)")
 
-    _, shape = _canonical_shape(final.tree)
+    shape = _canonical_shape(final.tree)
     order = leaf_ids(shape)
     tree = relabel_leaves(shape)
     raw_flips = tuple(final.flips[e] for e in range(len(final.flips)))

@@ -7,11 +7,11 @@ spanning tree, an eigenvector of the matching transfer-current submatrix.
 Everything is exact: weights are Fractions, and the coefficients come
 out as integers over one common denominator per tree.  The decomposition
 tree is laid out once per instance, each leaf with its direction sign,
-by coefficient_layout, which lives in sptree (the post-order list every
-tree walk reads) and is imported here; the weights come from one
-top-down pass over that layout, and the coefficients of every spanning
-tree from one bottom-up and one top-down pass, each step an array
-operation over all the trees at once (stacked_coefficients).
+by sptree.coefficient_layout (the post-order list every tree walk
+reads); the weights come from one top-down pass over that layout, and
+the coefficients of every spanning tree from one bottom-up and one
+top-down pass, each step an array operation over all the trees at once
+(stacked_coefficients).
 spanning_trees lists the trees the eigen check and the target run on,
 from one batched determinant over all edge subsets of the reduced
 incidence matrix, exact because that matrix is totally unimodular.
@@ -26,13 +26,7 @@ from itertools import chain, combinations, compress
 import numpy as np
 
 from . import numeric
-from .sptree import (
-    Parallel,
-    Series,
-    SpTreeError,
-    coefficient_layout,
-    parallel_rooted,
-)
+from .sptree import SpTreeError, two_terminal_layout
 
 
 def induced_weights(tree) -> dict[int, Fraction]:
@@ -43,19 +37,16 @@ def induced_weights(tree) -> dict[int, Fraction]:
     chains ending at a parallel level end with a dummy serial step that
     contributes nothing.  Edges sitting directly in the root bundle get
     weight 1.  The subnetwork sizes come from one post-order pass
-    (coefficient_layout); one top-down pass multiplies the ratios along
-    each chain as integer numerators and denominators in lowest terms.
+    (sptree.two_terminal_layout, so a closed series chain or a layout is
+    taken too); one top-down pass multiplies the ratios along each chain
+    as integer numerators and denominators in lowest terms.
     """
-    if isinstance(tree, Series):
-        tree = parallel_rooted(tree)
-    if not isinstance(tree, Parallel):
-        raise SpTreeError("induced weights need a 2-connected (parallel-rooted) tree")
-    return _layout_weights(coefficient_layout(tree))
+    return _layout_weights(two_terminal_layout(tree))
 
 
 def _layout_weights(layout) -> dict[int, Fraction]:
-    """induced_weights of the tree laid out by coefficient_layout, read off
-    the sizes alone, so the directions the layout carries do not matter."""
+    """induced_weights of a parallel-rooted layout, read off the sizes
+    alone, so the directions the layout carries do not matter."""
     n = layout[-1][1]
 
     def phi(x: int) -> int:

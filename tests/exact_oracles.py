@@ -17,20 +17,23 @@ not positive definite.  tree_sums gives the weighted tree and 2-forest
 sums by the series/parallel recurrences (criterion 4 checks them),
 brute_tree_sums by sweeping every edge subset, and spanning_trees keeps
 the k-subsets on which a union-find closes no cycle.  check_invariants
-checks a tree's alternation, arity and edge ids.  realize_with_spans glues the
-graph from two fresh vertices per leaf by a union-find and keeps every
-node's terminal pair.  The integer routines in spextremal must agree
-with these: the batched eigen check with check_eigen on every spanning
-tree, the transfer-current proof with check_degenerate on every non-tree
-subset, the stacked coefficients with scaled_coefficients and with
-induced_coefficients on every tree, the batched determinant with the
-union-find sweep, and the top-down sptree.realize with
-realize_with_spans.  class_key is the canonical key of a tree's cycle
-matroid, read off its polygon-bond tree, and enumerated_class_count
-folds the enumerated trees by it: that is what the generating function
-sptree.class_counts must count, and so what count_classes and the cli's
-table and enumerate print.  matrix_canon.oracle_key in turn checks
-class_key against the subspaces themselves.
+checks a tree's alternation, arity and edge ids.  skeleton_key is the
+nested key that sptree replaces by integer ranks, and canonicalize
+orders each node's children by it, as sptree.canonicalize must.
+realize_with_spans glues the graph from two fresh vertices per leaf by a
+union-find and keeps every node's terminal pair.  The integer routines
+in spextremal must agree with these: the batched eigen check with
+check_eigen on every spanning tree, the transfer-current proof with
+check_degenerate on every non-tree subset, the stacked coefficients with
+scaled_coefficients and with induced_coefficients on every tree, the
+batched determinant with the union-find sweep, and the top-down
+sptree.realize with realize_with_spans.  class_key is the canonical key
+of a tree's cycle matroid, read off its polygon-bond tree, and
+enumerated_class_count folds the enumerated trees by it: that is what
+the generating function sptree.class_counts must count, and so what
+count_classes and the cli's table and enumerate print.
+matrix_canon.oracle_key in turn checks class_key against the subspaces
+themselves.
 """
 
 import math
@@ -46,11 +49,13 @@ from spextremal.sptree import (
     Parallel,
     Series,
     SpTreeError,
+    coefficient_layout,
     enumerate_rooted,
     leaf_count,
     leaf_ids,
     make_series,
     parallel_rooted,
+    relabel_leaves,
 )
 
 
@@ -71,6 +76,39 @@ def check_invariants(tree) -> None:
     ids = leaf_ids(tree)
     if sorted(ids) != list(range(len(ids))):
         raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
+
+
+def _nested_shape(tree):
+    """(skeleton_key, canonical shape keeping the leaf ids), from one
+    bottom-up pass that orders each node's children by their nested keys.
+    Python compares nested keys recursively, so two equal deep subtrees
+    overflow the C stack here; sptree compares integer ranks instead."""
+    keys, shapes = [], []
+    for kids, size, is_series, eid, _ in coefficient_layout(tree):
+        if not is_series:
+            kids = sorted(kids, key=keys.__getitem__)
+        elif tuple([keys[c] for c in reversed(kids)]) < tuple([keys[c] for c in kids]):
+            kids = kids[::-1]
+        keys.append((size, 2 if is_series else 1 if kids else 0, tuple([keys[c] for c in kids])))
+        parts = tuple([shapes[c] for c in kids])
+        shapes.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid))
+    return keys[-1], shapes[-1]
+
+
+def skeleton_key(tree):
+    """Total order on edge-id-erased shapes.
+
+    Key is (leaf count, kind, child keys) with Leaf < Parallel < Series;
+    parallel children compare as a sorted multiset and series chains as the
+    smaller of the two reading directions, so the key is already invariant
+    under the tree symmetries.
+    """
+    return _nested_shape(tree)[0]
+
+
+def canonicalize(tree):
+    """sptree.canonicalize with the nested keys."""
+    return relabel_leaves(_nested_shape(tree)[1])
 
 
 def realize_with_spans(tree, directions=None):

@@ -208,6 +208,13 @@ class TestDeepTrees:
         assert sp.format_tree(sp.dualize(sp.dualize(tree))) == text
         assert sp.format_tree(canonicalize(tree)) == text
 
+    def test_canonicalize_equal_deep_subtrees(self):
+        # the two branches tie all the way down, so their keys are compared
+        # to the bottom: as integer ranks, not as keys nested 1500 deep
+        x = nested(1500)
+        tree = sp.parse_tree(f"P(S({x},e),S({x},e))")
+        assert sp.format_tree(canonicalize(tree)) == f"P(S(e,{x}),S(e,{x}))"
+
     def test_decompose_recovers_a_deep_chain(self):
         # decompose is quadratic in the edge count, so 700 levels, not 10 000
         tree = sp.parse_tree(nested(700))

@@ -498,6 +498,16 @@ class TestCheckDual:
             bump.clear()
             assert sp.check_dual(inst)
 
+    def test_zero_dual_weights_fail(self, instances_to_6, monkeypatch):
+        # all-zero dual weights make every cross product zero, which proves
+        # no reciprocity: the common factor must not be zero
+        import spextremal.extremal as extremal
+        real = extremal._layout_weights
+        monkeypatch.setattr(extremal, "_layout_weights",
+                            lambda layout: {e: 0 * w for e, w in real(layout).items()})
+        for inst in instances_to_6:
+            assert not sp.check_dual(inst), sp.format_tree(inst.tree)
+
 
 def same_partition(items, key_a, key_b):
     """Whether key_a and key_b split items into the same classes."""
@@ -629,3 +639,27 @@ class TestReports:
                     inst = sp.build(t)
                     for _, eig in oracle.least_eigenvalue_report(inst):
                         assert abs(eig - 1.0 / n) < 1e-8
+
+    def test_verify_lays_each_tree_out_once(self, monkeypatch):
+        # every module's binding of coefficient_layout counts the calls that
+        # lay out a tree object; a layout passed back in is not counted
+        import sys
+        from spextremal import sptree
+        real = sptree.coefficient_layout
+        cases = [(t, d) for n in range(2, 8) for k in range(1, n)
+                 for t in sp.enumerate_rooted(n, k) for d in (None, flipped_directions(t))]
+        laid_out = []
+
+        def counted(tree, directions=None):
+            if not isinstance(tree, tuple):
+                laid_out.append(tree)
+            return real(tree, directions)
+
+        for name, module in list(sys.modules.items()):
+            held = getattr(module, "coefficient_layout", None)
+            if name.split(".")[0] == "spextremal" and held is real:
+                monkeypatch.setattr(module, "coefficient_layout", counted)
+        for tree, directions in cases:
+            laid_out.clear()
+            report = sp.verify_instance(sp.build(tree, directions))
+            assert report["dual_ok"] and laid_out == [tree], sp.format_tree(tree)

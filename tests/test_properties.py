@@ -162,3 +162,15 @@ def test_stacked_coefficients_match_per_tree_pass(tree, data):
     dual = sp.realize(parallel_rooted(sp.dualize(tree)))
     assert sorted(tuple(e for e in range(n) if e not in tau) for tau in trees) \
         == sp.spanning_trees(dual)
+
+
+@PROPERTY
+@given(trees(max_edges=12), st.data())
+def test_planar_dual_is_the_dual_tree_realized(tree, data):
+    # the dual's layout, derived from the primal's, realizes and weighs as
+    # the dual tree does, whatever the primal's directions
+    n = sp.leaf_count(tree)
+    directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    graph, weights, _ = sp.planar_dual(sp.build(tree, directions))
+    dual = parallel_rooted(sp.dualize(tree))
+    assert graph == sp.realize(dual) and weights == sp.induced_weights(dual)

@@ -9,15 +9,16 @@ from spextremal.sptree import (
     Parallel,
     Series,
     canonicalize,
+    coefficient_layout,
     decompose,
     leaf_ids,
     make_parallel,
     make_series,
-    skeleton_key,
+    parallel_rooted,
 )
 
 import exact_oracles as oracle
-from exact_oracles import check_invariants
+from exact_oracles import check_invariants, skeleton_key
 
 
 def leaf(i=0):
@@ -141,6 +142,13 @@ class TestCanonicalize:
             c = canonicalize(t)
             assert canonicalize(c) == c
 
+    def test_matches_nested_key_oracle(self):
+        # integer ranks order the children as the nested keys do, ties too
+        rng = random.Random(11)
+        for _ in range(300):
+            t = random_tree(rng, rng.randint(2, 12))
+            assert canonicalize(t) == oracle.canonicalize(t)
+
     def test_enumeration_is_duplicate_free(self):
         for n in range(2, 8):
             for k in range(1, n):
@@ -244,12 +252,38 @@ class TestRealize:
         (Parallel((Leaf(0), Leaf(0))), None),      # an edge id twice
         (Parallel((Leaf(0), Leaf(2))), None),      # an edge id missing
         (Parallel((Leaf(0), Leaf(1))), [True]),    # too few direction flags
+        (Parallel((Leaf(0), Leaf(1))), [True] * 3),  # too many direction flags
+        (Parallel((Leaf(0), Leaf(2))), [True] * 2),  # a flag for a missing edge id
     ])
     def test_malformed_input_rejected(self, tree, directions):
         with pytest.raises(sp.SpTreeError):
             sp.realize(tree, directions)
         with pytest.raises(sp.SpTreeError):
             oracle.realize_with_spans(tree, directions)
+
+    @pytest.mark.parametrize("directions", [[True], [False] * 5])
+    def test_layout_needs_one_flag_per_edge(self, directions):
+        with pytest.raises(sp.SpTreeError, match="one direction flag per edge"):
+            coefficient_layout(sp.parse_tree("P(e,e,e)"), directions)
+
+    def test_layout_passes_through_and_keeps_its_signs(self):
+        tree = sp.parse_tree("P(e,S(e,e))")
+        layout = coefficient_layout(tree, [False, True, False])
+        assert coefficient_layout(layout) is layout
+        assert sp.realize(layout) == sp.realize(tree, [False, True, False])
+        with pytest.raises(sp.SpTreeError, match="carries its own direction signs"):
+            coefficient_layout(layout, [False, True, False])
+        with pytest.raises(sp.SpTreeError, match="carries its own direction signs"):
+            sp.realize(layout, [False] * 3)
+
+    def test_layout_of_a_closed_chain_realizes_as_the_chain(self):
+        # a series root closes up as parallel_rooted closes it, also when
+        # realize and induced_weights get the layout
+        for tree in (sp.parse_tree("S(e,P(e,e),e)"), sp.parse_tree("S(P(e,e),e)")):
+            flips = [True, False, False, True][:sp.leaf_count(tree)]
+            rooted = parallel_rooted(tree)
+            assert sp.realize(coefficient_layout(tree, flips)) == sp.realize(rooted, flips)
+            assert sp.induced_weights(coefficient_layout(tree)) == sp.induced_weights(rooted)
 
     def test_two_cycle(self):
         g = sp.realize(sp.parse_tree("P(e,e)"))

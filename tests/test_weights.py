@@ -7,12 +7,8 @@ import pytest
 
 import spextremal as sp
 from spextremal.numeric import laplacian, incidence_matrix
-from spextremal.sptree import Leaf, MultiGraph, decompose, make_parallel
-from spextremal.weights import (
-    coefficient_layout,
-    stacked_coefficients,
-    weights_to_json,
-)
+from spextremal.sptree import Leaf, MultiGraph, coefficient_layout, decompose, make_parallel
+from spextremal.weights import stacked_coefficients, weights_to_json
 
 import exact_oracles as oracle
 from exact_oracles import brute_tree_sums, rational_det, tree_sums, two_component_forests
