@@ -22,7 +22,6 @@ from .extremal import build, class_table, count_classes, verify_instance
 from .numeric import MAX_EDGES, BruteForceCapError, require_edge_limit
 from .search import SearchConfig, accumulate
 from .sptree import (
-    Parallel,
     SpTreeError,
     TreeParseError,
     enumerate_rooted,
@@ -75,7 +74,8 @@ def _emit_json(payload: dict) -> None:
 
 def _parse_two_sp(text: str):
     tree = parse_tree(text)
-    if not isinstance(tree, Parallel):
+    kids, _, is_series, _, _ = tree[-1]
+    if is_series or not kids:
         raise TreeParseError(
             "root must be a parallel composition (the graph is not 2-connected)", 0)
     return tree
@@ -176,6 +176,7 @@ def _search_dest(name: str) -> str:
 def cmd_search(args) -> int:
     if args.n < 2 or args.k < 1 or args.k >= args.n:
         raise UsageError("need n > k >= 1")
+    require_edge_limit(args.n)
     try:
         config = SearchConfig(**{f.name: getattr(args, _search_dest(f.name))
                                  for f in fields(SearchConfig)})

@@ -1,20 +1,21 @@
 """Assembled extremal instances and their exact verification.
 
-build() turns a decomposition tree into the full bundle: the tree's
-post-order layout, the realized graph and induced weights read off it,
-incidence matrix, the transfer current matrix Y held only as the integer
-pair (D, D Y), D the least positive integer that makes D Y integral (one
-gcd over the pair transfer_current returns), and the orthonormalized
-star-space basis.  That is the one elimination an instance needs.  The
-check_* family proves the facts that make the subspace extremal by
-integer products with D Y, with no tolerance: check_eigen multiplies it
-by the coefficient vectors of all the given spanning trees, stacked from
-one pass over the layout; check_degenerate proves by four identities
-that D Y is D times the transfer current, which makes every non-tree
-minor zero without looking at a single subset; check_attained proves
-the bound attained on one tree; and check_dual reads the planar dual off
-that proof, with two tests of the dual's graph and weights, read off a
-layout derived from the primal's: nothing after build lays a tree out.
+build() turns a decomposition tree into the full bundle: the tree in
+two-terminal form with its direction signs, the realized graph and
+induced weights read off it, incidence matrix, the transfer current
+matrix Y held only as the integer pair (D, D Y), D the least positive
+integer that makes D Y integral (one gcd over the pair transfer_current
+returns), and the orthonormalized star-space basis.  That is the one
+elimination an instance needs.  The check_* family proves the facts that
+make the subspace extremal by integer products with D Y, with no
+tolerance: check_eigen multiplies it by the coefficient vectors of all
+the given spanning trees, stacked from one pass over the tree;
+check_degenerate proves by four identities that D Y is D times the
+transfer current, which makes every non-tree minor zero without looking
+at a single subset; check_attained proves the bound attained on one
+tree; and check_dual reads the planar dual off that proof, with two
+tests of the dual's graph and weights, read off the primal's tree with
+its kinds swapped: nothing after build re-lists a tree.
 Nothing on the verify path sweeps the k-subsets: the spanning trees come
 from one batched determinant (weights.spanning_trees), and the float
 target that verify reports is scored over them alone, because every
@@ -40,16 +41,15 @@ from .numeric import (
 )
 from .sptree import (
     MultiGraph,
-    SpTree,
     class_counts,
-    coefficient_layout,
+    dualize,
     format_tree,
-    parallel_rooted,
+    orient,
     realize,
     two_terminal_layout,
 )
 from .weights import (
-    _layout_weights,
+    induced_weights,
     spanning_trees,
     stacked_coefficients,
     weights_to_json,
@@ -58,26 +58,25 @@ from .weights import (
 
 @dataclass
 class ExtremalInstance:
-    tree: SpTree
+    tree: tuple       # two-terminal, with its signs; graph, weights, report and dual read it
     graph: MultiGraph
     weights: dict
     B: np.ndarray
     subspace: Subspace
     D: int            # the least positive integer that makes D Y integral
     DY: np.ndarray    # D Y, an object array of Python ints
-    layout: tuple     # the tree laid out once; graph, weights, report and dual read it
 
 
 def build(tree, directions=None) -> ExtremalInstance:
     """Realize the tree and assemble every derived object.
 
+    directions, when given, replace the leaf signs (sptree.orient).
     Accepts a series-rooted tree too (a closed dual chain), rewriting it
-    through parallel_rooted first.
+    through two_terminal_layout first.
     """
-    tree = parallel_rooted(tree)
-    layout = coefficient_layout(tree, directions)
-    graph = realize(layout)
-    w = _layout_weights(layout)
+    tree = two_terminal_layout(orient(tree, directions))
+    graph = realize(tree)
+    w = induced_weights(tree)
     B = incidence_matrix(graph)
     T, TY = transfer_current(B, w)
     g = math.gcd(T, *TY.flat)
@@ -86,7 +85,7 @@ def build(tree, directions=None) -> ExtremalInstance:
     scaled = root[:, None] * B.astype(float).T
     # dropping one vertex column keeps the span: the columns sum to zero
     subspace = orthonormalize(scaled[:, 1:])
-    return ExtremalInstance(tree, graph, w, B, subspace, T // g, TY // g, layout)
+    return ExtremalInstance(tree, graph, w, B, subspace, T // g, TY // g)
 
 
 def check_eigen(inst: ExtremalInstance, trees) -> bool:
@@ -96,14 +95,14 @@ def check_eigen(inst: ExtremalInstance, trees) -> bool:
 
     Column j of the integer matrix C holds tree j's coefficients times
     their common denominator, zero off tau_j, all columns from one pass
-    over the layout (weights.stacked_coefficients), so the one product
+    over the tree (weights.stacked_coefficients), so the one product
     (D Y) C holds every tree's image, and the test is
     n (D Y C)[e, j] == D C[e, j] for each e in tau_j.  Raises SpTreeError
     when some tau is not a spanning tree, and when trees is empty: a
     connected graph has a spanning tree, so an empty list means its source
     failed, not that the identity holds.
     """
-    _, C, on = stacked_coefficients(inst.layout, trees)
+    _, C, on = stacked_coefficients(inst.tree, trees)
     return _eigen_holds(inst, C, on)
 
 
@@ -169,23 +168,19 @@ def check_attained(inst: ExtremalInstance, tau, c) -> bool:
 def planar_dual(inst: ExtremalInstance):
     """The planar dual's graph, weights and signs s, read off the primal.
 
-    The dual is laid out from the primal's layout, every inner node's
-    kind swapped and every edge natural; its closed chain is rooted at the
-    primal root's first branch (two_terminal_layout), which leaves every
-    other branch reversed, so s_e is +1 on that branch, -1 off it, times
-    e's own direction sign; check_dual tests B S B*^T == 0 rather than
-    assume it.
+    The dual is dualize(inst.tree), every edge natural; its closed chain
+    is rooted at the primal root's first branch (two_terminal_layout),
+    which leaves every other branch reversed, so s_e is +1 on that branch,
+    -1 off it, times e's own direction sign; check_dual tests
+    B S B*^T == 0 rather than assume it.
     """
-    # abs: a leaf's sign becomes +1, an inner node's stays 0
-    layout = two_terminal_layout(tuple([
-        (kids, size, bool(kids) and not is_series, eid, abs(sign))
-        for kids, size, is_series, eid, sign in inst.layout]))
-    first = inst.layout[-1][0][0]  # post-order: its leaves come first
+    dual = two_terminal_layout(dualize(inst.tree))
+    first = inst.tree[-1][0][0]  # post-order: its leaves come first
     signs = np.empty(len(inst.weights), dtype=object)
-    for i, (kids, _, _, eid, sign) in enumerate(inst.layout):
+    for i, (kids, _, _, eid, sign) in enumerate(inst.tree):
         if not kids:
             signs[eid] = sign if i <= first else -sign
-    return realize(layout), _layout_weights(layout), signs
+    return realize(dual), induced_weights(dual), signs
 
 
 def check_dual(inst: ExtremalInstance) -> bool:
@@ -242,13 +237,13 @@ def class_table(n_max: int, n_min: int = 2) -> list[list[int]]:
 
 def verify_instance(inst: ExtremalInstance) -> dict:
     """Run every check on one instance and report the outcome; the eigen
-    check and the attainment proof share one pass over the layout."""
+    check and the attainment proof share one pass over the tree."""
     n = len(inst.graph.edges)
     trees = spanning_trees(inst.graph)
-    _, C, on = stacked_coefficients(inst.layout, trees)
+    _, C, on = stacked_coefficients(inst.tree, trees)
     angle, tau = target(inst.subspace, trees)
     return {
-        "tree": format_tree(inst.layout),
+        "tree": format_tree(inst.tree),
         "weights": weights_to_json(inst.weights),
         "n": n,
         "k": inst.subspace.dim,

@@ -4,23 +4,27 @@ A two-terminal series-parallel network is a single edge or an alternating
 stack of parallel and series compositions of smaller ones.  The nontrivial
 2-connected networks (everything reachable from a 2-cycle by edge
 subdivision and duplication) are exactly those whose outermost composition
-is parallel, so those are the trees with a Parallel root here.
+is parallel, so those are the trees with a parallel root here.
 
-This module provides the tree type with normalizing constructors, a strict
-text grammar, canonical forms modulo the tree symmetries (reordering of
-parallel branches, reversal of series chains), the symmetry-class counts
-from a generating function (no tree enumerated), duality, exhaustive
-enumeration, realization as a directed multigraph, and the reduction of a
-concrete multigraph back to its canonical tree.  One function descends
-the nested nodes: coefficient_layout lists them in post-order with an
-explicit stack, and every other walk (counting, formatting, reversal,
-relabeling, duality, canonical forms, realization) is a loop over that
-list, so no tree is too deep for Python's recursion limit, and neither
-is the text parse_tree reads; each walk takes the list in place of the
-tree, too.  Realization runs the list top-down,
-handing each node its terminal pair, and numbers the vertices by first
-appearance along the leaves in reading order, the left end of a leaf
-before its right end.
+A tree is a flat tuple of nodes in post-order, root last, so the leaves
+come in reading order.  Each node is (children, size, is_series, eid,
+sign): children are positions in the tuple and size is the leaf count; a
+leaf also carries its edge id and a sign, -1 when the edge runs against
+its natural left-to-right sense and +1 otherwise, and an inner node has
+eid None and sign 0.  Every walk (counting, formatting, reversal,
+relabeling, duality, canonical forms, realization) is a loop over the
+tuple, and a tree nests no objects, so no tree is too deep for Python's
+recursion limit, and comparing or hashing one never recurses either;
+neither does the parse of the text grammar.
+
+This module provides the text grammar, composition, canonical forms
+modulo the tree symmetries (reordering of parallel branches, reversal of
+series chains), the symmetry-class counts from a generating function (no
+tree enumerated), duality, exhaustive enumeration, realization as a
+directed multigraph, and the reduction of a concrete multigraph back to
+its canonical tree.  Realization runs the tree top-down, handing each node
+its terminal pair, and numbers the vertices by first appearance along the
+leaves in reading order, the left end of a leaf before its right end.
 """
 
 from __future__ import annotations
@@ -42,100 +46,65 @@ class TreeParseError(SpTreeError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Leaf:
-    eid: int = 0
+def _shifted(nodes, by):
+    """nodes with by added to every child position."""
+    return [(tuple([c + by for c in kids]), *rest) for kids, *rest in nodes] if by else nodes
 
 
-@dataclass(frozen=True)
-class Series:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class Parallel:
-    children: tuple
-
-
-SpTree = Leaf | Series | Parallel
-
-
-def make_series(children) -> SpTree:
-    """Serial composition; flattens nested series, unwraps singletons."""
-    flat = []
-    for child in children:
-        if isinstance(child, Series):
-            flat.extend(child.children)
+def compose(parts, series: bool) -> tuple:
+    """The series (series true) or parallel composition of the trees in
+    parts, in order.  A part of the same kind is spliced in by its
+    children, and a single operand comes back as it is, so the result
+    alternates when the parts do."""
+    nodes, kids = [], []
+    for part in parts:
+        nodes.extend(_shifted(part, len(nodes)))
+        if nodes[-1][0] and nodes[-1][2] == series:
+            kids.extend(nodes.pop()[0])
         else:
-            flat.append(child)
-    if not flat:
-        raise SpTreeError("series composition needs at least one operand")
-    if len(flat) == 1:
-        return flat[0]
-    return Series(tuple(flat))
+            kids.append(len(nodes) - 1)
+    if not kids:
+        kind = "series" if series else "parallel"
+        raise SpTreeError(f"{kind} composition needs at least one operand")
+    if len(kids) == 1:
+        return tuple(nodes)
+    return (*nodes, (tuple(kids), sum([nodes[c][1] for c in kids]), series, None, 0))
 
 
-def make_parallel(children) -> SpTree:
-    """Parallel composition; flattens nested parallels, unwraps singletons."""
-    flat = []
-    for child in children:
-        if isinstance(child, Parallel):
-            flat.extend(child.children)
-        else:
-            flat.append(child)
-    if not flat:
-        raise SpTreeError("parallel composition needs at least one operand")
-    if len(flat) == 1:
-        return flat[0]
-    return Parallel(tuple(flat))
-
-
-def coefficient_layout(tree, directions=None) -> tuple:
-    """The tree in post-order, root last, so the leaves in reading order.
-
-    Each node is (children, size, is_series, eid, sign): children are
-    positions in the list and size is the leaf count; a leaf also carries
-    its edge id and a sign, -1 when directions (as given to realize) flips
-    the edge against its natural left-to-right sense and +1 otherwise.
-    No spanning tree changes it, and every walk over a tree reads it.  A
-    layout is returned as given and takes no directions (it has its
-    signs); directions need edge ids 0..n-1 and one flag for each.
-    """
-    if isinstance(tree, tuple):
-        if directions is not None:
-            raise SpTreeError("a layout carries its own direction signs")
-        return tree
-    order, stack = [], [tree]  # parents first, last child first: post-order reversed
+def _relist(nodes, root=-1) -> tuple:
+    """The tree under nodes[root] in post-order, each node's children in
+    the order it lists them, every position renumbered."""
+    order, stack = [], [root]  # parents first, last child first: post-order reversed
     while stack:
         order.append(stack.pop())
-        if not isinstance(order[-1], Leaf):
-            stack.extend(order[-1].children)
-    if directions is not None:
-        ids = [node.eid for node in order if isinstance(node, Leaf)]
-        _require_edge_ids(ids)
-        if len(directions) != len(ids):
-            raise SpTreeError("need one direction flag per edge")
-    nodes, done = [], []  # done: positions of the subtrees whose parent comes later
-    for node in reversed(order):
-        if isinstance(node, Leaf):
-            sign = -1 if directions and directions[node.eid] else 1
-            nodes.append(((), 1, False, node.eid, sign))
-        else:
-            kids = tuple(done[len(done) - len(node.children):])
-            del done[len(done) - len(kids):]
-            size = sum([nodes[c][1] for c in kids])
-            nodes.append((kids, size, isinstance(node, Series), None, 0))
-        done.append(len(nodes) - 1)
-    return tuple(nodes)
+        stack.extend(nodes[order[-1]][0])
+    order.reverse()
+    at = {old: new for new, old in enumerate(order)}
+    return tuple([(tuple([at[c] for c in kids]), *rest)
+                  for kids, *rest in map(nodes.__getitem__, order)])
+
+
+def orient(tree, directions) -> tuple:
+    """The tree with each leaf's sign read off directions, as realize takes
+    them: -1 where directions[eid] is true, flipping the edge against its
+    natural left-to-right sense, and +1 elsewhere.  None keeps the tree's
+    own signs; directions need edge ids 0..n-1 and one flag for each."""
+    if directions is None:
+        return tree
+    _require_edge_ids(leaf_ids(tree))
+    if len(directions) != tree[-1][1]:
+        raise SpTreeError("need one direction flag per edge")
+    return tuple([node if node[0] else ((), 1, False, node[3], -1 if directions[node[3]] else 1)
+                  for node in tree])
 
 
 def leaf_count(tree) -> int:
-    return coefficient_layout(tree)[-1][1]
+    return tree[-1][1]
 
 
 def leaf_ids(tree) -> list[int]:
     """Edge ids in left-to-right reading order."""
-    return [eid for kids, _, _, eid, _ in coefficient_layout(tree) if not kids]
+    return [eid for kids, _, _, eid, _ in tree if not kids]
 
 
 def rank(tree) -> int:
@@ -144,107 +113,96 @@ def rank(tree) -> int:
     Every leaf counts 1, and a parallel bundle glues terminals, so each of
     its parts but one loses one.
     """
-    layout = coefficient_layout(tree)
-    return layout[-1][1] - sum([len(kids) - 1 for kids, _, is_series, _, _ in layout
-                                if kids and not is_series])
+    return tree[-1][1] - sum([len(kids) - 1 for kids, _, is_series, _, _ in tree
+                              if kids and not is_series])
 
 
-def reverse_tree(tree) -> SpTree:
-    """The same network traversed from the other terminal."""
-    out = []
-    for kids, _, is_series, eid, _ in coefficient_layout(tree):
-        parts = tuple([out[c] for c in (kids[::-1] if is_series else kids)])
-        out.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid))
-    return out[-1]
+def reverse_tree(tree) -> tuple:
+    """The same directed network read from the other terminal: every
+    series chain reversed and every edge's sign negated."""
+    return _relist([(kids[::-1] if is_series else kids, size, is_series, eid, -sign)
+                    for kids, size, is_series, eid, sign in tree])
 
 
-def _canonical_shape(tree) -> SpTree:
-    """The canonical shape, keeping the original leaf ids: each node's
-    children in the order of their keys (leaf count, kind, child keys),
-    Leaf < Parallel < Series, parallel children sorted and a series chain
-    in its smaller reading direction.  Ranking the nodes one leaf count at
-    a time, smallest first, a key holds its children's ranks, pairs of
-    ints, in place of their keys, so no comparison descends the tree."""
-    layout = coefficient_layout(tree)
-    ranks, shapes = {}, {}
-    by_size = sorted(range(len(layout)), key=lambda i: layout[i][1])
-    for size, group in itertools.groupby(by_size, key=lambda i: layout[i][1]):
+def _canonical_shape(tree) -> tuple:
+    """The canonical shape, keeping the original leaf ids, every edge
+    natural: each node's children in the order of their keys (leaf count,
+    kind, child keys), leaf < parallel < series, parallel children sorted
+    and a series chain in its smaller reading direction.  Ranking the
+    nodes one leaf count at a time, smallest first, a key holds its
+    children's ranks, pairs of ints, in place of their keys, so no
+    comparison descends the tree."""
+    ranks, nodes = {}, list(tree)
+    by_size = sorted(range(len(tree)), key=lambda i: tree[i][1])
+    for size, group in itertools.groupby(by_size, key=lambda i: tree[i][1]):
         keys = {}
         for i in group:
-            kids, _, is_series, eid, _ = layout[i]
+            kids, _, is_series, eid, _ = tree[i]
             if not is_series:
                 kids = sorted(kids, key=ranks.__getitem__)
             elif [ranks[c] for c in reversed(kids)] < [ranks[c] for c in kids]:
                 kids = kids[::-1]
             keys[i] = (2 if is_series else 1 if kids else 0, tuple([ranks[c] for c in kids]))
-            parts = tuple([shapes[c] for c in kids])
-            shapes[i] = Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid)
+            nodes[i] = (kids, size, is_series, eid, 0 if kids else 1)
         rank_of = {key: (size, j) for j, key in enumerate(sorted(keys.values()))}
         ranks.update({i: rank_of[key] for i, key in keys.items()})
-    return shapes[len(layout) - 1]
+    return _relist(nodes)
 
 
-def relabel_leaves(tree) -> SpTree:
+def relabel_leaves(tree) -> tuple:
     """Reassign edge ids 0..n-1 in left-to-right reading order."""
-    out, ids = [], itertools.count()
-    for kids, _, is_series, _, _ in coefficient_layout(tree):
-        parts = tuple([out[c] for c in kids])
-        out.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(next(ids)))
-    return out[-1]
+    ids = itertools.count()
+    return tuple([node if node[0] else ((), 1, False, next(ids), node[4]) for node in tree])
 
 
-def canonicalize(tree) -> SpTree:
+def canonicalize(tree) -> tuple:
     """Unique representative modulo parallel reordering and series reversal.
 
     Two trees canonicalize identically iff they are related by those
-    symmetries; edge ids are reassigned in reading order afterwards.
+    symmetries; edge ids are reassigned in reading order afterwards, and
+    every edge is natural.
     """
     return relabel_leaves(_canonical_shape(tree))
 
 
-def dualize(tree) -> SpTree:
+def dualize(tree) -> tuple:
     """Swap series and parallel composition kinds throughout.
 
-    The output describes the planar dual network.  When the input root is
-    parallel the output root is a series chain that has to be read as
-    closed into a cycle; realize, induced_weights and parallel_rooted
-    interpret it that way, so the realized dual has rank n - rank(tree).
+    The output describes the planar dual network, every edge natural.
+    When the input root is parallel the output root is a series chain that
+    has to be read as closed into a cycle; realize, induced_weights and
+    two_terminal_layout interpret it that way, so the realized dual has
+    rank n - rank(tree).
     """
-    out = []
-    for kids, _, is_series, eid, _ in coefficient_layout(tree):
-        parts = tuple([out[c] for c in kids])
-        out.append(Parallel(parts) if is_series else Series(parts) if kids else Leaf(eid))
-    return out[-1]
+    return tuple([(kids, size, not is_series, None, 0) if kids else ((), 1, False, eid, 1)
+                  for kids, size, is_series, eid, _ in tree])
 
 
-def parallel_rooted(tree) -> SpTree:
-    """Two-terminal form of a series-rooted closed chain.
-
-    The first chain component is kept as the branch spanning the chosen
-    terminal pair; any other choice gives the same graph and induces the
-    same edge weights up to a common factor.
-    """
-    if isinstance(tree, Parallel):
-        return tree
-    if isinstance(tree, Leaf):
-        raise SpTreeError("a single edge has no 2-connected realization")
-    kids = list(tree.children)
-    return make_parallel([kids[0], make_series(kids[1:])])
-
-
-def two_terminal_layout(tree, directions=None) -> tuple:
-    """coefficient_layout of parallel_rooted(tree), less the flattening,
-    which changes neither the realization nor the weights: a series root
-    becomes a series node over its children but the first, under a new
-    parallel root over the first and that node."""
-    layout = coefficient_layout(tree, directions)
-    kids, size, is_series, _, _ = layout[-1]
+def two_terminal_layout(tree) -> tuple:
+    """The tree in two-terminal form: a parallel root as it is, and a
+    series-rooted closed chain re-rooted, its first part in parallel with
+    the chain of the others, a parallel part spliced in by its children as
+    compose would.  Any other choice gives the same graph and induces the
+    same edge weights up to a common factor."""
+    kids, size, is_series, _, _ = tree[-1]
     if not kids:
         raise SpTreeError("a single edge is not a 2-connected network")
     if not is_series:
-        return layout
-    rest = layout[:-1] + ((kids[1:], size - layout[kids[0]][1], True, None, 0),)
-    return rest + (((kids[0], len(rest) - 1), size, False, None, 0),)
+        return tree
+    first, rest = kids[0], kids[1:]
+    nodes, top = list(tree[:-1]), [first]
+    if tree[first][0]:  # a part of a series node is a leaf or parallel
+        top = list(tree[first][0])
+        nodes[first:] = _shifted(nodes[first + 1:], -1)
+        rest = tuple([c - 1 for c in rest])
+    if len(rest) > 1:
+        nodes.append((rest, size - tree[first][1], True, None, 0))
+        top.append(len(nodes) - 1)
+    elif nodes[-1][0]:  # the one other part, parallel, is the last node
+        top.extend(nodes.pop()[0])
+    else:
+        top.append(rest[0])
+    return (*nodes, (tuple(top), size, False, None, 0))
 
 
 def _times(a, b):
@@ -397,22 +355,23 @@ def class_counts(n_max: int) -> tuple:
 
 def format_tree(tree) -> str:
     texts = []  # the text of each subtree whose parent comes later
-    for kids, _, is_series, _, _ in coefficient_layout(tree):
+    for kids, _, is_series, _, _ in tree:
         first = len(texts) - len(kids)
         text = ("S(" if is_series else "P(") + ",".join(texts[first:]) + ")" if kids else "e"
         texts[first:] = [text]
     return texts[0]
 
 
-def parse_tree(text: str) -> SpTree:
+def parse_tree(text: str) -> tuple:
     """Parse the strict grammar; whitespace is ignored.
 
-    Leaves get edge ids in reading order.  Same-kind nesting and
-    single-operand compositions are rejected with the offending offset.
-    The open compositions wait on an explicit stack, so any depth parses.
+    Leaves get edge ids in reading order and natural signs.  Same-kind
+    nesting and single-operand compositions are rejected with the
+    offending offset.  Each node is appended as it is read or closed, and
+    the open compositions wait on an explicit stack, so any depth parses.
     """
     pos = 0
-    counter = itertools.count()
+    nodes, ids = [], itertools.count()
 
     def peek():
         """The next character past whitespace, "" at the end."""
@@ -424,16 +383,16 @@ def parse_tree(text: str) -> SpTree:
     def fail(msg):
         raise TreeParseError(msg, pos)
 
-    open_nodes = []  # (kind, offset, operands so far) of each open composition
+    open_nodes = []  # (is_series, offset, child positions so far) of each open composition
     while True:
         ch = peek()
         if not ch:
             fail("unexpected end of input")
         if ch in "PS":
-            kind = Parallel if ch == "P" else Series
-            if open_nodes and open_nodes[-1][0] is kind:
+            is_series = ch == "S"
+            if open_nodes and open_nodes[-1][0] == is_series:
                 fail("series and parallel compositions must alternate")
-            open_nodes.append((kind, pos, []))
+            open_nodes.append((is_series, pos, []))
             pos += 1
             if peek() != "(":
                 fail("expected '('")
@@ -442,11 +401,11 @@ def parse_tree(text: str) -> SpTree:
         if ch != "e":
             fail(f"expected 'e', 'P' or 'S', found {ch!r}")
         pos += 1
-        done = Leaf(next(counter))
+        nodes.append(((), 1, False, next(ids), 1))
         # hand the finished operand up, closing each composition it ends
         while open_nodes:
-            kind, start, kids = open_nodes[-1]
-            kids.append(done)
+            is_series, start, kids = open_nodes[-1]
+            kids.append(len(nodes) - 1)
             if peek() == ",":
                 pos += 1
                 break
@@ -456,27 +415,27 @@ def parse_tree(text: str) -> SpTree:
             if len(kids) < 2:
                 raise TreeParseError("composition needs at least 2 operands", start)
             open_nodes.pop()
-            done = kind(tuple(kids))
+            nodes.append((tuple(kids), sum([nodes[c][1] for c in kids]), is_series, None, 0))
         if not open_nodes:
             break
     if peek():
         fail("trailing input after tree")
-    return done
+    return tuple(nodes)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-# shapes come with their keys as in _canonical_shape, each child key nested
-# whole (enumeration stops at 12 edges, so comparisons stay shallow)
-_LEAF = ((1, 0, ()), Leaf(0))
+# shapes are their keys as in _canonical_shape, (leaf count, kind, child
+# keys), each child key nested whole (enumeration stops at 12 edges, so
+# comparisons stay shallow)
+_LEAF = (1, 0, ())
 
 
 @lru_cache(maxsize=None)
 def _series_shapes(n: int, k: int) -> tuple:
-    """Canonical series chains with n edges and rank k (placeholder ids),
-    each as a (key, shape) pair."""
+    """The keys of the canonical series chains with n edges and rank k."""
     if n < 2 or k < 2 or k > n:
         return ()
     out = []
@@ -484,9 +443,9 @@ def _series_shapes(n: int, k: int) -> tuple:
     def extend(seq, edges_left, rank_left):
         if edges_left == 0:
             if rank_left == 0 and len(seq) >= 2:
-                keys = tuple(key for key, _ in seq)
+                keys = tuple(seq)
                 if keys <= keys[::-1]:
-                    out.append(((n, 2, keys), Series(tuple(c for _, c in seq))))
+                    out.append((n, 2, keys))
             return
         if rank_left < 1 or rank_left > edges_left:
             return
@@ -503,38 +462,47 @@ def _series_shapes(n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _parallel_shapes(n: int, k: int) -> tuple:
-    """Canonical parallel bundles with n edges and rank k (placeholder ids),
-    each as a (key, shape) pair."""
+    """The keys of the canonical parallel bundles with n edges and rank k."""
     if n < 2 or k < 1 or k >= n:
         return ()
-    # (pair, edges, rank - 1) of every part of rank <= k; no other part fits
+    # (key, edges, rank - 1) of every part of rank <= k; no other part fits
     comps = [(_LEAF, 1, 0)]
     for n2 in range(2, n):
         for k2 in range(2, min(n2, k) + 1):
-            comps.extend((pair, n2, k2 - 1) for pair in _series_shapes(n2, k2))
+            comps.extend((key, n2, k2 - 1) for key in _series_shapes(n2, k2))
     # a key leads with the leaf count, so the edge counts never
     # decrease, and the chosen parts come in sorted key order
-    comps.sort(key=lambda c: c[0][0])
+    comps.sort(key=lambda c: c[0])
     out = []
 
     def choose(idx, count, edges_left, rankdef_left, acc):
         if edges_left == 0:
             if rankdef_left == 0 and count >= 2:
-                out.append(((n, 1, tuple(key for key, _ in acc)),
-                            Parallel(tuple(c for _, c in acc))))
+                out.append((n, 1, tuple(acc)))
             return
         for i in range(idx, len(comps)):
-            pair, ne, rdef = comps[i]
+            key, ne, rdef = comps[i]
             if ne > edges_left:
                 break
             if rdef > rankdef_left:
                 continue
-            acc.append(pair)
+            acc.append(key)
             choose(i, count + 1, edges_left - ne, rankdef_left - rdef, acc)
             acc.pop()
 
     choose(0, 0, n, k - 1, [])
     return tuple(out)
+
+
+def _written_out(key) -> tuple:
+    """The tree a shape key describes, edge ids in reading order: its
+    nodes listed breadth first, root first, then re-listed in post-order."""
+    nodes, keys = [], [key]
+    for size, kind, kids in keys:  # keys grows while it is read
+        nodes.append((tuple(range(len(keys), len(keys) + len(kids))), size, kind == 2, None, 0)
+                     if kids else ((), 1, False, None, 1))
+        keys.extend(kids)
+    return relabel_leaves(_relist(nodes, 0))
 
 
 def enumerate_rooted(n: int, k: int) -> list:
@@ -544,8 +512,7 @@ def enumerate_rooted(n: int, k: int) -> list:
     """
     if n < 2 or k < 1 or k >= n:
         return []
-    pairs = sorted(_parallel_shapes(n, k), key=lambda pair: pair[0])
-    return [relabel_leaves(shape) for _, shape in pairs]
+    return [_written_out(key) for key in sorted(_parallel_shapes(n, k))]
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +542,22 @@ def realize(tree, directions=None) -> MultiGraph:
     its children and hands each child its consecutive pair.  Vertices are
     then numbered 0, 1, ... by first appearance along the leaves in reading
     order, the left end of a leaf before its right end, so the left
-    terminal is vertex 0.  directions[eid] = True flips that edge against
-    its natural left-to-right sense (a layout's signs say it).  A series
-    root is read as the closed-up chain (two_terminal_layout), which is
-    how duals realize.
+    terminal is vertex 0.  Each edge runs as its leaf's sign says, or, when
+    directions is given, as orient reads them off it.  A series root is
+    read as the closed-up chain (two_terminal_layout), which is how duals
+    realize.
     """
-    layout = two_terminal_layout(tree, directions)
-    span = {len(layout) - 1: (0, 1)}  # each node's terminal pair
+    tree = two_terminal_layout(orient(tree, directions))
+    span = {len(tree) - 1: (0, 1)}  # each node's terminal pair
     fresh = itertools.count(2)
-    for i in reversed(range(len(layout))):
-        kids, _, is_series, _, _ = layout[i]
+    for i in reversed(range(len(tree))):
+        kids, _, is_series, _, _ = tree[i]
         if is_series:
             stops = [span[i][0], *itertools.islice(fresh, len(kids) - 1), span[i][1]]
             span.update(zip(kids, zip(stops, stops[1:])))
         elif kids:
             span.update(dict.fromkeys(kids, span[i]))
-    ends = [(*span[i], eid, sign) for i, (kids, _, _, eid, sign) in enumerate(layout)
+    ends = [(*span[i], eid, sign) for i, (kids, _, _, eid, sign) in enumerate(tree)
             if not kids]
     _require_edge_ids(e for _, _, e, _ in ends)
     label = {}
@@ -615,41 +582,37 @@ class Decomposition:
     tree is canonical with edge ids relabeled in reading order;
     edge_map[i] is the input edge id sitting at canonical leaf i.
 
-    raw_tree keeps the reduction order and the original edge ids, and
-    raw_flips[eid] says the input edge runs against its natural sense
-    there, so realize(raw_tree, raw_flips) reproduces the input exactly up
-    to vertex relabeling.  (The canonical tree cannot play that role in
-    general: reversing an inner series chain into canonical order is a
-    Whitney twist of the realization.)  canonicalize(raw_tree) == tree.
+    raw_tree keeps the reduction order and the original edge ids, and its
+    leaf signs say which input edges run against their natural sense
+    there, so realize(raw_tree) reproduces the input exactly up to vertex
+    relabeling.  (The canonical tree cannot play that role in general:
+    reversing an inner series chain into canonical order is a Whitney
+    twist of the realization.)  canonicalize(raw_tree) == tree.
     """
 
-    tree: SpTree
+    tree: tuple
     edge_map: tuple
-    raw_tree: SpTree
-    raw_flips: tuple
+    raw_tree: tuple
 
 
 @dataclass
 class _VirtualEdge:
     u: int
     v: int
-    tree: SpTree
-    flips: dict
+    tree: tuple
 
 
 def _reverse_vedge(ve: _VirtualEdge) -> _VirtualEdge:
-    return _VirtualEdge(ve.v, ve.u, reverse_tree(ve.tree),
-                        {e: not f for e, f in ve.flips.items()})
+    return _VirtualEdge(ve.v, ve.u, reverse_tree(ve.tree))
 
 
-def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
+def decompose(graph: MultiGraph, l: int, r: int) -> Decomposition:
     """Reduce a 2-connected series-parallel multigraph to its tree.
 
     Alternates parallel reductions (merge multi-edge bundles) with series
     reductions (suppress interior degree-2 vertices) until one virtual edge
     between the terminals remains.  The result is canonicalized, so any
-    reduction order agrees; rng, when given, shuffles the order (used to
-    exercise that confluence).
+    reduction order agrees.
     """
     nv = graph.num_vertices
     if not (0 <= l < nv and 0 <= r < nv) or l == r:
@@ -659,7 +622,7 @@ def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
     for tail, head, eid in graph.edges:
         if tail == head:
             raise SpTreeError("self-loops cannot occur in a 2-connected series-parallel graph")
-        vedges.append(_VirtualEdge(tail, head, Leaf(eid), {eid: False}))
+        vedges.append(_VirtualEdge(tail, head, (((), 1, False, eid, 1),)))
     if not vedges:
         raise SpTreeError("graph has no edges")
 
@@ -669,18 +632,10 @@ def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
             bundles.setdefault(frozenset((ve.u, ve.v)), []).append(ve)
         multi = [key for key, group in bundles.items() if len(group) > 1]
         if multi:
-            if rng is not None:
-                rng.shuffle(multi)
-            key = multi[0]
-            group = bundles[key]
-            if rng is not None:
-                rng.shuffle(group)
-            a, b = min(key), max(key)
+            group = bundles[multi[0]]
+            a, b = min(multi[0]), max(multi[0])
             oriented = [ve if ve.u == a else _reverse_vedge(ve) for ve in group]
-            flips = {}
-            for ve in oriented:
-                flips.update(ve.flips)
-            merged = _VirtualEdge(a, b, make_parallel([ve.tree for ve in oriented]), flips)
+            merged = _VirtualEdge(a, b, compose([ve.tree for ve in oriented], False))
             vedges = [ve for ve in vedges if not any(ve is g for g in group)] + [merged]
             continue
 
@@ -693,19 +648,14 @@ def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
         if not candidates:
             raise SpTreeError(
                 "graph is not series-parallel reducible for these terminals")
-        if rng is not None:
-            rng.shuffle(candidates)
-        else:
-            candidates.sort()
-        x = candidates[0]
+        x = min(candidates)
         first, second = incidence[x]
         a2 = first if first.v == x else _reverse_vedge(first)
         b2 = second if second.u == x else _reverse_vedge(second)
         if a2.u == b2.v:
             raise SpTreeError(
                 "graph is not series-parallel reducible for these terminals")
-        merged = _VirtualEdge(a2.u, b2.v, make_series([a2.tree, b2.tree]),
-                              {**a2.flips, **b2.flips})
+        merged = _VirtualEdge(a2.u, b2.v, compose([a2.tree, b2.tree], True))
         vedges = [ve for ve in vedges if ve is not first and ve is not second]
         vedges.append(merged)
 
@@ -714,11 +664,9 @@ def decompose(graph: MultiGraph, l: int, r: int, rng=None) -> Decomposition:
         raise SpTreeError("reduction did not terminate at the chosen terminals")
     if final.u != l:
         final = _reverse_vedge(final)
-    if not isinstance(final.tree, Parallel):
+    kids, _, is_series, _, _ = final.tree[-1]
+    if is_series or not kids:
         raise SpTreeError("graph is not 2-connected (outermost composition is not parallel)")
 
     shape = _canonical_shape(final.tree)
-    order = leaf_ids(shape)
-    tree = relabel_leaves(shape)
-    raw_flips = tuple(final.flips[e] for e in range(len(final.flips)))
-    return Decomposition(tree, tuple(order), final.tree, raw_flips)
+    return Decomposition(relabel_leaves(shape), tuple(leaf_ids(shape)), final.tree)

@@ -5,11 +5,10 @@ series-parallel graph sit at cosine exactly 1/sqrt(n) from every
 coordinate subspace.  The companion signed coefficients form, on each
 spanning tree, an eigenvector of the matching transfer-current submatrix.
 Everything is exact: weights are Fractions, and the coefficients come
-out as integers over one common denominator per tree.  The decomposition
-tree is laid out once per instance, each leaf with its direction sign,
-by sptree.coefficient_layout (the post-order list every tree walk
-reads); the weights come from one top-down pass over that layout, and
-the coefficients of every spanning tree from one bottom-up and one
+out as integers over one common denominator per tree.  Both read the
+decomposition tree, sptree's post-order tuple of nodes whose leaves carry
+their direction signs: the weights come from one top-down pass over it,
+and the coefficients of every spanning tree from one bottom-up and one
 top-down pass, each step an array operation over all the trees at once
 (stacked_coefficients).
 spanning_trees lists the trees the eigen check and the target run on,
@@ -36,17 +35,13 @@ def induced_weights(tree) -> dict[int, Fraction]:
     part with b edges contributes phi(a)/phi(b) with phi(x) = x*(n - x);
     chains ending at a parallel level end with a dummy serial step that
     contributes nothing.  Edges sitting directly in the root bundle get
-    weight 1.  The subnetwork sizes come from one post-order pass
-    (sptree.two_terminal_layout, so a closed series chain or a layout is
-    taken too); one top-down pass multiplies the ratios along each chain
-    as integer numerators and denominators in lowest terms.
+    weight 1.  The subnetwork sizes come from the tree's two-terminal
+    form (sptree.two_terminal_layout, so a closed series chain is taken
+    too), and the sizes alone decide, so the leaf signs do not matter; one
+    top-down pass multiplies the ratios along each chain as integer
+    numerators and denominators in lowest terms.
     """
-    return _layout_weights(two_terminal_layout(tree))
-
-
-def _layout_weights(layout) -> dict[int, Fraction]:
-    """induced_weights of a parallel-rooted layout, read off the sizes
-    alone, so the directions the layout carries do not matter."""
+    layout = two_terminal_layout(tree)
     n = layout[-1][1]
 
     def phi(x: int) -> int:
@@ -69,7 +64,8 @@ def _layout_weights(layout) -> dict[int, Fraction]:
 
 def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s, C, on): C[e, j] / s[j] is the induced coefficient of edge e on
-    the spanning tree trees[j], and on[e, j] says whether e lies in it.
+    the spanning tree trees[j], and on[e, j] says whether e lies in it;
+    layout is the decomposition tree, as build keeps it.
 
     C is n x T, zero off each tree; C and s are object arrays of Python
     ints, so no product can overflow, and on is boolean.  One pass over

@@ -27,9 +27,11 @@ check_eigen on every spanning tree, the transfer-current proof with
 check_degenerate on every non-tree subset, the stacked coefficients with
 scaled_coefficients and with induced_coefficients on every tree, the
 batched determinant with the union-find sweep, and the top-down
-sptree.realize with realize_with_spans.  class_key is the canonical key
-of a tree's cycle matroid, read off its polygon-bond tree, and
-enumerated_class_count folds the enumerated trees by it: that is what
+sptree.realize with realize_with_spans.  The oracles that recurse read
+the nested view of a tree that nested builds, Leaf, Series and Parallel
+objects, so they share no walk with spextremal.  class_key is the
+canonical key of a tree's cycle matroid, read off its polygon-bond tree,
+and enumerated_class_count folds the enumerated trees by it: that is what
 the generating function sptree.class_counts must count, and so what
 count_classes and the cli's table and enumerate print.
 matrix_canon.oracle_key in turn checks class_key against the subspaces
@@ -37,6 +39,7 @@ themselves.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -44,23 +47,63 @@ from typing import NamedTuple
 import numpy as np
 
 from spextremal.sptree import (
-    Leaf,
     MultiGraph,
-    Parallel,
-    Series,
     SpTreeError,
-    coefficient_layout,
     enumerate_rooted,
-    leaf_count,
-    leaf_ids,
-    make_series,
-    parallel_rooted,
-    relabel_leaves,
+    parse_tree,
+    two_terminal_layout,
 )
 
 
+@dataclass(frozen=True)
+class Leaf:
+    eid: int
+    sign: int = 1
+
+
+@dataclass(frozen=True)
+class Series:
+    children: tuple
+
+
+@dataclass(frozen=True)
+class Parallel:
+    children: tuple
+
+
+def nested(tree):
+    """The nested view of a tree: Leaf, Series and Parallel objects, one
+    per node of its post-order tuple."""
+    out = []
+    for kids, _, is_series, eid, sign in tree:
+        parts = tuple([out[c] for c in kids])
+        out.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid, sign))
+    return out[-1]
+
+
+def _leaves(node) -> list:
+    """The Leaf objects under node in reading order."""
+    if isinstance(node, Leaf):
+        return [node]
+    return [leaf for child in node.children for leaf in _leaves(child)]
+
+
 def check_invariants(tree) -> None:
-    """Raise unless alternation, arity, and edge-id invariants hold."""
+    """Raise unless the post-order tuple is well formed (every child
+    listed before its parent and under exactly one, sizes the leaf counts,
+    inner nodes without id or sign, leaves with a sign of +-1) and the
+    alternation, arity and edge-id invariants hold."""
+    parents = [0] * len(tree)
+    for i, (kids, size, is_series, eid, sign) in enumerate(tree):
+        for c in kids:
+            parents[c] += 1
+        if any(not 0 <= c < i for c in kids) or size != (
+                sum(tree[c][1] for c in kids) if kids else 1):
+            raise SpTreeError("malformed post-order tuple")
+        if kids and (eid, sign) != (None, 0) or not kids and (is_series or sign not in (1, -1)):
+            raise SpTreeError("malformed node")
+    if parents != [1] * (len(tree) - 1) + [0]:
+        raise SpTreeError("every node but the root needs one parent")
 
     def walk(node):
         if isinstance(node, Leaf):
@@ -72,27 +115,28 @@ def check_invariants(tree) -> None:
                 raise SpTreeError("series and parallel compositions must alternate")
             walk(c)
 
-    walk(tree)
-    ids = leaf_ids(tree)
+    view = nested(tree)
+    walk(view)
+    ids = [leaf.eid for leaf in _leaves(view)]
     if sorted(ids) != list(range(len(ids))):
         raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
 
 
 def _nested_shape(tree):
-    """(skeleton_key, canonical shape keeping the leaf ids), from one
-    bottom-up pass that orders each node's children by their nested keys.
-    Python compares nested keys recursively, so two equal deep subtrees
-    overflow the C stack here; sptree compares integer ranks instead."""
-    keys, shapes = [], []
-    for kids, size, is_series, eid, _ in coefficient_layout(tree):
+    """(skeleton_key, text of the canonical shape), from one bottom-up pass
+    that orders each node's children by their nested keys.  Python
+    compares nested keys recursively, so two equal deep subtrees overflow
+    the C stack here; sptree compares integer ranks instead."""
+    keys, texts = [], []
+    for kids, size, is_series, _, _ in tree:
         if not is_series:
             kids = sorted(kids, key=keys.__getitem__)
         elif tuple([keys[c] for c in reversed(kids)]) < tuple([keys[c] for c in kids]):
             kids = kids[::-1]
         keys.append((size, 2 if is_series else 1 if kids else 0, tuple([keys[c] for c in kids])))
-        parts = tuple([shapes[c] for c in kids])
-        shapes.append(Series(parts) if is_series else Parallel(parts) if kids else Leaf(eid))
-    return keys[-1], shapes[-1]
+        inner = ",".join([texts[c] for c in kids])
+        texts.append(("S(" if is_series else "P(") + inner + ")" if kids else "e")
+    return keys[-1], texts[-1]
 
 
 def skeleton_key(tree):
@@ -107,8 +151,8 @@ def skeleton_key(tree):
 
 
 def canonicalize(tree):
-    """sptree.canonicalize with the nested keys."""
-    return relabel_leaves(_nested_shape(tree)[1])
+    """sptree.canonicalize with the nested keys, parsed back from text."""
+    return parse_tree(_nested_shape(tree)[1])
 
 
 def realize_with_spans(tree, directions=None):
@@ -118,19 +162,19 @@ def realize_with_spans(tree, directions=None):
     right end to the next child's left end, a parallel node glues all its
     children's left ends and all their right ends, each by a union-find
     that keeps the smaller root.  A vertex is labelled by the order of its
-    class's least fresh vertex.  Returns the graph and a map from every
-    node to its terminal pair in those labels.
+    class's least fresh vertex.  An edge runs as its leaf's sign says
+    unless directions is given.  Returns the graph and a map from every
+    node of the nested view to its terminal pair in those labels.
     """
-    if isinstance(tree, Series):
-        tree = parallel_rooted(tree)
-    if isinstance(tree, Leaf):
+    if len(tree) == 1:
         raise SpTreeError("a single edge is not a 2-connected network")
-    ids = leaf_ids(tree)
-    n = len(ids)
-    if sorted(ids) != list(range(n)):
+    tree = nested(two_terminal_layout(tree))
+    leaves = _leaves(tree)
+    n = len(leaves)
+    if sorted(leaf.eid for leaf in leaves) != list(range(n)):
         raise SpTreeError("leaf edge ids must be a permutation of 0..n-1")
     if directions is None:
-        directions = [False] * n
+        directions = {leaf.eid: leaf.sign < 0 for leaf in leaves}
     if len(directions) != n:
         raise SpTreeError("need one direction flag per edge")
 
@@ -242,10 +286,11 @@ def class_key(tree):
     its number of leaves; the key is the least AHU code (label, sorted child
     codes) over all rootings.  No graph or matrix is built.
     """
-    tree = parallel_rooted(tree)
+    tree = nested(two_terminal_layout(tree))
     if len(tree.children) == 2:
         # a bond of two elements is no node: its sides form one polygon
-        tree = make_series(tree.children)
+        tree = Series(tuple([part for child in tree.children for part in (
+            child.children if isinstance(child, Series) else (child,))]))
     labels, links = [], []
 
     def add(node):
@@ -387,7 +432,7 @@ def tree_sums(tree, weights) -> TreeSums:
                     for i in range(len(parts)))
         return TreeSums(total, math.prod(fs))
 
-    return rec(tree)
+    return rec(nested(tree))
 
 
 def brute_tree_sums(graph, weights) -> TreeSums:
@@ -505,12 +550,11 @@ def scaled_coefficients(layout, tau) -> tuple[int, dict[int, int]]:
 
 def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
     """The signed coefficients, with one union-find per node."""
-    if isinstance(tree, Series):
-        tree = parallel_rooted(tree)
-    if not isinstance(tree, Parallel):
+    if len(tree) == 1:
         raise SpTreeError("induced coefficients need a 2-connected tree")
-    n = leaf_count(tree)
-    reference, spans = realize_with_spans(tree)
+    n = tree[-1][1]
+    reference, spans = realize_with_spans(tree, [False] * n)
+    tree = nested(two_terminal_layout(tree))
     ref_pairs = {e: frozenset((t, h)) for t, h, e in reference.edges}
     got_pairs = {e: frozenset((t, h)) for t, h, e in graph.edges}
     if ref_pairs != got_pairs or reference.num_vertices != graph.num_vertices:
@@ -523,12 +567,12 @@ def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
     endpoints = {e: (t, h) for t, h, e in graph.edges}
 
     def connects(node) -> bool:
-        find = _forest_find(graph, [e for e in leaf_ids(node) if e in tau_set])
+        find = _forest_find(graph, [leaf.eid for leaf in _leaves(node) if leaf.eid in tau_set])
         a, b = spans[node]
         return find(a) == find(b)
 
     def psi(node) -> Fraction:
-        size = leaf_count(node)
+        size = len(_leaves(node))
         return Fraction(n - size) if connects(node) else Fraction(-size)
 
     out: dict[int, Fraction] = {}

@@ -9,7 +9,7 @@ import pytest
 import spextremal as sp
 from spextremal import cli
 from spextremal.search import SearchConfig
-from spextremal.sptree import canonicalize, coefficient_layout, decompose
+from spextremal.sptree import canonicalize, compose, decompose
 
 from exact_oracles import enumerated_class_count
 
@@ -154,14 +154,14 @@ class TestVerify:
     def test_corrupted_weights_exit_one(self, capsys, monkeypatch):
         from fractions import Fraction
         import spextremal.extremal as extremal
-        real = extremal.__dict__["_layout_weights"]
+        real = extremal.__dict__["induced_weights"]
 
-        def corrupt(layout):
-            w = real(layout)
+        def corrupt(tree):
+            w = real(tree)
             w[0] = w[0] + Fraction(1, 7)
             return w
 
-        monkeypatch.setitem(extremal.__dict__, "_layout_weights", corrupt)
+        monkeypatch.setitem(extremal.__dict__, "induced_weights", corrupt)
         code, out, err = run_cli(capsys, "verify", "P(e,S(e,e))")
         assert code == 1
         payload = json.loads(out)
@@ -203,10 +203,22 @@ class TestDeepTrees:
         graph = sp.realize(tree)
         assert len(graph.edges) == 10_001
         assert sp.rank(tree) == graph.num_vertices - 1
-        assert len(coefficient_layout(tree)) == 20_001
+        assert len(tree) == 20_001
         assert len(sp.induced_weights(tree)) == 10_001
         assert sp.format_tree(sp.dualize(sp.dualize(tree))) == text
         assert sp.format_tree(canonicalize(tree)) == text
+
+    def test_deep_trees_compare_and_hash(self):
+        # a tree is a flat tuple of nodes: comparing, hashing and printing
+        # one never recurses per level, nor does composing two of them
+        assert sys.getrecursionlimit() <= 1000
+        text = nested(3000)
+        a, b = sp.parse_tree(text), sp.parse_tree(text)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert repr(a).startswith("(((), 1, False, 0, 1), ")
+        chain = text[len("P(e,"):-1]
+        assert sp.format_tree(canonicalize(compose([a, b], False))) == f"P(e,e,{chain},{chain})"
 
     def test_canonicalize_equal_deep_subtrees(self):
         # the two branches tie all the way down, so their keys are compared
@@ -286,6 +298,16 @@ class TestSearch:
         assert payload["classes"] == 1
         assert not payload["violation"]
         assert abs(payload["scores"][0] - 1 / math.sqrt(2)) < 1e-6
+
+    def test_size_limit_checked_before_sampling(self, capsys, monkeypatch):
+        # the edge limit is checked on n before any start subspace is drawn
+        def unreachable(*args):
+            raise AssertionError("search ran above the edge limit")
+
+        monkeypatch.setattr(cli, "accumulate", unreachable)
+        code, out, err = run_cli(capsys, "search", "13", "2", "--seed", "1")
+        assert code == 64 and out == ""
+        assert err == "error: 13 edges exceed the limit of 12\n"
 
     def test_defaults_come_from_search_config(self):
         args = cli.build_parser().parse_args(["search", "5", "2", "--seed", "1"])

@@ -11,7 +11,7 @@ import spextremal as sp
 from spextremal import numeric
 from spextremal.extremal import check_attained
 from spextremal.numeric import orthonormalize, transfer_current
-from spextremal.sptree import Leaf, canonicalize, decompose, make_parallel, parallel_rooted
+from spextremal.sptree import canonicalize, decompose
 from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
@@ -56,7 +56,7 @@ class TestBuild:
 
     def test_banana_line(self):
         n = 5
-        t = make_parallel([Leaf(i) for i in range(n)])
+        t = sp.parse_tree("P(e,e,e,e,e)")
         inst = sp.build(t)
         assert inst.subspace.dim == 1
         assert np.allclose(np.abs(inst.subspace.basis), 1 / math.sqrt(n))
@@ -76,13 +76,13 @@ class TestCheckEigen:
         expected = rational_matrix(
             [[Fraction(2, 3), Fraction(-1, 3)], [Fraction(-1, 3), Fraction(2, 3)]])
         assert exact_equal(sub, expected)
-        _, C, _ = stacked_coefficients(inst.layout, [tau])
+        _, C, _ = stacked_coefficients(inst.tree, [tau])
         assert C[1, 0] == C[2, 0]  # proportional to (1, 1)
         assert sp.check_eigen(inst, [tau])
 
     def test_banana_single_edges(self):
         n = 4
-        t = make_parallel([Leaf(i) for i in range(n)])
+        t = sp.parse_tree("P(e,e,e,e)")
         inst = sp.build(t)
         Y = oracle.fraction_y(inst.D, inst.DY)
         for e in range(n):
@@ -122,7 +122,7 @@ class TestCheckDegenerate:
         assert sp.check_degenerate(inst)
 
     def test_banana_has_no_degenerate_subsets(self):
-        t = make_parallel([Leaf(i) for i in range(3)])
+        t = sp.parse_tree("P(e,e,e)")
         inst = sp.build(t)
         trees = set(sp.spanning_trees(inst.graph))
         non_trees = [s for s in combinations(range(3), 1) if s not in trees]
@@ -190,16 +190,16 @@ def assert_stacked_matches_per_tree(inst, trees):
     are exactly the dual's spanning trees, which check_dual relies on."""
     n = len(inst.graph.edges)
     name = sp.format_tree(inst.tree)
-    scale, C, on = stacked_coefficients(inst.layout, trees)
+    scale, C, on = stacked_coefficients(inst.tree, trees)
     assert C.shape == on.shape == (n, len(trees)), name
     for j, tau in enumerate(trees):
-        s, y = oracle.scaled_coefficients(inst.layout, tau)
+        s, y = oracle.scaled_coefficients(inst.tree, tau)
         assert type(scale[j]) is int and scale[j] == s, name
         assert all(type(x) is int for x in C[:, j]), name
         assert np.flatnonzero(on[:, j]).tolist() == sorted(y), name
         assert {e: C[e, j] for e in y} == y and not C[~on[:, j], j].any(), name
     complements = [tuple(e for e in range(n) if e not in tau) for tau in trees]
-    dual = sp.realize(parallel_rooted(sp.dualize(inst.tree)))
+    dual = sp.realize(sp.dualize(inst.tree))
     assert sorted(complements) == sp.spanning_trees(dual), name
 
 
@@ -221,7 +221,7 @@ def assert_agrees_with_oracles(inst):
     eigen_all = minors_zero = True
     for s in combinations(range(n), k):
         if s in tree_set:
-            scale, C, _ = stacked_coefficients(inst.layout, [s])
+            scale, C, _ = stacked_coefficients(inst.tree, [s])
             y = oracle.induced_coefficients(inst.tree, s, inst.graph)
             assert sorted(y) == list(s), name
             assert all(Fraction(C[e, 0], scale[0]) == y[e] for e in s), name
@@ -230,7 +230,7 @@ def assert_agrees_with_oracles(inst):
             eigen_all = eigen_all and eigen
         else:
             with pytest.raises(sp.SpTreeError):
-                stacked_coefficients(inst.layout, [s])
+                stacked_coefficients(inst.tree, [s])
             minors_zero = minors_zero and oracle.check_degenerate(inst, s)
     assert sp.check_eigen(inst, trees) == eigen_all, name
     assert sp.check_degenerate(inst) == minors_zero, name
@@ -271,7 +271,7 @@ def assert_attained_on_every_tree(inst):
     the one the target picks, and the float least eigenvalue agrees."""
     n = len(inst.graph.edges)
     trees = sp.spanning_trees(inst.graph)
-    _, C, _ = stacked_coefficients(inst.layout, trees)
+    _, C, _ = stacked_coefficients(inst.tree, trees)
     P = oracle.fraction_projection(oracle.fraction_y(inst.D, inst.DY), inst.weights)
     for j, tau in enumerate(trees):
         assert check_attained(inst, tau, C[:, j]), (sp.format_tree(inst.tree), tau)
@@ -343,7 +343,7 @@ class TestCheckTarget:
                     inst = sp.build(t)
                     trees = sp.spanning_trees(inst.graph)
                     _, tau = sp.target(inst.subspace, trees)
-                    _, C, _ = stacked_coefficients(inst.layout, [tau])
+                    _, C, _ = stacked_coefficients(inst.tree, [tau])
                     assert check_attained(inst, tau, C[:, 0])
 
     def test_corrupted_weights_fail(self):
@@ -358,7 +358,7 @@ class TestCheckTarget:
         corrupted = dataclasses.replace(inst, weights=bad, B=B, subspace=basis,
                                         D=T, DY=TY)
         trees = sp.spanning_trees(g)
-        _, C, _ = stacked_coefficients(corrupted.layout, trees)
+        _, C, _ = stacked_coefficients(corrupted.tree, trees)
         assert not any(check_attained(corrupted, tau, C[:, j])
                        for j, tau in enumerate(trees))
 
@@ -377,7 +377,7 @@ class TestCheckTarget:
             if k < 2:
                 continue
             trees = sp.spanning_trees(inst.graph)
-            _, C, _ = stacked_coefficients(inst.layout, trees)
+            _, C, _ = stacked_coefficients(inst.tree, trees)
             for j, tau in enumerate(trees):
                 idx, c = list(tau), C[list(tau), j]
                 w = [inst.weights[e] for e in idx]
@@ -407,7 +407,7 @@ class TestCheckTarget:
             n = len(inst.graph.edges)
             claim = dataclasses.replace(inst, D=inst.D * n, DY=inst.DY * (n - 1))
             trees = sp.spanning_trees(inst.graph)
-            _, C, _ = stacked_coefficients(inst.layout, trees)
+            _, C, _ = stacked_coefficients(inst.tree, trees)
             Y = oracle.fraction_y(inst.D, inst.DY)
             for j, tau in enumerate(trees):
                 assert not check_attained(claim, tau, C[:, j])
@@ -429,7 +429,7 @@ class TestCheckTarget:
 
 class TestCheckDual:
     def test_banana_cycle_pair(self):
-        t = make_parallel([Leaf(i) for i in range(4)])
+        t = sp.parse_tree("P(e,e,e,e)")
         assert sp.check_dual(sp.build(t))
 
     def test_triangle(self):
@@ -479,16 +479,16 @@ class TestCheckDual:
 
     def test_bumped_dual_weight_fails(self, instances_to_6, monkeypatch):
         import spextremal.extremal as extremal
-        real = extremal._layout_weights
+        real = extremal.induced_weights
         bump = {}
 
-        def bumped(layout):
-            w = real(layout)
+        def bumped(tree):
+            w = real(tree)
             for e, delta in bump.items():
                 w[e] += delta
             return w
 
-        monkeypatch.setattr(extremal, "_layout_weights", bumped)
+        monkeypatch.setattr(extremal, "induced_weights", bumped)
         for inst in instances_to_6:
             for e in range(len(inst.graph.edges)):
                 for delta in (1, -1):
@@ -502,9 +502,9 @@ class TestCheckDual:
         # all-zero dual weights make every cross product zero, which proves
         # no reciprocity: the common factor must not be zero
         import spextremal.extremal as extremal
-        real = extremal._layout_weights
-        monkeypatch.setattr(extremal, "_layout_weights",
-                            lambda layout: {e: 0 * w for e, w in real(layout).items()})
+        real = extremal.induced_weights
+        monkeypatch.setattr(extremal, "induced_weights",
+                            lambda tree: {e: 0 * w for e, w in real(tree).items()})
         for inst in instances_to_6:
             assert not sp.check_dual(inst), sp.format_tree(inst.tree)
 
@@ -640,26 +640,26 @@ class TestReports:
                     for _, eig in oracle.least_eigenvalue_report(inst):
                         assert abs(eig - 1.0 / n) < 1e-8
 
-    def test_verify_lays_each_tree_out_once(self, monkeypatch):
-        # every module's binding of coefficient_layout counts the calls that
-        # lay out a tree object; a layout passed back in is not counted
+    def test_verify_relists_no_tree(self, monkeypatch):
+        # every module's binding of the re-listing helper counts its calls:
+        # build and verify only map a tree's nodes in place or compose
+        # whole trees, and never re-list one in post-order
         import sys
         from spextremal import sptree
-        real = sptree.coefficient_layout
+        real = sptree._relist
         cases = [(t, d) for n in range(2, 8) for k in range(1, n)
                  for t in sp.enumerate_rooted(n, k) for d in (None, flipped_directions(t))]
-        laid_out = []
+        relisted = []
 
-        def counted(tree, directions=None):
-            if not isinstance(tree, tuple):
-                laid_out.append(tree)
-            return real(tree, directions)
+        def counted(*args):
+            relisted.append(args)
+            return real(*args)
 
         for name, module in list(sys.modules.items()):
-            held = getattr(module, "coefficient_layout", None)
+            held = getattr(module, "_relist", None)
             if name.split(".")[0] == "spextremal" and held is real:
-                monkeypatch.setattr(module, "coefficient_layout", counted)
+                monkeypatch.setattr(module, "_relist", counted)
         for tree, directions in cases:
-            laid_out.clear()
             report = sp.verify_instance(sp.build(tree, directions))
-            assert report["dual_ok"] and laid_out == [tree], sp.format_tree(tree)
+            assert report["dual_ok"] and relisted == [], sp.format_tree(tree)
+        assert sptree.reverse_tree(cases[0][0]) and relisted  # the count sees calls

@@ -20,7 +20,7 @@ from spextremal.numeric import (
     stacked_target,
     transfer_current,
 )
-from spextremal.sptree import Leaf, MultiGraph, make_parallel
+from spextremal.sptree import MultiGraph
 
 from exact_oracles import (
     bareiss,
@@ -194,7 +194,7 @@ class TestLaplacian:
 
     def test_banana_scales(self):
         n = 5
-        t = make_parallel([Leaf(i) for i in range(n)])
+        t = sp.parse_tree("P(e,e,e,e,e)")
         L = laplacian(sp.incidence_matrix(sp.realize(t)), unit_weights(n))
         assert exact_equal(L, rational_matrix([[n, -n], [-n, n]]))
 
@@ -206,7 +206,7 @@ class TestLaplacian:
 
 class TestTransferCurrent:
     def test_banana_two(self):
-        t = make_parallel([Leaf(0), Leaf(1)])
+        t = sp.parse_tree("P(e,e)")
         g = sp.realize(t)
         Y = fraction_y(*transfer_current(sp.incidence_matrix(g), unit_weights(2)))
         half = Fraction(1, 2)

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 import spextremal as sp
 from spextremal.numeric import transfer_current
 from spextremal.sptree import (
-    Leaf,
-    Parallel,
-    Series,
     canonicalize,
+    compose,
     decompose,
-    parallel_rooted,
     relabel_leaves,
 )
 from spextremal.weights import stacked_coefficients
@@ -35,16 +32,15 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None)
 def trees(draw, max_edges=8):
     """A parallel-rooted tree; children alternate kind, edge ids in reading order."""
 
-    def grow(size, kind):
+    def grow(size, series):
         if size == 1:
-            return Leaf()
+            return sp.parse_tree("e")
         cuts = sorted(draw(st.sets(st.integers(1, size - 1), min_size=1,
                                    max_size=size - 1)))
         parts = [b - a for a, b in zip([0] + cuts, cuts + [size])]
-        other = Series if kind is Parallel else Parallel
-        return kind(tuple(grow(p, other) for p in parts))
+        return compose([grow(p, not series) for p in parts], series)
 
-    return relabel_leaves(grow(draw(st.integers(2, max_edges)), Parallel))
+    return relabel_leaves(grow(draw(st.integers(2, max_edges)), False))
 
 
 @PROPERTY
@@ -71,12 +67,8 @@ def test_realize_matches_union_find_oracle(tree, data):
     ids = data.draw(st.permutations(range(n)))
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
 
-    def renumber(node):
-        if isinstance(node, Leaf):
-            return Leaf(ids[node.eid])
-        return type(node)(tuple(renumber(c) for c in node.children))
-
-    for t in (renumber(tree), sp.dualize(renumber(tree))):
+    renumbered = tuple([node if node[0] else ((), 1, False, ids[node[3]], 1) for node in tree])
+    for t in (renumbered, sp.dualize(renumbered)):
         graph, _ = oracle.realize_with_spans(t, directions)
         assert sp.realize(t, directions) == graph
 
@@ -155,11 +147,11 @@ def test_stacked_coefficients_match_per_tree_pass(tree, data):
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     inst = sp.build(tree, directions)
     trees = sp.spanning_trees(inst.graph)
-    scale, C, on = stacked_coefficients(inst.layout, trees)
+    scale, C, on = stacked_coefficients(inst.tree, trees)
     for j, tau in enumerate(trees):
-        s, y = oracle.scaled_coefficients(inst.layout, tau)
+        s, y = oracle.scaled_coefficients(inst.tree, tau)
         assert scale[j] == s and {e: C[e, j] for e in range(n) if on[e, j]} == y
-    dual = sp.realize(parallel_rooted(sp.dualize(tree)))
+    dual = sp.realize(sp.dualize(tree))
     assert sorted(tuple(e for e in range(n) if e not in tau) for tau in trees) \
         == sp.spanning_trees(dual)
 
@@ -172,5 +164,5 @@ def test_planar_dual_is_the_dual_tree_realized(tree, data):
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     graph, weights, _ = sp.planar_dual(sp.build(tree, directions))
-    dual = parallel_rooted(sp.dualize(tree))
+    dual = sp.dualize(tree)
     assert graph == sp.realize(dual) and weights == sp.induced_weights(dual)

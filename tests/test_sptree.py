@@ -4,17 +4,15 @@ import pytest
 
 import spextremal as sp
 from spextremal.sptree import (
-    Leaf,
     MultiGraph,
-    Parallel,
-    Series,
     canonicalize,
-    coefficient_layout,
+    compose,
     decompose,
     leaf_ids,
-    make_parallel,
-    make_series,
-    parallel_rooted,
+    orient,
+    relabel_leaves,
+    reverse_tree,
+    two_terminal_layout,
 )
 
 import exact_oracles as oracle
@@ -22,16 +20,17 @@ from exact_oracles import check_invariants, skeleton_key
 
 
 def leaf(i=0):
-    return Leaf(i)
+    """The one-edge tree of edge i."""
+    return (((), 1, False, i, 1),)
 
 
 def random_tree(rng, n_edges):
     """Random alternating tree with n_edges leaves (ids in reading order)."""
     counter = iter(range(n_edges))
 
-    def grow(budget, kind):
+    def grow(budget, series):
         if budget == 1:
-            return Leaf(next(counter))
+            return leaf(next(counter))
         # split the budget into at least 2 parts
         parts = []
         left = budget
@@ -44,30 +43,32 @@ def random_tree(rng, n_edges):
             left -= size
         if len(parts) == 1:
             parts = [1, budget - 1] if budget > 1 else parts
-        other = Series if kind is Parallel else Parallel
-        return kind(tuple(grow(s, other) for s in parts))
+        return compose([grow(s, not series) for s in parts], series)
 
-    tree = grow(n_edges, Parallel if rng.random() < 0.5 else Series)
-    return tree if not isinstance(tree, Leaf) else Parallel((tree, Leaf(next(counter))))
+    tree = grow(n_edges, rng.random() < 0.5)
+    return tree if len(tree) > 1 else compose([tree, leaf(next(counter))], False)
 
 
 class TestConstructors:
     def test_parallel_pair(self):
-        t = make_parallel([leaf(0), leaf(1)])
-        assert isinstance(t, Parallel) and len(t.children) == 2
+        t = compose([leaf(0), leaf(1)], False)
+        assert t == sp.parse_tree("P(e,e)")
+        check_invariants(t)
 
     def test_series_flattening(self):
-        t = make_series([leaf(0), make_series([leaf(1), leaf(2)])])
-        assert isinstance(t, Series) and len(t.children) == 3
+        t = compose([leaf(0), compose([leaf(1), leaf(2)], True)], True)
+        assert t == sp.parse_tree("S(e,e,e)")
 
     def test_parallel_flattening(self):
-        t = make_parallel([leaf(0), make_parallel([leaf(1), leaf(2)])])
-        assert isinstance(t, Parallel) and len(t.children) == 3
+        t = compose([leaf(0), compose([leaf(1), leaf(2)], False)], False)
+        assert t == sp.parse_tree("P(e,e,e)")
 
     def test_single_child_identity(self):
         e = leaf(0)
-        assert make_parallel([e]) is e
-        assert make_series([e]) is e
+        assert compose([e], False) == e
+        assert compose([e], True) == e
+        with pytest.raises(sp.SpTreeError, match="parallel composition needs at least one operand"):
+            compose([], False)
 
     def test_invariants_on_random_compositions(self):
         rng = random.Random(42)
@@ -127,7 +128,7 @@ class TestGrammar:
 
 class TestCanonicalize:
     def test_parallel_children_sorted(self):
-        t = make_parallel([make_series([leaf(0), leaf(1)]), leaf(2)])
+        t = compose([compose([leaf(0), leaf(1)], True), leaf(2)], False)
         assert sp.format_tree(canonicalize(t)) == "P(e,S(e,e))"
 
     def test_series_reversal_identified(self):
@@ -140,6 +141,7 @@ class TestCanonicalize:
         for _ in range(200):
             t = random_tree(rng, rng.randint(2, 9))
             c = canonicalize(t)
+            check_invariants(c)
             assert canonicalize(c) == c
 
     def test_matches_nested_key_oracle(self):
@@ -155,6 +157,27 @@ class TestCanonicalize:
                 trees = sp.enumerate_rooted(n, k)
                 assert len({skeleton_key(t) for t in trees}) == len(trees)
                 assert all(canonicalize(t) == t for t in trees)
+
+
+class TestReverse:
+    def test_same_directed_network_from_the_other_terminal(self):
+        rng = random.Random(5)
+        for n in range(2, 7):
+            for k in range(1, n):
+                for t in sp.enumerate_rooted(n, k):
+                    tree = orient(t, [rng.random() < 0.5 for _ in range(n)])
+                    back = reverse_tree(tree)
+                    check_invariants(back)
+                    assert reverse_tree(back) == tree
+                    assert canonicalize(back) == canonicalize(tree) == t
+                    # one vertex map carries every edge of g onto the same
+                    # edge of h, tail to tail, and swaps the terminals
+                    g, h = sp.realize(tree), sp.realize(back)
+                    onto = {}
+                    for (t1, h1, _), (t2, h2, _) in zip(g.edges, h.edges):
+                        assert onto.setdefault(t1, t2) == t2 and onto.setdefault(h1, h2) == h2
+                    assert len(set(onto.values())) == len(onto) == g.num_vertices
+                    assert tuple(onto[v] for v in g.terminals) == h.terminals[::-1]
 
 
 class TestEnumerate:
@@ -175,6 +198,7 @@ class TestEnumerate:
         for n in range(2, 8):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
+                    check_invariants(t)
                     assert sp.leaf_count(t) == n
                     assert sp.rank(t) == k
 
@@ -248,12 +272,12 @@ class TestRealize:
             assert sp.realize(tree, directions) == graph, sp.format_tree(tree)
 
     @pytest.mark.parametrize("tree, directions", [
-        (Leaf(0), None),                           # a single edge
-        (Parallel((Leaf(0), Leaf(0))), None),      # an edge id twice
-        (Parallel((Leaf(0), Leaf(2))), None),      # an edge id missing
-        (Parallel((Leaf(0), Leaf(1))), [True]),    # too few direction flags
-        (Parallel((Leaf(0), Leaf(1))), [True] * 3),  # too many direction flags
-        (Parallel((Leaf(0), Leaf(2))), [True] * 2),  # a flag for a missing edge id
+        (leaf(0), None),                                # a single edge
+        (compose([leaf(0), leaf(0)], False), None),     # an edge id twice
+        (compose([leaf(0), leaf(2)], False), None),     # an edge id missing
+        (compose([leaf(0), leaf(1)], False), [True]),   # too few direction flags
+        (compose([leaf(0), leaf(1)], False), [True] * 3),  # too many direction flags
+        (compose([leaf(0), leaf(2)], False), [True] * 2),  # a flag for a missing edge id
     ])
     def test_malformed_input_rejected(self, tree, directions):
         with pytest.raises(sp.SpTreeError):
@@ -264,26 +288,47 @@ class TestRealize:
     @pytest.mark.parametrize("directions", [[True], [False] * 5])
     def test_layout_needs_one_flag_per_edge(self, directions):
         with pytest.raises(sp.SpTreeError, match="one direction flag per edge"):
-            coefficient_layout(sp.parse_tree("P(e,e,e)"), directions)
+            orient(sp.parse_tree("P(e,e,e)"), directions)
 
     def test_layout_passes_through_and_keeps_its_signs(self):
+        # a tree carries its direction signs: no directions keep them, and
+        # given directions replace them
         tree = sp.parse_tree("P(e,S(e,e))")
-        layout = coefficient_layout(tree, [False, True, False])
-        assert coefficient_layout(layout) is layout
-        assert sp.realize(layout) == sp.realize(tree, [False, True, False])
-        with pytest.raises(sp.SpTreeError, match="carries its own direction signs"):
-            coefficient_layout(layout, [False, True, False])
-        with pytest.raises(sp.SpTreeError, match="carries its own direction signs"):
-            sp.realize(layout, [False] * 3)
+        flipped = orient(tree, [False, True, False])
+        assert orient(flipped, None) is flipped
+        assert [node[4] for node in flipped if not node[0]] == [1, -1, 1]
+        assert sp.realize(flipped) == sp.realize(tree, [False, True, False])
+        assert sp.realize(flipped, [False] * 3) == sp.realize(tree)
+        assert orient(flipped, [False] * 3) == tree
 
     def test_layout_of_a_closed_chain_realizes_as_the_chain(self):
-        # a series root closes up as parallel_rooted closes it, also when
-        # realize and induced_weights get the layout
-        for tree in (sp.parse_tree("S(e,P(e,e),e)"), sp.parse_tree("S(P(e,e),e)")):
+        # a series root closes up into its first part in parallel with the
+        # chain of the others, flattened as the text grammar nests
+        for text, closed in (("S(e,P(e,e),e)", "P(e,S(P(e,e),e))"),
+                             ("S(P(e,e),e)", "P(e,e,e)")):
+            tree, rooted = sp.parse_tree(text), sp.parse_tree(closed)
             flips = [True, False, False, True][:sp.leaf_count(tree)]
-            rooted = parallel_rooted(tree)
-            assert sp.realize(coefficient_layout(tree, flips)) == sp.realize(rooted, flips)
-            assert sp.induced_weights(coefficient_layout(tree)) == sp.induced_weights(rooted)
+            assert two_terminal_layout(tree) == rooted
+            assert sp.realize(tree, flips) == sp.realize(rooted, flips)
+            assert sp.induced_weights(tree) == sp.induced_weights(rooted)
+
+    def test_two_terminal_form_composes_the_closed_chain(self):
+        # the first part in parallel with the series chain of the others,
+        # spliced by compose, with the leaves kept in reading order
+        rng = random.Random(13)
+        for _ in range(300):
+            tree = random_tree(rng, rng.randint(2, 12))
+            if not tree[-1][2]:
+                tree = sp.dualize(tree)
+            text, depth, cuts = sp.format_tree(tree), 0, []
+            for i, ch in enumerate(text):
+                depth += (ch == "(") - (ch == ")")
+                if depth == 1 and ch in "(,":
+                    cuts.append(i)
+            parts = [sp.parse_tree(text[a + 1:b]) for a, b in zip(cuts, cuts[1:] + [len(text) - 1])]
+            closed = compose([parts[0], compose(parts[1:], True)], False)
+            check_invariants(two_terminal_layout(tree))
+            assert two_terminal_layout(tree) == relabel_leaves(closed), text
 
     def test_two_cycle(self):
         g = sp.realize(sp.parse_tree("P(e,e)"))
@@ -338,13 +383,22 @@ class TestDecompose:
             decompose(g, 0, 2)
 
     def test_reduction_order_confluence(self):
+        # permuted vertex numbers and a shuffled edge list, edge ids kept,
+        # reorder the bundles, their members and the degree-2 candidates
+        # the reduction meets; the canonical tree stays
+        rng = random.Random(3)
         trees = [t for n in range(4, 7) for k in range(1, n)
                  for t in sp.enumerate_rooted(n, k)]
         for t in trees:
             g = sp.realize(t)
             baseline = decompose(g, *g.terminals).tree
-            for seed in range(3):
-                shuffled = decompose(g, *g.terminals, rng=random.Random(seed))
+            for _ in range(3):
+                perm = rng.sample(range(g.num_vertices), g.num_vertices)
+                edges = [(perm[tail], perm[head], e) for tail, head, e in g.edges]
+                rng.shuffle(edges)
+                terminals = tuple(perm[v] for v in g.terminals)
+                shuffled = decompose(MultiGraph(g.num_vertices, tuple(edges), terminals),
+                                     *terminals)
                 assert shuffled.tree == baseline
 
     def test_realization_reproduces_input(self):
@@ -356,7 +410,7 @@ class TestDecompose:
                     g = sp.realize(t, dirs)
                     for tail, head, _ in g.edges:
                         d = decompose(g, tail, head)
-                        rebuilt = sp.realize(d.raw_tree, list(d.raw_flips))
+                        rebuilt = sp.realize(d.raw_tree)
                         original = {e: (t2, h2) for t2, h2, e in g.edges}
                         fwd, back = {}, {}
                         for tail2, head2, eid in rebuilt.edges:
@@ -372,6 +426,7 @@ class TestDecompose:
                     g = sp.realize(t)
                     for tail, head, _ in g.edges:
                         d = decompose(g, tail, head)
+                        check_invariants(d.raw_tree)
                         assert canonicalize(d.raw_tree) == d.tree
 
     def test_terminal_choice_at_any_edge_endpoint(self):
