@@ -1,9 +1,11 @@
 """Find extremal subspaces from scratch and match them to constructions.
 
-Randomized hill climbing over 2-dimensional subspaces of R^4: restart
-from uniform samples, accumulate one representative per symmetry class of
-the maximally deviating subspaces, then align each representative with a
-constructively built instance by a signed coordinate permutation.
+Riemannian gradient descent over 2-dimensional subspaces of R^4: restart
+from uniform samples, descend a smoothed maximum of the coordinate
+submatrices' least singular values, accumulate one representative per
+symmetry class of the maximally deviating subspaces, then align each
+representative with a constructively built instance by a signed
+coordinate permutation.
 """
 
 import math

@@ -6,9 +6,9 @@ from every coordinate k-subspace by exactly arccos(1/sqrt(n)) in the
 largest principal angle.  This package constructs those subspaces,
 verifies the exact spectral identities behind that value, counts the
 symmetry classes, and searches for extremal subspaces from scratch by
-randomized hill climbing (spextremal.search).  The names exported here
-are the ones the README and the demos use; everything else is imported
-from its module.
+Riemannian gradient descent from random starts (spextremal.search).  The
+names exported here are the ones the README and the demos use; everything
+else is imported from its module.
 """
 
 __version__ = "0.1.0"

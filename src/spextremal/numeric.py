@@ -12,11 +12,11 @@ criterion from its pivots on the way.  The spectral identities are
 checked on an integer multiple of Y as integer products and comparisons,
 with zero tolerance.  The float side covers orthonormal bases, principal
 angles, and the deviation target, where double precision is the natural
-currency.  Orthonormalization and the target also take stacks of bases,
-so a batch of search walkers is bumped and scored with one SVD call each
-(the target in bounded slices).  The target sweeps every coordinate
-subset by default; verify passes the spanning trees instead, since every
-other coordinate submatrix of a star space is singular.
+currency.  Orthonormalization takes a stack of bases, so a batch of
+search walkers is retracted with one SVD call; the target takes a stack
+too, in bounded slices.  The target sweeps every coordinate subset by
+default; verify passes the spanning trees instead, since every other
+coordinate submatrix of a star space is singular.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Randomized search for maximally deviating subspaces.
 
-Hill climbing on the Grassmannian: bump the current basis with
-Gaussian noise, keep strict improvements of the deviation target, shrink
-the step on every rejection.  Walkers climb in lockstep on an (R, n, k)
-stack of bases.  Each step bumps every walker still climbing with noise
-from its own generator, orthonormalizes the bumped stack with one batched
-SVD and scores it with one batched SVD of the coordinate submatrices, so
-each walker follows exactly the path it would follow alone.
+Riemannian gradient descent on the Grassmannian (Absil, Mahony and
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008) on a
+log-sum-exp smoothing (Nesterov, Math. Program. 103, 2005) of the
+target's cosine, max_S sigma_min(U[S, :]) over the coordinate k-subsets
+S.  Walkers climb in lockstep on an (R, n, k) stack of bases, under one
+schedule: each step takes one batched SVD of the coordinate submatrices
+for the gradient and one for the retraction, and keeps each walker's best
+iterate.  No step draws noise, and each walker follows exactly the path
+it would follow alone.
 
 The accumulation loop restarts from uniform samples and collects one
 representative per symmetry class of the extremal subspaces it reaches; a
@@ -29,12 +31,13 @@ import numpy as np
 from . import numeric
 from .numeric import (
     Subspace,
+    coordinate_subsets,
     match_sign_diagonal,
     orthonormal_stack,
     orthonormalize,
     principal_angles,
+    require_edge_limit,
     require_orthonormal,
-    stacked_target,
     target,
 )
 
@@ -45,10 +48,7 @@ class SearchConfig:
 
     attempts: int = 200          # consecutive fruitless restarts before stopping
     eps: float = 1e-4            # extremality tolerance, cosine scale
-    init_magnitude: float = 0.5
-    decay: float = 0.99          # slower decay buys the accuracy the eps gate needs
-    max_steps: int = 100_000
-    min_magnitude: float = 1e-7
+    steps: int = 500             # gradient steps per restart
     seed: int = 0
     dedup_tol: float = 1e-3      # principal-angle tolerance for class identity
 
@@ -63,14 +63,8 @@ class SearchConfig:
             raise ValueError("attempts must be at least 1")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.init_magnitude <= 0.0:
-            raise ValueError("init_magnitude must be positive")
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie in (0, 1)")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be non-negative")
-        if self.min_magnitude <= 0.0:
-            raise ValueError("min_magnitude must be positive")
+        if self.steps < 0:
+            raise ValueError("steps must be non-negative")
         if self.dedup_tol <= 0.0:
             raise ValueError("dedup_tol must be positive")
 
@@ -101,57 +95,64 @@ def sample_uniform(n: int, k: int, rng) -> Subspace:
     return orthonormalize(rng.standard_normal((n, k)))
 
 
-def _bump(bases: np.ndarray, magnitudes: np.ndarray, rngs) -> np.ndarray:
-    """One Gaussian bump per walker of an (R, n, k) stack, re-orthonormalized.
+def _retract(bases: np.ndarray, xi: np.ndarray, eta: float) -> np.ndarray:
+    """Step every basis of an (R, n, k) stack by -eta along its tangent xi
+    and retract it onto the Grassmannian with orthonormal_stack.
 
-    Walker r scales rngs[r]'s noise by magnitudes[r].  A bump that is not of
-    full column rank (a measure-zero degeneracy) is drawn again from the
-    same walker's generator.
+    xi is orthogonal to its basis, so each step has full column rank and
+    needs no redraw; the retracted stack is checked to be orthonormal.
     """
-    shape = bases.shape[1:]
-    noise = np.stack([rng.standard_normal(shape) for rng in rngs])
-    out, full_rank = orthonormal_stack(bases + magnitudes[:, None, None] * noise)
-    while not full_rank.all():
-        redo = np.flatnonzero(~full_rank)
-        noise = np.stack([rngs[r].standard_normal(shape) for r in redo])
-        out[redo], full_rank[redo] = orthonormal_stack(
-            bases[redo] + magnitudes[redo, None, None] * noise)
-    require_orthonormal(out)
-    return out
+    moved, full_rank = orthonormal_stack(bases - eta * xi)
+    assert full_rank.all()
+    require_orthonormal(moved)
+    return moved
 
 
-def _climb(bases: np.ndarray, rngs, cfg: SearchConfig) -> np.ndarray:
-    """Accept-improving walks from every basis of an (R, n, k) stack, in lockstep.
+def _climb(bases: np.ndarray, cfg: SearchConfig) -> np.ndarray:
+    """Riemannian gradient descent from every basis of an (R, n, k) stack, in lockstep.
 
-    Walker r draws only from rngs[r].  At each step it keeps its candidate
-    when the target angle strictly grows and otherwise multiplies its step
-    size by cfg.decay.  It retires once the step size is below
-    cfg.min_magnitude, and all walkers stop after cfg.max_steps steps.
-    Returns the final stack.
+    The objective is the log-sum-exp smoothing, at inverse temperature
+    beta, of max_S sigma_min(U[S, :]) over the coordinate k-subsets S: the
+    cosine of the target angle, which the climb lowers.  Each step takes
+    one batched SVD (u, s, vh) of the (R, C(n, k), k, k) coordinate
+    submatrices.  Its softmax weights p_S = exp(beta (sigma_S - max sigma))
+    have exponents at most 0, so they cannot overflow, and are left
+    unnormalized, since the step is normalized.  The Euclidean gradient
+    G = sum_S p_S u_S v_S^T (u_S, v_S the singular vectors of sigma_min) is
+    scattered to its rows by one fixed one-hot matmul and projected onto
+    the tangent space, xi = G - U U^T G.  The step U - eta xi / |xi| is
+    retracted by _retract.  Over cfg.steps steps beta rises geometrically
+    from 20 to 1e6 and eta falls from 0.05 to 1e-5, the same for every
+    walker.
+    Every sum over a walker's entries is a per-walker matmul or SVD, so a
+    walker's path does not depend on the others in the stack.  Returns
+    each walker's best iterate, the one with the lowest max sigma_min; with
+    cfg.steps 0 that is its start.
     """
-    bases, rngs = np.array(bases, dtype=float), list(rngs)
-    out = np.empty_like(bases)          # filled as walkers retire
-    walkers = np.arange(len(bases))     # the walker in each row of bases
-    angles, _ = stacked_target(bases)
-    magnitudes = np.full(len(bases), cfg.init_magnitude)
-    for _ in range(cfg.max_steps):
-        retiring = magnitudes < cfg.min_magnitude
-        if retiring.any():
-            out[walkers[retiring]] = bases[retiring]
-            keep = ~retiring
-            walkers, bases = walkers[keep], bases[keep]
-            angles, magnitudes = angles[keep], magnitudes[keep]
-            rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-            if not rngs:
-                break
-        candidates = _bump(bases, magnitudes, rngs)
-        candidate_angles, _ = stacked_target(candidates)
-        better = candidate_angles > angles
-        bases[better] = candidates[better]
-        angles[better] = candidate_angles[better]
-        magnitudes[~better] *= cfg.decay
-    out[walkers] = bases
-    return out
+    bases = np.array(bases, dtype=float)
+    walkers, n, k = bases.shape
+    require_edge_limit(n)
+    _, index = coordinate_subsets(n, k)
+    scatter = np.zeros((n, index.size))
+    scatter[index.ravel(), np.arange(index.size)] = 1.0
+    betas = np.geomspace(20.0, 1e6, cfg.steps)
+    etas = np.geomspace(0.05, 1e-5, cfg.steps)
+    best, best_score = bases.copy(), np.full(walkers, np.inf)
+    for step in range(cfg.steps + 1):
+        u, s, vh = np.linalg.svd(bases[:, index, :])
+        sigma = s[..., -1]
+        top = sigma.max(axis=1)
+        better = top < best_score
+        best[better], best_score[better] = bases[better], top[better]
+        if step == cfg.steps:
+            return best
+        p = np.exp(betas[step] * (sigma - top[:, None]))
+        grad = p[..., None, None] * u[..., :, -1:] * vh[..., -1:, :]
+        grad = scatter @ grad.reshape(walkers, index.size, k)
+        xi = (grad - bases @ (np.swapaxes(bases, 1, 2) @ grad)).reshape(walkers, -1, 1)
+        norm = np.sqrt(np.swapaxes(xi, 1, 2) @ xi)
+        xi = (xi / np.where(norm > 0.0, norm, 1.0)).reshape(bases.shape)
+        bases = _retract(bases, xi, etas[step])
 
 
 def symmetry_equivalent(a: Subspace, b: Subspace, tol: float = 1e-3) -> bool:
@@ -224,11 +225,11 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     while budget > 0:
         # every restart of the batch is one the serial rule runs: a result
         # lowers the budget by at most one, so it stays positive until the last
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                             spawn_key=(i,)))
-                for i in range(restarts, restarts + min(budget, cap))]
-        starts = np.stack([sample_uniform(n, k, rng).basis for rng in rngs])
-        for basis in _climb(starts, rngs, cfg):
+        starts = np.stack([
+            sample_uniform(n, k, np.random.default_rng(
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))).basis
+            for i in range(restarts, restarts + min(budget, cap))])
+        for basis in _climb(starts, cfg):
             sub = Subspace(n, k, basis)
             restarts += 1
             angle, subset = target(sub)

@@ -65,7 +65,9 @@ def induced_weights(tree) -> dict[int, Fraction]:
 def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s, C, on): C[e, j] / s[j] is the induced coefficient of edge e on
     the spanning tree trees[j], and on[e, j] says whether e lies in it;
-    layout is the decomposition tree, as build keeps it.
+    layout is the decomposition tree, taken in two-terminal form
+    (sptree.two_terminal_layout), so a closed series chain is read as the
+    graph realize builds from it.
 
     C is n x T, zero off each tree; C and s are object arrays of Python
     ints, so no product can overflow, and on is boolean.  One pass over
@@ -85,6 +87,7 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     failed) and when some entry is not a spanning tree: an edge id outside
     0..n-1, a repeated edge, a cycle or too few edges.
     """
+    layout = two_terminal_layout(layout)
     n = layout[-1][1]
     trees = list(trees)
     if not trees:

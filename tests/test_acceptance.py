@@ -162,14 +162,15 @@ def test_criterion_8_search_reproduction():
         for member, _ in result.classes:
             assert any(symmetry_equivalent(member, c, 1e-3) for c in constructive), \
                 (n, k)
-    # 100 one-walker climbs, run as one lockstep batch: each
-    # walker draws its start and its steps from its own stream, as alone
+    # 100 climbs, run as one lockstep batch, each from a start drawn from
+    # its own stream
     cfg = SearchConfig(seed=0)
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=99, spawn_key=(i,)))
-            for i in range(100)]
-    starts = np.stack([sample_uniform(4, 2, rng).basis for rng in rngs])
+    starts = np.stack([
+        sample_uniform(4, 2, np.random.default_rng(
+            np.random.SeedSequence(entropy=99, spawn_key=(i,)))).basis
+        for i in range(100)])
     hits = 0
-    for basis in _climb(starts, rngs, cfg):
+    for basis in _climb(starts, cfg):
         sub = Subspace(4, 2, basis)
         if abs(math.cos(sp.target(sub)[0]) - 0.5) <= 1e-3:
             hits += 1

@@ -322,7 +322,7 @@ class TestSearch:
         assert code == 0
         payload = json.loads(out)
         assert payload["classes"] == 2
-        assert payload["restarts"] == 48
+        assert payload["restarts"] == 42
 
     def test_seed_required(self, capsys):
         code, _, err = run_cli(capsys, "search", "2", "1")
@@ -330,13 +330,13 @@ class TestSearch:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--N", "0", "attempts must be at least 1"),
-        ("--decay", "1.5", "decay must lie in (0, 1)"),
+        ("--steps", "-1", "steps must be non-negative"),
+        ("--steps", "nan", "argument --steps: invalid int value: 'nan'"),
         ("--dedup-tol", "-1", "dedup_tol must be positive"),
-        ("--min-magnitude", "0", "min_magnitude must be positive"),
-        ("--init-magnitude", "nan", "init_magnitude must be finite"),
-        ("--init-magnitude", "inf", "init_magnitude must be finite"),
+        ("--eps", "0", "eps must lie in (0, 1)"),
+        ("--eps", "nan", "eps must be finite"),
+        ("--eps", "inf", "eps must be finite"),
         ("--dedup-tol", "nan", "dedup_tol must be finite"),
-        ("--min-magnitude", "nan", "min_magnitude must be finite"),
         ("--seed", "-1", "seed must be non-negative"),
     ])
     def test_invalid_config_is_usage_error(self, capsys, option, value, message):
@@ -351,8 +351,7 @@ class TestSearch:
         code, out, _ = run_cli(capsys, "search", "2", "1", "--seed", "3", "--N", "2")
         assert code == 0
         config = json.loads(out)["manifest"]["config"]
-        assert list(config) == ["n", "k", "seed", "N", "eps", "init_magnitude",
-                                "decay", "max_steps", "min_magnitude", "dedup_tol"]
+        assert list(config) == ["n", "k", "seed", "N", "eps", "steps", "dedup_tol"]
         assert config["N"] == 2 and config["seed"] == 3
 
     def test_reproducible_output_bytes(self, capsys, monkeypatch):
@@ -369,7 +368,7 @@ class TestSearch:
 
         monkeypatch.setattr(search_mod, "target", fake_target)
         code, out, _ = run_cli(capsys, "search", "3", "1", "--seed", "1",
-                               "--N", "5", "--max-steps", "5")
+                               "--N", "5", "--steps", "5")
         assert code == 2
         payload = json.loads(out)
         assert payload["violation"]

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import spextremal as sp
 import spextremal.search as search_mod
@@ -10,31 +9,19 @@ from spextremal import numeric
 from spextremal.numeric import Subspace, orthonormalize, principal_angles
 from spextremal.search import (
     SearchConfig,
-    _bump,
     _climb,
+    _retract,
     accumulate,
     sample_uniform,
     symmetry_equivalent,
 )
 
-import serial_search
 from exact_oracles import class_key
 
 
 def rng_for(entropy, index=0):
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy,
                                                         spawn_key=(index,)))
-
-
-def bump_one(sub, magnitude, rng):
-    """One walker's bump: _bump on a one-row stack."""
-    basis = _bump(sub.basis[None], np.array([magnitude], dtype=float), [rng])[0]
-    return Subspace(sub.ambient, sub.dim, basis)
-
-
-def climb_one(sub, cfg, rng):
-    """One walker's climb: _climb on a one-row stack."""
-    return Subspace(sub.ambient, sub.dim, _climb(sub.basis[None], [rng], cfg)[0])
 
 
 class TestSampleUniform:
@@ -70,117 +57,112 @@ class TestSampleUniform:
         assert abs(np.mean(plain) - np.mean(rotated)) < 0.02
 
 
+def tangent_stack(bases, rng):
+    """One random unit tangent direction per basis of an (R, n, k) stack."""
+    g = rng.standard_normal(bases.shape)
+    xi = g - bases @ (np.swapaxes(bases, 1, 2) @ g)
+    return xi / np.linalg.norm(xi, axis=(1, 2), keepdims=True)
+
+
+def serial_accumulate(n, k, cfg):
+    """One restart at a time, each climbed alone: the rule accumulate batches."""
+    bound = 1.0 / math.sqrt(n)
+    members, budget, restarts = [], cfg.attempts, 0
+    while budget > 0:
+        start = sample_uniform(n, k, rng_for(cfg.seed, restarts)).basis
+        sub = Subspace(n, k, _climb(start[None], cfg)[0])
+        restarts += 1
+        score = math.cos(sp.target(sub)[0])
+        assert score >= bound - cfg.eps
+        if abs(score - bound) <= cfg.eps and not any(
+                symmetry_equivalent(sub, member, cfg.dedup_tol)
+                for member, _ in members):
+            members.append((sub, score))
+            budget = cfg.attempts
+        else:
+            budget -= 1
+    return members, restarts
+
+
 class TestPerturb:
+    """The climber's step: a move along a unit tangent, retracted."""
+
     def test_zero_magnitude_is_identity(self):
-        rng = np.random.default_rng(3)
-        s = sample_uniform(5, 2, rng)
-        moved = bump_one(s, 0.0, rng)
-        residual = moved.basis - s.basis @ (s.basis.T @ moved.basis)
-        assert np.linalg.norm(residual, 2) <= 1e-12
+        starts = np.stack([sample_uniform(5, 2, rng_for(3, i)).basis for i in range(4)])
+        moved = _retract(starts, tangent_stack(starts, rng_for(3, 99)), 0.0)
+        residual = moved - starts @ (np.swapaxes(starts, 1, 2) @ moved)
+        assert np.abs(residual).max() <= 1e-12
 
     def test_output_orthonormal(self):
-        rng = np.random.default_rng(4)
-        s = sample_uniform(5, 2, rng)
+        starts = np.stack([sample_uniform(5, 2, rng_for(4, i)).basis for i in range(4)])
+        xi = tangent_stack(starts, rng_for(4, 99))
         for mag in (1e-6, 0.1, 10.0):
-            moved = bump_one(s, mag, rng)
-            assert np.allclose(moved.basis.T @ moved.basis, np.eye(2), atol=1e-12)
+            moved = _retract(starts, xi, mag)
+            gram = np.swapaxes(moved, 1, 2) @ moved
+            assert np.abs(gram - np.eye(2)).max() <= 1e-12
 
     def test_displacement_grows_with_magnitude(self):
-        rng = np.random.default_rng(6)
-        s = sample_uniform(4, 2, rng)
-        mags = np.geomspace(1e-4, 1.0, 12)
-        angles = []
-        for mag in mags:
-            trial = [principal_angles(s, bump_one(s, mag, rng))[-1]
-                     for _ in range(80)]
-            angles.append(np.mean(trial))
-        rho, _ = stats.spearmanr(mags, angles)
-        assert rho > 0
-
-    def test_rank_deficient_bump_is_drawn_again(self):
-        # walker 0's first noise cancels its basis, so it alone draws again
-        starts = [sample_uniform(4, 2, rng_for(20, i)) for i in range(2)]
-        magnitudes = (1.0, 0.3)
-
-        class Collapsing:
-            def __init__(self, rng):
-                self.rng, self.first = rng, True
-
-            def standard_normal(self, shape):
-                if self.first:
-                    self.first = False
-                    return -starts[0].basis
-                return self.rng.standard_normal(shape)
-
-        got = [Collapsing(rng_for(21, 0)), rng_for(21, 1)]
-        want = [Collapsing(rng_for(21, 0)), rng_for(21, 1)]
-        out = _bump(np.stack([s.basis for s in starts]), np.array(magnitudes), got)
-        for i, magnitude in enumerate(magnitudes):
-            ref = serial_search.perturb(starts[i], magnitude, want[i])
-            assert out[i].tobytes() == ref.basis.tobytes()
-        assert got[0].rng.bit_generator.state == want[0].rng.bit_generator.state
-        assert got[1].bit_generator.state == want[1].bit_generator.state
+        # a step of eta along a tangent xi turns the subspace by
+        # arctan(eta * sigma_max(xi)) at most
+        start = sample_uniform(4, 2, rng_for(6)).basis[None]
+        xi = tangent_stack(start, rng_for(6, 1))
+        sigma = np.linalg.svd(xi[0], compute_uv=False)[0]
+        mags = np.geomspace(1e-2, 1.0, 12)
+        angles = [principal_angles(Subspace(4, 2, start[0]),
+                                   Subspace(4, 2, _retract(start, xi, mag)[0]))[-1]
+                  for mag in mags]
+        assert (np.diff(angles) > 0).all()
+        assert np.allclose(angles, np.arctan(mags * sigma), atol=1e-7)
 
     def test_candidate_stack_is_checked(self, monkeypatch):
-        # bumps left un-orthonormalized must stop the climb
+        # steps left un-orthonormalized must stop the climb
         monkeypatch.setattr(search_mod, "orthonormal_stack",
                             lambda mats: (mats, np.ones(len(mats), dtype=bool)))
         start = sample_uniform(4, 2, rng_for(22)).basis[None]
         with pytest.raises(ValueError, match="orthonormal"):
-            _climb(start, [rng_for(23)], SearchConfig(max_steps=3))
+            _climb(start, SearchConfig(steps=3))
 
 
 class TestOptimize:
+    def test_output_orthonormal(self):
+        starts = np.stack([sample_uniform(5, 2, rng_for(40, i)).basis for i in range(8)])
+        for steps in (1, 10, 200):
+            out = _climb(starts, SearchConfig(steps=steps))
+            assert out.shape == starts.shape
+            gram = np.swapaxes(out, 1, 2) @ out
+            assert np.abs(gram - np.eye(2)).max() <= 1e-12
+
+    def test_zero_steps_returns_the_starts(self):
+        starts = np.stack([sample_uniform(4, 2, rng_for(41, i)).basis for i in range(5)])
+        out = _climb(starts, SearchConfig(steps=0))
+        assert out.tobytes() == starts.tobytes()
+
     def test_never_decreases_target(self):
-        cfg = SearchConfig(seed=0, max_steps=300)
-        for i in range(5):
-            rng = rng_for(50, i)
-            start = sample_uniform(4, 2, rng)
-            before = sp.target(start)[0]
-            after = sp.target(climb_one(start, cfg, rng))[0]
-            assert after >= before
+        # the climb returns each walker's best iterate, the start among them
+        starts = np.stack([sample_uniform(5, 2, rng_for(50, i)).basis for i in range(40)])
+        for steps in (1, 5, 500):
+            out = _climb(starts, SearchConfig(steps=steps))
+            before, _ = numeric.stacked_target(starts)
+            after, _ = numeric.stacked_target(out)
+            assert (after >= before).all()
 
     def test_plane_line_converges(self):
-        cfg = SearchConfig(seed=0)
-        for i in range(5):
-            rng = rng_for(51, i)
-            final = climb_one(sample_uniform(2, 1, rng), cfg, rng)
+        starts = np.stack([sample_uniform(2, 1, rng_for(51, i)).basis for i in range(5)])
+        for basis in _climb(starts, SearchConfig(seed=0)):
+            final = Subspace(2, 1, basis)
             assert abs(math.cos(sp.target(final)[0]) - 1 / math.sqrt(2)) < 1e-6
 
     def test_matches_serial_oracle_bitwise(self):
-        cfg = SearchConfig(seed=0)
+        # a walker's path does not depend on the walkers beside it: the
+        # stacked climb equals each walker climbed alone
+        cfg = SearchConfig(steps=50)
         for n, k in ((4, 2), (5, 2)):
-            for i in range(3):
-                got_rng, want_rng = rng_for(52, i), rng_for(52, i)
-                got = climb_one(sample_uniform(n, k, got_rng), cfg, got_rng)
-                want = serial_search.optimize(
-                    serial_search.sample_uniform(n, k, want_rng), cfg, want_rng)
-                assert got.basis.tobytes() == want.basis.tobytes()
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-    def test_lockstep_walkers_retire_apart_and_match_serial(self):
-        # fast decay: some walkers retire at min_magnitude, others at max_steps
-        cfg = SearchConfig(decay=0.5, min_magnitude=1e-3, max_steps=12)
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng, self.draws = rng, 0
-
-            def standard_normal(self, shape):
-                self.draws += 1
-                return self.rng.standard_normal(shape)
-
-        walkers = 16
-        rngs = [Counting(rng_for(53, i)) for i in range(walkers)]
-        starts = np.stack([sample_uniform(5, 2, r.rng).basis for r in rngs])
-        finals = _climb(starts, rngs, cfg)
-        steps = [r.draws for r in rngs]
-        assert max(steps) == cfg.max_steps and min(steps) < cfg.max_steps
-        for i in range(walkers):
-            rng = rng_for(53, i)
-            want = serial_search.optimize(serial_search.sample_uniform(5, 2, rng),
-                                          cfg, rng)
-            assert finals[i].tobytes() == want.basis.tobytes(), i
+            starts = np.stack([sample_uniform(n, k, rng_for(52, i)).basis
+                               for i in range(6)])
+            together = _climb(starts, cfg)
+            for i in range(len(starts)):
+                alone = _climb(starts[i:i + 1], cfg)[0]
+                assert together[i].tobytes() == alone.tobytes()
 
 
 class TestSymmetryEquivalent:
@@ -234,24 +216,18 @@ class TestAccumulate:
         with pytest.raises(ValueError):
             SearchConfig(eps=2.0)
         with pytest.raises(ValueError):
-            SearchConfig(decay=1.5)
-        with pytest.raises(ValueError):
             SearchConfig(dedup_tol=-1.0)
         with pytest.raises(ValueError):
             SearchConfig(dedup_tol=0.0)
-        with pytest.raises(ValueError):
-            SearchConfig(max_steps=-1)
-        with pytest.raises(ValueError, match="min_magnitude must be positive"):
-            SearchConfig(min_magnitude=0.0)
-        with pytest.raises(ValueError, match="min_magnitude must be positive"):
-            SearchConfig(min_magnitude=-1.0)
-        for name in ("eps", "init_magnitude", "decay", "min_magnitude", "dedup_tol"):
+        with pytest.raises(ValueError, match="steps must be non-negative"):
+            SearchConfig(steps=-1)
+        for name in ("eps", "dedup_tol"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     SearchConfig(**{name: value})
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SearchConfig(seed=-1)
-        assert SearchConfig(max_steps=0).max_steps == 0
+        assert SearchConfig(steps=0).steps == 0
 
     def test_violation_is_a_distinguished_return(self, monkeypatch):
         # a score below the bound must stop the run and carry a report;
@@ -262,7 +238,7 @@ class TestAccumulate:
             return math.acos(0.2), (0,)
 
         monkeypatch.setattr(search_mod, "target", fake_target)
-        res = accumulate(3, 1, SearchConfig(seed=1, attempts=50, max_steps=5))
+        res = accumulate(3, 1, SearchConfig(seed=1, attempts=50, steps=5))
         assert res.violation is not None
         assert res.restarts == 1
         assert abs(res.violation.deviation_cos - 0.2) < 1e-12
@@ -276,9 +252,9 @@ class TestAccumulate:
         sizes = []
         climb = search_mod._climb
 
-        def counting_climb(bases, rngs, cfg):
+        def counting_climb(bases, cfg):
             sizes.append(len(bases))
-            return climb(bases, rngs, cfg)
+            return climb(bases, cfg)
 
         monkeypatch.setattr(search_mod, "_climb", counting_climb)
         monkeypatch.setattr(numeric, "STACK_SUBMATRICES", 12)
@@ -294,10 +270,25 @@ class TestAccumulate:
     def test_matches_serial_oracle(self, n, k, seed):
         cfg = SearchConfig(seed=seed, attempts=40)
         got = accumulate(n, k, cfg)
-        want = serial_search.accumulate(n, k, cfg)
-        assert got.violation is None and want.violation is None
-        assert got.restarts == want.restarts
-        assert len(got.classes) == len(want.classes)
-        for (a, score_a), (b, score_b) in zip(got.classes, want.classes):
+        want, restarts = serial_accumulate(n, k, cfg)
+        assert got.violation is None
+        assert got.restarts == restarts
+        assert len(got.classes) == len(want)
+        for (a, score_a), (b, score_b) in zip(got.classes, want):
             assert a.basis.tobytes() == b.basis.tobytes()
             assert score_a.hex() == score_b.hex()
+
+    @pytest.mark.parametrize("n, k, attempts, least", [
+        (6, 3, 40, 4),
+        pytest.param(7, 3, 40, 8, marks=pytest.mark.long),
+        pytest.param(8, 4, 20, 10, marks=pytest.mark.long),
+    ])
+    def test_reaches_the_bound_past_five(self, n, k, attempts, least):
+        # every class found is a constructive one, and at (6,3) and (7,3)
+        # all of them are found
+        res = accumulate(n, k, SearchConfig(seed=1, attempts=attempts))
+        assert res.violation is None
+        assert least <= len(res.classes) <= sp.count_classes(n, k)
+        constructive = [sp.build(t).subspace for t in sp.enumerate_rooted(n, k)]
+        for member, _ in res.classes:
+            assert any(symmetry_equivalent(member, c, 1e-3) for c in constructive)

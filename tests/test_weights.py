@@ -78,6 +78,14 @@ class TestInducedCoefficients:
                         assert set(y) == set(tau)
                         assert all(v != 0 for v in y.values())
 
+    def test_series_rooted_tree_takes_its_graphs_trees(self):
+        # a closed series chain is read as the graph realize builds from it
+        d = sp.dualize(sp.parse_tree("P(e,S(e,P(e,e)))"))
+        trees = sp.spanning_trees(sp.realize(d))
+        _, C, on = stacked_coefficients(d, trees)
+        assert on.sum(axis=0).tolist() == [len(tau) for tau in trees]
+        assert all(C[e, j] != 0 for e, j in zip(*np.nonzero(on)))
+
     def test_non_spanning_tree_rejected(self):
         t = sp.parse_tree("P(e,S(e,e))")
         with pytest.raises(sp.SpTreeError):
