@@ -12,10 +12,9 @@ criterion from its pivots on the way.  The spectral identities are
 checked on an integer multiple of Y as integer products and comparisons,
 with zero tolerance.  The float side covers orthonormal bases, principal
 angles, and the deviation target, where double precision is the natural
-currency.  Orthonormalization takes a stack of bases, so a batch of
-search walkers is retracted with one SVD call; the target takes a stack
-too, in bounded slices.  The target sweeps every coordinate subset by
-default; verify passes the spanning trees instead, since every other
+currency.  The target of one basis is one batched SVD of its k-by-k
+coordinate submatrices; it sweeps every coordinate subset by default,
+and verify passes the spanning trees instead, since every other
 coordinate submatrix of a star space is singular.
 """
 
@@ -34,9 +33,9 @@ from .sptree import SpTreeError
 # The most edges, i.e. coordinates, that an exhaustive sweep takes: the
 # spanning trees, the target, and the enumerate and verify commands.
 MAX_EDGES = 12
-# Most k-by-k coordinate submatrices gathered for one batched SVD; a
-# larger stack is handled a slice at a time, and a search batch launches
-# no more walkers than one slice holds, which bounds their memory.
+# Most k-by-k coordinate Gram matrices that one search batch gathers: a
+# batch launches no more walkers than this many over C(n, k), which bounds
+# its memory whatever the attempt budget.
 STACK_SUBMATRICES = 1 << 14
 
 
@@ -175,19 +174,9 @@ def require_orthonormal(bases: np.ndarray) -> None:
         raise ValueError("basis columns are not orthonormal")
 
 
-def orthonormal_stack(mats: np.ndarray):
-    """Orthonormal bases for the column spaces of an (R, n, k) stack.
-
-    One batched SVD; returns the left singular vectors and a mask of the
-    matrices of full column rank, those whose smallest singular value is
-    above 1e-10.
-    """
-    u, s, _ = np.linalg.svd(mats, full_matrices=False)
-    return u, s[:, -1] > 1e-10
-
-
 def orthonormalize(mat) -> Subspace:
-    """Orthonormal basis with the same column space.
+    """Orthonormal basis with the same column space: the left singular
+    vectors of the matrix.
 
     Raises RankDeficientError when the smallest singular value is at or
     below 1e-10.
@@ -195,10 +184,10 @@ def orthonormalize(mat) -> Subspace:
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] < m.shape[1] or m.shape[1] == 0:
         raise ValueError("need a tall matrix with at least one column")
-    u, full_rank = orthonormal_stack(m[None])
-    if not full_rank[0]:
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if not s[-1] > 1e-10:
         raise RankDeficientError("matrix does not have full column rank")
-    return Subspace(m.shape[0], m.shape[1], u[0])
+    return Subspace(m.shape[0], m.shape[1], u)
 
 
 def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:
@@ -219,30 +208,6 @@ def coordinate_subsets(n: int, k: int):
     return subsets, index
 
 
-def stacked_target(bases: np.ndarray, index=None):
-    """The target of every basis in an (R, n, k) stack.
-
-    Batched SVDs of the (R, C(n, k), k, k) coordinate submatrices, taken
-    as whole bases at most STACK_SUBMATRICES submatrices at a time; every
-    submatrix is decomposed on its own, so the slicing changes no bit.
-    index, a (count, k) integer array of row subsets, narrows the sweep to
-    those subsets; by default it is coordinate_subsets(n, k)'s table.
-    Returns the R angles and, for each, the position of its argmin subset
-    in the index; ties go to the first.
-    """
-    _, n, k = bases.shape
-    require_edge_limit(n)
-    if index is None:
-        _, index = coordinate_subsets(n, k)
-    step = max(1, STACK_SUBMATRICES // len(index))
-    sigma_min = np.concatenate([
-        np.linalg.svd(bases[i:i + step, index, :], compute_uv=False)[..., -1]
-        for i in range(0, len(bases), step)])
-    cos_best = np.clip(sigma_min.max(axis=1), 0.0, 1.0)
-    angles = np.array([math.acos(c) for c in cos_best.tolist()])
-    return angles, np.argmax(sigma_min, axis=1)
-
-
 def target(sub: Subspace, subsets=None):
     """Least deviation from the coordinate k-subspaces, with its argmin.
 
@@ -258,15 +223,16 @@ def target(sub: Subspace, subsets=None):
     value is a rounding residue, far below the trees' maximum), and every
     submatrix is decomposed on its own.  Ties go to the first subset.
     """
-    index = None
-    if subsets is not None:
-        if not subsets:
-            raise SpTreeError("no spanning tree to score")
-        index = np.array(subsets)
-    angles, best = stacked_target(sub.basis[None], index)
+    if subsets is not None and not subsets:
+        raise SpTreeError("no spanning tree to score")
+    require_edge_limit(sub.ambient)
     if subsets is None:
-        subsets, _ = coordinate_subsets(sub.ambient, sub.dim)
-    return float(angles[0]), subsets[best[0]]
+        subsets, index = coordinate_subsets(sub.ambient, sub.dim)
+    else:
+        index = np.array(subsets)
+    sigma_min = np.linalg.svd(sub.basis[index, :], compute_uv=False)[:, -1]
+    best = int(np.argmax(sigma_min))
+    return math.acos(float(np.clip(sigma_min[best], 0.0, 1.0))), subsets[best]
 
 
 def match_sign_diagonal(A: np.ndarray, B: np.ndarray, tol: float):

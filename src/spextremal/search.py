@@ -5,20 +5,21 @@ Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008) on a
 log-sum-exp smoothing (Nesterov, Math. Program. 103, 2005) of the
 target's cosine, max_S sigma_min(U[S, :]) over the coordinate k-subsets
 S.  Walkers climb in lockstep on an (R, n, k) stack of bases, under one
-schedule: each step takes one batched SVD of the coordinate submatrices
-for the gradient and one for the retraction, and keeps each walker's best
-iterate.  No step draws noise, and each walker follows exactly the path
-it would follow alone.
+schedule: each step takes one batched eigh of the coordinate subsets'
+k-by-k Gram matrices for the gradient and one batched QR for the
+retraction, and keeps each walker's best iterate.  No step takes an SVD
+or draws noise, and each walker follows exactly the path it would follow
+alone.
 
 The accumulation loop restarts from uniform samples and collects one
 representative per symmetry class of the extremal subspaces it reaches; a
 subspace beating the arccos(1/sqrt(n)) bound would be returned as a
 distinguished violation result.  Restarts are launched in batches as large
 as the remaining attempt budget, which is the least number of restarts
-still to run, but no larger than one slice of the batched target
-(numeric.STACK_SUBMATRICES coordinate submatrices), which bounds a
-batch's memory whatever the budget.  Their results are taken in restart
-order, so a run does exactly the restarts a one-at-a-time loop would.
+still to run, but holding no more than numeric.STACK_SUBMATRICES
+coordinate Gram matrices, which bounds a batch's memory whatever the
+budget.  Their results are taken in restart order, so a run does exactly
+the restarts a one-at-a-time loop would.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .numeric import (
     Subspace,
     coordinate_subsets,
     match_sign_diagonal,
-    orthonormal_stack,
     orthonormalize,
     principal_angles,
     require_edge_limit,
@@ -97,15 +97,51 @@ def sample_uniform(n: int, k: int, rng) -> Subspace:
 
 def _retract(bases: np.ndarray, xi: np.ndarray, eta: float) -> np.ndarray:
     """Step every basis of an (R, n, k) stack by -eta along its tangent xi
-    and retract it onto the Grassmannian with orthonormal_stack.
+    and retract it onto the Grassmannian with one batched QR.
 
-    xi is orthogonal to its basis, so each step has full column rank and
-    needs no redraw; the retracted stack is checked to be orthonormal.
+    xi is orthogonal to its basis, so each step has full column rank; the
+    retracted stack is checked to be orthonormal.
     """
-    moved, full_rank = orthonormal_stack(bases - eta * xi)
-    assert full_rank.all()
+    moved = np.linalg.qr(bases - eta * xi)[0]
     require_orthonormal(moved)
     return moved
+
+
+def _tangent(bases: np.ndarray, member: np.ndarray, beta: float):
+    """Each walker's top sigma_min, and the unit tangent xi along the
+    gradient of its smoothed objective; the climb steps along -xi.
+
+    member is a one-hot (count, n) matrix whose rows are coordinate
+    subsets S.  The Gram matrix U[S]^T U[S] is the sum of the outer
+    products r_i r_i^T of the rows i in S, so one matmul with member
+    gathers all of them, and one batched eigh gives each lambda_min and
+    its unit eigenvector v_S; sigma_S = sqrt(max(lambda_min, 0)), since
+    rounding can leave a singular subset's lambda_min below 0.  The
+    softmax weights p_S = exp(beta (sigma_S - max sigma)) have exponents
+    at most 0, so they cannot overflow, and are left unnormalized, since
+    xi is normalized.  The gradient of sigma_S in row i of S is
+    (r_i . v_S) v_S / sigma_S, so M_S = p_S / sigma_S v_S v_S^T (0 where
+    sigma_S is 0) is scattered to the rows by member's transpose, row i
+    of the Euclidean gradient G is Q_i r_i with Q_i the sum of M_S over
+    the subsets holding i, and xi is G - U U^T G scaled to unit norm.
+    Every sum runs over one walker's entries, so a walker's result does
+    not depend on the others in the stack.  Returns the (R,) top sigmas
+    and the (R, n, k) tangents.
+    """
+    walkers, n, k = bases.shape
+    outer = (bases[..., :, None] * bases[..., None, :]).reshape(walkers, n, k * k)
+    lam, vec = np.linalg.eigh((member @ outer).reshape(walkers, -1, k, k))
+    sigma = np.sqrt(np.maximum(lam[..., 0], 0.0))
+    top = sigma.max(axis=1)
+    p = np.exp(beta * (sigma - top[:, None]))
+    scale = np.divide(p, sigma, out=np.zeros_like(p), where=sigma > 0.0)
+    v = vec[..., 0]
+    weights = scale[..., None, None] * v[..., :, None] * v[..., None, :]
+    rows = (member.T @ weights.reshape(walkers, -1, k * k)).reshape(walkers, n, k, k)
+    grad = (rows @ bases[..., None])[..., 0]
+    xi = (grad - bases @ (np.swapaxes(bases, 1, 2) @ grad)).reshape(walkers, -1, 1)
+    norm = np.sqrt(np.swapaxes(xi, 1, 2) @ xi)
+    return top, (xi / np.where(norm > 0.0, norm, 1.0)).reshape(bases.shape)
 
 
 def _climb(bases: np.ndarray, cfg: SearchConfig) -> np.ndarray:
@@ -114,44 +150,30 @@ def _climb(bases: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     The objective is the log-sum-exp smoothing, at inverse temperature
     beta, of max_S sigma_min(U[S, :]) over the coordinate k-subsets S: the
     cosine of the target angle, which the climb lowers.  Each step takes
-    one batched SVD (u, s, vh) of the (R, C(n, k), k, k) coordinate
-    submatrices.  Its softmax weights p_S = exp(beta (sigma_S - max sigma))
-    have exponents at most 0, so they cannot overflow, and are left
-    unnormalized, since the step is normalized.  The Euclidean gradient
-    G = sum_S p_S u_S v_S^T (u_S, v_S the singular vectors of sigma_min) is
-    scattered to its rows by one fixed one-hot matmul and projected onto
-    the tangent space, xi = G - U U^T G.  The step U - eta xi / |xi| is
-    retracted by _retract.  Over cfg.steps steps beta rises geometrically
-    from 20 to 1e6 and eta falls from 0.05 to 1e-5, the same for every
-    walker.
-    Every sum over a walker's entries is a per-walker matmul or SVD, so a
-    walker's path does not depend on the others in the stack.  Returns
-    each walker's best iterate, the one with the lowest max sigma_min; with
+    each walker's top sigma_min and unit gradient tangent xi from _tangent,
+    which gathers the coordinate subsets' Gram matrices with one fixed
+    one-hot membership matrix, and retracts U - eta xi with _retract.
+    Over cfg.steps steps beta rises geometrically from 20 to 1e6 and eta
+    falls from 0.05 to 1e-5, the same for every walker.  Returns each
+    walker's best iterate, the one with the lowest max sigma_min; with
     cfg.steps 0 that is its start.
     """
     bases = np.array(bases, dtype=float)
     walkers, n, k = bases.shape
     require_edge_limit(n)
     _, index = coordinate_subsets(n, k)
-    scatter = np.zeros((n, index.size))
-    scatter[index.ravel(), np.arange(index.size)] = 1.0
-    betas = np.geomspace(20.0, 1e6, cfg.steps)
+    member = np.zeros((len(index), n))
+    np.put_along_axis(member, index, 1.0, axis=1)
+    # the pass after the last step only scores, so its beta is never used
+    betas = np.append(np.geomspace(20.0, 1e6, cfg.steps), 0.0)
     etas = np.geomspace(0.05, 1e-5, cfg.steps)
     best, best_score = bases.copy(), np.full(walkers, np.inf)
-    for step in range(cfg.steps + 1):
-        u, s, vh = np.linalg.svd(bases[:, index, :])
-        sigma = s[..., -1]
-        top = sigma.max(axis=1)
+    for step, beta in enumerate(betas):
+        top, xi = _tangent(bases, member, beta)
         better = top < best_score
         best[better], best_score[better] = bases[better], top[better]
         if step == cfg.steps:
             return best
-        p = np.exp(betas[step] * (sigma - top[:, None]))
-        grad = p[..., None, None] * u[..., :, -1:] * vh[..., -1:, :]
-        grad = scatter @ grad.reshape(walkers, index.size, k)
-        xi = (grad - bases @ (np.swapaxes(bases, 1, 2) @ grad)).reshape(walkers, -1, 1)
-        norm = np.sqrt(np.swapaxes(xi, 1, 2) @ xi)
-        xi = (xi / np.where(norm > 0.0, norm, 1.0)).reshape(bases.shape)
         bases = _retract(bases, xi, etas[step])
 
 

@@ -12,12 +12,10 @@ from spextremal.numeric import (
     RankDeficientError,
     SingularMatrixError,
     Subspace,
-    coordinate_subsets,
     laplacian,
     orthonormalize,
     principal_angles,
     require_orthonormal,
-    stacked_target,
     transfer_current,
 )
 from spextremal.sptree import MultiGraph
@@ -446,39 +444,3 @@ class TestTarget:
         inst = sp.build(sp.parse_tree("P(e,S(e,e))"))
         with pytest.raises(sp.SpTreeError):
             sp.target(inst.subspace, [])
-
-    def test_stack_agrees_with_single_bases(self):
-        rng = np.random.default_rng(32)
-        subs = [orthonormalize(rng.standard_normal((6, 3))) for _ in range(5)]
-        subs.append(orthonormalize(np.eye(6)[:, 3:]))  # the last subset
-        angles, best = stacked_target(np.stack([s.basis for s in subs]))
-        subsets, _ = coordinate_subsets(6, 3)
-        for sub, angle, position in zip(subs, angles, best):
-            assert sp.target(sub) == (angle, subsets[position])
-        assert subsets[best[-1]] == (3, 4, 5)
-
-    @pytest.mark.parametrize("limit", [1, 20, 45])
-    def test_sliced_stack_is_bitwise_equal(self, monkeypatch, limit):
-        # (6, 3) has 20 subsets: one basis per slice, one, and two with a
-        # remainder of one
-        rng = np.random.default_rng(33)
-        bases = np.stack([orthonormalize(rng.standard_normal((6, 3))).basis
-                          for _ in range(7)])
-        whole_angles, whole_best = stacked_target(bases)
-        monkeypatch.setattr(numeric, "STACK_SUBMATRICES", limit)
-        angles, best = stacked_target(bases)
-        assert angles.tobytes() == whole_angles.tobytes()
-        assert best.tobytes() == whole_best.tobytes()
-
-    def test_search_sized_stack_is_one_slice(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        rng = np.random.default_rng(34)
-        stacked_target(np.linalg.qr(rng.standard_normal((40, 5, 2)))[0])
-        assert calls == [(40, 10, 2, 2)]

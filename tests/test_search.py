@@ -6,11 +6,17 @@ import pytest
 import spextremal as sp
 import spextremal.search as search_mod
 from spextremal import numeric
-from spextremal.numeric import Subspace, orthonormalize, principal_angles
+from spextremal.numeric import (
+    Subspace,
+    coordinate_subsets,
+    orthonormalize,
+    principal_angles,
+)
 from spextremal.search import (
     SearchConfig,
     _climb,
     _retract,
+    _tangent,
     accumulate,
     sample_uniform,
     symmetry_equivalent,
@@ -64,6 +70,34 @@ def tangent_stack(bases, rng):
     return xi / np.linalg.norm(xi, axis=(1, 2), keepdims=True)
 
 
+def membership(n, k):
+    """The one-hot (C(n, k), n) matrix of the coordinate k-subsets."""
+    _, index = coordinate_subsets(n, k)
+    member = np.zeros((len(index), n))
+    for row, subset in zip(member, index):
+        row[subset] = 1.0
+    return member
+
+
+def svd_tangent(bases, index, beta):
+    """The climber's step by one SVD of each coordinate submatrix: the
+    gradient of sigma_min(U[S, :]) is u_S v_S^T, with u_S and v_S its
+    singular vectors.  Returns each subset's sigma_min and the gap to the
+    next singular value, each walker's top sigma_min, and the unit
+    tangent of the softmax-weighted gradient."""
+    u, s, vh = np.linalg.svd(bases[:, index, :])
+    sigma = s[..., -1]
+    gap = s[..., -2] - sigma
+    top = sigma.max(axis=1)
+    p = np.exp(beta * (sigma - top[:, None]))
+    grad = np.zeros(bases.shape)
+    for c, subset in enumerate(index):
+        grad[:, subset, :] += p[:, c, None, None] * u[:, c, :, -1:] * vh[:, c, -1:, :]
+    xi = grad - bases @ (np.swapaxes(bases, 1, 2) @ grad)
+    xi /= np.linalg.norm(xi, axis=(1, 2), keepdims=True)
+    return sigma, gap, top, xi
+
+
 def serial_accumulate(n, k, cfg):
     """One restart at a time, each climbed alone: the rule accumulate batches."""
     bound = 1.0 / math.sqrt(n)
@@ -115,12 +149,50 @@ class TestPerturb:
         assert np.allclose(angles, np.arctan(mags * sigma), atol=1e-7)
 
     def test_candidate_stack_is_checked(self, monkeypatch):
-        # steps left un-orthonormalized must stop the climb
-        monkeypatch.setattr(search_mod, "orthonormal_stack",
-                            lambda mats: (mats, np.ones(len(mats), dtype=bool)))
+        # a retraction whose factor is not orthonormal must stop the climb
+        monkeypatch.setattr(np.linalg, "qr", lambda mats: (mats, None))
         start = sample_uniform(4, 2, rng_for(22)).basis[None]
         with pytest.raises(ValueError, match="orthonormal"):
             _climb(start, SearchConfig(steps=3))
+
+
+class TestTangent:
+    """The Gram-eigen step against the SVD step it replaced."""
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3), (8, 4)])
+    def test_matches_svd_oracle(self, n, k):
+        starts = np.stack([sample_uniform(n, k, rng_for(60 + n, i)).basis
+                           for i in range(8)])
+        # climbed bases too, where several subsets tie near the top
+        bases = np.concatenate([starts, _climb(starts, SearchConfig(steps=100))])
+        _, index = coordinate_subsets(n, k)
+        member = membership(n, k)
+        for beta in (20.0, 1e3):
+            sigma, gap, top, xi = svd_tangent(bases, index, beta)
+            got_top, got_xi = _tangent(bases, member, beta)
+            assert np.abs(got_top - top).max() <= 1e-12
+            # where every subset's gradient is well defined, so is the sum
+            sound = ((sigma > 1e-3) & (gap > 1e-3)).all(axis=1)
+            assert sound.sum() >= len(bases) // 2
+            assert np.abs(got_xi - xi)[sound].max() <= 1e-9
+            # each subset alone: its sigma and its gradient's unit tangent
+            for c in range(len(index)):
+                one_sigma, one_xi = _tangent(bases, member[c:c + 1], beta)
+                _, _, _, want_xi = svd_tangent(bases, index[c:c + 1], beta)
+                live = sigma[:, c] > 1e-3
+                assert np.abs(one_sigma - sigma[:, c])[live].max() <= 1e-12
+                live &= gap[:, c] > 1e-3
+                assert np.abs(one_xi - want_xi)[live].max() <= 1e-9
+
+    def test_singular_subsets_carry_no_weight(self):
+        # every non-tree coordinate submatrix of a star space is singular:
+        # its term is dropped, and the tangent stays finite and unit
+        basis = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))")).subspace.basis[None]
+        n, k = basis.shape[1:]
+        top, xi = _tangent(basis, membership(n, k), 1e3)
+        assert abs(top[0] - math.cos(sp.target(Subspace(n, k, basis[0]))[0])) <= 1e-12
+        assert np.isfinite(xi).all()
+        assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12
 
 
 class TestOptimize:
@@ -142,9 +214,8 @@ class TestOptimize:
         starts = np.stack([sample_uniform(5, 2, rng_for(50, i)).basis for i in range(40)])
         for steps in (1, 5, 500):
             out = _climb(starts, SearchConfig(steps=steps))
-            before, _ = numeric.stacked_target(starts)
-            after, _ = numeric.stacked_target(out)
-            assert (after >= before).all()
+            for start, end in zip(starts, out):
+                assert sp.target(Subspace(5, 2, end))[0] >= sp.target(Subspace(5, 2, start))[0]
 
     def test_plane_line_converges(self):
         starts = np.stack([sample_uniform(2, 1, rng_for(51, i)).basis for i in range(5)])
@@ -156,7 +227,7 @@ class TestOptimize:
         # a walker's path does not depend on the walkers beside it: the
         # stacked climb equals each walker climbed alone
         cfg = SearchConfig(steps=50)
-        for n, k in ((4, 2), (5, 2)):
+        for n, k in ((2, 1), (4, 2), (5, 2), (6, 3), (8, 4)):
             starts = np.stack([sample_uniform(n, k, rng_for(52, i)).basis
                                for i in range(6)])
             together = _climb(starts, cfg)
