@@ -114,7 +114,7 @@ def cmd_weights(args) -> int:
 def _verify_trees(args):
     match = _SIZES.match(args.spec)
     if not match:
-        if args.k_range:
+        if args.k_range is not None:
             raise UsageError("a tree spec takes no k range")
         tree = _parse_two_sp(args.spec)
         require_edge_limit(leaf_count(tree))
@@ -124,7 +124,7 @@ def _verify_trees(args):
     hi = int(match.group(2) or lo)
     if lo < 2 or hi < lo or hi > MAX_EDGES:
         raise UsageError(f"verify sizes must satisfy 2 <= lo <= hi <= {MAX_EDGES}")
-    if args.k_range:
+    if args.k_range is not None:
         kmatch = _SIZES.match(args.k_range)
         if not kmatch:
             raise UsageError("k range must look like 2 or 2..4")

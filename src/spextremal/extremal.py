@@ -44,7 +44,6 @@ from .sptree import (
     class_counts,
     dualize,
     format_tree,
-    orient,
     realize,
     two_terminal_layout,
 )
@@ -67,14 +66,14 @@ class ExtremalInstance:
     DY: np.ndarray    # D Y, an object array of Python ints
 
 
-def build(tree, directions=None) -> ExtremalInstance:
-    """Realize the tree and assemble every derived object.
+def build(tree) -> ExtremalInstance:
+    """Realize the tree, with its leaf signs, and assemble every derived
+    object.
 
-    directions, when given, replace the leaf signs (sptree.orient).
     Accepts a series-rooted tree too (a closed dual chain), rewriting it
     through two_terminal_layout first.
     """
-    tree = two_terminal_layout(orient(tree, directions))
+    tree = two_terminal_layout(tree)
     graph = realize(tree)
     w = induced_weights(tree)
     B = incidence_matrix(graph)
@@ -225,10 +224,10 @@ def count_classes(n: int, k: int) -> int:
     return class_counts(n)[n][k]
 
 
-def class_table(n_max: int, n_min: int = 2) -> list[list[int]]:
+def class_table(n_max: int) -> list[list[int]]:
     """Triangle of class counts; row n holds k = 1..n-1."""
     rows = class_counts(n_max)
-    return [list(rows[n][1:n]) for n in range(n_min, n_max + 1)]
+    return [list(rows[n][1:n]) for n in range(2, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

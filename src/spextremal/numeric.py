@@ -33,10 +33,6 @@ from .sptree import SpTreeError
 # The most edges, i.e. coordinates, that an exhaustive sweep takes: the
 # spanning trees, the target, and the enumerate and verify commands.
 MAX_EDGES = 12
-# Most k-by-k coordinate Gram matrices that one search batch gathers: a
-# batch launches no more walkers than this many over C(n, k), which bounds
-# its memory whatever the attempt budget.
-STACK_SUBMATRICES = 1 << 14
 
 
 class BruteForceCapError(RuntimeError):
@@ -233,40 +229,3 @@ def target(sub: Subspace, subsets=None):
     sigma_min = np.linalg.svd(sub.basis[index, :], compute_uv=False)[:, -1]
     best = int(np.argmax(sigma_min))
     return math.acos(float(np.clip(sigma_min[best], 0.0, 1.0))), subsets[best]
-
-
-def match_sign_diagonal(A: np.ndarray, B: np.ndarray, tol: float):
-    """Signs s with A == diag(s) B diag(s) within tol, or None.
-
-    Relative signs propagate over entries of B that are safely nonzero;
-    independent connected components are resolved by trying both signs.
-    """
-    n = A.shape[0]
-    if A.shape != B.shape or np.max(np.abs(np.abs(A) - np.abs(B))) > tol:
-        return None
-    thresh = max(10.0 * tol, 1e-7)
-    component = [-1] * n
-    base_sign = [1.0] * n
-    comps = 0
-    for start in range(n):
-        if component[start] != -1:
-            continue
-        component[start] = comps
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i != j and component[j] == -1 and abs(B[i, j]) > thresh:
-                    component[j] = comps
-                    ratio = A[i, j] / B[i, j]
-                    base_sign[j] = base_sign[i] * (1.0 if ratio > 0 else -1.0)
-                    stack.append(j)
-        comps += 1
-    base = np.array(base_sign)
-    comp = np.array(component)
-    for bits in range(1 << comps):
-        flips = np.array([1.0 if not (bits >> c) & 1 else -1.0 for c in range(comps)])
-        s = base * flips[comp]
-        if np.max(np.abs(A - np.outer(s, s) * B)) <= tol:
-            return s
-    return None

@@ -16,7 +16,7 @@ representative per symmetry class of the extremal subspaces it reaches; a
 subspace beating the arccos(1/sqrt(n)) bound would be returned as a
 distinguished violation result.  Restarts are launched in batches as large
 as the remaining attempt budget, which is the least number of restarts
-still to run, but holding no more than numeric.STACK_SUBMATRICES
+still to run, but holding no more than STACK_SUBMATRICES
 coordinate Gram matrices, which bounds a batch's memory whatever the
 budget.  Their results are taken in restart order, so a run does exactly
 the restarts a one-at-a-time loop would.
@@ -29,17 +29,20 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import numeric
 from .numeric import (
     Subspace,
     coordinate_subsets,
-    match_sign_diagonal,
     orthonormalize,
     principal_angles,
     require_edge_limit,
     require_orthonormal,
     target,
 )
+
+# Most k-by-k coordinate Gram matrices that one search batch gathers: a
+# batch launches no more walkers than this many over C(n, k), which bounds
+# its memory whatever the attempt budget.
+STACK_SUBMATRICES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,6 @@ class SearchResult:
     classes: list
     violation: ViolationReport | None
     restarts: int
-    config: SearchConfig
 
 
 def sample_uniform(n: int, k: int, rng) -> Subspace:
@@ -180,48 +182,41 @@ def _climb(bases: np.ndarray, cfg: SearchConfig) -> np.ndarray:
 def symmetry_equivalent(a: Subspace, b: Subspace, tol: float = 1e-3) -> bool:
     """Does some signed coordinate permutation carry col(a) onto col(b)?
 
-    Matches projector row norms first, then backtracks over permutations
-    pruned by |projector| consistency; a candidate permutation is accepted
-    when the sign-resolved basis lands within tol (largest principal
-    angle) of b.
+    Backtracks over placements of a's coordinate i on a free coordinate j
+    of b with a sign s, the first coordinate with +1, since a global sign
+    leaves the projector unchanged.  A moved basis within tol of b has a
+    projector P' with |P' - Pb| <= sin(tol) < tol entrywise, since
+    ||P' - Pb||_2 is the sine of the largest principal angle, so a
+    placement is kept only while |Pa[i,i] - Pb[j,j]| <= tol and
+    |s s_t Pa[i,t] - Pb[j,perm[t]]| <= tol for every placed t.  A complete
+    placement is accepted when the moved basis lies within tol (largest
+    principal angle) of b.
     """
     if (a.ambient, a.dim) != (b.ambient, b.dim):
         return False
     n = a.ambient
-    Pa = a.basis @ a.basis.T
-    Pb = b.basis @ b.basis.T
-    ra = np.linalg.norm(Pa, axis=1)
-    rb = np.linalg.norm(Pb, axis=1)
-    if np.max(np.abs(np.sort(ra) - np.sort(rb))) > tol:
-        return False
-
-    perm = [-1] * n
-    used = [False] * n
-
-    def aligns() -> bool:
-        basis = np.zeros_like(a.basis)
-        for i in range(n):
-            basis[perm[i], :] = a.basis[i, :]
-        signs = match_sign_diagonal(Pb, basis @ basis.T, tol)
-        if signs is None:
-            return False
-        moved = Subspace(a.ambient, a.dim, signs[:, None] * basis)
-        return principal_angles(moved, b)[-1] <= tol
+    pa = (a.basis @ a.basis.T).tolist()
+    pb = (b.basis @ b.basis.T).tolist()
+    perm: list[int] = []
+    signs: list[float] = []
 
     def place(i: int) -> bool:
         if i == n:
-            return aligns()
+            moved = np.empty_like(a.basis)
+            moved[perm] = np.array(signs)[:, None] * a.basis
+            return principal_angles(Subspace(n, a.dim, moved), b)[-1] <= tol
         for j in range(n):
-            if used[j] or abs(ra[i] - rb[j]) > tol:
+            if j in perm or abs(pa[i][i] - pb[j][j]) > tol:
                 continue
-            if any(abs(abs(Pa[i, t]) - abs(Pb[j, perm[t]])) > tol for t in range(i)):
-                continue
-            perm[i] = j
-            used[j] = True
-            if place(i + 1):
-                return True
-            used[j] = False
-            perm[i] = -1
+            for s in ((1.0,) if i == 0 else (1.0, -1.0)):
+                if all(abs(s * signs[t] * pa[i][t] - pb[j][perm[t]]) <= tol
+                       for t in range(i)):
+                    perm.append(j)
+                    signs.append(s)
+                    if place(i + 1):
+                        return True
+                    perm.pop()
+                    signs.pop()
         return False
 
     return place(0)
@@ -243,7 +238,7 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     members: list[tuple[Subspace, float]] = []
     budget = cfg.attempts
     restarts = 0
-    cap = max(1, numeric.STACK_SUBMATRICES // math.comb(n, k))
+    cap = max(1, STACK_SUBMATRICES // math.comb(n, k))
     while budget > 0:
         # every restart of the batch is one the serial rule runs: a result
         # lowers the budget by at most one, so it stays positive until the last
@@ -258,8 +253,7 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
             score = math.cos(angle)
             if score < bound - cfg.eps:
                 return SearchResult(list(members),
-                                    ViolationReport(sub, score, subset),
-                                    restarts, cfg)
+                                    ViolationReport(sub, score, subset), restarts)
             if abs(score - bound) <= cfg.eps and not any(
                     symmetry_equivalent(sub, member, cfg.dedup_tol)
                     for member, _ in members):
@@ -267,4 +261,4 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
                 budget = cfg.attempts
             else:
                 budget -= 1
-    return SearchResult(members, None, restarts, cfg)
+    return SearchResult(members, None, restarts)

@@ -87,10 +87,8 @@ def _relist(nodes, root=-1) -> tuple:
 def orient(tree, directions) -> tuple:
     """The tree with each leaf's sign read off directions, as realize takes
     them: -1 where directions[eid] is true, flipping the edge against its
-    natural left-to-right sense, and +1 elsewhere.  None keeps the tree's
-    own signs; directions need edge ids 0..n-1 and one flag for each."""
-    if directions is None:
-        return tree
+    natural left-to-right sense, and +1 elsewhere; directions need edge ids
+    0..n-1 and one flag for each."""
     _require_edge_ids(leaf_ids(tree))
     if len(directions) != tree[-1][1]:
         raise SpTreeError("need one direction flag per edge")
@@ -534,7 +532,7 @@ class MultiGraph:
     terminals: tuple
 
 
-def realize(tree, directions=None) -> MultiGraph:
+def realize(tree) -> MultiGraph:
     """Place the tree's edges between vertices, top-down.
 
     The root spans the terminal pair; a parallel node hands its pair to
@@ -542,12 +540,11 @@ def realize(tree, directions=None) -> MultiGraph:
     its children and hands each child its consecutive pair.  Vertices are
     then numbered 0, 1, ... by first appearance along the leaves in reading
     order, the left end of a leaf before its right end, so the left
-    terminal is vertex 0.  Each edge runs as its leaf's sign says, or, when
-    directions is given, as orient reads them off it.  A series root is
-    read as the closed-up chain (two_terminal_layout), which is how duals
-    realize.
+    terminal is vertex 0.  Each edge runs as its leaf's sign says.  A
+    series root is read as the closed-up chain (two_terminal_layout), which
+    is how duals realize.
     """
-    tree = two_terminal_layout(orient(tree, directions))
+    tree = two_terminal_layout(tree)
     span = {len(tree) - 1: (0, 1)}  # each node's terminal pair
     fresh = itertools.count(2)
     for i in reversed(range(len(tree))):

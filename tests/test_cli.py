@@ -126,7 +126,8 @@ class TestVerify:
 
     def test_tree_with_k_is_usage_error(self, capsys):
         # and so is --tol, which verify no longer takes: its verdict is exact
-        for argv in (["P(e,S(e,e))", "2"], ["2..3", "--tol", "1e-9"]):
+        # an empty k range is a k range too
+        for argv in (["P(e,S(e,e))", "2"], ["P(e,e)", ""], ["2..3", "--tol", "1e-9"]):
             code, out, err = run_cli(capsys, "verify", *argv)
             assert code == 64
             assert out == ""
@@ -134,6 +135,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("spec, k_range", [
         ("5", "0"),         # klo < 1
+        ("3", ""),          # empty, not absent
         ("5", "3..2"),      # khi < klo
         ("5", "7"),         # well formed, but every n = 5 instance has k <= 4
         ("2..4", "4..9"),

@@ -11,7 +11,7 @@ import spextremal as sp
 from spextremal import numeric
 from spextremal.extremal import check_attained
 from spextremal.numeric import orthonormalize, transfer_current
-from spextremal.sptree import canonicalize, decompose
+from spextremal.sptree import canonicalize, decompose, orient
 from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
@@ -46,7 +46,7 @@ class TestBuild:
         assert np.allclose(np.abs(inst.subspace.basis), 1 / math.sqrt(2))
 
     def test_triangle_transfer_current(self):
-        inst = sp.build(sp.parse_tree("P(e,S(e,e))"), [False, True, True])
+        inst = sp.build(orient(sp.parse_tree("P(e,S(e,e))"), [False, True, True]))
         third = Fraction(1, 3)
         expected = rational_matrix(
             [[1 - third, -third, -third],
@@ -70,7 +70,7 @@ class TestBuild:
 
 class TestCheckEigen:
     def test_triangle_hand_values(self):
-        inst = sp.build(sp.parse_tree("P(e,S(e,e))"), [False, True, True])
+        inst = sp.build(orient(sp.parse_tree("P(e,S(e,e))"), [False, True, True]))
         tau = (1, 2)
         sub = oracle.fraction_y(inst.D, inst.DY)[np.ix_(tau, tau)]
         expected = rational_matrix(
@@ -178,10 +178,10 @@ class TestCheckDegenerate:
         assert two_cycles > 0
 
 
-def flipped_directions(tree):
-    """One fixed pseudo-random direction set per tree."""
+def flipped(tree):
+    """The tree oriented by one fixed pseudo-random direction set."""
     rng = random.Random(sp.format_tree(tree))
-    return [rng.random() < 0.5 for _ in range(sp.leaf_count(tree))]
+    return orient(tree, [rng.random() < 0.5 for _ in range(sp.leaf_count(tree))])
 
 
 def assert_stacked_matches_per_tree(inst, trees):
@@ -282,7 +282,7 @@ def assert_attained_on_every_tree(inst):
 class TestIntegerChecksMatchOracles:
     def test_every_instance_to_7(self, instances_to_7):
         for natural in instances_to_7:
-            for inst in (natural, sp.build(natural.tree, flipped_directions(natural.tree))):
+            for inst in (natural, sp.build(flipped(natural.tree))):
                 assert_agrees_with_oracles(inst)
                 assert_build_matches_fraction_route(inst)
                 assert_dual_matches_build(inst)
@@ -293,7 +293,7 @@ class TestIntegerChecksMatchOracles:
     def test_every_instance_long(self, n):
         for k in range(1, n):
             for t in sp.enumerate_rooted(n, k):
-                for inst in (sp.build(t), sp.build(t, flipped_directions(t))):
+                for inst in (sp.build(t), sp.build(flipped(t))):
                     assert_agrees_with_oracles(inst)
                     assert_build_matches_fraction_route(inst)
                     assert_dual_matches_build(inst)
@@ -532,7 +532,7 @@ class TestClassKey:
         base = oracle_key(sp.build(t))
         for _ in range(5):
             dirs = [rng.random() < 0.5 for _ in range(4)]
-            assert oracle_key(sp.build(t, dirs)) == base
+            assert oracle_key(sp.build(orient(t, dirs))) == base
 
     def test_terminal_choices_merge(self):
         a, b = sp.enumerate_rooted(4, 2)
@@ -605,8 +605,8 @@ class TestCountClasses:
             assert sp.count_classes(n, k) == oracle.enumerated_class_count(n, k), (n, k)
 
     def test_table_reads_the_same_counts(self):
-        assert sp.class_table(30, 3) == [[sp.count_classes(n, k) for k in range(1, n)]
-                                         for n in range(3, 31)]
+        assert sp.class_table(30)[1:] == [[sp.count_classes(n, k) for k in range(1, n)]
+                                          for n in range(3, 31)]
         assert sp.class_table(1) == []
 
     @pytest.mark.parametrize("n", range(2, 31))
@@ -647,8 +647,8 @@ class TestReports:
         import sys
         from spextremal import sptree
         real = sptree._relist
-        cases = [(t, d) for n in range(2, 8) for k in range(1, n)
-                 for t in sp.enumerate_rooted(n, k) for d in (None, flipped_directions(t))]
+        cases = [tree for n in range(2, 8) for k in range(1, n)
+                 for t in sp.enumerate_rooted(n, k) for tree in (t, flipped(t))]
         relisted = []
 
         def counted(*args):
@@ -659,7 +659,7 @@ class TestReports:
             held = getattr(module, "_relist", None)
             if name.split(".")[0] == "spextremal" and held is real:
                 monkeypatch.setattr(module, "_relist", counted)
-        for tree, directions in cases:
-            report = sp.verify_instance(sp.build(tree, directions))
+        for tree in cases:
+            report = sp.verify_instance(sp.build(tree))
             assert report["dual_ok"] and relisted == [], sp.format_tree(tree)
-        assert sptree.reverse_tree(cases[0][0]) and relisted  # the count sees calls
+        assert sptree.reverse_tree(cases[0]) and relisted  # the count sees calls

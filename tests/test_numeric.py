@@ -18,7 +18,7 @@ from spextremal.numeric import (
     require_orthonormal,
     transfer_current,
 )
-from spextremal.sptree import MultiGraph
+from spextremal.sptree import MultiGraph, orient
 
 from exact_oracles import (
     bareiss,
@@ -212,7 +212,7 @@ class TestTransferCurrent:
 
     def test_triangle_consistent_orientation(self):
         t = sp.parse_tree("P(e,S(e,e))")
-        g = sp.realize(t, [False, True, True])
+        g = sp.realize(orient(t, [False, True, True]))
         Y = fraction_y(*transfer_current(sp.incidence_matrix(g), unit_weights(3)))
         third = Fraction(1, 3)
         expected = rational_matrix(
@@ -284,7 +284,7 @@ class TestTransferCurrent:
 class TestProjection:
     def test_triangle_equals_transfer_current(self):
         # unit weights make the projector and the transfer current coincide
-        g = sp.realize(sp.parse_tree("P(e,S(e,e))"), [False, True, True])
+        g = sp.realize(orient(sp.parse_tree("P(e,S(e,e))"), [False, True, True]))
         w = unit_weights(3)
         P = fraction_projection(fraction_y(*transfer_current(sp.incidence_matrix(g), w)), w)
         assert np.allclose(P, np.eye(3) - np.full((3, 3), 1.0 / 3.0), atol=1e-14)

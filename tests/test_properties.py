@@ -12,6 +12,7 @@ from spextremal.sptree import (
     canonicalize,
     compose,
     decompose,
+    orient,
     relabel_leaves,
 )
 from spextremal.weights import stacked_coefficients
@@ -70,7 +71,7 @@ def test_realize_matches_union_find_oracle(tree, data):
     renumbered = tuple([node if node[0] else ((), 1, False, ids[node[3]], 1) for node in tree])
     for t in (renumbered, sp.dualize(renumbered)):
         graph, _ = oracle.realize_with_spans(t, directions)
-        assert sp.realize(t, directions) == graph
+        assert sp.realize(orient(t, directions)) == graph
 
 
 @PROPERTY
@@ -102,10 +103,10 @@ def test_integer_core_counts_trees(tree, data):
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     w = sp.induced_weights(tree)
-    T, TY = transfer_current(sp.incidence_matrix(sp.realize(tree, directions)), w)
+    T, TY = transfer_current(sp.incidence_matrix(sp.realize(orient(tree, directions))), w)
     assert T == tree_sums(tree, coprime_weights(w)).trees
     assert (fraction_y(T, TY) == transfer_current_combinatorial(
-        sp.realize(tree, directions), w)).all()
+        sp.realize(orient(tree, directions)), w)).all()
 
 
 @PROPERTY
@@ -115,7 +116,7 @@ def test_tree_minor_is_tree_weight_over_tree_count(tree, data):
     # probability w(tau) / T that the weighted random spanning tree is tau
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    inst = sp.build(tree, directions)
+    inst = sp.build(orient(tree, directions))
     tau = list(data.draw(st.sampled_from(sp.spanning_trees(inst.graph))))
     T, _ = transfer_current(inst.B, inst.weights)
     w = coprime_weights(inst.weights)
@@ -130,7 +131,7 @@ def test_determinant_trees_match_union_find(tree, data):
     # and the target over them is the exhaustive target, bit for bit
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    inst = sp.build(tree, directions)
+    inst = sp.build(orient(tree, directions))
     trees = sp.spanning_trees(inst.graph)
     assert trees == oracle.spanning_trees(inst.graph)
     (angle, best), (whole_angle, whole_best) = (
@@ -145,7 +146,7 @@ def test_stacked_coefficients_match_per_tree_pass(tree, data):
     # column the per-tree pass; the complements are the dual's trees
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    inst = sp.build(tree, directions)
+    inst = sp.build(orient(tree, directions))
     trees = sp.spanning_trees(inst.graph)
     scale, C, on = stacked_coefficients(inst.tree, trees)
     for j, tau in enumerate(trees):
@@ -163,6 +164,6 @@ def test_planar_dual_is_the_dual_tree_realized(tree, data):
     # the dual tree does, whatever the primal's directions
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    graph, weights, _ = sp.planar_dual(sp.build(tree, directions))
+    graph, weights, _ = sp.planar_dual(sp.build(orient(tree, directions)))
     dual = sp.dualize(tree)
     assert graph == sp.realize(dual) and weights == sp.induced_weights(dual)

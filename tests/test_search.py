@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 import spextremal as sp
 import spextremal.search as search_mod
-from spextremal import numeric
 from spextremal.numeric import (
     Subspace,
     coordinate_subsets,
@@ -96,6 +96,34 @@ def svd_tangent(bases, index, beta):
     xi = grad - bases @ (np.swapaxes(bases, 1, 2) @ grad)
     xi /= np.linalg.norm(xi, axis=(1, 2), keepdims=True)
     return sigma, gap, top, xi
+
+
+def brute_symmetry_equivalent(a, b, tol):
+    """The oracle: every signed coordinate permutation of a, the first sign
+    +1 since a global sign moves no subspace, accepted when some moved
+    basis lies within tol (largest principal angle) of b."""
+    n = a.ambient
+    perms = np.array(list(itertools.permutations(range(n))))
+    signs = np.array([(1.0, *s) for s in itertools.product((1.0, -1.0), repeat=n - 1)])
+    moved = signs[None, :, :, None] * a.basis[perms][:, None]
+    s = np.linalg.svd(np.swapaxes(moved, -1, -2) @ b.basis, compute_uv=False)
+    return bool((np.arccos(np.clip(s[..., -1], 0.0, 1.0)) <= tol).any())
+
+
+def moved_copy(sub, rng, angle=0.0):
+    """sub under a random signed coordinate permutation and a random
+    rotation of its basis, with its first basis vector then turned by angle
+    toward a random unit vector orthogonal to the subspace: the largest
+    principal angle to the moved sub is exactly angle."""
+    n, k = sub.ambient, sub.dim
+    basis = np.empty_like(sub.basis)
+    basis[rng.permutation(n)] = rng.choice([-1.0, 1.0], size=(n, 1)) * sub.basis
+    basis = basis @ np.linalg.qr(rng.standard_normal((k, k)))[0]
+    if angle:
+        w = rng.standard_normal(n)
+        w -= basis @ (basis.T @ w)
+        basis[:, 0] = math.cos(angle) * basis[:, 0] + math.sin(angle) * w / np.linalg.norm(w)
+    return Subspace(n, k, basis)
 
 
 def serial_accumulate(n, k, cfg):
@@ -259,6 +287,25 @@ class TestSymmetryEquivalent:
         assert len(reps) >= 2
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_brute_force_oracle(self, n):
+        # constructive pairs, each moved by a signed permutation and a
+        # rotation; random pairs; and near-threshold pairs, a moved copy
+        # turned by 0.5 tol to 2 tol, so both verdicts occur among them
+        rng, tol = rng_for(20, n), 1e-3
+        pairs, near = [], []
+        for k in range(1, n):
+            built = [sp.build(t).subspace for t in sp.enumerate_rooted(n, k)]
+            pairs += [(a, moved_copy(b, rng)) for a in built for b in built]
+            randoms = [sample_uniform(n, k, rng) for _ in range(6)]
+            pairs += list(zip(randoms, randoms[1:]))
+            near += [(a, moved_copy(a, rng, rng.uniform(0.5, 2.0) * tol))
+                     for a in built + randoms for _ in range(3)]
+        got = [symmetry_equivalent(a, b, tol) for a, b in pairs + near]
+        assert got == [brute_symmetry_equivalent(a, b, tol) for a, b in pairs + near]
+        assert 0 < sum(got[len(pairs):]) < len(near)
+
+
 class TestAccumulate:
     def test_two_one_single_class(self):
         res = accumulate(2, 1, SearchConfig(seed=7, attempts=40))
@@ -328,7 +375,7 @@ class TestAccumulate:
             return climb(bases, cfg)
 
         monkeypatch.setattr(search_mod, "_climb", counting_climb)
-        monkeypatch.setattr(numeric, "STACK_SUBMATRICES", 12)
+        monkeypatch.setattr(search_mod, "STACK_SUBMATRICES", 12)
         capped = accumulate(3, 2, cfg)
         assert max(sizes) == 12 // math.comb(3, 2) and len(sizes) > 2
         assert capped.restarts == whole.restarts and capped.violation is None

@@ -248,28 +248,30 @@ def connected_after_removal(graph, victim):
 
 def realize_cases(n):
     """Every tree with n edges and its dual, each with the natural
-    directions and with one seeded flip set."""
+    directions and with one seeded flip set, as (tree, flags, the tree the
+    flags orient) triples; flags None keep the tree's own signs."""
     for k in range(1, n):
         for t in sp.enumerate_rooted(n, k):
             for tree in (t, sp.dualize(t)):
                 rng = random.Random(sp.format_tree(tree))
-                yield tree, None
-                yield tree, [rng.random() < 0.5 for _ in range(n)]
+                flags = [rng.random() < 0.5 for _ in range(n)]
+                yield tree, None, tree
+                yield tree, flags, orient(tree, flags)
 
 
 class TestRealize:
     def test_matches_union_find_oracle_to_7(self):
         for n in range(2, 8):
-            for tree, directions in realize_cases(n):
+            for tree, directions, oriented in realize_cases(n):
                 graph, _ = oracle.realize_with_spans(tree, directions)
-                assert sp.realize(tree, directions) == graph, sp.format_tree(tree)
+                assert sp.realize(oriented) == graph, sp.format_tree(tree)
 
     @pytest.mark.long
     @pytest.mark.parametrize("n", [8, 9])
     def test_matches_union_find_oracle_long(self, n):
-        for tree, directions in realize_cases(n):
+        for tree, directions, oriented in realize_cases(n):
             graph, _ = oracle.realize_with_spans(tree, directions)
-            assert sp.realize(tree, directions) == graph, sp.format_tree(tree)
+            assert sp.realize(oriented) == graph, sp.format_tree(tree)
 
     @pytest.mark.parametrize("tree, directions", [
         (leaf(0), None),                                # a single edge
@@ -280,8 +282,9 @@ class TestRealize:
         (compose([leaf(0), leaf(2)], False), [True] * 2),  # a flag for a missing edge id
     ])
     def test_malformed_input_rejected(self, tree, directions):
+        # realize rejects a malformed tree, and orient malformed flags
         with pytest.raises(sp.SpTreeError):
-            sp.realize(tree, directions)
+            sp.realize(tree) if directions is None else orient(tree, directions)
         with pytest.raises(sp.SpTreeError):
             oracle.realize_with_spans(tree, directions)
 
@@ -291,14 +294,13 @@ class TestRealize:
             orient(sp.parse_tree("P(e,e,e)"), directions)
 
     def test_layout_passes_through_and_keeps_its_signs(self):
-        # a tree carries its direction signs: no directions keep them, and
-        # given directions replace them
+        # a tree carries its direction signs, realize keeps them, and
+        # orient replaces them
         tree = sp.parse_tree("P(e,S(e,e))")
         flipped = orient(tree, [False, True, False])
-        assert orient(flipped, None) is flipped
         assert [node[4] for node in flipped if not node[0]] == [1, -1, 1]
-        assert sp.realize(flipped) == sp.realize(tree, [False, True, False])
-        assert sp.realize(flipped, [False] * 3) == sp.realize(tree)
+        assert sp.realize(flipped) == oracle.realize_with_spans(tree, [False, True, False])[0]
+        assert sp.realize(flipped) != sp.realize(tree)
         assert orient(flipped, [False] * 3) == tree
 
     def test_layout_of_a_closed_chain_realizes_as_the_chain(self):
@@ -309,7 +311,7 @@ class TestRealize:
             tree, rooted = sp.parse_tree(text), sp.parse_tree(closed)
             flips = [True, False, False, True][:sp.leaf_count(tree)]
             assert two_terminal_layout(tree) == rooted
-            assert sp.realize(tree, flips) == sp.realize(rooted, flips)
+            assert sp.realize(orient(tree, flips)) == sp.realize(orient(rooted, flips))
             assert sp.induced_weights(tree) == sp.induced_weights(rooted)
 
     def test_two_terminal_form_composes_the_closed_chain(self):
@@ -340,7 +342,7 @@ class TestRealize:
         assert g.num_vertices == 3 and len(g.edges) == 3
 
     def test_direction_flags_flip_edges(self):
-        g = sp.realize(sp.parse_tree("P(e,e)"), [False, True])
+        g = sp.realize(orient(sp.parse_tree("P(e,e)"), [False, True]))
         assert [(t, h) for t, h, _ in g.edges] == [(0, 1), (1, 0)]
 
     def test_two_connected_for_all_enumerated(self):
@@ -407,7 +409,7 @@ class TestDecompose:
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
                     dirs = [rng.random() < 0.5 for _ in range(n)]
-                    g = sp.realize(t, dirs)
+                    g = sp.realize(orient(t, dirs))
                     for tail, head, _ in g.edges:
                         d = decompose(g, tail, head)
                         rebuilt = sp.realize(d.raw_tree)

@@ -46,8 +46,9 @@ class TestInducedWeights:
 
 
 def coefficients(tree, tau, flips=None):
-    """{e: coefficient} on the spanning tree tau of realize(tree, flips)."""
-    scale, C, on = stacked_coefficients(orient(tree, flips), [tau])
+    """{e: coefficient} on the spanning tree tau of the tree, oriented by
+    flips when they are given."""
+    scale, C, on = stacked_coefficients(tree if flips is None else orient(tree, flips), [tau])
     return {e: Fraction(C[e, 0], scale[0]) for e in np.flatnonzero(on[:, 0]).tolist()}
 
 
