@@ -15,6 +15,7 @@ from spextremal.numeric import (
 from spextremal.search import (
     SearchConfig,
     _climb,
+    _least_eigenpairs,
     _retract,
     _tangent,
     accumulate,
@@ -223,6 +224,55 @@ class TestTangent:
         assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12
 
 
+class TestLeastEigenpairs:
+    """The closed-form 2-by-2 eigenpair against LAPACK's eigh."""
+
+    # (a, b, c) of [[a, b], [b, c]]: h = (a - c)/2 positive and negative,
+    # also with |b| far below |h|, where one of the two eigenvector
+    # formulas cancels; diagonal with a > c and with a < c, h = 0 with
+    # b != 0, equal eigenvalues, rank 1 and zero
+    CRAFTED = [(3.0, 1.0, 1.0), (1.0, 0.5, 3.0), (0.9, -0.7, 0.2),
+               (0.2, -0.7, 0.9), (2.0, 1e-7, 1.0), (1.0, 1e-7, 2.0),
+               (2.0, 0.0, 1.0), (1.0, 0.0, 2.0),
+               (0.5, 0.3, 0.5), (1.5, 0.0, 1.5), (0.36, 0.48, 0.64),
+               (0.64, -0.48, 0.36), (1e-20, 0.0, 1.0), (0.0, 0.0, 0.0)]
+
+    def grams(self):
+        crafted = np.array([[[a, b], [b, c]] for a, b, c in self.CRAFTED])
+        # and the coordinate Gram matrices of climbed (5,2) bases
+        starts = np.stack([sample_uniform(5, 2, rng_for(70, i)).basis
+                           for i in range(8)])
+        bases = _climb(starts, SearchConfig(steps=100))
+        _, index = coordinate_subsets(5, 2)
+        sub = bases[:, index, :]
+        return np.concatenate([crafted, (np.swapaxes(sub, -1, -2) @ sub).reshape(-1, 2, 2)])
+
+    def test_matches_eigh(self):
+        grams = self.grams()
+        lam, v = _least_eigenpairs(grams)
+        want_lam, want_vec = np.linalg.eigh(grams)
+        assert np.abs(lam - want_lam[:, 0]).max() <= 1e-15
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-15
+        # the eigenvector is unique up to sign where the eigenvalues differ
+        apart = want_lam[:, 1] - want_lam[:, 0] > 1e-12
+        assert apart.sum() >= len(grams) - 2
+        want = want_vec[..., 0] * np.sign(np.einsum("ij,ij->i", v, want_vec[..., 0]))[:, None]
+        assert np.abs(v - want)[apart].max() <= 1e-12
+        # every unit vector is one where they are equal
+        residual = (grams @ v[..., None])[..., 0] - lam[:, None] * v
+        assert np.abs(residual).max() <= 1e-15
+
+    def test_other_sizes_take_eigh(self):
+        rng = rng_for(71)
+        for k in (1, 3, 4):
+            m = rng.standard_normal((6, k, k))
+            grams = m @ np.swapaxes(m, 1, 2)
+            lam, v = _least_eigenpairs(grams)
+            want_lam, want_vec = np.linalg.eigh(grams)
+            assert lam.tobytes() == want_lam[:, 0].tobytes()
+            assert v.tobytes() == want_vec[..., 0].tobytes()
+
+
 class TestOptimize:
     def test_output_orthonormal(self):
         starts = np.stack([sample_uniform(5, 2, rng_for(40, i)).basis for i in range(8)])
@@ -395,6 +445,17 @@ class TestAccumulate:
         for (a, score_a), (b, score_b) in zip(got.classes, want):
             assert a.basis.tobytes() == b.basis.tobytes()
             assert score_a.hex() == score_b.hex()
+
+    @pytest.mark.parametrize("seed", [2, 10, 12])
+    def test_each_class_once_at_eight_two(self, seed):
+        # on these seeds a climb ends about 2e-3 from its class, within eps
+        # of the bound: it must join its class, not count as a sixth
+        res = accumulate(8, 2, SearchConfig(seed=seed, attempts=40))
+        assert res.violation is None
+        assert len(res.classes) == sp.count_classes(8, 2) == 5
+        constructive = [sp.build(t).subspace for t in sp.enumerate_rooted(8, 2)]
+        for member, _ in res.classes:
+            assert any(symmetry_equivalent(member, c, 1e-3) for c in constructive)
 
     @pytest.mark.parametrize("n, k, attempts, least", [
         (6, 3, 40, 4),
