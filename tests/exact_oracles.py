@@ -17,11 +17,22 @@ not positive definite.  tree_sums gives the weighted tree and 2-forest
 sums by the series/parallel recurrences (criterion 4 checks them),
 brute_tree_sums by sweeping every edge subset, and spanning_trees keeps
 the k-subsets on which a union-find closes no cycle.  check_invariants
-checks a tree's alternation, arity and edge ids.  skeleton_key is the
-nested key that sptree replaces by integer ranks, and canonicalize
-orders each node's children by it, as sptree.canonicalize must.
-realize_with_spans glues the graph from two fresh vertices per leaf by a
-union-find and keeps every node's terminal pair.  The integer routines
+checks a tree's alternation, arity and edge ids.
+
+The tree code spextremal does not ship, since every path it runs goes
+from tree to graph, lives here too: compose (series or parallel
+composition), orient (a tree's leaf signs from direction flags, which is
+how the tests give every instance arbitrary edge directions),
+leaf_ids, reverse_tree, canonicalize (the representative modulo parallel
+reordering and series reversal, ordering children by integer ranks), and
+decompose, which reduces a concrete multigraph back to its canonical tree.
+Every step of decompose rebuilds its bundle and incidence maps over all
+virtual edges, and reversing one re-lists its whole tree, so decompose
+is quadratic in the edge count, a cost that falls on the tests alone.
+skeleton_key is the nested key that canonicalize replaces by integer
+ranks, and nested_canonicalize orders each node's children by it, as
+canonicalize must.  realize_with_spans glues the graph from two fresh
+vertices per leaf by a union-find and keeps every node's terminal pair.  The integer routines
 in spextremal must agree with these: the batched eigen check with
 check_eigen on every spanning tree, the transfer-current proof with
 check_degenerate on every non-tree subset, the stacked coefficients with
@@ -38,6 +49,7 @@ matrix_canon.oracle_key in turn checks class_key against the subspaces
 themselves.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,8 +61,12 @@ import numpy as np
 from spextremal.sptree import (
     MultiGraph,
     SpTreeError,
+    _relist,
+    _require_edge_ids,
+    _shifted,
     enumerate_rooted,
     parse_tree,
+    relabel_leaves,
     two_terminal_layout,
 )
 
@@ -150,9 +166,185 @@ def skeleton_key(tree):
     return _nested_shape(tree)[0]
 
 
-def canonicalize(tree):
-    """sptree.canonicalize with the nested keys, parsed back from text."""
+def nested_canonicalize(tree):
+    """canonicalize with the nested keys, parsed back from text."""
     return parse_tree(_nested_shape(tree)[1])
+
+
+def compose(parts, series: bool) -> tuple:
+    """The series (series true) or parallel composition of the trees in
+    parts, in order.  A part of the same kind is spliced in by its
+    children, and a single operand comes back as it is, so the result
+    alternates when the parts do."""
+    nodes, kids = [], []
+    for part in parts:
+        nodes.extend(_shifted(part, len(nodes)))
+        if nodes[-1][0] and nodes[-1][2] == series:
+            kids.extend(nodes.pop()[0])
+        else:
+            kids.append(len(nodes) - 1)
+    if not kids:
+        kind = "series" if series else "parallel"
+        raise SpTreeError(f"{kind} composition needs at least one operand")
+    if len(kids) == 1:
+        return tuple(nodes)
+    return (*nodes, (tuple(kids), sum([nodes[c][1] for c in kids]), series, None, 0))
+
+
+def orient(tree, directions) -> tuple:
+    """The tree with each leaf's sign read off directions, as realize takes
+    them: -1 where directions[eid] is true, flipping the edge against its
+    natural left-to-right sense, and +1 elsewhere; directions need edge ids
+    0..n-1 and one flag for each."""
+    _require_edge_ids(leaf_ids(tree))
+    if len(directions) != tree[-1][1]:
+        raise SpTreeError("need one direction flag per edge")
+    return tuple([node if node[0] else ((), 1, False, node[3], -1 if directions[node[3]] else 1)
+                  for node in tree])
+
+
+def leaf_ids(tree) -> list[int]:
+    """Edge ids in left-to-right reading order."""
+    return [eid for kids, _, _, eid, _ in tree if not kids]
+
+
+def reverse_tree(tree) -> tuple:
+    """The same directed network read from the other terminal: every
+    series chain reversed and every edge's sign negated."""
+    return _relist([(kids[::-1] if is_series else kids, size, is_series, eid, -sign)
+                    for kids, size, is_series, eid, sign in tree])
+
+
+def _canonical_shape(tree) -> tuple:
+    """The canonical shape, keeping the original leaf ids, every edge
+    natural: each node's children in the order of their keys (leaf count,
+    kind, child keys), leaf < parallel < series, parallel children sorted
+    and a series chain in its smaller reading direction.  Ranking the
+    nodes one leaf count at a time, smallest first, a key holds its
+    children's ranks, pairs of ints, in place of their keys, so no
+    comparison descends the tree."""
+    ranks, nodes = {}, list(tree)
+    by_size = sorted(range(len(tree)), key=lambda i: tree[i][1])
+    for size, group in itertools.groupby(by_size, key=lambda i: tree[i][1]):
+        keys = {}
+        for i in group:
+            kids, _, is_series, eid, _ = tree[i]
+            if not is_series:
+                kids = sorted(kids, key=ranks.__getitem__)
+            elif [ranks[c] for c in reversed(kids)] < [ranks[c] for c in kids]:
+                kids = kids[::-1]
+            keys[i] = (2 if is_series else 1 if kids else 0, tuple([ranks[c] for c in kids]))
+            nodes[i] = (kids, size, is_series, eid, 0 if kids else 1)
+        rank_of = {key: (size, j) for j, key in enumerate(sorted(keys.values()))}
+        ranks.update({i: rank_of[key] for i, key in keys.items()})
+    return _relist(nodes)
+
+
+def canonicalize(tree) -> tuple:
+    """Unique representative modulo parallel reordering and series reversal.
+
+    Two trees canonicalize identically iff they are related by those
+    symmetries; edge ids are reassigned in reading order afterwards, and
+    every edge is natural.
+    """
+    return relabel_leaves(_canonical_shape(tree))
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """Tree recovered from a concrete multigraph.
+
+    tree is canonical with edge ids relabeled in reading order;
+    edge_map[i] is the input edge id sitting at canonical leaf i.
+
+    raw_tree keeps the reduction order and the original edge ids, and its
+    leaf signs say which input edges run against their natural sense
+    there, so realize(raw_tree) reproduces the input exactly up to vertex
+    relabeling.  (The canonical tree cannot play that role in general:
+    reversing an inner series chain into canonical order is a Whitney
+    twist of the realization.)  canonicalize(raw_tree) == tree.
+    """
+
+    tree: tuple
+    edge_map: tuple
+    raw_tree: tuple
+
+
+@dataclass
+class _VirtualEdge:
+    u: int
+    v: int
+    tree: tuple
+
+
+def _reverse_vedge(ve: _VirtualEdge) -> _VirtualEdge:
+    return _VirtualEdge(ve.v, ve.u, reverse_tree(ve.tree))
+
+
+def decompose(graph: MultiGraph, l: int, r: int) -> Decomposition:
+    """Reduce a 2-connected series-parallel multigraph to its tree.
+
+    Alternates parallel reductions (merge multi-edge bundles) with series
+    reductions (suppress interior degree-2 vertices) until one virtual edge
+    between the terminals remains.  The result is canonicalized, so any
+    reduction order agrees.
+    """
+    nv = graph.num_vertices
+    if not (0 <= l < nv and 0 <= r < nv) or l == r:
+        raise SpTreeError("terminals must be two distinct vertices of the graph")
+    _require_edge_ids(eid for _, _, eid in graph.edges)
+    vedges = []
+    for tail, head, eid in graph.edges:
+        if tail == head:
+            raise SpTreeError("self-loops cannot occur in a 2-connected series-parallel graph")
+        vedges.append(_VirtualEdge(tail, head, (((), 1, False, eid, 1),)))
+    if not vedges:
+        raise SpTreeError("graph has no edges")
+
+    while len(vedges) > 1:
+        bundles = {}
+        for ve in vedges:
+            bundles.setdefault(frozenset((ve.u, ve.v)), []).append(ve)
+        multi = [key for key, group in bundles.items() if len(group) > 1]
+        if multi:
+            group = bundles[multi[0]]
+            a, b = min(multi[0]), max(multi[0])
+            oriented = [ve if ve.u == a else _reverse_vedge(ve) for ve in group]
+            merged = _VirtualEdge(a, b, compose([ve.tree for ve in oriented], False))
+            vedges = [ve for ve in vedges if not any(ve is g for g in group)] + [merged]
+            continue
+
+        incidence = {}
+        for ve in vedges:
+            incidence.setdefault(ve.u, []).append(ve)
+            incidence.setdefault(ve.v, []).append(ve)
+        candidates = [x for x, inc in incidence.items()
+                      if x not in (l, r) and len(inc) == 2]
+        if not candidates:
+            raise SpTreeError(
+                "graph is not series-parallel reducible for these terminals")
+        x = min(candidates)
+        first, second = incidence[x]
+        a2 = first if first.v == x else _reverse_vedge(first)
+        b2 = second if second.u == x else _reverse_vedge(second)
+        if a2.u == b2.v:
+            raise SpTreeError(
+                "graph is not series-parallel reducible for these terminals")
+        merged = _VirtualEdge(a2.u, b2.v, compose([a2.tree, b2.tree], True))
+        vedges = [ve for ve in vedges if ve is not first and ve is not second]
+        vedges.append(merged)
+
+    final = vedges[0]
+    if frozenset((final.u, final.v)) != frozenset((l, r)):
+        raise SpTreeError("reduction did not terminate at the chosen terminals")
+    if final.u != l:
+        final = _reverse_vedge(final)
+    kids, _, is_series, _, _ = final.tree[-1]
+    if is_series or not kids:
+        raise SpTreeError("graph is not 2-connected (outermost composition is not parallel)")
+
+    shape = _canonical_shape(final.tree)
+    return Decomposition(relabel_leaves(shape), tuple(leaf_ids(shape)), final.tree)
 
 
 def realize_with_spans(tree, directions=None):

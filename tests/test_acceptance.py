@@ -15,7 +15,6 @@ import pytest
 
 import spextremal as sp
 from spextremal.numeric import Subspace
-from spextremal.sptree import decompose
 from spextremal.search import (
     SearchConfig,
     _climb,
@@ -25,6 +24,7 @@ from spextremal.search import (
 )
 
 import exact_oracles as oracle
+from exact_oracles import decompose
 
 TABLE = {
     2: [1],

@@ -9,9 +9,8 @@ import pytest
 import spextremal as sp
 from spextremal import cli
 from spextremal.search import SearchConfig
-from spextremal.sptree import canonicalize, compose, decompose
 
-from exact_oracles import enumerated_class_count
+from exact_oracles import canonicalize, compose, decompose, enumerated_class_count
 
 
 def run_cli(capsys, *argv):

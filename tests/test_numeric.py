@@ -18,12 +18,13 @@ from spextremal.numeric import (
     require_orthonormal,
     transfer_current,
 )
-from spextremal.sptree import MultiGraph, orient
+from spextremal.sptree import MultiGraph
 
 from exact_oracles import (
     bareiss,
     fraction_projection,
     fraction_y,
+    orient,
     rational_det,
     rational_matrix,
     transfer_current_combinatorial,

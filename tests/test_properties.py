@@ -8,20 +8,18 @@ from hypothesis import strategies as st
 
 import spextremal as sp
 from spextremal.numeric import transfer_current
-from spextremal.sptree import (
-    canonicalize,
-    compose,
-    decompose,
-    orient,
-    relabel_leaves,
-)
+from spextremal.sptree import relabel_leaves
 from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
 from exact_oracles import (
     brute_tree_sums,
+    canonicalize,
     check_invariants,
+    compose,
+    decompose,
     fraction_y,
+    orient,
     transfer_current_combinatorial,
     tree_sums,
 )

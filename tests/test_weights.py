@@ -7,11 +7,18 @@ import pytest
 
 import spextremal as sp
 from spextremal.numeric import laplacian, incidence_matrix
-from spextremal.sptree import MultiGraph, decompose, orient
+from spextremal.sptree import MultiGraph
 from spextremal.weights import stacked_coefficients, weights_to_json
 
 import exact_oracles as oracle
-from exact_oracles import brute_tree_sums, rational_det, tree_sums, two_component_forests
+from exact_oracles import (
+    brute_tree_sums,
+    decompose,
+    orient,
+    rational_det,
+    tree_sums,
+    two_component_forests,
+)
 
 
 def random_weights(rng, n):
