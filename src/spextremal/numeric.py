@@ -165,8 +165,14 @@ class Subspace:
 def require_orthonormal(bases: np.ndarray) -> None:
     """Raise ValueError unless the columns of the n-by-k basis, or of every
     basis in an (R, n, k) stack, are orthonormal to within 1e-12."""
-    gram = np.swapaxes(bases, -1, -2) @ bases
-    if not (np.abs(gram - np.eye(bases.shape[-1])) <= 1e-12).all():
+    require_orthonormal_gram(np.swapaxes(bases, -1, -2) @ bases)
+
+
+def require_orthonormal_gram(gram: np.ndarray) -> None:
+    """Raise ValueError unless the k-by-k Gram matrix U^T U, or every one
+    of a stack, is the identity to within 1e-12 entrywise: the columns of
+    U are orthonormal."""
+    if not (np.abs(gram - np.eye(gram.shape[-1])) <= 1e-12).all():
         raise ValueError("basis columns are not orthonormal")
 
 

@@ -17,6 +17,7 @@ from spextremal.search import (
     _climb,
     _least_eigenpairs,
     _retract,
+    _schedule,
     _tangent,
     accumulate,
     sample_uniform,
@@ -99,6 +100,12 @@ def svd_tangent(bases, index, beta):
     return sigma, gap, top, xi
 
 
+def qr_retract(bases, xi, eta):
+    """The retraction by one batched LAPACK QR: the Q factor of U - eta xi
+    for every basis of the stack."""
+    return np.linalg.qr(bases - eta * xi)[0]
+
+
 def brute_symmetry_equivalent(a, b, tol):
     """The oracle: every signed coordinate permutation of a, the first sign
     +1 since a global sign moves no subspace, accepted when some moved
@@ -178,11 +185,28 @@ class TestPerturb:
         assert np.allclose(angles, np.arctan(mags * sigma), atol=1e-7)
 
     def test_candidate_stack_is_checked(self, monkeypatch):
-        # a retraction whose factor is not orthonormal must stop the climb
-        monkeypatch.setattr(np.linalg, "qr", lambda mats: (mats, None))
+        # a retraction whose result is not orthonormal must stop the climb
+        monkeypatch.setattr(search_mod, "_retract", lambda bases, xi, eta: bases - eta * xi)
         start = sample_uniform(4, 2, rng_for(22)).basis[None]
         with pytest.raises(ValueError, match="orthonormal"):
             _climb(start, SearchConfig(steps=3))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_qr_oracle(self, n):
+        # Gram-Schmidt spans what LAPACK's Q factor spans, with orthonormal
+        # columns, at every k < n and step sizes from 0 to 10
+        for k in range(1, n):
+            starts = np.stack([sample_uniform(n, k, rng_for(23, 100 * n + k + i)).basis
+                               for i in range(4)])
+            xi = tangent_stack(starts, rng_for(24, 100 * n + k))
+            for eta in (0.0, 1e-6, 0.05, 10.0):
+                got = _retract(starts, xi, eta)
+                want = qr_retract(starts, xi, eta)
+                gram = np.swapaxes(got, 1, 2) @ got
+                assert np.abs(gram - np.eye(k)).max() <= 1e-12
+                projector = got @ np.swapaxes(got, 1, 2)
+                want_projector = want @ np.swapaxes(want, 1, 2)
+                assert np.abs(projector - want_projector).max() <= 1e-13
 
 
 class TestTangent:
@@ -282,6 +306,23 @@ class TestOptimize:
             gram = np.swapaxes(out, 1, 2) @ out
             assert np.abs(gram - np.eye(2)).max() <= 1e-12
 
+    @pytest.mark.parametrize("steps", [1, 2, 500])
+    def test_schedule_matches_geomspace(self, steps):
+        got = np.array([_schedule(step, steps) for step in range(steps)])
+        want = np.stack([np.geomspace(20.0, 1e6, steps),
+                         np.geomspace(0.05, 1e-5, steps)], axis=1)
+        assert np.abs(got / want - 1.0).max() <= 1e-14
+        # both ends exactly, as geomspace gives them
+        assert got[0].tolist() == [20.0, 0.05]
+        assert got[-1].tolist() == ([20.0, 0.05] if steps == 1 else [1e6, 1e-5])
+
+    def test_schedule_of_a_huge_budget_is_finite(self):
+        # each step's values come alone, so no schedule of 10**20 steps is
+        # held in memory; only its ends are evaluated here
+        steps = 10 ** 20
+        assert _schedule(0, steps) == (20.0, 0.05)
+        assert _schedule(steps - 1, steps) == (1e6, 1e-5)
+
     def test_zero_steps_returns_the_starts(self):
         starts = np.stack([sample_uniform(4, 2, rng_for(41, i)).basis for i in range(5)])
         out = _climb(starts, SearchConfig(steps=0))
@@ -305,7 +346,7 @@ class TestOptimize:
         # a walker's path does not depend on the walkers beside it: the
         # stacked climb equals each walker climbed alone
         cfg = SearchConfig(steps=50)
-        for n, k in ((2, 1), (4, 2), (5, 2), (6, 3), (8, 4)):
+        for n, k in ((2, 1), (4, 2), (5, 2), (6, 3), (8, 4), (12, 2), (9, 4)):
             starts = np.stack([sample_uniform(n, k, rng_for(52, i)).basis
                                for i in range(6)])
             together = _climb(starts, cfg)
