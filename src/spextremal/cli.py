@@ -14,13 +14,12 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 from . import __version__
 from .extremal import build, class_table, count_classes, verify_instance
 from .numeric import MAX_EDGES, BruteForceCapError, require_edge_limit
-from .search import SearchConfig, accumulate
+from .search import DEDUP_TOL, EPS, STEPS, SearchConfig, accumulate
 from .sptree import (
     SpTreeError,
     TreeParseError,
@@ -168,25 +167,18 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _search_dest(name: str) -> str:
-    """The search option holding a SearchConfig field (--N is the budget)."""
-    return "N" if name == "attempts" else name
-
-
 def cmd_search(args) -> int:
     if args.n < 2 or args.k < 1 or args.k >= args.n:
         raise UsageError("need n > k >= 1")
     require_edge_limit(args.n)
     try:
-        config = SearchConfig(**{f.name: getattr(args, _search_dest(f.name))
-                                 for f in fields(SearchConfig)})
+        config = SearchConfig(attempts=args.N, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     result = accumulate(args.n, args.k, config)
-    settings = asdict(config)
-    config_dict = {"n": args.n, "k": args.k, "seed": settings.pop("seed"),
-                   "N": settings.pop("attempts"), **settings}
-    manifest = run_manifest("search", config_dict)
+    manifest = run_manifest("search", {
+        "n": args.n, "k": args.k, "seed": config.seed, "N": config.attempts,
+        "eps": EPS, "steps": STEPS, "dedup_tol": DEDUP_TOL})
     payload = {
         "manifest": manifest,
         "n": args.n,
@@ -239,11 +231,7 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("--seed", type=int, required=True)
-    for field in fields(SearchConfig):
-        if field.name != "seed":
-            dest = _search_dest(field.name)
-            p.add_argument("--" + dest.replace("_", "-"), type=type(field.default),
-                           default=field.default)
+    p.add_argument("--N", type=int, default=SearchConfig.attempts)
     p.set_defaults(func=cmd_search)
 
     return parser

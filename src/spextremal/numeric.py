@@ -100,16 +100,9 @@ def incidence_matrix(graph) -> np.ndarray:
     return B
 
 
-def _weight_column(weights, n: int) -> np.ndarray:
-    col = np.empty(n, dtype=object)
-    for e in range(n):
-        col[e] = weights[e]
-    return col
-
-
 def laplacian(B: np.ndarray, weights) -> np.ndarray:
     """Weighted graph Laplacian B W B^T, exact."""
-    w = _weight_column(weights, B.shape[1])
+    w = np.array([weights[e] for e in range(B.shape[1])], dtype=object)
     return (B * w[None, :]).dot(B.T)
 
 
@@ -131,7 +124,7 @@ def transfer_current(B: np.ndarray, weights):
     common = math.lcm(*(x.denominator for x in w))
     w_int = [x.numerator * (common // x.denominator) for x in w]
     g = math.gcd(*w_int)
-    w_int = _weight_column([x // g for x in w_int], n)
+    w_int = np.array([x // g for x in w_int], dtype=object)
     B0 = B[1:]
     eliminated = bareiss(laplacian(B0, w_int).tolist())
     if eliminated is None:
@@ -205,7 +198,7 @@ def coordinate_subsets(n: int, k: int):
     """The k-subsets of range(n) in lexicographic order, as a tuple of
     tuples and as a read-only (C(n, k), k) index array."""
     subsets = tuple(combinations(range(n), k))
-    index = np.array(subsets)
+    index = np.array(subsets, dtype=int).reshape(len(subsets), k)
     index.flags.writeable = False
     return subsets, index
 

@@ -5,17 +5,20 @@ Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008) on a
 log-sum-exp smoothing (Nesterov, Math. Program. 103, 2005) of the
 target's cosine, max_S sigma_min(U[S, :]) over the coordinate k-subsets
 S.  Walkers climb in lockstep on an (R, n, k) stack of bases, under one
-schedule: each step takes the least eigenpair of every coordinate
-subset's k-by-k Gram matrix for the gradient, in closed form at k = 2 and
-by one batched eigh otherwise, checks every basis orthonormal, retracts
-by modified Gram-Schmidt, and keeps each walker's best iterate.  No step
-takes an SVD or draws noise, and each walker follows exactly the path it
-would follow alone.
+schedule of STEPS steps: each step takes the least eigenpair of every
+coordinate subset's k-by-k Gram matrix for the gradient, in closed form
+at k = 2 and by one batched eigh otherwise, checks every basis
+orthonormal, retracts by modified Gram-Schmidt, and keeps each walker's
+best iterate.  No step takes an SVD or draws noise, and each walker
+follows exactly the path it would follow alone.
 
 The accumulation loop restarts from uniform samples and collects one
 representative per symmetry class of the extremal subspaces it reaches; a
 subspace beating the arccos(1/sqrt(n)) bound would be returned as a
-distinguished violation result.  Restarts are launched in batches as large
+distinguished violation result.  The method is fixed: the step count
+STEPS, the extremality tolerance EPS and the class tolerance DEDUP_TOL are
+constants, and a search's only settings, in SearchConfig, are its attempt
+budget and its seed.  Restarts are launched in batches as large
 as the remaining attempt budget, which is the least number of restarts
 still to run, but holding no more than STACK_SUBMATRICES
 coordinate Gram matrices, which bounds a batch's memory whatever the
@@ -26,7 +29,7 @@ the restarts a one-at-a-time loop would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,35 +48,32 @@ from .numeric import (
 # its memory whatever the attempt budget.
 STACK_SUBMATRICES = 1 << 14
 
+# Extremality tolerance, cosine scale: a climb whose score lies within EPS
+# of 1/sqrt(n) has reached the bound, and one below 1/sqrt(n) - EPS breaks it.
+EPS = 1e-4
+
+# Gradient steps per restart, over which _schedule runs from its start to
+# its end.
+STEPS = 500
+
+# Principal-angle tolerance for class identity: climbs end up to 2e-3 from
+# their class at (8,2), and distinct classes at n <= 9 lie more than 0.2
+# apart.
+DEDUP_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the climber and the accumulation loop."""
+    """The two settings of a search: its attempt budget and its seed."""
 
     attempts: int = 200          # consecutive fruitless restarts before stopping
-    eps: float = 1e-4            # extremality tolerance, cosine scale
-    steps: int = 500             # gradient steps per restart
     seed: int = 0
-    # principal-angle tolerance for class identity: climbs end up to 2e-3
-    # from their class at (8,2), and distinct classes at n <= 9 lie more
-    # than 0.2 apart
-    dedup_tol: float = 1e-2
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.attempts < 1:
             raise ValueError("attempts must be at least 1")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if self.dedup_tol <= 0.0:
-            raise ValueError("dedup_tol must be positive")
 
 
 @dataclass
@@ -205,7 +205,7 @@ def _schedule(step: int, steps: int) -> tuple[float, float]:
     return 20.0 ** (1.0 - t) * 1e6 ** t, 0.05 ** (1.0 - t) * 1e-5 ** t
 
 
-def _climb(bases: np.ndarray, cfg: SearchConfig) -> np.ndarray:
+def _climb(bases: np.ndarray) -> np.ndarray:
     """Riemannian gradient descent from every basis of an (R, n, k) stack, in lockstep.
 
     The objective is the log-sum-exp smoothing, at inverse temperature
@@ -214,11 +214,11 @@ def _climb(bases: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     each walker's top sigma_min and unit gradient tangent xi from _tangent,
     which gathers the coordinate subsets' Gram matrices with one fixed
     one-hot membership matrix, and retracts U - eta xi with _retract.
-    Over cfg.steps steps _schedule raises beta geometrically from 20 to
+    Over STEPS steps _schedule raises beta geometrically from 20 to
     1e6 and lowers eta from 0.05 to 1e-5, the same for every walker, one
     step at a time, so a long schedule takes no memory.  Returns each
     walker's best iterate, the one with the lowest max sigma_min; with
-    cfg.steps 0 that is its start.
+    STEPS 0 that is its start.
     """
     bases = np.array(bases, dtype=float)
     walkers, n, k = bases.shape
@@ -227,13 +227,13 @@ def _climb(bases: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     member = np.zeros((len(index), n))
     np.put_along_axis(member, index, 1.0, axis=1)
     best, best_score = bases.copy(), np.full(walkers, np.inf)
-    for step in range(cfg.steps + 1):
+    for step in range(STEPS + 1):
         # the pass after the last step only scores, so its beta is never used
-        beta, eta = _schedule(min(step, cfg.steps - 1), cfg.steps)
+        beta, eta = _schedule(min(step, STEPS - 1), STEPS)
         top, xi = _tangent(bases, member, beta)
         np.copyto(best, bases, where=(top < best_score)[:, None, None])
         np.minimum(best_score, top, out=best_score)
-        if step == cfg.steps:
+        if step == STEPS:
             return best
         bases = _retract(bases, xi, eta)
 
@@ -285,11 +285,12 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     """Restart until the class set plateaus or the bound breaks.
 
     Each restart draws a uniform subspace, climbs from it, and scores it in
-    cosine scale.  A score below 1/sqrt(n) - eps disproves the bound and
-    returns immediately as a violation; scores within eps of the bound
-    join the set when not symmetric to a known member, resetting the
-    attempt budget.  Per-restart generators are derived from the seed, so
-    results are reproducible and independent of how restarts are batched.
+    cosine scale.  A score below 1/sqrt(n) - EPS disproves the bound and
+    returns immediately as a violation; scores within EPS of the bound
+    join the set when not symmetric, within DEDUP_TOL, to a known member,
+    resetting the attempt budget.  Per-restart generators are derived from
+    the seed, so results are reproducible and independent of how restarts
+    are batched.
     """
     if not n > k > 0:
         raise ValueError("need n > k > 0")
@@ -305,16 +306,16 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
             sample_uniform(n, k, np.random.default_rng(
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))).basis
             for i in range(restarts, restarts + min(budget, cap))])
-        for basis in _climb(starts, cfg):
+        for basis in _climb(starts):
             sub = Subspace(n, k, basis)
             restarts += 1
             angle, subset = target(sub)
             score = math.cos(angle)
-            if score < bound - cfg.eps:
+            if score < bound - EPS:
                 return SearchResult(list(members),
                                     ViolationReport(sub, score, subset), restarts)
-            if abs(score - bound) <= cfg.eps and not any(
-                    symmetry_equivalent(sub, member, cfg.dedup_tol)
+            if abs(score - bound) <= EPS and not any(
+                    symmetry_equivalent(sub, member, DEDUP_TOL)
                     for member, _ in members):
                 members.append((sub, score))
                 budget = cfg.attempts

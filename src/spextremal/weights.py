@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -159,8 +159,8 @@ def spanning_trees(graph) -> list[tuple]:
         rows[e, head] += 1
         rows[e, tail] -= 1
     rows = rows[:, 1:]
-    subsets = list(combinations(range(n), size))
-    det = np.linalg.det(rows[np.array(subsets, dtype=int).reshape(len(subsets), size)])
+    subsets, index = numeric.coordinate_subsets(n, size)
+    det = np.linalg.det(rows[index])
     return list(compress(subsets, det))
 
 

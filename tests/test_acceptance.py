@@ -164,13 +164,12 @@ def test_criterion_8_search_reproduction():
                 (n, k)
     # 100 climbs, run as one lockstep batch, each from a start drawn from
     # its own stream
-    cfg = SearchConfig(seed=0)
     starts = np.stack([
         sample_uniform(4, 2, np.random.default_rng(
             np.random.SeedSequence(entropy=99, spawn_key=(i,)))).basis
         for i in range(100)])
     hits = 0
-    for basis in _climb(starts, cfg):
+    for basis in _climb(starts):
         sub = Subspace(4, 2, basis)
         if abs(math.cos(sp.target(sub)[0]) - 0.5) <= 1e-3:
             hits += 1

@@ -2,12 +2,11 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 
 import spextremal as sp
-from spextremal import cli
+from spextremal import cli, search
 from spextremal.search import SearchConfig
 
 from exact_oracles import canonicalize, compose, decompose, enumerated_class_count
@@ -311,12 +310,10 @@ class TestSearch:
         assert err == "error: 13 edges exceed the limit of 12\n"
 
     def test_defaults_come_from_search_config(self):
+        # the budget and the seed are the search's only settings
         args = cli.build_parser().parse_args(["search", "5", "2", "--seed", "1"])
-        options = {"attempts": "N"}
-        for field in fields(SearchConfig):
-            if field.name != "seed":
-                assert getattr(args, options.get(field.name, field.name)) == \
-                    field.default, field.name
+        assert args.N == SearchConfig.attempts
+        assert sorted(vars(args)) == ["N", "command", "func", "k", "n", "seed"]
 
     def test_readme_command_finds_both_classes(self, capsys):
         code, out, _ = run_cli(capsys, "search", "5", "2", "--seed", "1", "--N", "40")
@@ -331,14 +328,11 @@ class TestSearch:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--N", "0", "attempts must be at least 1"),
-        ("--steps", "-1", "steps must be non-negative"),
-        ("--steps", "nan", "argument --steps: invalid int value: 'nan'"),
-        ("--dedup-tol", "-1", "dedup_tol must be positive"),
-        ("--eps", "0", "eps must lie in (0, 1)"),
-        ("--eps", "nan", "eps must be finite"),
-        ("--eps", "inf", "eps must be finite"),
-        ("--dedup-tol", "nan", "dedup_tol must be finite"),
         ("--seed", "-1", "seed must be non-negative"),
+        # the climb's step count and tolerances are constants, not options
+        ("--steps", "5", "unrecognized arguments: --steps 5"),
+        ("--eps", "0.1", "unrecognized arguments: --eps 0.1"),
+        ("--dedup-tol", "1", "unrecognized arguments: --dedup-tol 1"),
     ])
     def test_invalid_config_is_usage_error(self, capsys, option, value, message):
         code, out, err = run_cli(capsys, "search", "3", "1", "--seed", "1",
@@ -354,6 +348,9 @@ class TestSearch:
         config = json.loads(out)["manifest"]["config"]
         assert list(config) == ["n", "k", "seed", "N", "eps", "steps", "dedup_tol"]
         assert config["N"] == 2 and config["seed"] == 3
+        assert config["eps"] == search.EPS
+        assert config["steps"] == search.STEPS
+        assert config["dedup_tol"] == search.DEDUP_TOL
 
     def test_reproducible_output_bytes(self, capsys, monkeypatch):
         monkeypatch.setenv("EXTREMAL_TIMESTAMP", "2026-01-01T00:00:00+00:00")
@@ -362,14 +359,12 @@ class TestSearch:
         assert out1 == out2
 
     def test_violation_exit_code(self, capsys, monkeypatch):
-        import spextremal.search as search_mod
-
         def fake_target(sub):
             return math.acos(0.2), (0,)
 
-        monkeypatch.setattr(search_mod, "target", fake_target)
-        code, out, _ = run_cli(capsys, "search", "3", "1", "--seed", "1",
-                               "--N", "5", "--steps", "5")
+        monkeypatch.setattr(search, "target", fake_target)
+        monkeypatch.setattr(search, "STEPS", 5)
+        code, out, _ = run_cli(capsys, "search", "3", "1", "--seed", "1", "--N", "5")
         assert code == 2
         payload = json.loads(out)
         assert payload["violation"]
