@@ -5,12 +5,15 @@ Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008) on a
 log-sum-exp smoothing (Nesterov, Math. Program. 103, 2005) of the
 target's cosine, max_S sigma_min(U[S, :]) over the coordinate k-subsets
 S.  Walkers climb in lockstep on an (R, n, k) stack of bases, under one
-schedule of STEPS steps: each step takes the least eigenpair of every
-coordinate subset's k-by-k Gram matrix for the gradient, in closed form
-at k = 2 and by one batched eigh otherwise, checks every basis
-orthonormal, retracts by modified Gram-Schmidt, and keeps each walker's
-best iterate.  No step takes an SVD or draws noise, and each walker
-follows exactly the path it would follow alone.
+schedule of STEPS steps: each step gathers every coordinate subset's
+k-by-k Gram matrix and U^T U with one matmul, checks U^T U = I, takes
+each Gram matrix's least eigenvalue and the projector onto its
+eigenvector for the gradient, in closed form at k = 2 and by one batched
+eigh otherwise, retracts by modified Gram-Schmidt, and keeps each
+walker's best iterate.  No step takes an SVD or draws noise, and each
+walker follows exactly the path it would follow alone.  At (5,2) a step
+takes about 36 us with 2 walkers and 66 us with 40 (one CPU core, numpy
+2.4), nearly all of it per-call numpy overhead.
 
 The accumulation loop restarts from uniform samples and collects one
 representative per symmetry class of the extremal subspaces it reaches; a
@@ -118,80 +121,88 @@ def _retract(bases: np.ndarray, xi: np.ndarray, eta: float) -> np.ndarray:
     k = moved.shape[2]
     for j in range(k):
         col = moved[:, :, j:j + 1]
-        col /= np.sqrt(np.swapaxes(col, 1, 2) @ col)
+        col /= np.sqrt(col.mT @ col)
         if j + 1 < k:
             rest = moved[:, :, j + 1:]
-            rest -= col @ (np.swapaxes(col, 1, 2) @ rest)
+            rest -= col @ (col.mT @ rest)
     return moved
 
 
-def _least_eigenpairs(grams: np.ndarray):
-    """The least eigenvalue and a unit eigenvector of each symmetric
-    matrix in a (..., k, k) stack.
+def _least_eigenprojectors(grams: np.ndarray):
+    """The least eigenvalue of each symmetric matrix in a (..., k, k)
+    stack, and the projector v v^T onto its unit eigenvector, returned as
+    two factors whose elementwise product it is.
 
-    At k = 2 both come in closed form, one Jacobi rotation, elementwise
-    over the stack: [[a, b], [b, c]] with h = (a - c)/2 and r = hypot(h, b)
-    has lambda_min = (a + c)/2 - r.  Its top eigenvector is (r + h, b) or
-    (b, r - h), whichever the sign of h keeps free of cancellation, and the
-    least one is that vector turned by a right angle; when G = aI both
-    formulas give 0, and any unit vector serves.  On one CPU core with
-    numpy 2.4, the Gram stack of 40 walkers at (5,2) takes about 20 us this
-    way and 130 to 165 us by a batched eigh, nearly all of it per-matrix
-    LAPACK call overhead.  Every other k keeps eigh: a vectorized cyclic Jacobi over
-    the stack took 1634 us against eigh's 767 at (6,3) with 40 walkers, and
-    6997 against 2327 at (8,4) with 20.
+    At k = 2 both come in closed form, elementwise over the stack:
+    [[a, b], [b, c]] with h = (a - c)/2 and r = hypot(h, b) has
+    lambda_min = (a + c)/2 - r, and the projector onto its eigenvector is
+    (lambda_max I - G)/(lambda_max - lambda_min)
+    = [[r - h, -b], [-b, r + h]]/(2r), so no eigenvector is formed, signed
+    or normalized; the first factor is 1.0.  Where r - h cancels, its
+    error is about one ulp of r, so the entry's is about one ulp of 1.  At
+    G = aI any unit vector is an eigenvector: h is lowered by the least
+    subnormal, 5e-324, which moves no h of normal size, and there turns
+    0/0 into the projector e1 e1^T.  Every other k keeps one batched eigh,
+    and the factors are v as a column and as a row, so a weight s times
+    them rounds as (s v_i) v_j.  On one CPU core with numpy 2.4, the Gram
+    stack of 40 walkers at (5,2) takes about 12 us this way, 18 us as a
+    signed, normalized eigenvector, and 128 us by a batched eigh, nearly
+    all of it per-matrix LAPACK call overhead; at k >= 3 a vectorized
+    cyclic Jacobi over the stack took 1634 us against eigh's 767 at (6,3)
+    with 40 walkers, and 6997 against 2327 at (8,4) with 20.
     """
     if grams.shape[-1] != 2:
         lam, vec = np.linalg.eigh(grams)
-        return lam[..., 0], vec[..., 0]
+        col = vec[..., :1]
+        return lam[..., 0], col, col.mT
     a, b, c = grams[..., 0, 0], grams[..., 0, 1], grams[..., 1, 1]
-    h = 0.5 * (a - c)
+    h = 0.5 * (a - c) - 5e-324
     r = np.hypot(h, b)
-    up = h >= 0.0
-    x = np.where(up, -b, h - r)
-    y = np.where(up, r + h, b)
-    x[(x == 0.0) & (y == 0.0)] = 1.0
-    norm = np.hypot(x, y)
-    return 0.5 * (a + c) - r, np.stack([x / norm, y / norm], axis=-1)
+    proj = -grams
+    proj[..., 0, 0] = r - h
+    proj[..., 1, 1] = r + h
+    return 0.5 * (a + c) - r, 1.0, proj / (2.0 * r)[..., None, None]
 
 
 def _tangent(bases: np.ndarray, member: np.ndarray, beta: float):
     """Each walker's top sigma_min, and the unit tangent xi along the
     gradient of its smoothed objective; the climb steps along -xi.
 
-    member is a one-hot (count, n) matrix whose rows are coordinate
-    subsets S.  The Gram matrix U[S]^T U[S] is the sum of the outer
-    products r_i r_i^T of the rows i in S, so one matmul with member
-    gathers all of them, and _least_eigenpairs gives each lambda_min and
-    its unit eigenvector v_S, in closed form at k = 2 and by one batched
-    eigh otherwise; sigma_S = sqrt(max(lambda_min, 0)), since
-    rounding can leave a singular subset's lambda_min below 0.  The
-    softmax weights p_S = exp(beta (sigma_S - max sigma)) have exponents
-    at most 0, so they cannot overflow, and are left unnormalized, since
-    xi is normalized.  The gradient of sigma_S in row i of S is
-    (r_i . v_S) v_S / sigma_S, so M_S = p_S / sigma_S v_S v_S^T (0 where
-    sigma_S is 0) is scattered to the rows by member's transpose, row i
-    of the Euclidean gradient G is Q_i r_i with Q_i the sum of M_S over
-    the subsets holding i, and xi is G - U U^T G scaled to unit norm.
-    Every sum runs over one walker's entries, so a walker's result does
-    not depend on the others in the stack.  The same outer products sum
-    to U^T U, which is checked to be the identity, so every basis the
-    climb scores is orthonormal.  Returns the (R,) top sigmas and the
+    member is a one-hot (count + 1, n) matrix whose rows are coordinate
+    subsets S, and whose last row is all ones.  The Gram matrix
+    U[S]^T U[S] is the sum of the outer products r_i r_i^T of the rows i
+    in S, so one matmul with member gathers all of them and, from the
+    last row, U^T U, which is checked to be the identity, so every basis
+    the climb scores is orthonormal.  _least_eigenprojectors gives each
+    lambda_min and the projector v_S v_S^T onto its unit eigenvector,
+    in closed form at k = 2 and by one batched eigh otherwise;
+    sigma_S = sqrt(max(lambda_min, 0)), since rounding can leave a
+    singular subset's lambda_min below 0.  The softmax weights
+    p_S = exp(beta (sigma_S - max sigma)) have exponents at most 0, so
+    they cannot overflow, and are left unnormalized, since xi is
+    normalized.  The gradient of sigma_S in row i of S is
+    (r_i . v_S) v_S / sigma_S, so it takes v_S only through the projector:
+    M_S = p_S / sigma_S v_S v_S^T (0 where sigma_S is 0) is scattered to
+    the rows by the subset rows' transpose, row i of the Euclidean
+    gradient G is Q_i r_i with Q_i the sum of M_S over the subsets
+    holding i, and xi is G - U U^T G scaled to unit norm.  Every sum runs
+    over one walker's entries, so a walker's result does not depend on
+    the others in the stack.  Returns the (R,) top sigmas and the
     (R, n, k) tangents.
     """
     walkers, n, k = bases.shape
     outer = (bases[..., :, None] * bases[..., None, :]).reshape(walkers, n, k * k)
-    require_orthonormal_gram(outer.sum(axis=1).reshape(walkers, k, k))
-    lam, v = _least_eigenpairs((member @ outer).reshape(walkers, -1, k, k))
+    grams = (member @ outer).reshape(walkers, -1, k, k)
+    require_orthonormal_gram(grams[:, -1])
+    lam, left, right = _least_eigenprojectors(grams[:, :-1])
     sigma = np.sqrt(np.maximum(lam, 0.0))
     top = sigma.max(axis=1)
     p = np.exp(beta * (sigma - top[:, None]))
-    scale = np.divide(p, sigma, out=np.zeros_like(p), where=sigma > 0.0)
-    weights = scale[..., None, None] * v[..., :, None] * v[..., None, :]
-    rows = (member.T @ weights.reshape(walkers, -1, k * k)).reshape(walkers, n, k, k)
+    weights = (p / np.where(sigma > 0.0, sigma, np.inf))[..., None, None] * left * right
+    rows = (member[:-1].T @ weights.reshape(walkers, -1, k * k)).reshape(walkers, n, k, k)
     grad = (rows @ bases[..., None])[..., 0]
-    xi = (grad - bases @ (np.swapaxes(bases, 1, 2) @ grad)).reshape(walkers, -1, 1)
-    norm = np.sqrt(np.swapaxes(xi, 1, 2) @ xi)
+    xi = (grad - bases @ (bases.mT @ grad)).reshape(walkers, -1, 1)
+    norm = np.sqrt(xi.mT @ xi)
     return top, (xi / np.where(norm > 0.0, norm, 1.0)).reshape(bases.shape)
 
 
@@ -224,8 +235,10 @@ def _climb(bases: np.ndarray) -> np.ndarray:
     walkers, n, k = bases.shape
     require_edge_limit(n)
     _, index = coordinate_subsets(n, k)
-    member = np.zeros((len(index), n))
-    np.put_along_axis(member, index, 1.0, axis=1)
+    # the subsets' one-hot rows, and a row of ones that gathers U^T U
+    member = np.ones((len(index) + 1, n))
+    member[:-1] = 0.0
+    np.put_along_axis(member[:-1], index, 1.0, axis=1)
     best, best_score = bases.copy(), np.full(walkers, np.inf)
     for step in range(STEPS + 1):
         # the pass after the last step only scores, so its beta is never used
@@ -290,7 +303,11 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     join the set when not symmetric, within DEDUP_TOL, to a known member,
     resetting the attempt budget.  Per-restart generators are derived from
     the seed, so results are reproducible and independent of how restarts
-    are batched.
+    are batched.  A batch launches no restart the serial rule might not
+    run: on seeds 0-15 with 40 attempts, batches of budget + budget/4,
+    dropping the restarts past the stop, took 28% less CPU time at (5,2)
+    and 5% less at (8,2), where a step is mostly per-call overhead, but 3%
+    more at (6,3), where it is mostly eigh's work on every walker.
     """
     if not n > k > 0:
         raise ValueError("need n > k > 0")

@@ -15,7 +15,7 @@ from spextremal.numeric import (
 from spextremal.search import (
     SearchConfig,
     _climb,
-    _least_eigenpairs,
+    _least_eigenprojectors,
     _retract,
     _schedule,
     _tangent,
@@ -73,11 +73,13 @@ def tangent_stack(bases, rng):
 
 
 def membership(n, k):
-    """The one-hot (C(n, k), n) matrix of the coordinate k-subsets."""
+    """The one-hot (C(n, k), n) matrix of the coordinate k-subsets, and
+    below it the all-ones row that gathers U^T U."""
     _, index = coordinate_subsets(n, k)
-    member = np.zeros((len(index), n))
+    member = np.zeros((len(index) + 1, n))
     for row, subset in zip(member, index):
         row[subset] = 1.0
+    member[-1] = 1.0
     return member
 
 
@@ -191,10 +193,12 @@ class TestPerturb:
         assert (np.diff(angles) > 0).all()
         assert np.allclose(angles, np.arctan(mags * sigma), atol=1e-7)
 
-    def test_candidate_stack_is_checked(self, monkeypatch):
-        # a retraction whose result is not orthonormal must stop the climb
+    @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
+    def test_candidate_stack_is_checked(self, monkeypatch, n, k):
+        # a retraction whose result is not orthonormal must stop the climb,
+        # at k = 1, at the closed-form k = 2 and at an eigh k
         monkeypatch.setattr(search_mod, "_retract", lambda bases, xi, eta: bases - eta * xi)
-        start = sample_uniform(4, 2, rng_for(22)).basis[None]
+        start = sample_uniform(n, k, rng_for(22)).basis[None]
         with pytest.raises(ValueError, match="orthonormal"):
             climb(start, 3)
 
@@ -237,7 +241,7 @@ class TestTangent:
             assert np.abs(got_xi - xi)[sound].max() <= 1e-9
             # each subset alone: its sigma and its gradient's unit tangent
             for c in range(len(index)):
-                one_sigma, one_xi = _tangent(bases, member[c:c + 1], beta)
+                one_sigma, one_xi = _tangent(bases, member[[c, -1]], beta)
                 _, _, _, want_xi = svd_tangent(bases, index[c:c + 1], beta)
                 live = sigma[:, c] > 1e-3
                 assert np.abs(one_sigma - sigma[:, c])[live].max() <= 1e-12
@@ -255,18 +259,23 @@ class TestTangent:
         assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12
 
 
-class TestLeastEigenpairs:
-    """The closed-form 2-by-2 eigenpair against LAPACK's eigh."""
+class TestLeastEigenprojectors:
+    """The closed-form 2-by-2 eigenprojector against LAPACK's eigh."""
 
     # (a, b, c) of [[a, b], [b, c]]: h = (a - c)/2 positive and negative,
-    # also with |b| far below |h|, where one of the two eigenvector
-    # formulas cancels; diagonal with a > c and with a < c, h = 0 with
-    # b != 0, equal eigenvalues, rank 1 and zero
+    # also with |b| far below |h|, where r - h cancels; diagonal with a > c
+    # and with a < c, h = 0 with b != 0, equal eigenvalues, rank 1 and zero
     CRAFTED = [(3.0, 1.0, 1.0), (1.0, 0.5, 3.0), (0.9, -0.7, 0.2),
                (0.2, -0.7, 0.9), (2.0, 1e-7, 1.0), (1.0, 1e-7, 2.0),
                (2.0, 0.0, 1.0), (1.0, 0.0, 2.0),
                (0.5, 0.3, 0.5), (1.5, 0.0, 1.5), (0.36, 0.48, 0.64),
                (0.64, -0.48, 0.36), (1e-20, 0.0, 1.0), (0.0, 0.0, 0.0)]
+
+    # G = aI, the zero matrix and rank 1, where the eigenvalues tie or one
+    # of them is 0
+    DEGENERATE = [(1.0, 0.0, 1.0), (1.5, 0.0, 1.5), (1e-300, 0.0, 1e-300),
+                  (0.0, 0.0, 0.0), (0.36, 0.48, 0.64), (0.64, -0.48, 0.36),
+                  (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.5)]
 
     def grams(self):
         crafted = np.array([[[a, b], [b, c]] for a, b, c in self.CRAFTED])
@@ -280,28 +289,46 @@ class TestLeastEigenpairs:
 
     def test_matches_eigh(self):
         grams = self.grams()
-        lam, v = _least_eigenpairs(grams)
+        lam, left, right = _least_eigenprojectors(grams)
+        proj = left * right
         want_lam, want_vec = np.linalg.eigh(grams)
         assert np.abs(lam - want_lam[:, 0]).max() <= 1e-15
-        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-15
-        # the eigenvector is unique up to sign where the eigenvalues differ
+        # the projector is unique where the eigenvalues differ
         apart = want_lam[:, 1] - want_lam[:, 0] > 1e-12
         assert apart.sum() >= len(grams) - 2
-        want = want_vec[..., 0] * np.sign(np.einsum("ij,ij->i", v, want_vec[..., 0]))[:, None]
-        assert np.abs(v - want)[apart].max() <= 1e-12
-        # every unit vector is one where they are equal
-        residual = (grams @ v[..., None])[..., 0] - lam[:, None] * v
-        assert np.abs(residual).max() <= 1e-15
+        want = want_vec[..., :, :1] * want_vec[..., None, :, 0]
+        assert np.abs(proj - want)[apart].max() <= 1e-12
+
+    def test_degenerate_is_a_rank_one_eigenprojector(self):
+        grams = np.array([[[a, b], [b, c]] for a, b, c in self.DEGENERATE])
+        lam, left, right = _least_eigenprojectors(grams)
+        proj = left * right
+        assert np.isfinite(proj).all()
+        assert np.array_equal(proj, np.swapaxes(proj, 1, 2))
+        assert np.abs(proj @ proj - proj).max() <= 1e-15
+        assert np.abs(np.trace(proj, axis1=1, axis2=2) - 1.0).max() <= 1e-15
+        assert np.abs(grams @ proj - lam[:, None, None] * proj).max() <= 1e-15
+        assert np.abs(lam - np.linalg.eigvalsh(grams)[:, 0]).max() <= 1e-15
+        # at G = aI, any unit vector is an eigenvector, and e1 is taken
+        for gram, p in zip(grams, proj):
+            if gram[0, 1] == 0.0 and gram[0, 0] == gram[1, 1]:
+                assert np.array_equal(p, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_other_sizes_take_eigh(self):
+        # eigh's eigenvector as a column and a row: a weight times them
+        # rounds as (s v_i) v_j
         rng = rng_for(71)
         for k in (1, 3, 4):
             m = rng.standard_normal((6, k, k))
             grams = m @ np.swapaxes(m, 1, 2)
-            lam, v = _least_eigenpairs(grams)
+            scale = rng.random(6)
+            lam, left, right = _least_eigenprojectors(grams)
             want_lam, want_vec = np.linalg.eigh(grams)
+            v = want_vec[..., 0]
             assert lam.tobytes() == want_lam[:, 0].tobytes()
-            assert v.tobytes() == want_vec[..., 0].tobytes()
+            weights = scale[:, None, None] * left * right
+            want = scale[:, None, None] * v[..., :, None] * v[..., None, :]
+            assert weights.tobytes() == want.tobytes()
 
 
 class TestOptimize:
@@ -488,6 +515,16 @@ class TestAccumulate:
         constructive = [sp.build(t).subspace for t in sp.enumerate_rooted(8, 2)]
         for member, _ in res.classes:
             assert any(symmetry_equivalent(member, c, 1e-3) for c in constructive)
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_class_at_n_two(self, n):
+        # the README's claim: at (n,2), n <= 8, every class and no violation
+        # on each of seeds 0-15 with 40 fruitless restarts
+        for seed in range(16):
+            res = accumulate(n, 2, SearchConfig(seed=seed, attempts=40))
+            assert res.violation is None
+            assert len(res.classes) == sp.count_classes(n, 2), seed
 
     @pytest.mark.parametrize("n, k, attempts, least", [
         (6, 3, 40, 4),
