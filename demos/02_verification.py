@@ -14,10 +14,10 @@ diag(1/w) (D Y) symmetric.  They make Y the projection onto range(W B^T)
 along ker B; a non-tree edge subset on k + 1 vertices contains a
 circuit, whose signed vector lies in ker B, so it is a kernel vector of
 that subset's submatrix, and no subset is looked at one by one.
-Attainment is proved on the tree the float target picks: an integer
-matrix congruent to P[tau, tau] - I/n kills the coefficient vector and
-is positive definite without that vector's row and column, by one
-elimination.
+Attainment is proved on the first spanning tree in lexicographic order:
+an integer matrix congruent to P[tau, tau] - I/n kills the coefficient
+vector and is positive definite without that vector's row and column,
+by one elimination.
 """
 
 import math

@@ -256,9 +256,5 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -13,9 +13,10 @@ the given spanning trees, stacked from one pass over the tree;
 check_degenerate proves by four identities that D Y is D times the
 transfer current, which makes every non-tree minor zero without looking
 at a single subset; check_attained proves the bound attained on one
-tree; and check_dual reads the planar dual off that proof, with two
-tests of the dual's graph and weights, read off the primal's tree with
-its kinds swapped: nothing after build re-lists a tree.
+tree, which verify takes to be the first spanning tree; and check_dual
+reads the planar dual off that proof, with two tests of the dual's graph
+and weights, read off the primal's tree with its kinds swapped: nothing
+after build re-lists a tree.
 Nothing on the verify path sweeps the k-subsets: the spanning trees come
 from one batched determinant (weights.spanning_trees), and the float
 target that verify reports is scored over them alone, because every
@@ -236,11 +237,12 @@ def class_table(n_max: int) -> list[list[int]]:
 
 def verify_instance(inst: ExtremalInstance) -> dict:
     """Run every check on one instance and report the outcome; the eigen
-    check and the attainment proof share one pass over the tree."""
+    check and the attainment proof, on the first spanning tree, share one
+    pass over the tree, and the float target only reports the cosine."""
     n = len(inst.graph.edges)
     trees = spanning_trees(inst.graph)
     _, C, on = stacked_coefficients(inst.tree, trees)
-    angle, tau = target(inst.subspace, trees)
+    angle, _ = target(inst.subspace, trees)
     return {
         "tree": format_tree(inst.tree),
         "weights": weights_to_json(inst.weights),
@@ -249,6 +251,6 @@ def verify_instance(inst: ExtremalInstance) -> dict:
         "target_cos": math.cos(angle),
         "eigen_ok": _eigen_holds(inst, C, on),
         "degenerate_ok": check_degenerate(inst),
-        "target_ok": check_attained(inst, tau, C[:, trees.index(tau)]),
+        "target_ok": check_attained(inst, trees[0], C[:, 0]),
         "dual_ok": check_dual(inst),
     }

@@ -91,12 +91,13 @@ def require_edge_limit(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 def incidence_matrix(graph) -> np.ndarray:
-    """Vertex-by-edge matrix, +1 at the head and -1 at the tail of each edge."""
+    """Vertex-by-edge matrix, +1 at the head and -1 at the tail of each
+    edge, so a loop's column is zero."""
     m, n = graph.num_vertices, len(graph.edges)
     B = np.zeros((m, n), dtype=object)
     for tail, head, eid in graph.edges:
-        B[head, eid] = 1
-        B[tail, eid] = -1
+        B[head, eid] += 1
+        B[tail, eid] -= 1
     return B
 
 

@@ -11,16 +11,16 @@ come in reading order.  Each node is (children, size, is_series, eid,
 sign): children are positions in the tuple and size is the leaf count; a
 leaf also carries its edge id and a sign, -1 when the edge runs against
 its natural left-to-right sense and +1 otherwise, and an inner node has
-eid None and sign 0.  Every walk (counting, formatting, relabeling,
-duality, realization) is a loop over the tuple, and a tree nests no
-objects, so no tree is too deep for Python's recursion limit, and
-comparing or hashing one never recurses either; neither does the parse of
-the text grammar.
+eid None and sign 0.  Every walk (counting, formatting, duality,
+realization) is a loop over the tuple, and a tree nests no objects, so no
+tree is too deep for Python's recursion limit, and comparing or hashing
+one never recurses either; neither does the parse of the text grammar.
 
 This module provides the text grammar, the symmetry-class counts from a
 generating function (no tree enumerated), duality, exhaustive enumeration
 of one canonical tree per shape (parallel branches sorted, each series
-chain in its smaller reading direction), and realization as a directed
+chain in its smaller reading direction), each written into post-order
+from its shape key in one pass, and realization as a directed
 multigraph.  Realization runs the tree top-down, handing each node its
 terminal pair, and numbers the vertices by first appearance along the
 leaves in reading order, the left end of a leaf before its right end.
@@ -50,19 +50,6 @@ def _shifted(nodes, by):
     return [(tuple([c + by for c in kids]), *rest) for kids, *rest in nodes] if by else nodes
 
 
-def _relist(nodes, root=-1) -> tuple:
-    """The tree under nodes[root] in post-order, each node's children in
-    the order it lists them, every position renumbered."""
-    order, stack = [], [root]  # parents first, last child first: post-order reversed
-    while stack:
-        order.append(stack.pop())
-        stack.extend(nodes[order[-1]][0])
-    order.reverse()
-    at = {old: new for new, old in enumerate(order)}
-    return tuple([(tuple([at[c] for c in kids]), *rest)
-                  for kids, *rest in map(nodes.__getitem__, order)])
-
-
 def leaf_count(tree) -> int:
     return tree[-1][1]
 
@@ -75,12 +62,6 @@ def rank(tree) -> int:
     """
     return tree[-1][1] - sum([len(kids) - 1 for kids, _, is_series, _, _ in tree
                               if kids and not is_series])
-
-
-def relabel_leaves(tree) -> tuple:
-    """Reassign edge ids 0..n-1 in left-to-right reading order."""
-    ids = itertools.count()
-    return tuple([node if node[0] else ((), 1, False, next(ids), node[4]) for node in tree])
 
 
 def dualize(tree) -> tuple:
@@ -414,14 +395,20 @@ def _parallel_shapes(n: int, k: int) -> tuple:
 
 
 def _written_out(key) -> tuple:
-    """The tree a shape key describes, edge ids in reading order: its
-    nodes listed breadth first, root first, then re-listed in post-order."""
-    nodes, keys = [], [key]
-    for size, kind, kids in keys:  # keys grows while it is read
-        nodes.append((tuple(range(len(keys), len(keys) + len(kids))), size, kind == 2, None, 0)
-                     if kids else ((), 1, False, None, 1))
-        keys.extend(kids)
-    return relabel_leaves(_relist(nodes, 0))
+    """The tree a shape key describes, written straight into post-order as
+    the key is read, each leaf numbered as it is written, so edge ids come
+    in reading order.  The recursion runs over the nested key, at most 12
+    deep, never over a tree."""
+    nodes, ids = [], itertools.count()
+
+    def write(key):
+        size, kind, kids = key
+        at = tuple([write(kid) for kid in kids])  # empty for a leaf
+        nodes.append((at, size, kind == 2, None, 0) if kids else ((), 1, False, next(ids), 1))
+        return len(nodes) - 1
+
+    write(key)
+    return tuple(nodes)
 
 
 def enumerate_rooted(n: int, k: int) -> list:

@@ -136,12 +136,14 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
 def spanning_trees(graph) -> list[tuple]:
     """All spanning trees as sorted edge-id tuples, in lexicographic order.
 
-    With k + 1 vertices, n edges and B0 the incidence matrix without
-    vertex 0's row, a k-subset S of the edges is a spanning tree exactly
-    when det B0[:, S] != 0.  One batched float np.linalg.det tests every
-    S on the (C(n, k), k, k) stack of those submatrices, at most
-    C(12, 6) = 924 of them under numeric.MAX_EDGES.  Why floats decide it exactly: B0 is totally unimodular (every
-    square submatrix has determinant 0 or +-1; a loop is a zero column).
+    With k + 1 vertices, n edges and B0 the rows of
+    numeric.incidence_matrix but vertex 0's, where a loop is a zero
+    column, a k-subset S of the edges is a spanning tree exactly when
+    det B0[:, S] != 0.  One batched float np.linalg.det tests every S on
+    the (C(n, k), k, k) stack of those submatrices, at most
+    C(12, 6) = 924 of them under numeric.MAX_EDGES.  Why floats decide it
+    exactly: B0 is totally unimodular (every square submatrix has
+    determinant 0 or +-1).
     LU with partial pivoting keeps every intermediate matrix a Schur
     complement of B0[:, S] with its rows permuted, whose entries are ratios
     of two of its minors, the denominator the nonzero product of the
@@ -153,13 +155,8 @@ def spanning_trees(graph) -> list[tuple]:
     """
     n = len(graph.edges)
     numeric.require_edge_limit(n)
-    size = graph.num_vertices - 1
-    rows = np.zeros((n, graph.num_vertices))  # B^T: one row per edge
-    for tail, head, e in graph.edges:
-        rows[e, head] += 1
-        rows[e, tail] -= 1
-    rows = rows[:, 1:]
-    subsets, index = numeric.coordinate_subsets(n, size)
+    rows = numeric.incidence_matrix(graph)[1:].T.astype(float)  # B0^T: one row per edge
+    subsets, index = numeric.coordinate_subsets(n, rows.shape[1])
     det = np.linalg.det(rows[index])
     return list(compress(subsets, det))
 

@@ -26,6 +26,9 @@ how the tests give every instance arbitrary edge directions),
 leaf_ids, reverse_tree, canonicalize (the representative modulo parallel
 reordering and series reversal, ordering children by integer ranks), and
 decompose, which reduces a concrete multigraph back to its canonical tree.
+written_out writes a shape key out in three passes, a breadth-first
+listing, _relist into post-order and relabel_leaves; sptree._written_out
+writes it in one, and must give the same tuple on every shape key.
 Every step of decompose rebuilds its bundle and incidence maps over all
 virtual edges, and reversing one re-lists its whole tree, so decompose
 is quadratic in the edge count, a cost that falls on the tests alone.
@@ -61,14 +64,44 @@ import numpy as np
 from spextremal.sptree import (
     MultiGraph,
     SpTreeError,
-    _relist,
     _require_edge_ids,
     _shifted,
     enumerate_rooted,
     parse_tree,
-    relabel_leaves,
     two_terminal_layout,
 )
+
+
+def _relist(nodes, root=-1) -> tuple:
+    """The tree under nodes[root] in post-order, each node's children in
+    the order it lists them, every position renumbered."""
+    order, stack = [], [root]  # parents first, last child first: post-order reversed
+    while stack:
+        order.append(stack.pop())
+        stack.extend(nodes[order[-1]][0])
+    order.reverse()
+    at = {old: new for new, old in enumerate(order)}
+    return tuple([(tuple([at[c] for c in kids]), *rest)
+                  for kids, *rest in map(nodes.__getitem__, order)])
+
+
+def relabel_leaves(tree) -> tuple:
+    """Reassign edge ids 0..n-1 in left-to-right reading order."""
+    ids = itertools.count()
+    return tuple([node if node[0] else ((), 1, False, next(ids), node[4]) for node in tree])
+
+
+def written_out(key) -> tuple:
+    """The tree a shape key describes, in three passes: its nodes listed
+    breadth first, root first, then re-listed in post-order, then its
+    leaves numbered in reading order (what sptree._written_out does in
+    one)."""
+    nodes, keys = [], [key]
+    for size, kind, kids in keys:  # keys grows while it is read
+        nodes.append((tuple(range(len(keys), len(keys) + len(kids))), size, kind == 2, None, 0)
+                     if kids else ((), 1, False, None, 1))
+        keys.extend(kids)
+    return relabel_leaves(_relist(nodes, 0))
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,34 @@ class TestIncidence:
                     assert rational_det(L[1:, 1:]) != 0
 
 
+    def test_loop_is_a_zero_column(self):
+        # a loop, inserted at any edge id and hung at any vertex, leaves the
+        # Laplacian as it is and adds a zero row and column to Y
+        looped = MultiGraph(2, ((0, 1, 0), (1, 0, 1), (1, 1, 2)), (0, 1))
+        assert not sp.incidence_matrix(looped)[:, 2].any()
+        L = laplacian(sp.incidence_matrix(looped), unit_weights(3))
+        assert exact_equal(L, rational_matrix([[2, -2], [-2, 2]]))
+        for n in range(2, 6):
+            for k in range(1, n):
+                for t in sp.enumerate_rooted(n, k):
+                    g, w = sp.realize(t), sp.induced_weights(t)
+                    B = sp.incidence_matrix(g)
+                    Y = fraction_y(*transfer_current(B, w))
+                    for v in range(g.num_vertices):
+                        at = v % (n + 1)
+                        edges = [(a, b, e + (e >= at)) for a, b, e in g.edges]
+                        edges.insert(at, (v, v, at))
+                        loop = MultiGraph(g.num_vertices, tuple(edges), g.terminals)
+                        w_loop = {e + (e >= at): x for e, x in w.items()}
+                        w_loop[at] = Fraction(3, 7)
+                        B_loop = sp.incidence_matrix(loop)
+                        assert exact_equal(B_loop, np.insert(B, at, 0, axis=1))
+                        assert exact_equal(laplacian(B_loop, w_loop), laplacian(B, w))
+                        Y_loop = fraction_y(*transfer_current(B_loop, w_loop))
+                        padded = np.insert(np.insert(Y, at, 0, axis=0), at, 0, axis=1)
+                        assert exact_equal(Y_loop, padded), (sp.format_tree(t), v)
+
+
 class TestLaplacian:
     def test_single_unit_edge(self):
         g = MultiGraph(2, ((0, 1, 0),), (0, 1))

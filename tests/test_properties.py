@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import spextremal as sp
 from spextremal.numeric import transfer_current
-from spextremal.sptree import relabel_leaves
 from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
@@ -39,7 +38,7 @@ def trees(draw, max_edges=8):
         parts = [b - a for a, b in zip([0] + cuts, cuts + [size])]
         return compose([grow(p, not series) for p in parts], series)
 
-    return relabel_leaves(grow(draw(st.integers(2, max_edges)), False))
+    return oracle.relabel_leaves(grow(draw(st.integers(2, max_edges)), False))
 
 
 @PROPERTY

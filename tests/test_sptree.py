@@ -3,7 +3,8 @@ import random
 import pytest
 
 import spextremal as sp
-from spextremal.sptree import MultiGraph, relabel_leaves, two_terminal_layout
+from spextremal import sptree
+from spextremal.sptree import MultiGraph, two_terminal_layout
 
 import exact_oracles as oracle
 from exact_oracles import (
@@ -202,6 +203,26 @@ class TestEnumerate:
                     assert sp.rank(t) == k
 
 
+def shape_keys(n_max):
+    """Every parallel and series shape key with 2..n_max edges, all ranks."""
+    return [key for n in range(2, n_max + 1) for k in range(1, n)
+            for key in sptree._parallel_shapes(n, k) + sptree._series_shapes(n, k)]
+
+
+class TestWriter:
+    """Enumeration writes each tree in one post-order pass over its shape
+    key, leaves numbered as written; the three-pass oracle agrees."""
+
+    def test_matches_three_pass_oracle(self):
+        for key in shape_keys(9):
+            assert sptree._written_out(key) == oracle.written_out(key), key
+
+    @pytest.mark.long
+    def test_matches_three_pass_oracle_long(self):
+        for key in shape_keys(12):
+            assert sptree._written_out(key) == oracle.written_out(key), key
+
+
 class TestDualize:
     def test_two_cycle(self):
         assert sp.dualize(sp.parse_tree("P(e,e)")) == sp.parse_tree("S(e,e)")
@@ -329,7 +350,7 @@ class TestRealize:
             parts = [sp.parse_tree(text[a + 1:b]) for a, b in zip(cuts, cuts[1:] + [len(text) - 1])]
             closed = compose([parts[0], compose(parts[1:], True)], False)
             check_invariants(two_terminal_layout(tree))
-            assert two_terminal_layout(tree) == relabel_leaves(closed), text
+            assert two_terminal_layout(tree) == oracle.relabel_leaves(closed), text
 
     def test_two_cycle(self):
         g = sp.realize(sp.parse_tree("P(e,e)"))
