@@ -186,8 +186,9 @@ def test_criterion_8_search_reproduction():
 def assert_attained_on_every_tree(instances):
     """check_attained proves lambda_min(P[tau, tau]) = 1/n on every spanning
     tree of each instance, with its natural and with random edge
-    directions; returns the trees proved and the worst float
-    |lambda_min - 1/n|, an observation only.  With k >= 2 two false claims
+    directions, and the float least eigenvalue of the Fraction-route
+    projector agrees to 1e-9; returns the trees proved and the worst float
+    |lambda_min - 1/n|.  With k >= 2 two false claims
     fail on every tree: a bumped coefficient vector, which only the kernel
     test rejects, and D and D Y negated, which claim 1/n as the largest
     eigenvalue and which only the elimination of the minor rejects."""
@@ -208,6 +209,7 @@ def assert_attained_on_every_tree(instances):
                     bumped[tau[0]] += 1
                     assert not check_attained(inst, tau, bumped), name
                     assert not check_attained(mirrored, tau, C[:, j]), name
+                assert abs(least - 1.0 / n) < 1e-9, name
                 worst = max(worst, abs(least - 1.0 / n))
                 proved += 1
     return proved, worst

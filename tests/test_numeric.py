@@ -184,7 +184,6 @@ class TestIncidence:
                     L = laplacian(sp.incidence_matrix(g), unit_weights(n))
                     assert rational_det(L[1:, 1:]) != 0
 
-
     def test_loop_is_a_zero_column(self):
         # a loop, inserted at any edge id and hung at any vertex, leaves the
         # Laplacian as it is and adds a zero row and column to Y

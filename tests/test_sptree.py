@@ -213,13 +213,9 @@ class TestWriter:
     """Enumeration writes each tree in one post-order pass over its shape
     key, leaves numbered as written; the three-pass oracle agrees."""
 
-    def test_matches_three_pass_oracle(self):
-        for key in shape_keys(9):
-            assert sptree._written_out(key) == oracle.written_out(key), key
-
-    @pytest.mark.long
-    def test_matches_three_pass_oracle_long(self):
-        for key in shape_keys(12):
+    @pytest.mark.parametrize("n", [9, pytest.param(12, marks=pytest.mark.long)])
+    def test_matches_three_pass_oracle(self, n):
+        for key in shape_keys(n):
             assert sptree._written_out(key) == oracle.written_out(key), key
 
 
