@@ -2,9 +2,12 @@
 
 Subcommands: enumerate, weights, verify, table, search.  Every JSON or
 CSV output embeds a run manifest (command, config, version, seed,
-timestamp) sufficient to reproduce the run.  Exit codes: 0 success,
-1 verification failure, 2 bound violation, 64 usage error or a size
-limit hit, 65 parse error.
+timestamp) sufficient to reproduce the run.  verify deals its instances
+over the CPUs the process may use (its affinity): each CPU but the first
+gets a forked worker, and the output does not depend on how many there
+are.  Exit codes: 0 success, 1 verification failure, 2 bound violation,
+64 usage error or a size limit hit, 65 parse error, 71 a verify worker
+could not start or ended without a result.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import re
+import signal
 import sys
 from datetime import datetime, timezone
 
@@ -35,6 +40,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_VIOLATION = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_OSERR = 71
 
 # the largest row table prints: row 30 takes about 50 ms, and its
 # entries already run to 12 digits
@@ -46,6 +52,10 @@ _SIZES = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
 class UsageError(Exception):
     pass
+
+
+class WorkerError(Exception):
+    """A verify worker could not be forked or ended without a result."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,22 +148,108 @@ def _verify_trees(args):
             yield from enumerate_rooted(n, k)
 
 
+def _verified(trees) -> list:
+    return [verify_instance(build(tree)) for tree in trees]
+
+
+def _fork_worker(share):
+    """Fork a process that verifies share and pickles its reports, or the
+    exception it raised, into a pipe; return its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read)
+        os.close(write)
+        raise WorkerError(f"cannot fork a verify worker: {exc}") from None
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        try:
+            outcome = True, _verified(share)
+        except Exception as exc:
+            outcome = False, exc
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        # never return into the caller's stack, nor flush its buffers
+        os._exit(code)
+
+
+def _collect(pid: int, read: int) -> list:
+    """A worker's reports, once it has ended; re-raises what it raised."""
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        ok, outcome = pickle.loads(data)
+    except Exception:
+        raise WorkerError("a verify worker ended without a result (exit status "
+                          f"{os.waitstatus_to_exitcode(status)})") from None
+    if not ok:
+        raise outcome
+    return outcome
+
+
+def _verified_on_every_cpu(trees: list) -> list:
+    """_verified(trees), dealt over the CPUs this process may use: with
+    width of them, worker i verifies trees[i::width] in a forked process
+    and the caller verifies trees[::width] itself.  On any error every
+    worker still running is killed, and each is reaped on every path."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    width = min(cpus, len(trees))
+    if width < 2:
+        return _verified(trees)
+    reports = [None] * len(trees)
+    workers = {}
+    try:
+        for i in range(1, width):
+            workers[i] = _fork_worker(trees[i::width])
+        reports[::width] = _verified(trees[::width])
+        for i in range(1, width):
+            reports[i::width] = _collect(*workers.pop(i))
+    finally:
+        for pid, read in workers.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    return reports
+
+
+def _nested(value, level: int) -> str:
+    """json.dumps(value, indent=2) as it reads level deep in an indented payload."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _emit_verify(manifest: dict, reports: list, ok: bool) -> None:
+    """Write _emit_json({"manifest": manifest, "instances": reports,
+    "all_ok": ok})'s bytes one instance at a time; reports is not empty."""
+    write = sys.stdout.write
+    write('{\n  "manifest": ' + _nested(manifest, 1) + ',\n  "instances": [')
+    for i, report in enumerate(reports):
+        write(("," if i else "") + "\n    " + _nested(report, 2))
+    write('\n  ],\n  "all_ok": ' + json.dumps(ok) + "\n}\n")
+
+
 def cmd_verify(args) -> int:
     manifest = run_manifest("verify", {"spec": args.spec, "k_range": args.k_range})
-    reports = []
-    ok = True
-    for tree in _verify_trees(args):
-        report = verify_instance(build(tree))
-        passed = (report["eigen_ok"] and report["degenerate_ok"]
-                  and report["target_ok"] and report["dual_ok"])
-        reports.append(report)
-        if not passed:
-            ok = False
-            print(json.dumps(report), file=sys.stderr)
-    if not reports:
+    trees = list(_verify_trees(args))
+    if not trees:
         raise UsageError("no instance matches; each has 1 <= k <= n - 1")
-    _emit_json({"manifest": manifest, "instances": reports, "all_ok": ok})
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    reports = _verified_on_every_cpu(trees)
+    failed = [report for report in reports
+              if not (report["eigen_ok"] and report["degenerate_ok"]
+                      and report["target_ok"] and report["dual_ok"])]
+    for report in failed:
+        print(json.dumps(report), file=sys.stderr)
+    _emit_verify(manifest, reports, not failed)
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def cmd_table(args) -> int:
@@ -254,6 +350,9 @@ def main(argv=None) -> int:
     except BruteForceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OSERR
 
 
 if __name__ == "__main__":

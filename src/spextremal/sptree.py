@@ -42,7 +42,13 @@ class TreeParseError(SpTreeError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold only the
+        # formatted text; a verify worker pickles what it raised
+        return type(self), (self.message, self.position)
 
 
 def _shifted(nodes, by):

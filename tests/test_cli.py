@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import spextremal as sp
-from spextremal import cli, search
+from spextremal import cli, extremal, numeric, search
 from spextremal.search import SearchConfig
 
 from exact_oracles import canonicalize, compose, decompose, enumerated_class_count
@@ -180,6 +183,130 @@ class TestVerify:
         assert code == 64
         assert out == ""
         assert err == f"error: {edges} edges exceed the limit of 12\n"
+
+
+def affinity(monkeypatch, cpus):
+    """Make verify see cpus CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """verify deals its trees over the CPUs in the process's affinity; the
+    workers are forked, and every path reaps them."""
+
+    @pytest.mark.parametrize("error", [
+        sp.SpTreeError("no realization"),
+        sp.TreeParseError("bad operand", 3),
+        sp.BruteForceCapError("13 edges exceed the limit of 12"),
+        numeric.SingularMatrixError("singular"),
+        numeric.RankDeficientError("rank 1 < 2"),
+    ])
+    def test_exceptions_survive_pickling(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and str(copy) == str(error)
+        assert getattr(copy, "position", None) == getattr(error, "position", None)
+
+    def test_bytes_match_one_worker(self, capsys, monkeypatch):
+        monkeypatch.setenv("EXTREMAL_TIMESTAMP", "2000-01-01T00:00:00Z")
+        affinity(monkeypatch, 1)
+        alone = run_cli(capsys, "verify", "2..7")
+        for cpus in (2, 3):
+            affinity(monkeypatch, cpus)
+            assert run_cli(capsys, "verify", "2..7") == alone
+        assert alone[0] == 0 and alone[2] == ""
+        assert_no_child_left()
+
+    def test_failures_echo_in_instance_order(self, capsys, monkeypatch):
+        real = extremal.__dict__["induced_weights"]
+
+        def corrupt(tree):
+            w = real(tree)
+            if sp.leaf_count(tree) % 2:
+                w[0] = w[0] + Fraction(1, 7)
+            return w
+
+        monkeypatch.setitem(extremal.__dict__, "induced_weights", corrupt)
+        monkeypatch.setenv("EXTREMAL_TIMESTAMP", "2000-01-01T00:00:00Z")
+        affinity(monkeypatch, 1)
+        alone = run_cli(capsys, "verify", "2..5")
+        affinity(monkeypatch, 3)
+        assert run_cli(capsys, "verify", "2..5") == alone
+        code, out, err = alone
+        checks = ("eigen_ok", "degenerate_ok", "target_ok", "dual_ok")
+        failed = [inst for inst in json.loads(out)["instances"]
+                  if not all(inst[check] for check in checks)]
+        assert code == 1 and failed
+        assert [json.loads(line) for line in err.splitlines()] == failed
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2, 40])
+    def test_writer_bytes_equal_json_dumps(self, capsys, count):
+        manifest = cli.run_manifest("verify", {"spec": "2..5", "k_range": None})
+        trees = [t for n in range(2, 6) for k in range(1, n) for t in sp.enumerate_rooted(n, k)]
+        reports = cli._verified(trees[:count])
+        for ok in (True, False):
+            cli._emit_verify(manifest, reports, ok)
+            payload = {"manifest": manifest, "instances": reports, "all_ok": ok}
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("error, message", [
+        (sp.SpTreeError("no realization"), "error: no realization\n"),
+        (sp.TreeParseError("bad operand", 3), "parse error: bad operand (at position 3)\n"),
+    ])
+    @pytest.mark.parametrize("where", ["every", "odd"])
+    def test_an_error_in_any_share_reaps_every_worker(self, capsys, monkeypatch,
+                                                      error, message, where):
+        # with two CPUs the odd-indexed trees are the worker's share
+        trees = [t for k in range(1, 5) for t in sp.enumerate_rooted(5, k)]
+        raising = set(trees if where == "every" else trees[1::2])
+        real = cli.build
+
+        def build(tree):
+            if tree in raising:
+                raise error
+            return real(tree)
+
+        monkeypatch.setattr(cli, "build", build)
+        affinity(monkeypatch, 2)
+        assert run_cli(capsys, "verify", "5") == (65, "", message)
+        assert_no_child_left()
+
+    def test_worker_without_a_result(self, capsys, monkeypatch):
+        parent = os.getpid()
+        real = cli.verify_instance
+
+        def verify_instance(inst):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(inst)
+
+        monkeypatch.setattr(cli, "verify_instance", verify_instance)
+        affinity(monkeypatch, 3)
+        code, out, err = run_cli(capsys, "verify", "5")
+        assert (code, out) == (71, "")
+        assert err == "error: a verify worker ended without a result (exit status 9)\n"
+        assert_no_child_left()
+
+    def test_fork_failure_reaps_the_workers_forked(self, capsys, monkeypatch):
+        real, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) > 1:
+                raise OSError(11, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        affinity(monkeypatch, 3)
+        code, out, err = run_cli(capsys, "verify", "5")
+        assert (code, out, len(forks)) == (71, "", 2)
+        assert err.startswith("error: cannot fork a verify worker: ") and err.count("\n") == 1
+        assert_no_child_left()
 
 
 def nested(depth):
