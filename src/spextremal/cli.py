@@ -200,12 +200,11 @@ def _collect(pid: int, read: int) -> list:
 def _verified_on_every_cpu(trees: list) -> list:
     """_verified(trees), dealt over the CPUs this process may use: with
     width of them, worker i verifies trees[i::width] in a forked process
-    and the caller verifies trees[::width] itself.  On any error every
-    worker still running is killed, and each is reaped on every path."""
+    and the caller verifies trees[::width] itself, so a width of 1 forks
+    nothing.  On any error every worker still running is killed, and each
+    is reaped on every path."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     width = min(cpus, len(trees))
-    if width < 2:
-        return _verified(trees)
     reports = [None] * len(trees)
     workers = {}
     try:

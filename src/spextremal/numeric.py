@@ -142,24 +142,25 @@ def transfer_current(B: np.ndarray, weights):
 
 @dataclass
 class Subspace:
-    """A k-dimensional subspace of R^n held as an orthonormal n-by-k basis."""
+    """A k-dimensional subspace of R^n held as an orthonormal n-by-k basis;
+    ambient and dim, n and k, are read off the basis's shape."""
 
-    ambient: int
-    dim: int
     basis: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.shape != (self.ambient, self.dim):
-            raise ValueError("basis shape does not match the declared dimensions")
-        require_orthonormal(b)
+        if b.ndim != 2:
+            raise ValueError("basis must be an n-by-k array")
+        require_orthonormal_gram(b.T @ b)
         self.basis = b
 
+    @property
+    def ambient(self) -> int:
+        return self.basis.shape[0]
 
-def require_orthonormal(bases: np.ndarray) -> None:
-    """Raise ValueError unless the columns of the n-by-k basis, or of every
-    basis in an (R, n, k) stack, are orthonormal to within 1e-12."""
-    require_orthonormal_gram(np.swapaxes(bases, -1, -2) @ bases)
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
 
 def require_orthonormal_gram(gram: np.ndarray) -> None:
@@ -183,7 +184,7 @@ def orthonormalize(mat) -> Subspace:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if not s[-1] > 1e-10:
         raise RankDeficientError("matrix does not have full column rank")
-    return Subspace(m.shape[0], m.shape[1], u)
+    return Subspace(u)
 
 
 def principal_angles(u: Subspace, v: Subspace) -> np.ndarray:

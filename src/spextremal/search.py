@@ -276,7 +276,7 @@ def symmetry_equivalent(a: Subspace, b: Subspace, tol: float = 1e-3) -> bool:
         if i == n:
             moved = np.empty_like(a.basis)
             moved[perm] = np.array(signs)[:, None] * a.basis
-            return principal_angles(Subspace(n, a.dim, moved), b)[-1] <= tol
+            return principal_angles(Subspace(moved), b)[-1] <= tol
         for j in range(n):
             if j in perm or abs(pa[i][i] - pb[j][j]) > tol:
                 continue
@@ -324,7 +324,7 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
                 np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))).basis
             for i in range(restarts, restarts + min(budget, cap))])
         for basis in _climb(starts):
-            sub = Subspace(n, k, basis)
+            sub = Subspace(basis)
             restarts += 1
             angle, subset = target(sub)
             score = math.cos(angle)

@@ -422,8 +422,6 @@ def enumerate_rooted(n: int, k: int) -> list:
 
     Empty when no such tree exists (k >= n, k < 1, n < 2).
     """
-    if n < 2 or k < 1 or k >= n:
-        return []
     return [_written_out(key) for key in sorted(_parallel_shapes(n, k))]
 
 

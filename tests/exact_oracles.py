@@ -673,8 +673,8 @@ def brute_tree_sums(graph, weights) -> TreeSums:
 def least_eigenvalue_report(inst) -> list[tuple[tuple, float]]:
     """Smallest eigenvalue of the projector submatrix on each spanning tree.
 
-    Observed (not proven) to equal 1/n; reported so counterexamples would
-    surface.
+    A float value, taken from the Fraction-route projector: it cross-checks
+    criterion 9, which proves the eigenvalue is exactly 1/n on every tree.
     """
     out = []
     P = fraction_projection(fraction_y(inst.D, inst.DY), inst.weights)

@@ -174,7 +174,7 @@ def test_criterion_8_search_reproduction():
         for i in range(100)])
     hits = 0
     for basis in _climb(starts):
-        sub = Subspace(4, 2, basis)
+        sub = Subspace(basis)
         if abs(math.cos(sp.target(sub)[0]) - 0.5) <= 1e-3:
             hits += 1
     assert hits >= 50, f"only {hits}/100 restarts reached cos 1/2 within 1e-3"

@@ -221,6 +221,22 @@ class TestWorkers:
         assert alone[0] == 0 and alone[2] == ""
         assert_no_child_left()
 
+    def test_one_cpu_or_one_tree_forks_nothing(self, capsys, monkeypatch):
+        # the caller's share is then every tree, verified in this process
+        monkeypatch.setenv("EXTREMAL_TIMESTAMP", "2000-01-01T00:00:00Z")
+        affinity(monkeypatch, 2)
+        two = run_cli(capsys, "verify", "2..5")
+        single = run_cli(capsys, "verify", "P(e,S(e,P(e,e)))")
+
+        def fork():
+            raise AssertionError("verify forked a worker")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_cli(capsys, "verify", "P(e,S(e,P(e,e)))") == single
+        affinity(monkeypatch, 1)
+        assert run_cli(capsys, "verify", "2..5") == two
+        assert two[0] == 0 and two[2] == ""
+
     def test_failures_echo_in_instance_order(self, capsys, monkeypatch):
         real = extremal.__dict__["induced_weights"]
 

@@ -60,7 +60,7 @@ class TestSampleUniform:
         for i in range(400):
             s = sample_uniform(4, 2, rng_for(1000, i))
             plain.append(math.cos(sp.target(s)[0]))
-            moved = Subspace(4, 2, q @ s.basis)
+            moved = Subspace(q @ s.basis)
             rotated.append(math.cos(sp.target(orthonormalize(moved.basis))[0]))
         assert abs(np.mean(plain) - np.mean(rotated)) < 0.02
 
@@ -133,7 +133,7 @@ def moved_copy(sub, rng, angle=0.0):
         w = rng.standard_normal(n)
         w -= basis @ (basis.T @ w)
         basis[:, 0] = math.cos(angle) * basis[:, 0] + math.sin(angle) * w / np.linalg.norm(w)
-    return Subspace(n, k, basis)
+    return Subspace(basis)
 
 
 def climb(starts, steps):
@@ -149,7 +149,7 @@ def serial_accumulate(n, k, cfg):
     members, budget, restarts = [], cfg.attempts, 0
     while budget > 0:
         start = sample_uniform(n, k, rng_for(cfg.seed, restarts)).basis
-        sub = Subspace(n, k, _climb(start[None])[0])
+        sub = Subspace(_climb(start[None])[0])
         restarts += 1
         score = math.cos(sp.target(sub)[0])
         assert score >= bound - search_mod.EPS
@@ -187,8 +187,8 @@ class TestPerturb:
         xi = tangent_stack(start, rng_for(6, 1))
         sigma = np.linalg.svd(xi[0], compute_uv=False)[0]
         mags = np.geomspace(1e-2, 1.0, 12)
-        angles = [principal_angles(Subspace(4, 2, start[0]),
-                                   Subspace(4, 2, _retract(start, xi, mag)[0]))[-1]
+        angles = [principal_angles(Subspace(start[0]),
+                                   Subspace(_retract(start, xi, mag)[0]))[-1]
                   for mag in mags]
         assert (np.diff(angles) > 0).all()
         assert np.allclose(angles, np.arctan(mags * sigma), atol=1e-7)
@@ -254,7 +254,7 @@ class TestTangent:
         basis = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))")).subspace.basis[None]
         n, k = basis.shape[1:]
         top, xi = _tangent(basis, membership(n, k), 1e3)
-        assert abs(top[0] - math.cos(sp.target(Subspace(n, k, basis[0]))[0])) <= 1e-12
+        assert abs(top[0] - math.cos(sp.target(Subspace(basis[0]))[0])) <= 1e-12
         assert np.isfinite(xi).all()
         assert abs(np.linalg.norm(xi) - 1.0) <= 1e-12
 
@@ -368,12 +368,12 @@ class TestOptimize:
         for steps in (1, 5, 500):
             out = climb(starts, steps)
             for start, end in zip(starts, out):
-                assert sp.target(Subspace(5, 2, end))[0] >= sp.target(Subspace(5, 2, start))[0]
+                assert sp.target(Subspace(end))[0] >= sp.target(Subspace(start))[0]
 
     def test_plane_line_converges(self):
         starts = np.stack([sample_uniform(2, 1, rng_for(51, i)).basis for i in range(5)])
         for basis in _climb(starts):
-            final = Subspace(2, 1, basis)
+            final = Subspace(basis)
             assert abs(math.cos(sp.target(final)[0]) - 1 / math.sqrt(2)) < 1e-6
 
     def test_matches_serial_oracle_bitwise(self):
@@ -397,7 +397,7 @@ class TestSymmetryEquivalent:
         moved_basis = np.zeros_like(s.basis)
         for i in range(5):
             moved_basis[perm[i], :] = signs[i] * s.basis[i, :]
-        moved = Subspace(5, 2, moved_basis)
+        moved = Subspace(moved_basis)
         assert symmetry_equivalent(s, moved, 1e-8)
 
     def test_distinct_classes_are_inequivalent(self):
