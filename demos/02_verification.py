@@ -22,14 +22,11 @@ by one elimination.
 
 import math
 
-import numpy as np
-
 import spextremal as sp
 
 diamond = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
 B, D, X = diamond.B, diamond.D, diamond.DY
-w = [diamond.weights[e] for e in range(len(X))]
-K = X * np.outer([x.denominator for x in w], [x.numerator for x in w])
+K = X * diamond.winv[:, None]  # winv = lcm(p) q / p for w = p / q
 print("the diamond P(e,S(e,P(e,e))): D Y is D times the transfer current")
 print(f"  D = {D}, D Y = {X.tolist()}")
 for label, holds in [

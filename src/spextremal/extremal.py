@@ -17,6 +17,14 @@ tree, which verify takes to be the first spanning tree; and check_dual
 reads the planar dual off that proof, with two tests of the dual's graph
 and weights, read off the primal's tree with its kinds swapped: nothing
 after build re-lists a tree.
+build also keeps winv = lcm(p) q / p for w = p / q, W^(-1) up to that
+positive factor, which check_degenerate and check_attained share.
+check_eigen and check_degenerate hand their operands to
+numeric.fixed_width with the bit-length bound of what they form from
+them, so their products run in int64 when that bound proves that nothing
+wraps and in Python ints otherwise, the same expressions either way;
+check_dual multiplies int64 entries in {-1, 0, 1}, and check_attained
+stays in Python ints.
 Nothing on the verify path sweeps the k-subsets: the spanning trees come
 from one batched determinant (weights.spanning_trees), and the float
 target that verify reports is scored over them alone, because every
@@ -35,6 +43,8 @@ import numpy as np
 from .numeric import (
     Subspace,
     bareiss,
+    bit_length,
+    fixed_width,
     incidence_matrix,
     orthonormalize,
     target,
@@ -64,7 +74,8 @@ class ExtremalInstance:
     B: np.ndarray
     subspace: Subspace
     D: int            # the least positive integer that makes D Y integral
-    DY: np.ndarray    # D Y, an object array of Python ints
+    DY: np.ndarray    # D Y: int64 when its entries fit, else Python ints
+    winv: np.ndarray  # lcm(p) q / p for w = p / q: W^(-1) times lcm(p), Python ints
 
 
 def build(tree) -> ExtremalInstance:
@@ -80,12 +91,17 @@ def build(tree) -> ExtremalInstance:
     B = incidence_matrix(graph)
     T, TY = transfer_current(B, w)
     g = math.gcd(T, *TY.flat)
+    DY = TY // g
+    DY, = fixed_width([DY], bit_length(DY))
     n = len(graph.edges)
+    lcm = math.lcm(*(w[e].numerator for e in range(n)))
+    winv = np.array([lcm // w[e].numerator * w[e].denominator for e in range(n)],
+                    dtype=object)
     root = np.sqrt([float(w[e]) for e in range(n)])
     scaled = root[:, None] * B.astype(float).T
     # dropping one vertex column keeps the span: the columns sum to zero
     subspace = orthonormalize(scaled[:, 1:])
-    return ExtremalInstance(tree, graph, w, B, subspace, T // g, TY // g)
+    return ExtremalInstance(tree, graph, w, B, subspace, T // g, DY, winv)
 
 
 def check_eigen(inst: ExtremalInstance, trees) -> bool:
@@ -97,28 +113,38 @@ def check_eigen(inst: ExtremalInstance, trees) -> bool:
     their common denominator, zero off tau_j, all columns from one pass
     over the tree (weights.stacked_coefficients), so the one product
     (D Y) C holds every tree's image, and the test is
-    n (D Y C)[e, j] == D C[e, j] for each e in tau_j.  Raises SpTreeError
-    when some tau is not a spanning tree, and when trees is empty: a
-    connected graph has a spanning tree, so an empty list means its source
-    failed, not that the identity holds.
+    n (D Y C)[e, j] == D C[e, j] for each e in tau_j.  With bx, bc and bd
+    the bit lengths of D Y, C and D, an entry of n (D Y C) is a sum of
+    n * n products below 2**(bx + bc), and D C one below 2**(bd + bc):
+    the bound fixed_width is given.  Raises SpTreeError when some tau is
+    not a spanning tree, and when trees is empty: a connected graph has a
+    spanning tree, so an empty list means its source failed, not that the
+    identity holds.
     """
     _, C, on = stacked_coefficients(inst.tree, trees)
     return _eigen_holds(inst, C, on)
 
 
 def _eigen_holds(inst: ExtremalInstance, C, on) -> bool:
-    n = len(inst.graph.edges)
-    return bool((n * inst.DY.dot(C)[on] == inst.D * C[on]).all())
+    n, D = len(inst.graph.edges), inst.D
+    bits = bit_length(C) + max(bit_length(inst.DY), bit_length(D))
+    X, C = fixed_width((inst.DY, C), bits, n * n)
+    return bool((n * X.dot(C)[on] == D * C[on]).all())
 
 
 def check_degenerate(inst: ExtremalInstance) -> bool:
     """Exact proof that D Y is D times the transfer current, which makes
     every non-tree k-minor of Y zero.
 
-    With X = D Y, w = p / q and k the vertex count less one, the rank of
-    B (realize glues a connected graph), it tests four integer
-    identities: (a) B X == D B; (b) X X == D X; (c) trace X == k D; and
-    (d) X[e, f] q_e p_f is symmetric, that is diag(1/w) Y is symmetric.
+    With X = D Y, w = p / q, a = inst.winv = lcm(p) q / p and k the
+    vertex count less one, the rank of B (realize glues a connected
+    graph), it tests four integer identities: (a) B X == D B;
+    (b) X X == D X; (c) trace X == k D; and (d) X[e, f] a_e is symmetric,
+    that is diag(1/w) Y is symmetric, since a_e is q_e / p_e times
+    lcm(p) > 0.  B's entries lie in {-1, 0, 1}, so with bx, bd and ba the
+    bit lengths of X, D and a, each value formed, k D included, is a sum
+    of at most n terms below 2**(bx + max(bx, bd, ba)): the bound
+    fixed_width is given.
     Why that is a proof: by (b) and (d) Y is idempotent and self-adjoint
     for <a, b> = a^T W^(-1) b, so it is an orthogonal projection.  By (d)
     Y^T = W^(-1) Y W, which turns (a), B Y = B, into Y W B^T = W B^T: Y
@@ -130,11 +156,10 @@ def check_degenerate(inst: ExtremalInstance) -> bool:
     supported on S, lies in ker B.  So Y z_C = 0, which makes z_C
     restricted to S a nonzero kernel vector of Y[S, S]: det Y[S, S] = 0.
     """
-    X, D, B = inst.DY, inst.D, inst.B
-    w = [inst.weights[e] for e in range(len(X))]
-    p = np.array([x.numerator for x in w], dtype=object)
-    q = np.array([x.denominator for x in w], dtype=object)
-    K = X * np.outer(q, p)
+    D, bx = inst.D, bit_length(inst.DY)
+    bits = bx + max(bx, bit_length(D), bit_length(inst.winv))
+    X, B, a = fixed_width((inst.DY, inst.B, inst.winv), bits, len(inst.DY))
+    K = X * a[:, None]
     return bool((B.dot(X) == D * B).all() and X.trace() == (len(B) - 1) * D
                 and (K == K.T).all() and (X.dot(X) == D * X).all())
 
@@ -143,9 +168,11 @@ def check_attained(inst: ExtremalInstance, tau, c) -> bool:
     """Exact proof that P[tau, tau], P the projector onto the star space,
     has least eigenvalue 1/n; c is tau's column of stacked_coefficients.
 
-    With w = p / q, L = lcm(p) and a = L q / p, the integer matrix
-    M = n diag(a) (D Y)[tau, tau] - D diag(a) is congruent to
-    P[tau, tau] - I/n, since P = W^(-1/2) Y W^(1/2).  It must be symmetric
+    With w = p / q and a = inst.winv[tau] = lcm(p) q / p on tau, the
+    integer matrix M = n diag(a) (D Y)[tau, tau] - D diag(a) is congruent
+    to P[tau, tau] - I/n, since P = W^(-1/2) Y W^(1/2).  M, M c and the
+    elimination stay in Python ints, as a is: at 12 edges the partial sums
+    of M c reach 66 bits.  It must be symmetric
     with M c == 0, c != 0, and positive definite less the row and column
     of an edge with c_e != 0; then, by Cauchy interlacing, M is
     semidefinite with kernel spanned by c.  With check_eigen and
@@ -153,9 +180,7 @@ def check_attained(inst: ExtremalInstance, tau, c) -> bool:
     """
     n = len(inst.graph.edges)
     idx = list(tau)
-    lcm = math.lcm(*(inst.weights[e].numerator for e in idx))
-    a = np.array([lcm // inst.weights[e].numerator * inst.weights[e].denominator
-                  for e in idx], dtype=object)
+    a = inst.winv[idx]
     M = n * a[:, None] * inst.DY[np.ix_(idx, idx)] - np.diag(inst.D * a)
     c = np.asarray(c, dtype=object)[idx]
     support = np.flatnonzero(c)
@@ -176,7 +201,7 @@ def planar_dual(inst: ExtremalInstance):
     """
     dual = two_terminal_layout(dualize(inst.tree))
     first = inst.tree[-1][0][0]  # post-order: its leaves come first
-    signs = np.empty(len(inst.weights), dtype=object)
+    signs = np.empty(len(inst.weights), dtype=np.int64)
     for i, (kids, _, _, eid, sign) in enumerate(inst.tree):
         if not kids:
             signs[eid] = sign if i <= first else -sign
@@ -189,9 +214,11 @@ def check_dual(inst: ExtremalInstance) -> bool:
     With planar_dual's graph, weights w* and signs s, and B* the dual
     incidence matrix: (a) B S B*^T == 0; (b) w* is reciprocal to w up to
     one factor, as cross products p_e p*_e Q == q_e q*_e P for
-    P / Q = w_0 w*_0 != 0.  With check_degenerate's proof that Y is the
-    transfer current, these give the dual's Y* = S (I - Y^T) S, so the
-    primal's D clears it too.  Why: the dual graph is connected on
+    P / Q = w_0 w*_0 != 0.  B, B* and S are int64 with entries in
+    {-1, 0, 1}, so no sum in (a) exceeds n.  With check_degenerate's proof
+    that Y is the transfer current, these give the dual's
+    Y* = S (I - Y^T) S, so the primal's D clears it too.  Why: the dual
+    graph is connected on
     n - k + 1 vertices (Euler's formula), so by (a) S range(B*^T), of
     dimension n - k, is ker B, and S range(B^T) = ker B*.  I - Y^T
     projects onto W^(-1) ker B along range(B^T), and by (b) W* is

@@ -10,7 +10,9 @@ that must be positive definite (the reduced Laplacian of a connected
 graph and the minor of the attainment proof), and it decides Sylvester's
 criterion from its pivots on the way.  The spectral identities are
 checked on an integer multiple of Y as integer products and comparisons,
-with zero tolerance.  The float side covers orthonormal bases, principal
+with zero tolerance: in int64 where fixed_width proves from the operands'
+bit lengths that no product or sum reaches 2**63, in Python ints
+otherwise.  The float side covers orthonormal bases, principal
 angles, and the deviation target, where double precision is the natural
 currency.  The target of one basis is one batched SVD of its k-by-k
 coordinate submatrices; it sweeps every coordinate subset by default,
@@ -48,8 +50,32 @@ class RankDeficientError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact matrices (numpy object arrays of Fraction or Python int)
+# exact matrices: int64 arrays where fixed_width proves that nothing wraps,
+# numpy object arrays of Python ints (exact at any size) elsewhere
 # ---------------------------------------------------------------------------
+
+def bit_length(x) -> int:
+    """Bit length of the largest magnitude among the integers of x, a
+    nonempty integer array or a Python int, measured exactly: every
+    magnitude in x is below 2**bit_length(x)."""
+    if isinstance(x, int):
+        return abs(x).bit_length()
+    return max(int(x.max()), -int(x.min())).bit_length()
+
+
+def fixed_width(arrays, bits: int, terms: int = 1) -> list:
+    """The integer arrays, all as int64 when terms * 2**bits <= 2**63, and
+    all as object arrays of Python ints otherwise.
+
+    The caller forms from them sums of at most terms products, each below
+    2**bits in magnitude: bits adds up the factors' bit_length, and a
+    factor with entries in {-1, 0, 1} adds none.  Every partial sum is then
+    below terms * 2**bits, so int64 never wraps, and past that budget the
+    same expressions run exactly on Python ints.
+    """
+    dtype = np.int64 if terms << bits <= 1 << 63 else object
+    return [np.asarray(a).astype(dtype, copy=False) for a in arrays]
+
 
 def bareiss(rows):
     """(det A, adj A) of a symmetric integer matrix A, exactly, or None
@@ -91,10 +117,10 @@ def require_edge_limit(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 def incidence_matrix(graph) -> np.ndarray:
-    """Vertex-by-edge matrix, +1 at the head and -1 at the tail of each
-    edge, so a loop's column is zero."""
+    """Vertex-by-edge int64 matrix, +1 at the head and -1 at the tail of
+    each edge, so a loop's column is zero."""
     m, n = graph.num_vertices, len(graph.edges)
-    B = np.zeros((m, n), dtype=object)
+    B = np.zeros((m, n), dtype=np.int64)
     for tail, head, eid in graph.edges:
         B[head, eid] += 1
         B[tail, eid] -= 1
@@ -118,7 +144,10 @@ def transfer_current(B: np.ndarray, weights):
     nonsingular exactly when the graph is connected.  One integer
     elimination gives T = det L0, the weighted spanning-tree count of the
     scaled weights, and adj(L0), and then T Y = W B0^T adj(L0) B0 is an
-    integer matrix (an object array of Python ints).
+    integer matrix.  The elimination runs on Python ints, which never
+    overflow; the product after it goes through fixed_width, as each of
+    its entries is one weight times a sum of at most 4 entries of adj(L0):
+    a column of B0 has at most two nonzero entries, each +-1.
     """
     n = B.shape[1]
     w = [Fraction(weights[e]) for e in range(n)]
@@ -133,6 +162,7 @@ def transfer_current(B: np.ndarray, weights):
                                   "the graph is disconnected or a weight is not positive")
     det, adj = eliminated
     adj = np.array(adj, dtype=object)
+    adj, w_int = fixed_width((adj, w_int), bit_length(adj) + bit_length(w_int), 4)
     return det, B0.T.dot(adj).dot(B0) * w_int[:, None]
 
 

@@ -69,20 +69,28 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     (sptree.two_terminal_layout), so a closed series chain is read as the
     graph realize builds from it.
 
-    C is n x T, zero off each tree; C and s are object arrays of Python
-    ints, so no product can overflow, and on is boolean.  One pass over
-    the layout serves every tree at once, each node's step one array
-    operation over all T columns.  Bottom up, each node gets the deficit
-    of each tree restricted to its edges: 0 when that is a spanning tree
-    of the node (its terminals are connected), 1 when it is a spanning
-    2-forest separating the terminals.  A series node sums its children's
+    C is n x T, zero off each tree, and on is boolean; C and s are int64
+    where numeric.fixed_width proves that nothing wraps, and Python ints
+    otherwise.  One pass over the layout serves every tree at once, each
+    node's step one array operation over all T columns.  Bottom up, each
+    node gets the deficit of each tree restricted to its edges: 0 when
+    that is a spanning tree of the node (its terminals are connected), 1
+    when it is a spanning 2-forest separating the terminals.  A series node sums its children's
     deficits; a parallel node sums them and subtracts one less than its
     number of children, since siblings share only the terminals.  Any
     other value marks a cycle or a stray component and stays out of range
     up to the root, so a column is a spanning tree exactly when the root's
     deficit is 0.  Top down, the psi ratios multiply along each series
     chain as integer numerators and denominators, and s[j] is the lcm of
-    tree j's denominators.  Raises SpTreeError when trees is empty (a
+    tree j's denominators.  Every value is bounded before any is formed:
+    |psi| <= n, and with F the children of series nodes, a numerator is
+    the product of psi over the series nodes on a path, a denominator over
+    the nodes of F on it, and s[j] divides the product over all of F.  A
+    series node on a path has its next node in F, so
+    C = numerator * (s // denominator), which divides the product over the
+    series nodes on the path and the nodes of F off it, is at most n**|F|
+    like every other value, below 2**(|F| bit_length(n) + 1), the bound
+    fixed_width is given.  Raises SpTreeError when trees is empty (a
     connected graph has a spanning tree, so an empty list means its source
     failed) and when some entry is not a spanning tree: an edge id outside
     0..n-1, a repeated edge, a cycle or too few edges.
@@ -113,19 +121,21 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     if deficit[-1].any():
         raise SpTreeError("edge subset is not a spanning tree")
     size = np.array([node[1] for node in layout])[:, None]
-    psi = np.where(deficit == 0, n - size, -size).astype(object)
+    factors = sum(len(node[0]) for node in layout if node[2])
+    psi, = numeric.fixed_width([np.where(deficit == 0, n - size, -size)],
+                               factors * n.bit_length() + 1)
 
     # rows are shared, never written: a parallel child takes its parent's
     num, den = [None] * len(layout), [None] * len(layout)
-    num[-1] = den[-1] = np.ones(len(trees), dtype=object)
+    num[-1] = den[-1] = np.ones(len(trees), dtype=psi.dtype)
     for i in reversed(range(len(layout))):
         kids, _, is_series, _, _ = layout[i]
         top = num[i] * psi[i] if is_series else num[i]
         for c in kids:
             num[c] = top
             den[c] = den[i] * psi[c] if is_series else den[i]
-    C = np.zeros(on.shape, dtype=object)
-    dens = np.ones(on.shape, dtype=object)
+    C = np.zeros(on.shape, dtype=psi.dtype)
+    dens = np.ones(on.shape, dtype=psi.dtype)
     C[eids] = [layout[i][4] * num[i] for i in leaves]
     dens[eids] = [den[i] for i in leaves]
     dens[~on] = 1

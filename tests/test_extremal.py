@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spextremal as sp
-from spextremal import numeric
+from spextremal import extremal, numeric
 from spextremal.extremal import check_attained
 from spextremal.numeric import orthonormalize, transfer_current
 from spextremal.weights import stacked_coefficients
@@ -165,16 +165,17 @@ def flipped(tree):
 
 def assert_stacked_matches_per_tree(inst, trees):
     """All trees' coefficients from one pass equal the per-tree pass, scale,
-    values and support, as Python ints; and the trees' complements, sorted,
-    are exactly the dual's spanning trees, which check_dual relies on."""
+    values and support, in int64, whose bound holds this far; and the
+    trees' complements, sorted, are exactly the dual's spanning trees,
+    which check_dual relies on."""
     n = len(inst.graph.edges)
     name = sp.format_tree(inst.tree)
     scale, C, on = stacked_coefficients(inst.tree, trees)
     assert C.shape == on.shape == (n, len(trees)), name
+    assert C.dtype == scale.dtype == np.int64, name
     for j, tau in enumerate(trees):
         s, y = oracle.scaled_coefficients(inst.tree, tau)
-        assert type(scale[j]) is int and scale[j] == s, name
-        assert all(type(x) is int for x in C[:, j]), name
+        assert scale[j] == s, name
         assert np.flatnonzero(on[:, j]).tolist() == sorted(y), name
         assert {e: C[e, j] for e in y} == y and not C[~on[:, j], j].any(), name
     complements = [tuple(e for e in range(n) if e not in tau) for tau in trees]
@@ -216,12 +217,13 @@ def assert_agrees_with_oracles(inst):
 
 
 def assert_build_matches_fraction_route(inst):
-    """transfer_current returns ints, and D is the least that clears Y."""
+    """transfer_current returns a Python int T and an int64 T Y, whose
+    bound holds this far, and D is the least that clears Y."""
     weights = sp.induced_weights(inst.tree)
     assert list(inst.weights.items()) == list(weights.items())
     assert all(type(w) is Fraction for w in inst.weights.values())
     T, TY = transfer_current(inst.B, inst.weights)
-    assert type(T) is int and all(type(x) is int for x in TY.flat)
+    assert type(T) is int and TY.dtype == np.int64
     assert math.gcd(inst.D, *inst.DY.flat) == 1
     Y = oracle.fraction_y(T, TY)
     assert exact_equal(oracle.fraction_y(inst.D, inst.DY), Y)
@@ -230,7 +232,7 @@ def assert_build_matches_fraction_route(inst):
 def assert_dual_matches_build(inst):
     """planar_dual's graph and weights, and X = S (D I - (D Y)^T) S formed
     with its signs, equal the dual instance's own elimination: graph,
-    weights, D and D Y, all Python ints; the signs satisfy B S B*^T = 0;
+    weights, D and D Y, with X in Python ints; the signs satisfy B S B*^T = 0;
     and check_dual accepts it."""
     name = sp.format_tree(inst.tree)
     graph, weights, signs = sp.planar_dual(inst)
@@ -297,6 +299,114 @@ class TestIntegerChecksMatchOracles:
             assert sp.check_degenerate(bumped)
 
 
+def verdicts(inst, trees, C, on):
+    """verify_instance's four exact verdicts: eigen, degenerate, attained
+    on the first spanning tree, and dual."""
+    return (extremal._eigen_holds(inst, C, on), sp.check_degenerate(inst),
+            check_attained(inst, trees[0], C[:, 0]), sp.check_dual(inst))
+
+
+def python_ints(arrays, bits, terms=1):
+    """numeric.fixed_width past its budget: every array as Python ints."""
+    return [np.asarray(a).astype(object) for a in arrays]
+
+
+def with_dtypes_taken(monkeypatch):
+    """Record the dtype each call of extremal's fixed_width returns."""
+    taken = []
+
+    def spy(arrays, bits, terms=1):
+        out = numeric.fixed_width(arrays, bits, terms)
+        taken.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(extremal, "fixed_width", spy)
+    return taken
+
+
+class TestFixedWidth:
+    def test_same_verdicts_in_both_dtypes(self, instances_to_7, monkeypatch):
+        # with every product forced into Python ints, as past the budget,
+        # transfer_current and the stacked coefficients give the same
+        # values; and each instance, as built and with D Y bumped at (0, 0),
+        # an entry every check but the dual's reads, gets the same verdicts
+        # from int64 operands, from the same values handed over as Python
+        # ints, and from Python-int products
+        for natural in instances_to_7:
+            for built in (natural, sp.build(flipped(natural.tree))):
+                n = len(built.graph.edges)
+                trees = sp.spanning_trees(built.graph)
+                scale, C, on = stacked_coefficients(built.tree, trees)
+                factors = sum(len(node[0]) for node in built.tree if node[2])
+                assert numeric.bit_length(C) <= factors * n.bit_length() + 1
+                T, TY = transfer_current(built.B, built.weights)
+                with monkeypatch.context() as m:
+                    m.setattr(numeric, "fixed_width", python_ints)
+                    T_ints, TY_ints = transfer_current(built.B, built.weights)
+                    scale_ints, C_ints, _ = stacked_coefficients(built.tree, trees)
+                assert TY_ints.dtype == C_ints.dtype == scale_ints.dtype == object
+                assert T_ints == T and exact_equal(TY_ints, TY)
+                assert exact_equal(C_ints, C) and exact_equal(scale_ints, scale)
+                bumped = built.DY.copy()
+                bumped[0, 0] += 1
+                for DY, expected in ((built.DY, (True,) * 4),
+                                     (bumped, (False, False, False, True))):
+                    inst = dataclasses.replace(built, DY=DY)
+                    assert inst.DY.dtype == C.dtype == np.int64
+                    assert verdicts(inst, trees, C, on) == expected
+                    handed = dataclasses.replace(inst, DY=DY.astype(object))
+                    assert verdicts(handed, trees, C.astype(object), on) == expected
+                    with monkeypatch.context() as m:
+                        m.setattr(extremal, "fixed_width", python_ints)
+                        assert verdicts(handed, trees, C_ints, on) == expected
+
+    def test_scaled_past_the_budget_takes_python_ints(self, instances_to_6, monkeypatch):
+        # D and D Y times 2**40 keep every identity, and a bumped entry
+        # breaks the same ones: check_degenerate, whose X X is past 2**80,
+        # now gets Python ints from fixed_width, and every verdict stays
+        taken = with_dtypes_taken(monkeypatch)
+        for built in instances_to_6:
+            trees = sp.spanning_trees(built.graph)
+            _, C, on = stacked_coefficients(built.tree, trees)
+            bumped = built.DY.copy()
+            bumped[0, 0] += 1
+            for DY in (built.DY, bumped):
+                inst = dataclasses.replace(built, DY=DY)
+                scaled = dataclasses.replace(inst, D=inst.D << 40, DY=DY.astype(object) << 40)
+                taken.clear()
+                expected = verdicts(inst, trees, C, on)
+                assert taken == [np.int64] * 2
+                taken.clear()
+                assert verdicts(scaled, trees, C, on) == expected
+                assert taken[1] == object
+
+    def test_int64_up_to_each_checks_bound(self, monkeypatch):
+        # D and D Y times 2**s: the eigen check takes int64 exactly while
+        # n * n products of bit_length(C) + max(bit_length(D Y),
+        # bit_length(D)) bits fit 2**63, and check_degenerate while n
+        # products of bx + max(bx, bit_length(D), bit_length(winv)) do,
+        # bx = bit_length(D Y)
+        taken = with_dtypes_taken(monkeypatch)
+        for text in ("P(e,S(e,P(e,e)))", "P(e,S(e,e,P(e,S(e,e))))"):
+            built = sp.build(sp.parse_tree(text))
+            n = len(built.graph.edges)
+            trees = sp.spanning_trees(built.graph)
+            _, C, on = stacked_coefficients(built.tree, trees)
+            bc, ba = numeric.bit_length(C), numeric.bit_length(built.winv)
+            seen = set()
+            for shift in range(64):
+                inst = dataclasses.replace(built, D=built.D << shift,
+                                           DY=built.DY.astype(object) << shift)
+                bx, bd = numeric.bit_length(inst.DY), numeric.bit_length(inst.D)
+                fits = [n * n << bc + max(bx, bd) <= 1 << 63,
+                        n << bx + max(bx, bd, ba) <= 1 << 63]
+                taken.clear()
+                assert verdicts(inst, trees, C, on) == (True,) * 4
+                assert taken == [np.int64 if f else object for f in fits], (text, shift)
+                seen.update(enumerate(fits))
+            assert seen == {(0, True), (0, False), (1, True), (1, False)}
+
+
 class TestCheckTarget:
     """The target verdict: check_attained proves cos(target) = 1/sqrt(n)."""
 
@@ -309,8 +419,11 @@ class TestCheckTarget:
         root = np.sqrt([float(bad[e]) for e in range(4)])
         basis = orthonormalize((root[:, None] * B.astype(float).T)[:, 1:])
         T, TY = transfer_current(B, bad)
+        lcm = math.lcm(*(w.numerator for w in bad.values()))
+        winv = np.array([lcm // bad[e].numerator * bad[e].denominator for e in range(4)],
+                        dtype=object)
         corrupted = dataclasses.replace(inst, weights=bad, B=B, subspace=basis,
-                                        D=T, DY=TY)
+                                        D=T, DY=TY, winv=winv)
         trees = sp.spanning_trees(g)
         _, C, _ = stacked_coefficients(corrupted.tree, trees)
         assert not any(check_attained(corrupted, tau, C[:, j])
@@ -333,7 +446,7 @@ class TestCheckTarget:
             trees = sp.spanning_trees(inst.graph)
             _, C, _ = stacked_coefficients(inst.tree, trees)
             for j, tau in enumerate(trees):
-                idx, c = list(tau), C[list(tau), j]
+                idx, c = list(tau), C[list(tau), j].astype(object)
                 w = [inst.weights[e] for e in idx]
                 lcm = math.lcm(*(x.numerator for x in w))
                 a = [lcm // x.numerator * x.denominator for x in w]
@@ -341,7 +454,7 @@ class TestCheckTarget:
                 v[0], v[1] = c[1], -c[0]
                 big = 1 + int(np.abs(inst.DY).sum()) * inst.D * lcm
                 for u, t in ((-v, big), (np.eye(k, dtype=int)[0].astype(object), 1)):
-                    DY = inst.DY.copy()
+                    DY = inst.DY.astype(object)  # t = big can take it past int64
                     step = math.lcm(*a) * t * np.outer(u, v)
                     DY[np.ix_(idx, idx)] += np.array([step[i] // a[i] for i in range(k)])
                     bumped = dataclasses.replace(inst, DY=DY)

@@ -124,6 +124,43 @@ class TestRationalCore:
         assert bareiss([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (0, None)
 
 
+class TestFixedWidth:
+    def test_bit_length_is_exact(self):
+        # every magnitude is below 2**bit_length, at the int64 extremes too
+        low = np.iinfo(np.int64).min
+        assert numeric.bit_length(np.array([low, 3])) == 64
+        assert numeric.bit_length(np.array([-(2**62), 2**62 - 1])) == 63
+        assert numeric.bit_length(np.array([[0, -1], [1, 0]])) == 1
+        assert numeric.bit_length(np.array([-(2**70), 5], dtype=object)) == 71
+        assert numeric.bit_length(np.zeros((2, 2), dtype=np.int64)) == 0
+        assert numeric.bit_length(-(2**80)) == 81
+
+    def test_int64_exactly_while_terms_times_two_to_the_bits_fit(self):
+        # sums of t products below 2**b stay below t 2**b: int64 up to
+        # t 2**b = 2**63 and Python ints one bit past it, whatever t is
+        x = np.array([[1, -2], [3, 4]], dtype=object)
+        for terms in (1, 2, 3, 7, 8, 9, 64, 144):
+            bits = 63 - (terms - 1).bit_length()
+            fit, = numeric.fixed_width([x], bits, terms)
+            past, = numeric.fixed_width([x], bits + 1, terms)
+            assert fit.dtype == np.int64 and exact_equal(fit, x)
+            assert past.dtype == object and exact_equal(past, x)
+            assert all(type(v) is int for v in past.flat)
+
+    def test_sums_at_the_budget_do_not_wrap(self):
+        # every entry at its largest magnitude, every product of one sign:
+        # the int64 sum of the most terms the budget admits is exact
+        for terms in (1, 2, 3, 8, 144):
+            bits = 63 - (terms - 1).bit_length()
+            left, right = bits // 2, bits - bits // 2
+            a = np.full((1, terms), -(2**left - 1), dtype=object)
+            b = np.full((terms, 1), 2**right - 1, dtype=object)
+            a64, b64 = numeric.fixed_width((a, b), left + right, terms)
+            assert a64.dtype == b64.dtype == np.int64
+            exact = -terms * (2**left - 1) * (2**right - 1)
+            assert int(a64.dot(b64)[0, 0]) == a.dot(b)[0, 0] == exact
+
+
 class TestPositiveDefinite:
     """numeric.bareiss, which takes no pivots, returns None exactly when a
     symmetric matrix is not positive definite, and otherwise the pivoting

@@ -56,7 +56,7 @@ def coefficients(tree, tau, flips=None):
     """{e: coefficient} on the spanning tree tau of the tree, oriented by
     flips when they are given."""
     scale, C, on = stacked_coefficients(tree if flips is None else orient(tree, flips), [tau])
-    return {e: Fraction(C[e, 0], scale[0]) for e in np.flatnonzero(on[:, 0]).tolist()}
+    return {e: Fraction(int(C[e, 0]), int(scale[0])) for e in np.flatnonzero(on[:, 0]).tolist()}
 
 
 class TestInducedCoefficients:
