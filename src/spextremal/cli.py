@@ -2,12 +2,13 @@
 
 Subcommands: enumerate, weights, verify, table, search.  Every JSON or
 CSV output embeds a run manifest (command, config, version, seed,
-timestamp) sufficient to reproduce the run.  verify deals its instances
-over the CPUs the process may use (its affinity): each CPU but the first
-gets a forked worker, and the output does not depend on how many there
-are.  Exit codes: 0 success, 1 verification failure, 2 bound violation,
-64 usage error or a size limit hit, 65 parse error, 71 a verify worker
-could not start or ended without a result.
+timestamp) sufficient to reproduce the run.  verify deals its instances,
+and search its restart batches, over the CPUs the process may use (its
+affinity): each CPU but the first gets a forked worker, and the output
+does not depend on how many there are.  Exit codes: 0 success, 1
+verification failure, 2 bound violation, 64 usage error or a size limit
+hit, 65 parse error, 71 a verify or search worker could not start or
+ended without a result.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import re
-import signal
 import sys
 from datetime import datetime, timezone
 
@@ -34,6 +33,7 @@ from .sptree import (
     parse_tree,
 )
 from .weights import induced_weights, weights_to_json
+from .workers import WorkerError, cpus, in_order
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -52,10 +52,6 @@ _SIZES = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
 class UsageError(Exception):
     pass
-
-
-class WorkerError(Exception):
-    """A verify worker could not be forked or ended without a result."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,72 +148,16 @@ def _verified(trees) -> list:
     return [verify_instance(build(tree)) for tree in trees]
 
 
-def _fork_worker(share):
-    """Fork a process that verifies share and pickles its reports, or the
-    exception it raised, into a pipe; return its pid and the pipe's read end."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        os.close(read)
-        os.close(write)
-        raise WorkerError(f"cannot fork a verify worker: {exc}") from None
-    if pid:
-        os.close(write)
-        return pid, read
-    code = 1
-    try:
-        os.close(read)
-        try:
-            outcome = True, _verified(share)
-        except Exception as exc:
-            outcome = False, exc
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-        code = 0
-    finally:
-        # never return into the caller's stack, nor flush its buffers
-        os._exit(code)
-
-
-def _collect(pid: int, read: int) -> list:
-    """A worker's reports, once it has ended; re-raises what it raised."""
-    try:
-        with os.fdopen(read, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    try:
-        ok, outcome = pickle.loads(data)
-    except Exception:
-        raise WorkerError("a verify worker ended without a result (exit status "
-                          f"{os.waitstatus_to_exitcode(status)})") from None
-    if not ok:
-        raise outcome
-    return outcome
-
-
 def _verified_on_every_cpu(trees: list) -> list:
     """_verified(trees), dealt over the CPUs this process may use: with
     width of them, worker i verifies trees[i::width] in a forked process
     and the caller verifies trees[::width] itself, so a width of 1 forks
-    nothing.  On any error every worker still running is killed, and each
-    is reaped on every path."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    width = min(cpus, len(trees))
+    nothing."""
+    width = min(cpus(), len(trees))
     reports = [None] * len(trees)
-    workers = {}
-    try:
-        for i in range(1, width):
-            workers[i] = _fork_worker(trees[i::width])
-        reports[::width] = _verified(trees[::width])
-        for i in range(1, width):
-            reports[i::width] = _collect(*workers.pop(i))
-    finally:
-        for pid, read in workers.values():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read)
+    shares = [trees[i::width] for i in range(width)]
+    for i, share in enumerate(in_order(_verified, shares)):
+        reports[i::width] = share
     return reports
 
 

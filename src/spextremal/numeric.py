@@ -193,11 +193,19 @@ class Subspace:
         return self.basis.shape[1]
 
 
+@lru_cache(maxsize=None)
+def _identity(k: int) -> np.ndarray:
+    """The read-only k-by-k identity, built once per k."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
 def require_orthonormal_gram(gram: np.ndarray) -> None:
     """Raise ValueError unless the k-by-k Gram matrix U^T U, or every one
     of a stack, is the identity to within 1e-12 entrywise: the columns of
     U are orthonormal."""
-    if not (np.abs(gram - np.eye(gram.shape[-1])) <= 1e-12).all():
+    if not (np.abs(gram - _identity(gram.shape[-1])) <= 1e-12).all():
         raise ValueError("basis columns are not orthonormal")
 
 

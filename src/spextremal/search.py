@@ -25,14 +25,19 @@ budget and its seed.  Restarts are launched in batches as large
 as the remaining attempt budget, which is the least number of restarts
 still to run, but holding no more than STACK_SUBMATRICES
 coordinate Gram matrices, which bounds a batch's memory whatever the
-budget.  Their results are taken in restart order, so a run does exactly
-the restarts a one-at-a-time loop would.
+budget.  A round climbs W such batches at once, W the CPUs in the
+process's affinity: the first in the caller, the next W - 1 ahead of need
+in forked workers.  Results are taken in restart order, so a run does
+exactly the restarts a one-at-a-time loop would, at every W.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +50,7 @@ from .numeric import (
     require_orthonormal_gram,
     target,
 )
+from .workers import cpus, in_order
 
 # Most k-by-k coordinate Gram matrices that one search batch gathers: a
 # batch launches no more walkers than this many over C(n, k), which bounds
@@ -294,6 +300,15 @@ def symmetry_equivalent(a: Subspace, b: Subspace, tol: float = 1e-3) -> bool:
     return place(0)
 
 
+def _climbed(n: int, k: int, seed: int, count: int, first: int) -> np.ndarray:
+    """_climb from the uniform starts of restarts first .. first + count - 1,
+    each drawn from its own generator, spawned from the seed by its index."""
+    return _climb(np.stack([
+        sample_uniform(n, k, np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(i,)))).basis
+        for i in range(first, first + count)]))
+
+
 def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     """Restart until the class set plateaus or the bound breaks.
 
@@ -303,11 +318,21 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     join the set when not symmetric, within DEDUP_TOL, to a known member,
     resetting the attempt budget.  Per-restart generators are derived from
     the seed, so results are reproducible and independent of how restarts
-    are batched.  A batch launches no restart the serial rule might not
-    run: on seeds 0-15 with 40 attempts, batches of budget + budget/4,
-    dropping the restarts past the stop, took 28% less CPU time at (5,2)
-    and 5% less at (8,2), where a step is mostly per-call overhead, but 3%
-    more at (6,3), where it is mostly eigh's work on every walker.
+    are batched.
+
+    A round runs W batches of s = min(budget, cap) restarts at once, W the
+    CPUs in the process's affinity: the caller climbs restarts [r, r + s),
+    every one of which the serial rule runs, since a result lowers the
+    budget by at most one, and forked workers climb the next W - 1 batches
+    of s ahead of need.  The caller takes their results in restart order,
+    stops when the budget runs out or a violation appears, killing the
+    workers it no longer needs, and starts the next round at the first
+    restart it did not take.  With W = 1 nothing is forked.  A batch of
+    exactly the serial rule's restarts was kept over a larger one: on
+    seeds 0-15 with 40 attempts, batches of budget + budget/4, dropping
+    the restarts past the stop, took 28% less CPU time at (5,2) and 5% less
+    at (8,2), where a step is mostly per-call overhead, but 3% more at
+    (6,3), where it is mostly eigh's work on every walker.
     """
     if not n > k > 0:
         raise ValueError("need n > k > 0")
@@ -316,26 +341,26 @@ def accumulate(n: int, k: int, cfg: SearchConfig) -> SearchResult:
     budget = cfg.attempts
     restarts = 0
     cap = max(1, STACK_SUBMATRICES // math.comb(n, k))
+    width = cpus()
     while budget > 0:
-        # every restart of the batch is one the serial rule runs: a result
-        # lowers the budget by at most one, so it stays positive until the last
-        starts = np.stack([
-            sample_uniform(n, k, np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))).basis
-            for i in range(restarts, restarts + min(budget, cap))])
-        for basis in _climb(starts):
-            sub = Subspace(basis)
-            restarts += 1
-            angle, subset = target(sub)
-            score = math.cos(angle)
-            if score < bound - EPS:
-                return SearchResult(list(members),
-                                    ViolationReport(sub, score, subset), restarts)
-            if abs(score - bound) <= EPS and not any(
-                    symmetry_equivalent(sub, member, DEDUP_TOL)
-                    for member, _ in members):
-                members.append((sub, score))
-                budget = cfg.attempts
-            else:
-                budget -= 1
+        size = min(budget, cap)
+        firsts = range(restarts, restarts + width * size, size)
+        with closing(in_order(partial(_climbed, n, k, cfg.seed, size), firsts)) as batches:
+            for basis in chain.from_iterable(batches):
+                if budget == 0:
+                    break
+                sub = Subspace(basis)
+                restarts += 1
+                angle, subset = target(sub)
+                score = math.cos(angle)
+                if score < bound - EPS:
+                    return SearchResult(list(members),
+                                        ViolationReport(sub, score, subset), restarts)
+                if abs(score - bound) <= EPS and not any(
+                        symmetry_equivalent(sub, member, DEDUP_TOL)
+                        for member, _ in members):
+                    members.append((sub, score))
+                    budget = cfg.attempts
+                else:
+                    budget -= 1
     return SearchResult(members, None, restarts)

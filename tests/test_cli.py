@@ -13,6 +13,7 @@ from spextremal import cli, extremal, numeric, search
 from spextremal.search import SearchConfig
 
 from exact_oracles import canonicalize, compose, decompose, enumerated_class_count
+from forking import affinity, assert_no_child_left
 
 
 def run_cli(capsys, *argv):
@@ -185,19 +186,10 @@ class TestVerify:
         assert err == f"error: {edges} edges exceed the limit of 12\n"
 
 
-def affinity(monkeypatch, cpus):
-    """Make verify see cpus CPUs, whatever the machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestWorkers:
-    """verify deals its trees over the CPUs in the process's affinity; the
-    workers are forked, and every path reaps them."""
+    """verify deals its trees, and search its restart batches, over the
+    CPUs in the process's affinity; the workers are forked, and every
+    path reaps them."""
 
     @pytest.mark.parametrize("error", [
         sp.SpTreeError("no realization"),
@@ -305,7 +297,25 @@ class TestWorkers:
         affinity(monkeypatch, 3)
         code, out, err = run_cli(capsys, "verify", "5")
         assert (code, out) == (71, "")
-        assert err == "error: a verify worker ended without a result (exit status 9)\n"
+        assert err == "error: a worker ended without a result (exit status 9)\n"
+        assert_no_child_left()
+
+    def test_search_worker_without_a_result(self, capsys, monkeypatch):
+        # (5,2) seed 1 needs 42 restarts, so it takes the worker's batch
+        # after its own first 40
+        parent = os.getpid()
+        real = search._climb
+
+        def climb(bases):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(bases)
+
+        monkeypatch.setattr(search, "_climb", climb)
+        affinity(monkeypatch, 2)
+        code, out, err = run_cli(capsys, "search", "5", "2", "--seed", "1", "--N", "40")
+        assert (code, out) == (71, "")
+        assert err == "error: a worker ended without a result (exit status 9)\n"
         assert_no_child_left()
 
     def test_fork_failure_reaps_the_workers_forked(self, capsys, monkeypatch):
@@ -321,7 +331,7 @@ class TestWorkers:
         affinity(monkeypatch, 3)
         code, out, err = run_cli(capsys, "verify", "5")
         assert (code, out, len(forks)) == (71, "", 2)
-        assert err.startswith("error: cannot fork a verify worker: ") and err.count("\n") == 1
+        assert err.startswith("error: cannot fork a worker: ") and err.count("\n") == 1
         assert_no_child_left()
 
 

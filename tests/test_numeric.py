@@ -409,6 +409,21 @@ class TestOrthonormalize:
         with pytest.raises(ValueError, match="orthonormal"):
             Subspace(stack[1])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_orthonormality_bound_is_entrywise(self, k):
+        # 2**-40 < 1e-12 < 2**-39, each exact beside 1.0 and 0.0, on the
+        # diagonal and off it, alone and in a stack
+        for i, j in ((0, 0), (0, k - 1), (k - 1, 0)):
+            for delta, ok in ((2.0 ** -40, True), (-2.0 ** -40, True), (2.0 ** -39, False)):
+                gram = np.eye(k)
+                gram[i, j] += delta
+                for checked in (gram, np.stack([np.eye(k), gram, np.eye(k)])):
+                    if ok:
+                        require_orthonormal_gram(checked)
+                    else:
+                        with pytest.raises(ValueError, match="orthonormal"):
+                            require_orthonormal_gram(checked)
+
     def test_shape_is_read_off_the_basis(self):
         sub = Subspace(np.eye(5)[:, :2])
         assert (sub.ambient, sub.dim) == (5, 2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from spextremal.search import (
     sample_uniform,
     symmetry_equivalent,
 )
+from spextremal.workers import WorkerError
 
 from exact_oracles import class_key
+from forking import affinity, assert_no_child_left
 
 
 def rng_for(entropy, index=0):
@@ -460,22 +463,29 @@ class TestAccumulate:
 
     def test_violation_is_a_distinguished_return(self, monkeypatch):
         # a score below the bound must stop the run and carry a report;
-        # fabricate one since no real subspace has ever produced it
+        # fabricate one since no real subspace has ever produced it; it
+        # comes from the caller's own batch, and the workers climbing the
+        # next ones are killed and reaped
         def fake_target(sub):
             return math.acos(0.2), (0,)
 
         monkeypatch.setattr(search_mod, "target", fake_target)
         monkeypatch.setattr(search_mod, "STEPS", 5)
-        res = accumulate(3, 1, SearchConfig(seed=1, attempts=50))
-        assert res.violation is not None
-        assert res.restarts == 1
-        assert abs(res.violation.deviation_cos - 0.2) < 1e-12
-        assert res.violation.subset == (0,)
+        for cpus in (1, 3):
+            affinity(monkeypatch, cpus)
+            res = accumulate(3, 1, SearchConfig(seed=1, attempts=50))
+            assert res.violation is not None
+            assert res.restarts == 1
+            assert abs(res.violation.deviation_cos - 0.2) < 1e-12
+            assert res.violation.subset == (0,)
+            assert_no_child_left()
 
     def test_batches_are_capped_and_change_no_bit(self, monkeypatch):
         # a batch launches at most STACK_SUBMATRICES // C(n, k) restarts, so
-        # its memory does not grow with the budget; batching changes no bit
+        # its memory does not grow with the budget; batching changes no bit,
+        # on one CPU, where every climb runs in this process, or on two
         cfg = SearchConfig(seed=7, attempts=10)
+        affinity(monkeypatch, 1)
         whole = accumulate(3, 2, cfg)
         sizes = []
 
@@ -487,23 +497,46 @@ class TestAccumulate:
         monkeypatch.setattr(search_mod, "STACK_SUBMATRICES", 12)
         capped = accumulate(3, 2, cfg)
         assert max(sizes) == 12 // math.comb(3, 2) and len(sizes) > 2
-        assert capped.restarts == whole.restarts and capped.violation is None
-        assert len(capped.classes) == len(whole.classes) > 0
-        for (a, score_a), (b, score_b) in zip(capped.classes, whole.classes):
-            assert a.basis.tobytes() == b.basis.tobytes()
-            assert score_a.hex() == score_b.hex()
+        affinity(monkeypatch, 2)
+        for got in (capped, accumulate(3, 2, cfg)):
+            assert got.restarts == whole.restarts and got.violation is None
+            assert len(got.classes) == len(whole.classes) > 0
+            for (a, score_a), (b, score_b) in zip(got.classes, whole.classes):
+                assert a.basis.tobytes() == b.basis.tobytes()
+                assert score_a.hex() == score_b.hex()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("n, k, seed", [(2, 1, 7), (3, 2, 7), (4, 2, 7), (5, 2, 1)])
-    def test_matches_serial_oracle(self, n, k, seed):
+    def test_matches_serial_oracle(self, monkeypatch, n, k, seed):
+        # the same restarts, classes and bits whatever the number of CPUs
         cfg = SearchConfig(seed=seed, attempts=40)
-        got = accumulate(n, k, cfg)
         want, restarts = serial_accumulate(n, k, cfg)
-        assert got.violation is None
-        assert got.restarts == restarts
-        assert len(got.classes) == len(want)
-        for (a, score_a), (b, score_b) in zip(got.classes, want):
-            assert a.basis.tobytes() == b.basis.tobytes()
-            assert score_a.hex() == score_b.hex()
+        for cpus in (1, 2, 3):
+            affinity(monkeypatch, cpus)
+            got = accumulate(n, k, cfg)
+            assert got.violation is None
+            assert got.restarts == restarts
+            assert len(got.classes) == len(want)
+            for (a, score_a), (b, score_b) in zip(got.classes, want):
+                assert a.basis.tobytes() == b.basis.tobytes()
+                assert score_a.hex() == score_b.hex()
+            assert_no_child_left()
+
+    def test_worker_without_a_result(self, monkeypatch):
+        # (5,2) seed 1 needs 42 restarts, so it takes the worker's batch
+        # after its own first 40
+        parent = os.getpid()
+
+        def climb(bases):
+            if os.getpid() != parent:
+                os._exit(9)
+            return _climb(bases)
+
+        monkeypatch.setattr(search_mod, "_climb", climb)
+        affinity(monkeypatch, 2)
+        with pytest.raises(WorkerError, match=r"^a worker ended without a result \(exit status 9\)$"):
+            accumulate(5, 2, SearchConfig(seed=1, attempts=40))
+        assert_no_child_left()
 
     @pytest.mark.parametrize("seed", [2, 10, 12])
     def test_each_class_once_at_eight_two(self, seed):
