@@ -2,21 +2,23 @@
 
 build() turns a decomposition tree into the full bundle: the tree in
 two-terminal form with its direction signs, the realized graph and
-induced weights read off it, incidence matrix, the transfer current
-matrix Y held only as the integer pair (D, D Y), D the least positive
-integer that makes D Y integral (one gcd over the pair transfer_current
-returns), and the orthonormalized star-space basis.  That is the one
-elimination an instance needs.  The check_* family proves the facts that
-make the subspace extremal by integer products with D Y, with no
-tolerance: check_eigen multiplies it by the coefficient vectors of all
-the given spanning trees, stacked from one pass over the tree;
-check_degenerate proves by four identities that D Y is D times the
-transfer current, which makes every non-tree minor zero without looking
-at a single subset; check_attained proves the bound attained on one
-tree, which verify takes to be the first spanning tree; and check_dual
-reads the planar dual off that proof, with two tests of the dual's graph
-and weights, read off the primal's tree with its kinds swapped: nothing
-after build re-lists a tree.
+induced weights read off it, incidence matrix, and the transfer current
+matrix Y held only as the integer pair (D, D Y) that transfer_current
+returns, D the least positive integer that makes D Y integral.  That is
+the one elimination an instance needs.  The orthonormalized star-space
+basis is not part of it: the search and the demos read it as
+inst.subspace, computed from the weights and B on first use, and verify
+never does.  The check_* family proves the facts that make the subspace
+extremal by integer products with D Y, with no tolerance: check_eigen
+multiplies it by the coefficient vectors of all the given spanning
+trees, stacked from one pass over the tree; check_degenerate proves by
+four identities that D Y is D times the transfer current, which makes
+every non-tree minor zero without looking at a single subset;
+check_attained proves the bound attained on one tree, which verify takes
+to be the first spanning tree; and check_dual reads the planar dual off
+that proof, with two tests of the dual's graph and weights, read off the
+primal's tree with its kinds swapped: nothing after build re-lists a
+tree.
 build also keeps winv = lcm(p) q / p for w = p / q, W^(-1) up to that
 positive factor, which check_degenerate and check_attained share.
 check_eigen and check_degenerate hand their operands to
@@ -25,11 +27,11 @@ them, so their products run in int64 when that bound proves that nothing
 wraps and in Python ints otherwise, the same expressions either way;
 check_dual multiplies int64 entries in {-1, 0, 1}, and check_attained
 stays in Python ints.
-Nothing on the verify path sweeps the k-subsets: the spanning trees come
-from one batched determinant (weights.spanning_trees), and the float
-target that verify reports is scored over them alone, because every
-other coordinate submatrix of the star space is singular.  count_classes
-reads the symmetry classes off their generating function
+Nothing on the verify path sweeps the k-subsets or takes a float
+decomposition: the spanning trees come from one batched determinant
+(weights.spanning_trees), and together the exact checks fix the cosine
+at 1/sqrt(n), so verify reports verdicts and no float target.
+count_classes reads the symmetry classes off their generating function
 (sptree.class_counts), with no tree enumerated.
 """
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +50,6 @@ from .numeric import (
     fixed_width,
     incidence_matrix,
     orthonormalize,
-    target,
     transfer_current,
 )
 from .sptree import (
@@ -72,15 +74,24 @@ class ExtremalInstance:
     graph: MultiGraph
     weights: dict
     B: np.ndarray
-    subspace: Subspace
     D: int            # the least positive integer that makes D Y integral
     DY: np.ndarray    # D Y: int64 when its entries fit, else Python ints
     winv: np.ndarray  # lcm(p) q / p for w = p / q: W^(-1) times lcm(p), Python ints
 
+    @cached_property
+    def subspace(self) -> Subspace:
+        """The star space range(W^(1/2) B^T) as an orthonormal basis, from
+        weights and B, computed the first time it is read."""
+        n = self.B.shape[1]
+        root = np.sqrt([float(self.weights[e]) for e in range(n)])
+        scaled = root[:, None] * self.B.astype(float).T
+        # dropping one vertex column keeps the span: the columns sum to zero
+        return orthonormalize(scaled[:, 1:])
+
 
 def build(tree) -> ExtremalInstance:
     """Realize the tree, with its leaf signs, and assemble every derived
-    object.
+    object but the basis, which inst.subspace computes when read.
 
     Accepts a series-rooted tree too (a closed dual chain), rewriting it
     through two_terminal_layout first.
@@ -89,19 +100,12 @@ def build(tree) -> ExtremalInstance:
     graph = realize(tree)
     w = induced_weights(tree)
     B = incidence_matrix(graph)
-    T, TY = transfer_current(B, w)
-    g = math.gcd(T, *TY.flat)
-    DY = TY // g
-    DY, = fixed_width([DY], bit_length(DY))
+    D, DY = transfer_current(B, w)
     n = len(graph.edges)
     lcm = math.lcm(*(w[e].numerator for e in range(n)))
     winv = np.array([lcm // w[e].numerator * w[e].denominator for e in range(n)],
                     dtype=object)
-    root = np.sqrt([float(w[e]) for e in range(n)])
-    scaled = root[:, None] * B.astype(float).T
-    # dropping one vertex column keeps the span: the columns sum to zero
-    subspace = orthonormalize(scaled[:, 1:])
-    return ExtremalInstance(tree, graph, w, B, subspace, T // g, DY, winv)
+    return ExtremalInstance(tree, graph, w, B, D, DY, winv)
 
 
 def check_eigen(inst: ExtremalInstance, trees) -> bool:
@@ -265,17 +269,14 @@ def class_table(n_max: int) -> list[list[int]]:
 def verify_instance(inst: ExtremalInstance) -> dict:
     """Run every check on one instance and report the outcome; the eigen
     check and the attainment proof, on the first spanning tree, share one
-    pass over the tree, and the float target only reports the cosine."""
-    n = len(inst.graph.edges)
+    pass over the tree.  k is the rank of B, the vertex count less one."""
     trees = spanning_trees(inst.graph)
     _, C, on = stacked_coefficients(inst.tree, trees)
-    angle, _ = target(inst.subspace, trees)
     return {
         "tree": format_tree(inst.tree),
         "weights": weights_to_json(inst.weights),
-        "n": n,
-        "k": inst.subspace.dim,
-        "target_cos": math.cos(angle),
+        "n": len(inst.graph.edges),
+        "k": len(inst.B) - 1,
         "eigen_ok": _eigen_holds(inst, C, on),
         "degenerate_ok": check_degenerate(inst),
         "target_ok": check_attained(inst, trees[0], C[:, 0]),

@@ -3,21 +3,20 @@
 The exact side is fraction-free integer elimination (Bareiss).  bareiss
 returns a determinant and an adjugate: one such elimination of the
 grounded integer Laplacian gives the weighted spanning-tree count T and
-the integer matrix T Y, where Y is the transfer current matrix;
-transfer_current returns that pair and nothing else, so Y itself is never
-formed.  The elimination takes no pivots, because it only sees matrices
-that must be positive definite (the reduced Laplacian of a connected
-graph and the minor of the attainment proof), and it decides Sylvester's
-criterion from its pivots on the way.  The spectral identities are
-checked on an integer multiple of Y as integer products and comparisons,
-with zero tolerance: in int64 where fixed_width proves from the operands'
-bit lengths that no product or sum reaches 2**63, in Python ints
-otherwise.  The float side covers orthonormal bases, principal
-angles, and the deviation target, where double precision is the natural
-currency.  The target of one basis is one batched SVD of its k-by-k
-coordinate submatrices; it sweeps every coordinate subset by default,
-and verify passes the spanning trees instead, since every other
-coordinate submatrix of a star space is singular.
+adj(L0), and transfer_current reduces them to the integer pair (D, D Y),
+D the least positive integer that makes D Y integral, where Y is the
+transfer current matrix; Y itself is never formed.  The elimination
+takes no pivots, because it only sees matrices that must be positive
+definite (the reduced Laplacian of a connected graph and the minor of
+the attainment proof), and it decides Sylvester's criterion from its
+pivots on the way.  The spectral identities are checked on D Y as
+integer products and comparisons, with zero tolerance: in int64 where
+fixed_width proves from the operands' bit lengths that no product or sum
+reaches 2**63, in Python ints otherwise.  The float side covers
+orthonormal bases, principal angles, and the deviation target, where
+double precision is the natural currency; the search runs on it, and
+verify, whose verdicts are exact, calls none of it.  The target of one
+basis is one batched SVD of its k-by-k coordinate submatrices.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
-
-from .sptree import SpTreeError
 
 # The most edges, i.e. coordinates, that an exhaustive sweep takes: the
 # spanning trees, the target, and the enumerate and verify commands.
@@ -134,7 +131,9 @@ def laplacian(B: np.ndarray, weights) -> np.ndarray:
 
 
 def transfer_current(B: np.ndarray, weights):
-    """(T, T Y) for the transfer current matrix Y = W B^T L^+ B, in integers.
+    """(D, D Y) for the transfer current matrix Y = W B^T L^+ B, in
+    integers, D the least positive integer that makes D Y integral; D Y is
+    int64 when its entries fit, else Python ints.
 
     Y is an oblique projection: entry (e, f) is the current through e,
     taken along e's own direction, when a unit current is driven from f's
@@ -143,11 +142,13 @@ def transfer_current(B: np.ndarray, weights):
     the reduced Laplacian L0 = B0 W B0^T (B0 is B without row 0),
     nonsingular exactly when the graph is connected.  One integer
     elimination gives T = det L0, the weighted spanning-tree count of the
-    scaled weights, and adj(L0), and then T Y = W B0^T adj(L0) B0 is an
-    integer matrix.  The elimination runs on Python ints, which never
-    overflow; the product after it goes through fixed_width, as each of
-    its entries is one weight times a sum of at most 4 entries of adj(L0):
-    a column of B0 has at most two nonzero entries, each +-1.
+    scaled weights, and adj(L0), and T Y = W B0^T adj(L0) B0.  Both are
+    divided by the gcd of T and adj(L0) before that product, and by the
+    gcd of what is left and the product after it, which leaves D.  The
+    elimination and the gcds run on Python ints, which never overflow; the
+    product goes through fixed_width, as each of its entries is one weight
+    times a sum of at most 4 entries of the reduced adj(L0): a column of
+    B0 has at most two nonzero entries, each +-1.
     """
     n = B.shape[1]
     w = [Fraction(weights[e]) for e in range(n)]
@@ -161,9 +162,13 @@ def transfer_current(B: np.ndarray, weights):
         raise SingularMatrixError("reduced Laplacian is not positive definite; "
                                   "the graph is disconnected or a weight is not positive")
     det, adj = eliminated
-    adj = np.array(adj, dtype=object)
+    g = math.gcd(det, *chain.from_iterable(adj))
+    adj = np.array(adj, dtype=object) // g
     adj, w_int = fixed_width((adj, w_int), bit_length(adj) + bit_length(w_int), 4)
-    return det, B0.T.dot(adj).dot(B0) * w_int[:, None]
+    TY = B0.T.dot(adj).dot(B0) * w_int[:, None]  # (T / g) Y
+    h = math.gcd(det // g, *TY.flat)
+    DY = TY // h
+    return det // g // h, fixed_width([DY], bit_length(DY))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,28 +248,16 @@ def coordinate_subsets(n: int, k: int):
     return subsets, index
 
 
-def target(sub: Subspace, subsets=None):
+def target(sub: Subspace):
     """Least deviation from the coordinate k-subspaces, with its argmin.
 
     The deviation from a coordinate subspace is the largest principal
     angle, i.e. arccos of the smallest singular value of the k-by-k row
-    submatrix of the basis.  With subsets None the sweep is exhaustive
-    over all C(n, k) subsets, in lexicographic order; otherwise it covers
-    the given k-subsets, in their order, and raises SpTreeError when there
-    are none.  For the star space of a graph the spanning trees, in
-    lexicographic order, give the same angle and subset bit for bit: the
-    rows of B^T over any other k-subset contain a circuit and so are
-    dependent, the submatrix is singular (in floats its smallest singular
-    value is a rounding residue, far below the trees' maximum), and every
-    submatrix is decomposed on its own.  Ties go to the first subset.
+    submatrix of the basis.  The sweep is exhaustive over all C(n, k)
+    subsets, in lexicographic order, and ties go to the first subset.
     """
-    if subsets is not None and not subsets:
-        raise SpTreeError("no spanning tree to score")
     require_edge_limit(sub.ambient)
-    if subsets is None:
-        subsets, index = coordinate_subsets(sub.ambient, sub.dim)
-    else:
-        index = np.array(subsets)
+    subsets, index = coordinate_subsets(sub.ambient, sub.dim)
     sigma_min = np.linalg.svd(sub.basis[index, :], compute_uv=False)[:, -1]
     best = int(np.argmax(sigma_min))
     return math.acos(float(np.clip(sigma_min[best], 0.0, 1.0))), subsets[best]

@@ -11,9 +11,10 @@ their direction signs: the weights come from one top-down pass over it,
 and the coefficients of every spanning tree from one bottom-up and one
 top-down pass, each step an array operation over all the trees at once
 (stacked_coefficients).
-spanning_trees lists the trees the eigen check and the target run on,
-from one batched determinant over all edge subsets of the reduced
-incidence matrix, exact because that matrix is totally unimodular.
+spanning_trees lists the trees the eigen check and the attainment proof
+run on, from one batched determinant over all edge subsets of the
+reduced incidence matrix, exact because that matrix is totally
+unimodular.
 """
 
 from __future__ import annotations

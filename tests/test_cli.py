@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import spextremal as sp
@@ -96,8 +97,24 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["all_ok"]
-        inst = payload["instances"][0]
-        assert abs(inst["target_cos"] - 1 / math.sqrt(2)) < 1e-9
+        report = payload["instances"][0]
+        assert list(report) == ["tree", "weights", "n", "k", "eigen_ok",
+                                "degenerate_ok", "target_ok", "dual_ok"]
+        assert report["k"] == sp.build(sp.parse_tree("P(e,e)")).subspace.dim == 1
+
+    def test_calls_no_svd(self, capsys, monkeypatch):
+        # the verdicts are exact, so neither the basis nor a float target
+        # is computed; forked workers inherit the patched functions
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(numeric, "orthonormalize", refuse)
+        monkeypatch.setattr(extremal, "orthonormalize", refuse)
+        code, out, _ = run_cli(capsys, "verify", "2..7")
+        assert code == 0
+        assert json.loads(out)["all_ok"]
+        assert_no_child_left()
 
     def test_range(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "2..4")

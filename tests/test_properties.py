@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spextremal as sp
+from spextremal import numeric
 from spextremal.numeric import transfer_current
 from spextremal.weights import stacked_coefficients
 
@@ -99,10 +100,16 @@ def coprime_weights(w):
 def test_integer_core_counts_trees(tree, data):
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # the elimination's determinant is the weighted tree count T of the
+    # coprime weights, and D, the least that clears Y, divides it
     w = sp.induced_weights(tree)
-    T, TY = transfer_current(sp.incidence_matrix(sp.realize(orient(tree, directions))), w)
-    assert T == tree_sums(tree, coprime_weights(w)).trees
-    assert (fraction_y(T, TY) == transfer_current_combinatorial(
+    B = sp.incidence_matrix(sp.realize(orient(tree, directions)))
+    w_int = coprime_weights(w)
+    T = tree_sums(tree, w_int).trees
+    assert numeric.bareiss(numeric.laplacian(B[1:], w_int).tolist())[0] == T
+    D, DY = transfer_current(B, w)
+    assert T % D == 0 and math.gcd(D, *DY.flat) == 1
+    assert (fraction_y(D, DY) == transfer_current_combinatorial(
         sp.realize(orient(tree, directions)), w)).all()
 
 
@@ -115,8 +122,8 @@ def test_tree_minor_is_tree_weight_over_tree_count(tree, data):
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     inst = sp.build(orient(tree, directions))
     tau = list(data.draw(st.sampled_from(sp.spanning_trees(inst.graph))))
-    T, _ = transfer_current(inst.B, inst.weights)
     w = coprime_weights(inst.weights)
+    T = tree_sums(tree, w).trees
     det, _ = oracle.bareiss(inst.DY[np.ix_(tau, tau)].tolist())
     assert det * T == inst.D ** len(tau) * math.prod(w[e] for e in tau)
 
@@ -124,16 +131,11 @@ def test_tree_minor_is_tree_weight_over_tree_count(tree, data):
 @PROPERTY
 @given(trees(), st.data())
 def test_determinant_trees_match_union_find(tree, data):
-    # the batched unimodular determinant lists the union-find sweep's trees,
-    # and the target over them is the exhaustive target, bit for bit
+    # the batched unimodular determinant lists the union-find sweep's trees
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    inst = sp.build(orient(tree, directions))
-    trees = sp.spanning_trees(inst.graph)
-    assert trees == oracle.spanning_trees(inst.graph)
-    (angle, best), (whole_angle, whole_best) = (
-        sp.target(inst.subspace, trees), sp.target(inst.subspace))
-    assert angle.hex() == whole_angle.hex() and best == whole_best
+    graph = sp.realize(orient(tree, directions))
+    assert sp.spanning_trees(graph) == oracle.spanning_trees(graph)
 
 
 @PROPERTY
