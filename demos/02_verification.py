@@ -10,10 +10,11 @@ Both exact facts are integer products with D Y.  The eigen check
 stacks the coefficient vectors of all spanning trees.  Singularity
 follows from four identities that prove D Y is D times the transfer
 current: B (D Y) = D B, (D Y)^2 = D (D Y), trace(D Y) = k D, and
-diag(1/w) (D Y) symmetric.  They make Y the projection onto range(W B^T)
-along ker B; a non-tree edge subset on k + 1 vertices contains a
-circuit, whose signed vector lies in ker B, so it is a kernel vector of
-that subset's submatrix, and no subset is looked at one by one.
+(D Y) W symmetric, W the weights as coprime integers.  They make Y
+the projection onto range(W B^T) along ker B; a non-tree edge subset on
+k + 1 vertices contains a circuit, whose signed vector lies in ker B, so
+it is a kernel vector of that subset's submatrix, and no subset is
+looked at one by one.
 Attainment is proved on the first spanning tree in lexicographic order:
 an integer matrix congruent to P[tau, tau] - I/n kills the coefficient
 vector and is positive definite without that vector's row and column,
@@ -27,7 +28,7 @@ import spextremal as sp
 
 diamond = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
 B, D, X = diamond.B, diamond.D, diamond.DY
-K = X * diamond.winv[:, None]  # winv = lcm(p) q / p for w = p / q
+K = X * diamond.w  # column f times W_f, W the weights as coprime integers
 print("the diamond P(e,S(e,P(e,e))): D Y is D times the transfer current")
 print(f"  D = {D}, D Y = {X.tolist()}")
 for label, holds in [
@@ -35,7 +36,7 @@ for label, holds in [
         ("(D Y)^2 == D (D Y)", (X.dot(X) == D * X).all()),
         (f"trace(D Y) == k D, {X.trace()} == {diamond.subspace.dim} * {D}",
          X.trace() == diamond.subspace.dim * D),
-        ("diag(1/w) (D Y) symmetric", (K == K.T).all())]:
+        ("(D Y) W symmetric", (K == K.T).all())]:
     print(f"  {label:36s} {bool(holds)}")
 print()
 

@@ -19,14 +19,15 @@ to be the first spanning tree; and check_dual reads the planar dual off
 that proof, with two tests of the dual's graph and weights, read off the
 primal's tree with its kinds swapped: nothing after build re-lists a
 tree.
-build also keeps winv = lcm(p) q / p for w = p / q, W^(-1) up to that
-positive factor, which check_degenerate and check_attained share.
+build also keeps W, the weights as coprime positive integers
+(numeric.integer_weights), and every check states its identities with W
+alone: none needs W^(-1).
 check_eigen and check_degenerate hand their operands to
 numeric.fixed_width with the bit-length bound of what they form from
 them, so their products run in int64 when that bound proves that nothing
 wraps and in Python ints otherwise, the same expressions either way;
-check_dual multiplies int64 entries in {-1, 0, 1}, and check_attained
-stays in Python ints.
+check_dual multiplies int64 entries in {-1, 0, 1} and the two weight
+vectors in Python ints, and check_attained stays in Python ints.
 Nothing on the verify path sweeps the k-subsets or takes a float
 decomposition: the spanning trees come from one batched determinant
 (weights.spanning_trees), and together the exact checks fix the cosine
@@ -37,7 +38,6 @@ count_classes reads the symmetry classes off their generating function
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,6 +49,7 @@ from .numeric import (
     bit_length,
     fixed_width,
     incidence_matrix,
+    integer_weights,
     orthonormalize,
     transfer_current,
 )
@@ -70,13 +71,17 @@ from .weights import (
 
 @dataclass
 class ExtremalInstance:
+    """One extremal instance: its tree, graph and weights, with the integer
+    objects the exact checks read, the pair (D, D Y) and the coprime
+    weight vector W, kept as w."""
+
     tree: tuple       # two-terminal, with its signs; graph, weights, report and dual read it
     graph: MultiGraph
     weights: dict
     B: np.ndarray
     D: int            # the least positive integer that makes D Y integral
     DY: np.ndarray    # D Y: int64 when its entries fit, else Python ints
-    winv: np.ndarray  # lcm(p) q / p for w = p / q: W^(-1) times lcm(p), Python ints
+    w: np.ndarray     # W: the weights as coprime positive integers, Python ints
 
     @cached_property
     def subspace(self) -> Subspace:
@@ -100,12 +105,9 @@ def build(tree) -> ExtremalInstance:
     graph = realize(tree)
     w = induced_weights(tree)
     B = incidence_matrix(graph)
-    D, DY = transfer_current(B, w)
-    n = len(graph.edges)
-    lcm = math.lcm(*(w[e].numerator for e in range(n)))
-    winv = np.array([lcm // w[e].numerator * w[e].denominator for e in range(n)],
-                    dtype=object)
-    return ExtremalInstance(tree, graph, w, B, D, DY, winv)
+    W = integer_weights(w)
+    D, DY = transfer_current(B, W)
+    return ExtremalInstance(tree, graph, w, B, D, DY, W)
 
 
 def check_eigen(inst: ExtremalInstance, trees) -> bool:
@@ -140,30 +142,29 @@ def check_degenerate(inst: ExtremalInstance) -> bool:
     """Exact proof that D Y is D times the transfer current, which makes
     every non-tree k-minor of Y zero.
 
-    With X = D Y, w = p / q, a = inst.winv = lcm(p) q / p and k the
-    vertex count less one, the rank of B (realize glues a connected
+    With X = D Y, W = inst.w, a positive multiple of the weights, and k
+    the vertex count less one, the rank of B (realize glues a connected
     graph), it tests four integer identities: (a) B X == D B;
-    (b) X X == D X; (c) trace X == k D; and (d) X[e, f] a_e is symmetric,
-    that is diag(1/w) Y is symmetric, since a_e is q_e / p_e times
-    lcm(p) > 0.  B's entries lie in {-1, 0, 1}, so with bx, bd and ba the
-    bit lengths of X, D and a, each value formed, k D included, is a sum
-    of at most n terms below 2**(bx + max(bx, bd, ba)): the bound
+    (b) X X == D X; (c) trace X == k D; and (d) X W, entry X[e, f] W_f,
+    is symmetric.  B's entries lie in {-1, 0, 1}, so with bx, bd and bw
+    the bit lengths of X, D and W, each value formed, k D included, is a
+    sum of at most n terms below 2**(bx + max(bx, bd, bw)): the bound
     fixed_width is given.
-    Why that is a proof: by (b) and (d) Y is idempotent and self-adjoint
-    for <a, b> = a^T W^(-1) b, so it is an orthogonal projection.  By (d)
-    Y^T = W^(-1) Y W, which turns (a), B Y = B, into Y W B^T = W B^T: Y
-    fixes range(W B^T), of dimension k, and by (c) its rank, which is its
-    trace, is k.  So Y is the projection onto range(W B^T) along the
-    complement orthogonal to it for that product, ker B: the transfer
-    current.  A k-subset S of the edges that is not a spanning tree of
+    Why that is a proof: (d) says Y^T = W^(-1) Y W, so Y is self-adjoint
+    for <a, b> = a^T W^(-1) b, and by (b) it is idempotent: an orthogonal
+    projection for that product.  (d) turns (a), B Y = B, into
+    Y W B^T = W B^T: Y fixes range(W B^T), of dimension k, and by (c)
+    its rank, which is its trace, is k.  So Y is the projection onto
+    range(W B^T) along the complement orthogonal to it for that product,
+    ker B: the transfer current.  A k-subset S of the edges that is not a spanning tree of
     the k + 1 vertices contains a circuit C, whose signed vector z_C,
     supported on S, lies in ker B.  So Y z_C = 0, which makes z_C
     restricted to S a nonzero kernel vector of Y[S, S]: det Y[S, S] = 0.
     """
     D, bx = inst.D, bit_length(inst.DY)
-    bits = bx + max(bx, bit_length(D), bit_length(inst.winv))
-    X, B, a = fixed_width((inst.DY, inst.B, inst.winv), bits, len(inst.DY))
-    K = X * a[:, None]
+    bits = bx + max(bx, bit_length(D), bit_length(inst.w))
+    X, B, W = fixed_width((inst.DY, inst.B, inst.w), bits, len(inst.DY))
+    K = X * W
     return bool((B.dot(X) == D * B).all() and X.trace() == (len(B) - 1) * D
                 and (K == K.T).all() and (X.dot(X) == D * X).all())
 
@@ -172,23 +173,23 @@ def check_attained(inst: ExtremalInstance, tau, c) -> bool:
     """Exact proof that P[tau, tau], P the projector onto the star space,
     has least eigenvalue 1/n; c is tau's column of stacked_coefficients.
 
-    With w = p / q and a = inst.winv[tau] = lcm(p) q / p on tau, the
-    integer matrix M = n diag(a) (D Y)[tau, tau] - D diag(a) is congruent
-    to P[tau, tau] - I/n, since P = W^(-1/2) Y W^(1/2).  M, M c and the
-    elimination stay in Python ints, as a is: at 12 edges the partial sums
-    of M c reach 66 bits.  It must be symmetric
-    with M c == 0, c != 0, and positive definite less the row and column
-    of an edge with c_e != 0; then, by Cauchy interlacing, M is
-    semidefinite with kernel spanned by c.  With check_eigen and
+    With A = n (D Y)[tau, tau] - D I and W = inst.w on tau, the integer
+    matrix M = A W is n D W^(1/2) (P[tau, tau] - I/n) W^(1/2), congruent
+    to P[tau, tau] - I/n, since P = W^(-1/2) Y W^(1/2).  A, M, A c and the
+    elimination stay in Python ints.  M must be symmetric, A c == 0 with
+    c != 0, which is the eigen identity on tau and puts W^(-1) c, with c's
+    support, in M's kernel, and M positive definite less the row and
+    column of an edge with c_e != 0; then, by Cauchy interlacing, M is
+    semidefinite with kernel spanned by W^(-1) c.  With check_eigen and
     check_degenerate this makes the target exactly arccos(1/sqrt(n)).
     """
-    n = len(inst.graph.edges)
-    idx = list(tau)
-    a = inst.winv[idx]
-    M = n * a[:, None] * inst.DY[np.ix_(idx, idx)] - np.diag(inst.D * a)
+    n, idx = len(inst.graph.edges), list(tau)
+    A = (n * inst.DY[np.ix_(idx, idx)].astype(object)
+         - inst.D * np.eye(len(idx), dtype=object))
+    M = A * inst.w[idx]
     c = np.asarray(c, dtype=object)[idx]
     support = np.flatnonzero(c)
-    if not support.size or (M != M.T).any() or M.dot(c).any():
+    if not support.size or (M != M.T).any() or A.dot(c).any():
         return False
     rest = np.delete(np.arange(len(idx)), support[-1])
     return bareiss(M[np.ix_(rest, rest)].tolist()) is not None
@@ -216,13 +217,13 @@ def check_dual(inst: ExtremalInstance) -> bool:
     """Exact check of the planar dual, read off the primal.
 
     With planar_dual's graph, weights w* and signs s, and B* the dual
-    incidence matrix: (a) B S B*^T == 0; (b) w* is reciprocal to w up to
-    one factor, as cross products p_e p*_e Q == q_e q*_e P for
-    P / Q = w_0 w*_0 != 0.  B, B* and S are int64 with entries in
-    {-1, 0, 1}, so no sum in (a) exceeds n.  With check_degenerate's proof
-    that Y is the transfer current, these give the dual's
-    Y* = S (I - Y^T) S, so the primal's D clears it too.  Why: the dual
-    graph is connected on
+    incidence matrix: (a) B S B*^T == 0; (b) w* is positive and
+    reciprocal to w up to one factor: with W and W* their integer_weights,
+    every W*_e > 0 and the products W_e W*_e are all equal.  B, B* and S
+    are int64 with entries in {-1, 0, 1}, so no sum in (a) exceeds n.
+    With check_degenerate's proof that Y is the transfer current, these
+    give the dual's Y* = S (I - Y^T) S, so the primal's D clears it too.
+    Why: the dual graph is connected on
     n - k + 1 vertices (Euler's formula), so by (a) S range(B*^T), of
     dimension n - k, is ker B, and S range(B^T) = ker B*.  I - Y^T
     projects onto W^(-1) ker B along range(B^T), and by (b) W* is
@@ -237,12 +238,9 @@ def check_dual(inst: ExtremalInstance) -> bool:
     the deviation cosines, agree.
     """
     graph, dual_w, signs = planar_dual(inst)
-    edges = range(len(signs))
-    top = [inst.weights[e].numerator * dual_w[e].numerator for e in edges]
-    bottom = [inst.weights[e].denominator * dual_w[e].denominator for e in edges]
+    dual = integer_weights(dual_w)
     return bool(not inst.B.dot(signs[:, None] * incidence_matrix(graph).T).any()
-                and top[0] != 0
-                and all(t * bottom[0] == b * top[0] for t, b in zip(top, bottom)))
+                and min(dual) > 0 and len(set(inst.w * dual)) == 1)
 
 
 # ---------------------------------------------------------------------------

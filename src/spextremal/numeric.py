@@ -5,7 +5,8 @@ returns a determinant and an adjugate: one such elimination of the
 grounded integer Laplacian gives the weighted spanning-tree count T and
 adj(L0), and transfer_current reduces them to the integer pair (D, D Y),
 D the least positive integer that makes D Y integral, where Y is the
-transfer current matrix; Y itself is never formed.  The elimination
+transfer current matrix; Y itself is never formed, and rational weights
+enter the integers only as integer_weights' coprime W.  The elimination
 takes no pivots, because it only sees matrices that must be positive
 definite (the reduced Laplacian of a connected graph and the minor of
 the attainment proof), and it decides Sylvester's criterion from its
@@ -23,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
 
 # The most edges, i.e. coordinates, that an exhaustive sweep takes: the
-# spanning trees, the target, and the enumerate and verify commands.
+# spanning trees, the target, the search's climb, and the enumerate and
+# verify commands.
 MAX_EDGES = 12
 
 
@@ -124,6 +125,17 @@ def incidence_matrix(graph) -> np.ndarray:
     return B
 
 
+def integer_weights(weights) -> np.ndarray:
+    """The weights p / q of edges 0..n-1, ints or Fractions, as coprime
+    Python ints W = w lcm(q) / g, g the gcd of w lcm(q), or 1 when it is
+    0: positive where the weights are, and unchanged when given W."""
+    n = len(weights)
+    common = math.lcm(*(weights[e].denominator for e in range(n)))
+    scaled = [weights[e].numerator * (common // weights[e].denominator) for e in range(n)]
+    g = math.gcd(*scaled) or 1
+    return np.array([x // g for x in scaled], dtype=object)
+
+
 def laplacian(B: np.ndarray, weights) -> np.ndarray:
     """Weighted graph Laplacian B W B^T, exact."""
     w = np.array([weights[e] for e in range(B.shape[1])], dtype=object)
@@ -138,7 +150,7 @@ def transfer_current(B: np.ndarray, weights):
     Y is an oblique projection: entry (e, f) is the current through e,
     taken along e's own direction, when a unit current is driven from f's
     tail to f's head.  It is unchanged when all weights scale together, so
-    they are scaled to coprime integers first.  Grounding vertex 0 leaves
+    they are taken as integer_weights' W first.  Grounding vertex 0 leaves
     the reduced Laplacian L0 = B0 W B0^T (B0 is B without row 0),
     nonsingular exactly when the graph is connected.  One integer
     elimination gives T = det L0, the weighted spanning-tree count of the
@@ -150,12 +162,7 @@ def transfer_current(B: np.ndarray, weights):
     times a sum of at most 4 entries of the reduced adj(L0): a column of
     B0 has at most two nonzero entries, each +-1.
     """
-    n = B.shape[1]
-    w = [Fraction(weights[e]) for e in range(n)]
-    common = math.lcm(*(x.denominator for x in w))
-    w_int = [x.numerator * (common // x.denominator) for x in w]
-    g = math.gcd(*w_int)
-    w_int = np.array([x // g for x in w_int], dtype=object)
+    w_int = integer_weights(weights)
     B0 = B[1:]
     eliminated = bareiss(laplacian(B0, w_int).tolist())
     if eliminated is None:

@@ -173,10 +173,8 @@ def spanning_trees(graph) -> list[tuple]:
 
 
 def weights_to_json(weights) -> dict[str, str]:
-    """Exact "p/q" map keyed by edge id."""
-    out = {}
-    for e in sorted(weights):
-        f = Fraction(weights[e])
-        out[str(e)] = f"{f.numerator}/{f.denominator}"
-    return out
+    """Exact "p/q" map keyed by edge id, read off each weight's numerator
+    and denominator, so it takes ints as well as Fractions."""
+    return {str(e): f"{weights[e].numerator}/{weights[e].denominator}"
+            for e in sorted(weights)}
 

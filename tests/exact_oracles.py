@@ -16,7 +16,12 @@ bareiss, the pivoting version of numeric.bareiss for matrices that are
 not positive definite.  tree_sums gives the weighted tree and 2-forest
 sums by the series/parallel recurrences (criterion 4 checks them),
 brute_tree_sums by sweeping every edge subset, and spanning_trees keeps
-the k-subsets on which a union-find closes no cycle.  check_invariants
+the k-subsets on which a union-find closes no cycle; first_spanning_tree
+takes each edge in order that closes none, which gives the first of them
+at any size.  degenerate_by_inverse and attained_by_inverse are
+check_degenerate's identity (d) and check_attained's matrix in their
+W^(-1) forms, scaled to integers by inverse_weights, lcm(p) q / p for
+w = p / q, where spextremal states both with W.  check_invariants
 checks a tree's alternation, arity and edge ids.
 
 The tree code spextremal does not ship, since every path it runs goes
@@ -837,3 +842,50 @@ def check_degenerate(inst, subset) -> bool:
     """det Y[S, S] == 0 through rational_det."""
     idx = sorted(subset)
     return rational_det(fraction_y(inst.D, inst.DY[np.ix_(idx, idx)])) == 0
+
+
+def first_spanning_tree(graph) -> tuple:
+    """The first spanning tree in lexicographic order: each edge in turn
+    that closes no cycle with those taken, by the union-find."""
+    tau = []
+    for e in range(len(graph.edges)):
+        if _is_forest(graph, tau + [e]):
+            tau.append(e)
+    return tuple(tau)
+
+
+def inverse_weights(weights) -> np.ndarray:
+    """lcm(p) q / p for w = p / q: W^(-1) times lcm(p), in Python ints."""
+    n = len(weights)
+    lcm = math.lcm(*(weights[e].numerator for e in range(n)))
+    return np.array([lcm // weights[e].numerator * weights[e].denominator
+                     for e in range(n)], dtype=object)
+
+
+def degenerate_by_inverse(inst) -> bool:
+    """check_degenerate's four identities in Python ints, with (d) in its
+    W^(-1) form: X[e, f] a_e symmetric for X = D Y and a = inverse_weights,
+    that is diag(1/w) Y symmetric."""
+    X, B, D = inst.DY.astype(object), inst.B, inst.D
+    K = X * inverse_weights(inst.weights)[:, None]
+    return bool((B.dot(X) == D * B).all() and (X.dot(X) == D * X).all()
+                and X.trace() == (len(B) - 1) * D and (K == K.T).all())
+
+
+def attained_by_inverse(inst, tau, c) -> bool:
+    """check_attained with its matrix in the W^(-1) form
+    M = n diag(a) (D Y)[tau, tau] - D diag(a), a = inverse_weights on tau,
+    congruent to P[tau, tau] - I/n: M symmetric, M c == 0 with c != 0, and
+    M less the row and column of an edge with c_e != 0 positive definite,
+    by the sign of each leading principal minor (Sylvester)."""
+    n, idx = len(inst.graph.edges), list(tau)
+    a = inverse_weights(inst.weights)[idx]
+    M = n * a[:, None] * inst.DY[np.ix_(idx, idx)].astype(object) - np.diag(inst.D * a)
+    c = np.asarray(c, dtype=object)[idx]
+    support = np.flatnonzero(c)
+    if not support.size or (M != M.T).any() or M.dot(c).any():
+        return False
+    rest = np.delete(np.arange(len(idx)), support[-1])
+    minor = M[np.ix_(rest, rest)].tolist()
+    return all(bareiss([row[:j] for row in minor[:j]])[0] > 0
+               for j in range(1, len(minor) + 1))

@@ -28,11 +28,9 @@ def positive_definite(rows):
 
 def degenerate_identities(inst, X, D):
     """check_degenerate's four identities for the pair (D, X), each on its
-    own: B X == D B, X X == D X, trace X == k D and diag(1/w) X symmetric."""
-    B, n = inst.B, len(X)
-    p = np.array([inst.weights[e].numerator for e in range(n)], dtype=object)
-    q = np.array([inst.weights[e].denominator for e in range(n)], dtype=object)
-    K = X * np.outer(q, p)
+    own: B X == D B, X X == D X, trace X == k D and X W symmetric."""
+    B = inst.B
+    K = X * inst.w
     return [bool((B.dot(X) == D * B).all()), bool((X.dot(X) == D * X).all()),
             X.trace() == (len(B) - 1) * D, bool((K == K.T).all())]
 
@@ -148,39 +146,38 @@ class TestCheckDegenerate:
 
     def test_each_identity_is_needed(self, instances_to_6):
         # changes of X = D Y that keep three identities and break one, with
-        # z, z' columns of D I - X (they span ker B), |z|^2 = z . (winv z)
-        # for winv = lcm(p) q / p, and u a vertex's row of B: S X S, S
-        # flipping one edge's sign, breaks B X == D B; adding
-        # |z'|^2 z (winv z)^T - |z|^2 z' (winv z')^T keeps the trace and
-        # breaks X X == D X, which needs two independent cycles; D I breaks
-        # the trace; adding z u^T breaks the symmetry
+        # Z = D I - X, whose columns span ker B and for which Z W is
+        # symmetric, and u a vertex's row of B: S X S, S flipping one edge's
+        # sign, breaks B X == D B; E_j = Z[:, j] Z[j, :] has columns in
+        # ker B, E_j W symmetric and trace E_j = D Z[j, j], so adding
+        # Z[i, i] E_j - Z[j, j] E_i keeps the trace and breaks X X == D X,
+        # which needs two independent cycles; D I breaks the trace; adding
+        # Z[:, i] u^T breaks the symmetry; the W^(-1) form of the four
+        # identities rejects each change too
         two_cycles = 0
         for inst in instances_to_6:
             X, D, n = inst.DY, inst.D, len(inst.DY)
             name = sp.format_tree(inst.tree)
             assert degenerate_identities(inst, X, D) == [True] * 4, name
             assert sp.check_degenerate(inst), name
-            p = [inst.weights[e].numerator for e in range(n)]
-            q = [inst.weights[e].denominator for e in range(n)]
-            winv = np.array([math.lcm(*p) * q[e] // p[e] for e in range(n)], dtype=object)
-            kernel = np.diag(np.full(n, D, dtype=object)) - X
-            z = kernel[:, np.flatnonzero(kernel.any(axis=0))[0]]
+            Z = np.diag(np.full(n, D, dtype=object)) - X
+            i = np.flatnonzero(Z.any(axis=0))[0]
             flip = np.ones(n, dtype=object)
             flip[0] = -1
             changed = {0: X * np.outer(flip, flip), 2: np.diag(np.full(n, D, dtype=object)),
-                       3: X + np.outer(z, inst.B[1])}
+                       3: X + np.outer(Z[:, i], inst.B[1])}
             for j in range(n):
-                z2 = kernel[:, j]
-                E = (z2.dot(winv * z2) * np.outer(z, winv * z)
-                     - z.dot(winv * z) * np.outer(z2, winv * z2))
+                E = Z[i, i] * np.outer(Z[:, j], Z[j]) - Z[j, j] * np.outer(Z[:, i], Z[i])
                 if E.any():
                     changed[1] = X + E
                     two_cycles += 1
                     break
             for broken, bad in changed.items():
                 holds = degenerate_identities(inst, bad, D)
-                assert holds == [i != broken for i in range(4)], (name, broken)
-                assert not sp.check_degenerate(dataclasses.replace(inst, DY=bad)), name
+                assert holds == [r != broken for r in range(4)], (name, broken)
+                corrupted = dataclasses.replace(inst, DY=bad)
+                assert not sp.check_degenerate(corrupted), name
+                assert not oracle.degenerate_by_inverse(corrupted), name
         assert two_cycles > 0
 
 
@@ -319,6 +316,7 @@ class TestIntegerChecksMatchOracles:
                     for delta in (1, -1):
                         DY[e, f] += delta
                         assert not sp.check_degenerate(bumped)
+                        assert not oracle.degenerate_by_inverse(bumped)
                         DY[e, f] -= delta
             assert sp.check_degenerate(bumped)
 
@@ -408,7 +406,7 @@ class TestFixedWidth:
         # D and D Y times 2**s: the eigen check takes int64 exactly while
         # n * n products of bit_length(C) + max(bit_length(D Y),
         # bit_length(D)) bits fit 2**63, and check_degenerate while n
-        # products of bx + max(bx, bit_length(D), bit_length(winv)) do,
+        # products of bx + max(bx, bit_length(D), bit_length(W)) do,
         # bx = bit_length(D Y)
         taken = with_dtypes_taken(monkeypatch)
         for text in ("P(e,S(e,P(e,e)))", "P(e,S(e,e,P(e,S(e,e))))"):
@@ -416,14 +414,14 @@ class TestFixedWidth:
             n = len(built.graph.edges)
             trees = sp.spanning_trees(built.graph)
             _, C, on = stacked_coefficients(built.tree, trees)
-            bc, ba = numeric.bit_length(C), numeric.bit_length(built.winv)
+            bc, bw = numeric.bit_length(C), numeric.bit_length(built.w)
             seen = set()
             for shift in range(64):
                 inst = dataclasses.replace(built, D=built.D << shift,
                                            DY=built.DY.astype(object) << shift)
                 bx, bd = numeric.bit_length(inst.DY), numeric.bit_length(inst.D)
                 fits = [n * n << bc + max(bx, bd) <= 1 << 63,
-                        n << bx + max(bx, bd, ba) <= 1 << 63]
+                        n << bx + max(bx, bd, bw) <= 1 << 63]
                 taken.clear()
                 assert verdicts(inst, trees, C, on) == (True,) * 4
                 assert taken == [np.int64 if f else object for f in fits], (text, shift)
@@ -461,6 +459,55 @@ class TestFixedWidth:
         assert exact_equal(DY, Y * D)
 
 
+class TestInverseForms:
+    """check_degenerate and check_attained state W^(-1) facts with W; the
+    oracles' lcm(p) q / p forms must give the same verdicts."""
+
+    def test_every_instance_to_7(self, instances_to_7):
+        # natural and random directions, as criterion 9 takes them, on every
+        # spanning tree: the coefficient column, the column bumped at the
+        # tree's first edge, and D and D Y negated
+        for natural in instances_to_7:
+            for inst in (natural, sp.build(flipped(natural.tree))):
+                name = sp.format_tree(inst.tree)
+                assert sp.check_degenerate(inst) == oracle.degenerate_by_inverse(inst), name
+                trees = sp.spanning_trees(inst.graph)
+                assert oracle.first_spanning_tree(inst.graph) == trees[0], name
+                _, C, _ = stacked_coefficients(inst.tree, trees)
+                mirrored = dataclasses.replace(inst, D=-inst.D, DY=-inst.DY)
+                for j, tau in enumerate(trees):
+                    bumped = C[:, j].copy()
+                    bumped[tau[0]] += 1
+                    for claim, c in ((inst, C[:, j]), (inst, bumped), (mirrored, C[:, j])):
+                        assert (check_attained(claim, tau, c)
+                                == oracle.attained_by_inverse(claim, tau, c)), (name, tau)
+
+
+class TestThirtyEdges:
+    """Past MAX_EDGES no sweep runs, yet every exact check does, and there
+    check_degenerate and the eigen check take Python ints from
+    fixed_width; spanning_trees stops at 12 edges, so the union-find
+    oracle gives the first spanning tree."""
+
+    TREE = ("P(S(P(S(P(S(P(S(e,e),e),e),S(e,e),e),P(e,e)),S(P(S(P(S(P(e,e),e),e),"
+            "P(e,S(e,e)),e),S(P(e,e,e),e,e),e,e),e)),P(e,e),e),S(e,e))")
+
+    def test_every_check_holds(self, monkeypatch):
+        taken = with_dtypes_taken(monkeypatch)
+        inst = sp.build(sp.parse_tree(self.TREE))
+        assert len(inst.graph.edges) == 30 and len(inst.B) - 1 == 15
+        tau = oracle.first_spanning_tree(inst.graph)
+        _, C, _ = stacked_coefficients(inst.tree, [tau])
+        assert sp.check_degenerate(inst) and sp.check_dual(inst)
+        assert sp.check_eigen(inst, [tau]) and check_attained(inst, tau, C[:, 0])
+        assert taken == [object, object]
+        bumped = inst.DY.copy()
+        bumped[tau[0], tau[1]] += 1
+        corrupted = dataclasses.replace(inst, DY=bumped)
+        assert not sp.check_degenerate(corrupted)
+        assert not check_attained(corrupted, tau, C[:, 0])
+
+
 class TestCheckTarget:
     """The target verdict: check_attained proves cos(target) = 1/sqrt(n)."""
 
@@ -471,24 +518,24 @@ class TestCheckTarget:
         g = inst.graph
         B = sp.incidence_matrix(g)
         D, DY = transfer_current(B, bad)
-        lcm = math.lcm(*(w.numerator for w in bad.values()))
-        winv = np.array([lcm // bad[e].numerator * bad[e].denominator for e in range(4)],
-                        dtype=object)
-        corrupted = dataclasses.replace(inst, weights=bad, B=B, D=D, DY=DY, winv=winv)
+        corrupted = dataclasses.replace(inst, weights=bad, B=B, D=D, DY=DY,
+                                        w=numeric.integer_weights(bad))
         trees = sp.spanning_trees(g)
         _, C, _ = stacked_coefficients(corrupted.tree, trees)
-        assert not any(check_attained(corrupted, tau, C[:, j])
-                       for j, tau in enumerate(trees))
+        for j, tau in enumerate(trees):
+            assert not check_attained(corrupted, tau, C[:, j])
+            assert not oracle.attained_by_inverse(corrupted, tau, C[:, j])
 
     def test_zero_column_fails(self):
         inst = sp.build(sp.parse_tree("P(e,S(e,P(e,e)))"))
         assert not check_attained(inst, (0, 1), [0, 0, 0, 0])
 
     def test_kernel_alone_is_not_enough(self, instances_to_6):
-        # adding t u v^T to M through D Y, v orthogonal to c, keeps M c == 0:
-        # with u = -v and t large M gains a negative eigenvalue, which the
-        # elimination catches; with u = e_0, M is no longer symmetric, and on
-        # some trees only the symmetry test catches that
+        # adding u v^T to (D Y)[tau, tau], v orthogonal to c, keeps A c == 0
+        # and adds n u (W v)^T to M = A W: with u = -big W v, M gains a
+        # negative eigenvalue, which the elimination catches; with
+        # u = e_0, M is no longer symmetric, and on some trees only the
+        # symmetry test catches that; the W^(-1) form rejects both
         symmetry_only = 0
         for inst in instances_to_6:
             n, k = len(inst.graph.edges), inst.subspace.dim
@@ -498,22 +545,21 @@ class TestCheckTarget:
             _, C, _ = stacked_coefficients(inst.tree, trees)
             for j, tau in enumerate(trees):
                 idx, c = list(tau), C[list(tau), j].astype(object)
-                w = [inst.weights[e] for e in idx]
-                lcm = math.lcm(*(x.numerator for x in w))
-                a = [lcm // x.numerator * x.denominator for x in w]
+                W = inst.w[idx]
                 v = np.zeros(k, dtype=object)
                 v[0], v[1] = c[1], -c[0]
-                big = 1 + int(np.abs(inst.DY).sum()) * inst.D * lcm
-                for u, t in ((-v, big), (np.eye(k, dtype=int)[0].astype(object), 1)):
-                    DY = inst.DY.astype(object)  # t = big can take it past int64
-                    step = math.lcm(*a) * t * np.outer(u, v)
-                    DY[np.ix_(idx, idx)] += np.array([step[i] // a[i] for i in range(k)])
+                big = 1 + int(np.abs(inst.DY).sum()) * inst.D * int(W.max())
+                for u in (-big * W * v, np.eye(k, dtype=int)[0].astype(object)):
+                    DY = inst.DY.astype(object)  # big can take it past int64
+                    DY[np.ix_(idx, idx)] += np.outer(u, v)
                     bumped = dataclasses.replace(inst, DY=DY)
                     assert not check_attained(bumped, tau, C[:, j])
-                    M = n * np.array(a, dtype=object)[:, None] * DY[np.ix_(idx, idx)] \
-                        - np.diag(inst.D * np.array(a, dtype=object))
-                    assert not M.dot(c).any()
-                    symmetry_only += t == 1 and positive_definite(M[:-1, :-1].tolist())
+                    assert not oracle.attained_by_inverse(bumped, tau, C[:, j])
+                    A = n * DY[np.ix_(idx, idx)] - inst.D * np.eye(k, dtype=object)
+                    assert not A.dot(c).any()
+                    M = A * W
+                    asymmetric = (M != M.T).any()
+                    symmetry_only += asymmetric and positive_definite(M[:-1, :-1].tolist())
         assert symmetry_only > 0
 
     def test_claiming_one_over_n_minus_one_fails(self, instances_to_6):
@@ -529,6 +575,7 @@ class TestCheckTarget:
             Y = oracle.fraction_y(inst.D, inst.DY)
             for j, tau in enumerate(trees):
                 assert not check_attained(claim, tau, C[:, j])
+                assert not oracle.attained_by_inverse(claim, tau, C[:, j])
                 rows = [[((n - 1) * Y[e, f] - (e == f)) / inst.weights[e] for f in tau]
                         for e in tau]
                 scale = math.lcm(*(x.denominator for row in rows for x in row))
@@ -611,14 +658,24 @@ class TestCheckDual:
             assert sp.check_dual(inst)
 
     def test_zero_dual_weights_fail(self, instances_to_6, monkeypatch):
-        # all-zero dual weights make every cross product zero, which proves
-        # no reciprocity: the common factor must not be zero
-        import spextremal.extremal as extremal
-        real = extremal.induced_weights
-        monkeypatch.setattr(extremal, "induced_weights",
-                            lambda tree: {e: 0 * w for e, w in real(tree).items()})
-        for inst in instances_to_6:
-            assert not sp.check_dual(inst), sp.format_tree(inst.tree)
+        # all-zero dual weights make every product W_e W*_e zero, which
+        # proves no reciprocity, and their gcd of 0 must not divide
+        assert_dual_weights_times(0, instances_to_6, monkeypatch)
+
+    def test_negated_dual_weights_fail(self, instances_to_6, monkeypatch):
+        # negated dual weights keep every product W_e W*_e equal, but no
+        # star space has negative weights
+        assert_dual_weights_times(-1, instances_to_6, monkeypatch)
+
+
+def assert_dual_weights_times(factor, instances, monkeypatch):
+    """check_dual rejects every instance, without raising, when the dual's
+    weights are multiplied by factor."""
+    real = extremal.induced_weights
+    monkeypatch.setattr(extremal, "induced_weights",
+                        lambda tree: {e: factor * w for e, w in real(tree).items()})
+    for inst in instances:
+        assert not sp.check_dual(inst), sp.format_tree(inst.tree)
 
 
 def same_partition(items, key_a, key_b):

@@ -267,6 +267,31 @@ class TestLaplacian:
         assert exact_equal(L, rational_matrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
 
 
+class TestIntegerWeights:
+    def test_coprime_positive_and_proportional(self):
+        rng = random.Random(5)
+        for n in range(1, 9):
+            for _ in range(20):
+                w = {e: Fraction(rng.randint(1, 40), rng.randint(1, 40)) for e in range(n)}
+                W = numeric.integer_weights(w)
+                assert W.dtype == object and all(type(x) is int for x in W)
+                assert all(x > 0 for x in W) and math.gcd(*W) == 1
+                assert len({Fraction(W[e]) / w[e] for e in range(n)}) == 1
+                assert (numeric.integer_weights(W) == W).all()
+
+    def test_takes_ints_and_fractions(self):
+        assert numeric.integer_weights([4, 6, 10]).tolist() == [2, 3, 5]
+        assert numeric.integer_weights({0: 3, 1: Fraction(3, 2)}).tolist() == [2, 1]
+        assert numeric.integer_weights([np.int64(2), Fraction(1, 3)]).tolist() == [6, 1]
+
+    def test_instance_weights(self, instances_to_7):
+        # build keeps integer_weights of its Fraction weights as inst.w
+        for inst in instances_to_7:
+            W = numeric.integer_weights(inst.weights)
+            assert W.tolist() == inst.w.tolist()
+            assert len({Fraction(W[e]) / x for e, x in inst.weights.items()}) == 1
+
+
 class TestTransferCurrent:
     def test_banana_two(self):
         t = sp.parse_tree("P(e,e)")

@@ -196,3 +196,4 @@ class TestSerialization:
     def test_exact_strings(self):
         assert weights_to_json({0: Fraction(3, 4)}) == {"0": "3/4"}
         assert weights_to_json({0: Fraction(2)}) == {"0": "2/1"}
+        assert weights_to_json({0: 2, 1: Fraction(6, 4)}) == {"0": "2/1", "1": "3/2"}
