@@ -8,7 +8,7 @@ affinity): each CPU but the first gets a forked worker, and the output
 does not depend on how many there are.  Exit codes: 0 success, 1
 verification failure, 2 bound violation, 64 usage error or a size limit
 hit, 65 parse error, 71 a verify or search worker could not start or
-ended without a result.
+ended without a result, 74 stdout closed before the output was written.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ EXIT_VIOLATION = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
 EXIT_OSERR = 71
+EXIT_IOERR = 74
 
 # the largest row table prints: row 30 takes about 50 ms, and its
 # entries already run to 12 digits
@@ -292,6 +293,11 @@ def main(argv=None) -> int:
     except WorkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OSERR
+    except BrokenPipeError:
+        # the reader closed stdout; pointing it at the null device leaves
+        # the interpreter's last flush nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
 
 
 if __name__ == "__main__":

@@ -16,14 +16,20 @@ realization) is a loop over the tuple, and a tree nests no objects, so no
 tree is too deep for Python's recursion limit, and comparing or hashing
 one never recurses either; neither does the parse of the text grammar.
 
+Only the grammar and enumeration alternate the kinds.  A tuple may nest a
+node in its own kind (two_terminal_layout does), and every walk reads it as
+its parts: a bundle hands its terminal pair to each part, so a bundle in a
+bundle realizes, weighs and counts rank and deficits as one; along a chain
+in a chain the phi and psi ratios telescope; realize numbers vertices by
+first appearance; format_tree writes the parts in the node's place.
+
 This module provides the text grammar, the symmetry-class counts from a
 generating function (no tree enumerated), duality, exhaustive enumeration
 of one canonical tree per shape (parallel branches sorted, each series
 chain in its smaller reading direction), each written into post-order
 from its shape key in one pass, and realization as a directed
-multigraph.  Realization runs the tree top-down, handing each node its
-terminal pair, and numbers the vertices by first appearance along the
-leaves in reading order, the left end of a leaf before its right end.
+multigraph, top-down, numbering the vertices by first appearance along
+the leaves in reading order, the left end of a leaf before its right end.
 """
 
 from __future__ import annotations
@@ -51,11 +57,6 @@ class TreeParseError(SpTreeError):
         return type(self), (self.message, self.position)
 
 
-def _shifted(nodes, by):
-    """nodes with by added to every child position."""
-    return [(tuple([c + by for c in kids]), *rest) for kids, *rest in nodes] if by else nodes
-
-
 def leaf_count(tree) -> int:
     return tree[-1][1]
 
@@ -75,39 +76,29 @@ def dualize(tree) -> tuple:
 
     The output describes the planar dual network, every edge natural.
     When the input root is parallel the output root is a series chain that
-    has to be read as closed into a cycle; realize, induced_weights and
-    two_terminal_layout interpret it that way, so the realized dual has
-    rank n - rank(tree).
+    has to be read as closed into a cycle; realize and the weights module
+    read it through two_terminal_layout, so the realized dual has rank
+    n - rank(tree).
     """
     return tuple([(kids, size, not is_series, None, 0) if kids else ((), 1, False, eid, 1)
                   for kids, size, is_series, eid, _ in tree])
 
 
 def two_terminal_layout(tree) -> tuple:
-    """The tree in two-terminal form: a parallel root as it is, and a
-    series-rooted closed chain re-rooted, its first part in parallel with
-    the chain of the others, a parallel part spliced in by its children so
-    that the result alternates.  Any other choice gives the same graph and induces the
-    same edge weights up to a common factor."""
+    """The tree in two-terminal form: a parallel root as it is, and a closed
+    series chain S(x1, ..., xm) as P(x1, S(x2, ..., xm)), or P(x1, x2) when
+    m = 2, which appends at most two nodes and moves none.  Any other first
+    part gives the same graph and weights up to a common factor."""
     kids, size, is_series, _, _ = tree[-1]
     if not kids:
         raise SpTreeError("a single edge is not a 2-connected network")
     if not is_series:
         return tree
-    first, rest = kids[0], kids[1:]
-    nodes, top = list(tree[:-1]), [first]
-    if tree[first][0]:  # a part of a series node is a leaf or parallel
-        top = list(tree[first][0])
-        nodes[first:] = _shifted(nodes[first + 1:], -1)
-        rest = tuple([c - 1 for c in rest])
+    nodes, rest = list(tree[:-1]), kids[1:]
     if len(rest) > 1:
-        nodes.append((rest, size - tree[first][1], True, None, 0))
-        top.append(len(nodes) - 1)
-    elif nodes[-1][0]:  # the one other part, parallel, is the last node
-        top.extend(nodes.pop()[0])
-    else:
-        top.append(rest[0])
-    return (*nodes, (tuple(top), size, False, None, 0))
+        nodes.append((rest, size - tree[kids[0]][1], True, None, 0))
+        rest = (len(nodes) - 1,)
+    return (*nodes, ((kids[0], *rest), size, False, None, 0))
 
 
 def _times(a, b):
@@ -259,11 +250,13 @@ def class_counts(n_max: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def format_tree(tree) -> str:
+    """The tree as text, a node nested in its own kind written as its parts."""
     texts = []  # the text of each subtree whose parent comes later
     for kids, _, is_series, _, _ in tree:
         first = len(texts) - len(kids)
-        text = ("S(" if is_series else "P(") + ",".join(texts[first:]) + ")" if kids else "e"
-        texts[first:] = [text]
+        head = "S" if is_series else "P"
+        parts = [text[2:-1] if text[0] == head else text for text in texts[first:]]
+        texts[first:] = [head + "(" + ",".join(parts) + ")" if kids else "e"]
     return texts[0]
 
 

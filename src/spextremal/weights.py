@@ -30,12 +30,12 @@ from .sptree import SpTreeError, two_terminal_layout
 
 
 def induced_weights(tree) -> dict[int, Fraction]:
-    """Edge weights read off the alternating decomposition chain.
+    """Edge weights read off the decomposition chain.
 
     Every serial decomposition step from a subnetwork with a edges to a
-    part with b edges contributes phi(a)/phi(b) with phi(x) = x*(n - x);
-    chains ending at a parallel level end with a dummy serial step that
-    contributes nothing.  Edges sitting directly in the root bundle get
+    part with b edges contributes phi(a)/phi(b) with phi(x) = x*(n - x),
+    which telescopes along a chain in a chain; chains ending at a parallel
+    level end with a dummy serial step that contributes nothing.  Edges sitting directly in the root bundle get
     weight 1.  The subnetwork sizes come from the tree's two-terminal
     form (sptree.two_terminal_layout, so a closed series chain is taken
     too), and the sizes alone decide, so the leaf signs do not matter; one

@@ -22,7 +22,8 @@ at any size.  degenerate_by_inverse and attained_by_inverse are
 check_degenerate's identity (d) and check_attained's matrix in their
 W^(-1) forms, scaled to integers by inverse_weights, lcm(p) q / p for
 w = p / q, where spextremal states both with W.  check_invariants
-checks a tree's alternation, arity and edge ids.
+checks a tree's alternation, arity and edge ids, all but the alternation
+for a two_terminal_layout.
 
 The tree code spextremal does not ship, since every path it runs goes
 from tree to graph, lives here too: compose (series or parallel
@@ -70,11 +71,15 @@ from spextremal.sptree import (
     MultiGraph,
     SpTreeError,
     _require_edge_ids,
-    _shifted,
     enumerate_rooted,
     parse_tree,
     two_terminal_layout,
 )
+
+
+def _shifted(nodes, by):
+    """nodes with by added to every child position."""
+    return [(tuple([c + by for c in kids]), *rest) for kids, *rest in nodes] if by else nodes
 
 
 def _relist(nodes, root=-1) -> tuple:
@@ -142,11 +147,13 @@ def _leaves(node) -> list:
     return [leaf for child in node.children for leaf in _leaves(child)]
 
 
-def check_invariants(tree) -> None:
+def check_invariants(tree, alternating=True) -> None:
     """Raise unless the post-order tuple is well formed (every child
     listed before its parent and under exactly one, sizes the leaf counts,
     inner nodes without id or sign, leaves with a sign of +-1) and the
-    alternation, arity and edge-id invariants hold."""
+    arity and edge-id invariants hold, and unless the kinds alternate
+    when alternating is true; a two_terminal_layout may nest a node in
+    its own kind, and is checked with alternating false."""
     parents = [0] * len(tree)
     for i, (kids, size, is_series, eid, sign) in enumerate(tree):
         for c in kids:
@@ -165,7 +172,7 @@ def check_invariants(tree) -> None:
         if len(node.children) < 2:
             raise SpTreeError("composition nodes need at least 2 children")
         for c in node.children:
-            if type(c) is type(node):
+            if alternating and type(c) is type(node):
                 raise SpTreeError("series and parallel compositions must alternate")
             walk(c)
 
@@ -501,6 +508,12 @@ def spanning_trees(graph) -> list[tuple]:
     return [s for s in combinations(range(n), size) if _is_forest(graph, s)]
 
 
+def _parts(node) -> tuple:
+    """The children of node, each of node's own kind replaced by its parts."""
+    return tuple([part for child in node.children
+                  for part in (_parts(child) if type(child) is type(node) else (child,))])
+
+
 def class_key(tree):
     """Canonical key of the cycle matroid of the tree's 2-connected graph.
 
@@ -514,21 +527,22 @@ def class_key(tree):
     (Cunningham and Edmonds, Canad. J. Math. 32, 1980), and the elements
     within a node are interchangeable.  A node is labelled by its kind and
     its number of leaves; the key is the least AHU code (label, sorted child
-    codes) over all rootings.  No graph or matrix is built.
+    codes) over all rootings.  No graph or matrix is built.  A node nested
+    in its own kind, as a two_terminal_layout may nest one, is read as its
+    parts.
     """
     tree = nested(two_terminal_layout(tree))
-    if len(tree.children) == 2:
+    if len(_parts(tree)) == 2:
         # a bond of two elements is no node: its sides form one polygon
-        tree = Series(tuple([part for child in tree.children for part in (
-            child.children if isinstance(child, Series) else (child,))]))
+        tree = Series(_parts(Series(_parts(tree))))
     labels, links = [], []
 
     def add(node):
         i = len(labels)
-        leaves = sum(isinstance(c, Leaf) for c in node.children)
+        leaves = sum(isinstance(c, Leaf) for c in _parts(node))
         labels.append((isinstance(node, Series), leaves))
         links.append([])
-        for child in node.children:
+        for child in _parts(node):
             if not isinstance(child, Leaf):
                 j = add(child)
                 links[i].append(j)

@@ -548,3 +548,19 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "P(e,e)" in proc.stdout
+
+    def test_closed_stdout_exits_74(self):
+        # verify 9 writes about 300 kB, more than a pipe holds, so its
+        # writes meet the closed reader: exit 74, nothing on stderr, not
+        # even from the interpreter's last flush, and no process left in
+        # its process group, workers included
+        proc = subprocess.Popen([sys.executable, "-m", "spextremal.cli", "verify", "9"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=300), err) == (74, b"")
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)

@@ -806,6 +806,32 @@ class TestReports:
             assert report["eigen_ok"] and report["degenerate_ok"]
             assert report["target_ok"] and report["dual_ok"]
 
+    def test_every_instance_built_from_its_dual(self, instances_to_7):
+        # build lays a dual's closed chain out in two-terminal form, which
+        # may nest a bundle in its root bundle; every verdict holds, and
+        # the report names a tree that parses to a parallel root and, with
+        # the same directions, builds the same graph and weights
+        nested = 0
+        for natural in instances_to_7:
+            dual = sp.dualize(natural.tree)
+            for tree in (dual, flipped(dual)):
+                inst = sp.build(tree)
+                report = sp.verify_instance(inst)
+                name = report["tree"]
+                assert report["eigen_ok"] and report["degenerate_ok"], name
+                assert report["target_ok"] and report["dual_ok"], name
+                parsed = sp.parse_tree(name)
+                assert parsed[-1][0] and not parsed[-1][2], name
+                directions = [False] * sp.leaf_count(tree)
+                for kids, _, _, eid, sign in tree:
+                    if not kids:
+                        directions[eid] = sign < 0
+                rebuilt = sp.build(orient(parsed, directions))
+                assert rebuilt.graph == inst.graph, name
+                assert rebuilt.weights == inst.weights, name
+                nested += len(parsed) < len(inst.tree)  # a bundle in a bundle
+        assert nested > 0
+
     def test_verify_proves_the_first_spanning_tree(self, monkeypatch):
         # the attainment proof runs on the first tree in lexicographic
         # order, on instances where the float target's subset is another too

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import spextremal as sp
 from spextremal import sptree
 from spextremal.sptree import MultiGraph, two_terminal_layout
+from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
 from exact_oracles import (
+    _shifted,
     canonicalize,
     check_invariants,
     compose,
@@ -47,6 +50,38 @@ def random_tree(rng, n_edges):
 
     tree = grow(n_edges, rng.random() < 0.5)
     return tree if len(tree) > 1 else compose([tree, leaf(next(counter))], False)
+
+
+def nest(parts, series):
+    """The parts, in order, under one new series (series true) or parallel
+    node, none spliced in by its children as compose splices them."""
+    nodes, kids = [], []
+    for part in parts:
+        nodes.extend(_shifted(part, len(nodes)))
+        kids.append(len(nodes) - 1)
+    return (*nodes, (tuple(kids), sum([nodes[c][1] for c in kids]), series, None, 0))
+
+
+def regrouped(rng, node):
+    """The post-order tuple of a nested view, where at random some runs of
+    two or more, but not all, consecutive children of a node are grouped
+    under a new node of that node's kind."""
+    if isinstance(node, oracle.Leaf):
+        return (((), 1, False, node.eid, node.sign),)
+    series = isinstance(node, oracle.Series)
+    parts = [regrouped(rng, child) for child in node.children]
+    if len(parts) > 2 and rng.random() < 0.7:
+        a = rng.randrange(len(parts) - 1)
+        b = rng.randint(a + 2, len(parts) - (a == 0))
+        parts[a:b] = [nest(parts[a:b], series)]
+    return nest(parts, series)
+
+
+def coefficient_fractions(tree, trees):
+    """stacked_coefficients' C / s as Fractions, with its support."""
+    s, C, on = stacked_coefficients(tree, trees)
+    return [[Fraction(int(C[e, j]), int(s[j])) for e in range(len(C))]
+            for j in range(len(trees))], on.tolist()
 
 
 class TestConstructors:
@@ -321,18 +356,24 @@ class TestRealize:
 
     def test_layout_of_a_closed_chain_realizes_as_the_chain(self):
         # a series root closes up into its first part in parallel with the
-        # chain of the others, flattened as the text grammar nests
-        for text, closed in (("S(e,P(e,e),e)", "P(e,S(P(e,e),e))"),
-                             ("S(P(e,e),e)", "P(e,e,e)")):
-            tree, rooted = sp.parse_tree(text), sp.parse_tree(closed)
+        # chain of the others, or with the one other part, each nested as
+        # it comes; the text, graph and weights are those of the flat tree
+        # the text grammar writes
+        for text, rooted, flat in (
+                ("S(e,P(e,e),e)", sp.parse_tree("P(e,S(P(e,e),e))"), "P(e,S(P(e,e),e))"),
+                ("S(P(e,e),e)", nest([sp.parse_tree("P(e,e)"), leaf(2)], False), "P(e,e,e)")):
+            tree = sp.parse_tree(text)
             flips = [True, False, False, True][:sp.leaf_count(tree)]
             assert two_terminal_layout(tree) == rooted
-            assert sp.realize(orient(tree, flips)) == sp.realize(orient(rooted, flips))
-            assert sp.induced_weights(tree) == sp.induced_weights(rooted)
+            assert sp.format_tree(rooted) == flat
+            for same in (tree, sp.parse_tree(flat)):
+                assert sp.realize(orient(same, flips)) == sp.realize(orient(rooted, flips))
+                assert sp.induced_weights(same) == sp.induced_weights(rooted)
 
     def test_two_terminal_form_composes_the_closed_chain(self):
         # the first part in parallel with the series chain of the others,
-        # spliced by compose, with the leaves kept in reading order
+        # or with the one other part, neither spliced, with the leaves kept
+        # in reading order; the text is that of the spliced composition
         rng = random.Random(13)
         for _ in range(300):
             tree = random_tree(rng, rng.randint(2, 12))
@@ -344,9 +385,39 @@ class TestRealize:
                 if depth == 1 and ch in "(,":
                     cuts.append(i)
             parts = [sp.parse_tree(text[a + 1:b]) for a, b in zip(cuts, cuts[1:] + [len(text) - 1])]
-            closed = compose([parts[0], compose(parts[1:], True)], False)
-            check_invariants(two_terminal_layout(tree))
-            assert two_terminal_layout(tree) == oracle.relabel_leaves(closed), text
+            chain = compose(parts[1:], True)
+            layout = two_terminal_layout(tree)
+            check_invariants(layout, alternating=False)
+            assert layout == oracle.relabel_leaves(nest([parts[0], chain], False)), text
+            assert sp.format_tree(layout) == sp.format_tree(compose([parts[0], chain], False)), text
+
+    def test_walks_read_a_nested_node_as_its_parts(self):
+        # grouping consecutive children of a node under a new node of its
+        # kind changes no walk: a bundle inside a bundle shares its
+        # terminals, and along a chain inside a chain the ratios telescope
+        rng = random.Random(17)
+        grouped_any = False
+        for _ in range(300):
+            tree = random_tree(rng, rng.randint(2, 10))
+            if tree[-1][2]:
+                tree = sp.dualize(tree)
+            tree = orient(tree, [rng.random() < 0.5 for _ in range(sp.leaf_count(tree))])
+            grouped = regrouped(rng, oracle.nested(tree))
+            text = sp.format_tree(tree)
+            check_invariants(grouped, alternating=False)
+            if grouped != tree:
+                grouped_any = True
+                with pytest.raises(sp.SpTreeError, match="alternate"):
+                    check_invariants(grouped)
+            assert sp.format_tree(grouped) == text
+            assert sp.rank(grouped) == sp.rank(tree), text
+            assert sp.realize(grouped) == sp.realize(tree), text
+            assert sp.induced_weights(grouped) == sp.induced_weights(tree), text
+            assert oracle.class_key(grouped) == oracle.class_key(tree), text
+            trees = sp.spanning_trees(sp.realize(tree))
+            assert (coefficient_fractions(grouped, trees)
+                    == coefficient_fractions(tree, trees)), text
+        assert grouped_any
 
     def test_two_cycle(self):
         g = sp.realize(sp.parse_tree("P(e,e)"))
