@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from .extremal import (
     build, check_degenerate, check_dual, check_eigen, class_table,
-    count_classes, planar_dual, verify_instance,
+    count_classes, verify_instance,
 )
 from .numeric import BruteForceCapError, incidence_matrix, target
 from .sptree import (
@@ -28,7 +28,7 @@ __all__ = [
     "build", "check_degenerate", "check_dual", "check_eigen", "class_table",
     "count_classes", "dualize", "enumerate_rooted", "format_tree",
     "incidence_matrix", "induced_weights", "leaf_count", "parse_tree",
-    "planar_dual", "rank", "realize", "spanning_trees", "target",
+    "rank", "realize", "spanning_trees", "target",
     "verify_instance",
     # the exceptions a caller catches
     "SpTreeError", "TreeParseError", "BruteForceCapError",

@@ -31,6 +31,7 @@ from .sptree import (
     format_tree,
     leaf_count,
     parse_tree,
+    require_two_connected,
 )
 from .weights import induced_weights, weights_to_json
 from .workers import WorkerError, cpus, in_order
@@ -78,15 +79,6 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_two_sp(text: str):
-    tree = parse_tree(text)
-    kids, _, is_series, _, _ = tree[-1]
-    if is_series or not kids:
-        raise TreeParseError(
-            "root must be a parallel composition (the graph is not 2-connected)", 0)
-    return tree
-
-
 def cmd_enumerate(args) -> int:
     if args.n < 2 or args.n > MAX_EDGES or not 1 <= args.k < args.n:
         raise UsageError(f"need 2 <= n <= {MAX_EDGES} and 1 <= k <= n - 1")
@@ -107,8 +99,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    tree = _parse_two_sp(args.tree)
-    weights = induced_weights(tree)
+    weights = induced_weights(parse_tree(args.tree))
     if args.format == "json":
         manifest = run_manifest("weights", {"tree": args.tree}, trees=[args.tree])
         _emit_json({"manifest": manifest, "weights": weights_to_json(weights)})
@@ -122,7 +113,8 @@ def _verify_trees(args):
     if not match:
         if args.k_range is not None:
             raise UsageError("a tree spec takes no k range")
-        tree = _parse_two_sp(args.spec)
+        tree = parse_tree(args.spec)
+        require_two_connected(tree)
         require_edge_limit(leaf_count(tree))
         yield tree
         return

@@ -1,7 +1,7 @@
 """Assembled extremal instances and their exact verification.
 
-build() turns a decomposition tree into the full bundle: the tree in
-two-terminal form with its direction signs, the realized graph and
+build() turns a 2-connected decomposition tree into the full bundle:
+the tree with its direction signs, the realized graph and
 induced weights read off it, incidence matrix, and the transfer current
 matrix Y held only as the integer pair (D, D Y) that transfer_current
 returns, D the least positive integer that makes D Y integral.  That is
@@ -16,9 +16,8 @@ four identities that D Y is D times the transfer current, which makes
 every non-tree minor zero without looking at a single subset;
 check_attained proves the bound attained on one tree, which verify takes
 to be the first spanning tree; and check_dual reads the planar dual off
-that proof, with two tests of the dual's graph and weights, read off the
-primal's tree with its kinds swapped: nothing after build re-lists a
-tree.
+that proof, with two tests of the graph and weights of the dual tree
+sptree.dualize writes: nothing after build re-lists a tree.
 build also keeps W, the weights as coprime positive integers
 (numeric.integer_weights), and every check states its identities with W
 alone: none needs W^(-1).
@@ -28,10 +27,12 @@ them, so their products run in int64 when that bound proves that nothing
 wraps and in Python ints otherwise, the same expressions either way;
 check_dual multiplies int64 entries in {-1, 0, 1} and the two weight
 vectors in Python ints, and check_attained stays in Python ints.
-Nothing on the verify path sweeps the k-subsets or takes a float
-decomposition: the spanning trees come from one batched determinant
-(weights.spanning_trees), and together the exact checks fix the cosine
-at 1/sqrt(n), so verify reports verdicts and no float target.
+The one float step on the verify path lists the spanning trees:
+weights.spanning_trees takes a batched LU determinant of every k-subset
+of the reduced incidence matrix, exact because that matrix is totally
+unimodular.  Every verdict is an integer identity, and together the
+exact checks fix the cosine at 1/sqrt(n), so verify reports verdicts
+and no float target.
 count_classes reads the symmetry classes off their generating function
 (sptree.class_counts), with no tree enumerated.
 """
@@ -59,7 +60,6 @@ from .sptree import (
     dualize,
     format_tree,
     realize,
-    two_terminal_layout,
 )
 from .weights import (
     induced_weights,
@@ -75,7 +75,7 @@ class ExtremalInstance:
     objects the exact checks read, the pair (D, D Y) and the coprime
     weight vector W, kept as w."""
 
-    tree: tuple       # two-terminal, with its signs; graph, weights, report and dual read it
+    tree: tuple       # parallel-rooted, with its signs; graph, weights, report and dual read it
     graph: MultiGraph
     weights: dict
     B: np.ndarray
@@ -96,12 +96,8 @@ class ExtremalInstance:
 
 def build(tree) -> ExtremalInstance:
     """Realize the tree, with its leaf signs, and assemble every derived
-    object but the basis, which inst.subspace computes when read.
-
-    Accepts a series-rooted tree too (a closed dual chain), rewriting it
-    through two_terminal_layout first.
-    """
-    tree = two_terminal_layout(tree)
+    object but the basis, which inst.subspace computes when read; the root
+    must be parallel (sptree.require_two_connected)."""
     graph = realize(tree)
     w = induced_weights(tree)
     B = incidence_matrix(graph)
@@ -195,41 +191,22 @@ def check_attained(inst: ExtremalInstance, tau, c) -> bool:
     return bareiss(M[np.ix_(rest, rest)].tolist()) is not None
 
 
-def planar_dual(inst: ExtremalInstance):
-    """The planar dual's graph, weights and signs s, read off the primal.
-
-    The dual is dualize(inst.tree), every edge natural; its closed chain
-    is rooted at the primal root's first branch (two_terminal_layout),
-    which leaves every other branch reversed, so s_e is +1 on that branch,
-    -1 off it, times e's own direction sign; check_dual tests
-    B S B*^T == 0 rather than assume it.
-    """
-    dual = two_terminal_layout(dualize(inst.tree))
-    first = inst.tree[-1][0][0]  # post-order: its leaves come first
-    signs = np.empty(len(inst.weights), dtype=np.int64)
-    for i, (kids, _, _, eid, sign) in enumerate(inst.tree):
-        if not kids:
-            signs[eid] = sign if i <= first else -sign
-    return realize(dual), induced_weights(dual), signs
-
-
 def check_dual(inst: ExtremalInstance) -> bool:
     """Exact check of the planar dual, read off the primal.
 
-    With planar_dual's graph, weights w* and signs s, and B* the dual
-    incidence matrix: (a) B S B*^T == 0; (b) w* is positive and
+    With B* the incidence matrix of the graph dualize(inst.tree) realizes
+    and w* its weights: (a) B B*^T == 0; (b) w* is positive and
     reciprocal to w up to one factor: with W and W* their integer_weights,
-    every W*_e > 0 and the products W_e W*_e are all equal.  B, B* and S
-    are int64 with entries in {-1, 0, 1}, so no sum in (a) exceeds n.
-    With check_degenerate's proof that Y is the transfer current, these
-    give the dual's Y* = S (I - Y^T) S, so the primal's D clears it too.
-    Why: the dual graph is connected on
-    n - k + 1 vertices (Euler's formula), so by (a) S range(B*^T), of
-    dimension n - k, is ker B, and S range(B^T) = ker B*.  I - Y^T
-    projects onto W^(-1) ker B along range(B^T), and by (b) W* is
-    proportional to W^(-1), so S (I - Y^T) S projects onto
-    range(W* B*^T) along ker B*: it is Y*.
-    The dual's target is the primal's: the dual star space is S V^perp,
+    every W*_e > 0 and the products W_e W*_e are all equal.  B and B* are
+    int64 with entries in {-1, 0, 1}, so no sum in (a) exceeds n.  With
+    check_degenerate's proof that Y is the transfer current, these give
+    the dual's Y* = I - Y^T, so the primal's D clears it too.
+    Why: the dual graph is connected on n - k + 1 vertices (Euler's
+    formula), so by (a) range(B*^T), of dimension n - k, is ker B, and
+    range(B^T) = ker B*.  I - Y^T projects onto W^(-1) ker B along
+    range(B^T), and by (b) W* is proportional to W^(-1), so I - Y^T
+    projects onto range(W* B*^T) along ker B*: it is Y*.
+    The dual's target is the primal's: the dual star space is V^perp,
     and its spanning trees are the complements of the primal's.  For V
     and a coordinate subspace E of equal dimension, the orthogonal
     [E E^perp]^T [V V^perp] has diagonal blocks E^T V and
@@ -237,10 +214,10 @@ def check_dual(inst: ExtremalInstance) -> bool:
     one off-diagonal block, up to extra ones: both least singular values,
     the deviation cosines, agree.
     """
-    graph, dual_w, signs = planar_dual(inst)
-    dual = integer_weights(dual_w)
-    return bool(not inst.B.dot(signs[:, None] * incidence_matrix(graph).T).any()
-                and min(dual) > 0 and len(set(inst.w * dual)) == 1)
+    dual = dualize(inst.tree)
+    dual_W = integer_weights(induced_weights(dual))
+    return bool(not inst.B.dot(incidence_matrix(realize(dual)).T).any()
+                and min(dual_W) > 0 and len(set(inst.w * dual_W)) == 1)
 
 
 # ---------------------------------------------------------------------------

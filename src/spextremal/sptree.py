@@ -17,7 +17,7 @@ tree is too deep for Python's recursion limit, and comparing or hashing
 one never recurses either; neither does the parse of the text grammar.
 
 Only the grammar and enumeration alternate the kinds.  A tuple may nest a
-node in its own kind (two_terminal_layout does), and every walk reads it as
+node in its own kind (dualize does), and every walk reads it as
 its parts: a bundle hands its terminal pair to each part, so a bundle in a
 bundle realizes, weighs and counts rank and deficits as one; along a chain
 in a chain the phi and psi ratios telescope; realize numbers vertices by
@@ -71,34 +71,38 @@ def rank(tree) -> int:
                               if kids and not is_series])
 
 
+def require_two_connected(tree) -> None:
+    """Raise SpTreeError unless the root is a parallel composition, which
+    is what makes the network 2-connected; every walk that realizes,
+    weighs or dualizes a tree asks for one."""
+    kids, _, is_series, _, _ = tree[-1]
+    if is_series or not kids:
+        raise SpTreeError("root must be a parallel composition (the graph is not 2-connected)")
+
+
 def dualize(tree) -> tuple:
-    """Swap series and parallel composition kinds throughout.
+    """The planar dual of a 2-connected tree, itself 2-connected.
 
-    The output describes the planar dual network, every edge natural.
-    When the input root is parallel the output root is a series chain that
-    has to be read as closed into a cycle; realize and the weights module
-    read it through two_terminal_layout, so the realized dual has rank
-    n - rank(tree).
+    The kinds swap throughout, which turns the root's parts x1, ..., xm
+    into a closed series chain, written P(x1, S(x2, ..., xm)), or
+    P(x1, x2) when m = 2: at most two nodes appended and none moved.
+    Cutting the cycle at the ends of x1 leaves the other parts running
+    against it, so each leaf in x1 keeps its sign and every other leaf
+    flips, which makes B B*^T = 0 for the incidence matrices B and B*
+    that the two trees realize.  The dual has rank n - rank(tree), and
+    dualizing twice gives back the text, the oriented graph and the
+    weights.
     """
-    return tuple([(kids, size, not is_series, None, 0) if kids else ((), 1, False, eid, 1)
-                  for kids, size, is_series, eid, _ in tree])
-
-
-def two_terminal_layout(tree) -> tuple:
-    """The tree in two-terminal form: a parallel root as it is, and a closed
-    series chain S(x1, ..., xm) as P(x1, S(x2, ..., xm)), or P(x1, x2) when
-    m = 2, which appends at most two nodes and moves none.  Any other first
-    part gives the same graph and weights up to a common factor."""
-    kids, size, is_series, _, _ = tree[-1]
-    if not kids:
-        raise SpTreeError("a single edge is not a 2-connected network")
-    if not is_series:
-        return tree
-    nodes, rest = list(tree[:-1]), kids[1:]
+    require_two_connected(tree)
+    first, *rest = tree[-1][0]  # post-order: the leaves of x1 come first
+    n = tree[-1][1]
+    nodes = [(kids, size, not is_series, None, 0) if kids
+             else ((), 1, False, eid, sign if i <= first else -sign)
+             for i, (kids, size, is_series, eid, sign) in enumerate(tree[:-1])]
     if len(rest) > 1:
-        nodes.append((rest, size - tree[kids[0]][1], True, None, 0))
-        rest = (len(nodes) - 1,)
-    return (*nodes, ((kids[0], *rest), size, False, None, 0))
+        nodes.append((tuple(rest), n - tree[first][1], True, None, 0))
+        rest = [len(nodes) - 1]
+    return (*nodes, ((first, *rest), n, False, None, 0))
 
 
 def _times(a, b):
@@ -445,11 +449,10 @@ def realize(tree) -> MultiGraph:
     its children and hands each child its consecutive pair.  Vertices are
     then numbered 0, 1, ... by first appearance along the leaves in reading
     order, the left end of a leaf before its right end, so the left
-    terminal is vertex 0.  Each edge runs as its leaf's sign says.  A
-    series root is read as the closed-up chain (two_terminal_layout), which
-    is how duals realize.
+    terminal is vertex 0.  Each edge runs as its leaf's sign says.  The
+    root must be parallel (require_two_connected).
     """
-    tree = two_terminal_layout(tree)
+    require_two_connected(tree)
     span = {len(tree) - 1: (0, 1)}  # each node's terminal pair
     fresh = itertools.count(2)
     for i in reversed(range(len(tree))):

@@ -26,7 +26,7 @@ from itertools import chain, compress
 import numpy as np
 
 from . import numeric
-from .sptree import SpTreeError, two_terminal_layout
+from .sptree import SpTreeError, require_two_connected
 
 
 def induced_weights(tree) -> dict[int, Fraction]:
@@ -36,39 +36,38 @@ def induced_weights(tree) -> dict[int, Fraction]:
     part with b edges contributes phi(a)/phi(b) with phi(x) = x*(n - x),
     which telescopes along a chain in a chain; chains ending at a parallel
     level end with a dummy serial step that contributes nothing.  Edges sitting directly in the root bundle get
-    weight 1.  The subnetwork sizes come from the tree's two-terminal
-    form (sptree.two_terminal_layout, so a closed series chain is taken
-    too), and the sizes alone decide, so the leaf signs do not matter; one
-    top-down pass multiplies the ratios along each chain as integer
-    numerators and denominators in lowest terms.
+    weight 1.  The tree must have a parallel root
+    (sptree.require_two_connected); the subnetwork sizes alone decide, so
+    the leaf signs do not matter.  One top-down pass multiplies the ratios
+    along each chain as integer numerators and denominators in lowest
+    terms.
     """
-    layout = two_terminal_layout(tree)
-    n = layout[-1][1]
+    require_two_connected(tree)
+    n = tree[-1][1]
 
     def phi(x: int) -> int:
         return x * (n - x)
 
-    num, den = [1] * len(layout), [1] * len(layout)
-    for i in reversed(range(len(layout))):
-        kids, size, is_series, _, _ = layout[i]
+    num, den = [1] * len(tree), [1] * len(tree)
+    for i in reversed(range(len(tree))):
+        kids, size, is_series, _, _ = tree[i]
         for c in kids:
             if is_series:
                 # unreduced, a deep chain's products grow far past its weights
-                p, q = num[i] * phi(size), den[i] * phi(layout[c][1])
+                p, q = num[i] * phi(size), den[i] * phi(tree[c][1])
                 g = math.gcd(p, q)
                 num[c], den[c] = p // g, q // g
             else:
                 num[c], den[c] = num[i], den[i]
     return {eid: Fraction(num[i], den[i])
-            for i, (kids, _, _, eid, _) in enumerate(layout) if not kids}
+            for i, (kids, _, _, eid, _) in enumerate(tree) if not kids}
 
 
 def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(s, C, on): C[e, j] / s[j] is the induced coefficient of edge e on
     the spanning tree trees[j], and on[e, j] says whether e lies in it;
-    layout is the decomposition tree, taken in two-terminal form
-    (sptree.two_terminal_layout), so a closed series chain is read as the
-    graph realize builds from it.
+    layout is the decomposition tree, with a parallel root
+    (sptree.require_two_connected).
 
     C is n x T, zero off each tree, and on is boolean; C and s are int64
     where numeric.fixed_width proves that nothing wraps, and Python ints
@@ -96,7 +95,7 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     failed) and when some entry is not a spanning tree: an edge id outside
     0..n-1, a repeated edge, a cycle or too few edges.
     """
-    layout = two_terminal_layout(layout)
+    require_two_connected(layout)
     n = layout[-1][1]
     trees = list(trees)
     if not trees:

@@ -23,14 +23,15 @@ check_degenerate's identity (d) and check_attained's matrix in their
 W^(-1) forms, scaled to integers by inverse_weights, lcm(p) q / p for
 w = p / q, where spextremal states both with W.  check_invariants
 checks a tree's alternation, arity and edge ids, all but the alternation
-for a two_terminal_layout.
+for a tree sptree.dualize writes.
 
 The tree code spextremal does not ship, since every path it runs goes
 from tree to graph, lives here too: compose (series or parallel
 composition), orient (a tree's leaf signs from direction flags, which is
-how the tests give every instance arbitrary edge directions),
-leaf_ids, reverse_tree, canonicalize (the representative modulo parallel
-reordering and series reversal, ordering children by integer ranks), and
+how the tests give every instance arbitrary edge directions), flipped
+(one seeded direction set), leaf_ids, reverse_tree, canonicalize (the
+representative modulo parallel reordering and series reversal, ordering
+children by integer ranks), and
 decompose, which reduces a concrete multigraph back to its canonical tree.
 written_out writes a shape key out in three passes, a breadth-first
 listing, _relist into post-order and relabel_leaves; sptree._written_out
@@ -60,6 +61,7 @@ themselves.
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -72,8 +74,8 @@ from spextremal.sptree import (
     SpTreeError,
     _require_edge_ids,
     enumerate_rooted,
+    format_tree,
     parse_tree,
-    two_terminal_layout,
 )
 
 
@@ -152,8 +154,8 @@ def check_invariants(tree, alternating=True) -> None:
     listed before its parent and under exactly one, sizes the leaf counts,
     inner nodes without id or sign, leaves with a sign of +-1) and the
     arity and edge-id invariants hold, and unless the kinds alternate
-    when alternating is true; a two_terminal_layout may nest a node in
-    its own kind, and is checked with alternating false."""
+    when alternating is true; sptree.dualize may nest a node in its own
+    kind, and its trees are checked with alternating false."""
     parents = [0] * len(tree)
     for i, (kids, size, is_series, eid, sign) in enumerate(tree):
         for c in kids:
@@ -246,6 +248,13 @@ def orient(tree, directions) -> tuple:
         raise SpTreeError("need one direction flag per edge")
     return tuple([node if node[0] else ((), 1, False, node[3], -1 if directions[node[3]] else 1)
                   for node in tree])
+
+
+def flipped(tree) -> tuple:
+    """The tree oriented by one fixed pseudo-random direction set, seeded
+    by its text."""
+    rng = random.Random(format_tree(tree))
+    return orient(tree, [rng.random() < 0.5 for _ in range(tree[-1][1])])
 
 
 def leaf_ids(tree) -> list[int]:
@@ -403,9 +412,9 @@ def realize_with_spans(tree, directions=None):
     unless directions is given.  Returns the graph and a map from every
     node of the nested view to its terminal pair in those labels.
     """
-    if len(tree) == 1:
-        raise SpTreeError("a single edge is not a 2-connected network")
-    tree = nested(two_terminal_layout(tree))
+    if not tree[-1][0] or tree[-1][2]:
+        raise SpTreeError("root must be a parallel composition (the graph is not 2-connected)")
+    tree = nested(tree)
     leaves = _leaves(tree)
     n = len(leaves)
     if sorted(leaf.eid for leaf in leaves) != list(range(n)):
@@ -528,10 +537,9 @@ def class_key(tree):
     within a node are interchangeable.  A node is labelled by its kind and
     its number of leaves; the key is the least AHU code (label, sorted child
     codes) over all rootings.  No graph or matrix is built.  A node nested
-    in its own kind, as a two_terminal_layout may nest one, is read as its
-    parts.
+    in its own kind, as sptree.dualize may nest one, is read as its parts.
     """
-    tree = nested(two_terminal_layout(tree))
+    tree = nested(tree)
     if len(_parts(tree)) == 2:
         # a bond of two elements is no node: its sides form one polygon
         tree = Series(_parts(Series(_parts(tree))))
@@ -798,7 +806,7 @@ def induced_coefficients(tree, tau, graph) -> dict[int, Fraction]:
         raise SpTreeError("induced coefficients need a 2-connected tree")
     n = tree[-1][1]
     reference, spans = realize_with_spans(tree, [False] * n)
-    tree = nested(two_terminal_layout(tree))
+    tree = nested(tree)
     ref_pairs = {e: frozenset((t, h)) for t, h, e in reference.edges}
     got_pairs = {e: frozenset((t, h)) for t, h, e in graph.edges}
     if ref_pairs != got_pairs or reference.num_vertices != graph.num_vertices:

@@ -202,6 +202,18 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {edges} edges exceed the limit of 12\n"
 
+    @pytest.mark.parametrize("spec", ["S(e,e)", "e", "S(" + ",".join(["e"] * 13) + ")"])
+    def test_root_not_parallel_is_parse_error(self, capsys, monkeypatch, spec):
+        # checked on the parsed tree, before the edge limit and before any
+        # instance is built
+        def unreachable(*args):
+            raise AssertionError("build ran on a tree that is not 2-connected")
+
+        monkeypatch.setattr(cli, "build", unreachable)
+        code, out, err = run_cli(capsys, "verify", spec)
+        assert (code, out) == (65, "")
+        assert err == "error: root must be a parallel composition (the graph is not 2-connected)\n"
+
 
 class TestWorkers:
     """verify deals its trees, and search its restart batches, over the

@@ -14,7 +14,9 @@ from spextremal.numeric import orthonormalize, transfer_current
 from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
-from exact_oracles import canonicalize, class_key, decompose, orient, rational_matrix
+from exact_oracles import (
+    canonicalize, class_key, decompose, flipped, orient, rational_matrix,
+)
 from matrix_canon import canonical_matrix_form, oracle_key, squared_projector
 
 
@@ -58,9 +60,13 @@ class TestBuild:
         assert inst.subspace.dim == 1
         assert np.allclose(np.abs(inst.subspace.basis), 1 / math.sqrt(n))
 
-    def test_series_rooted_input_accepted(self):
-        dual = sp.dualize(sp.parse_tree("P(e,S(e,e,e))"))
-        inst = sp.build(dual)
+    def test_series_rooted_input_rejected(self):
+        # a dual comes 2-connected from dualize, and nothing closes up a
+        # series root or a single edge
+        for text in ("S(e,P(e,e))", "S(e,e,e)", "e"):
+            with pytest.raises(sp.SpTreeError, match="parallel"):
+                sp.build(sp.parse_tree(text))
+        inst = sp.build(sp.dualize(sp.parse_tree("P(e,S(e,e,e))")))
         assert len(inst.graph.edges) == 4
         assert inst.subspace.dim == 1
 
@@ -181,12 +187,6 @@ class TestCheckDegenerate:
         assert two_cycles > 0
 
 
-def flipped(tree):
-    """The tree oriented by one fixed pseudo-random direction set."""
-    rng = random.Random(sp.format_tree(tree))
-    return orient(tree, [rng.random() < 0.5 for _ in range(sp.leaf_count(tree))])
-
-
 def assert_stacked_matches_per_tree(inst, trees):
     """All trees' coefficients from one pass equal the per-tree pass, scale,
     values and support, in int64, whose bound holds this far; and the
@@ -251,20 +251,16 @@ def assert_build_matches_fraction_route(inst):
 
 
 def assert_dual_matches_build(inst):
-    """planar_dual's graph and weights, and X = S (D I - (D Y)^T) S formed
-    with its signs, equal the dual instance's own elimination: graph,
-    weights, D and D Y, with X in Python ints; the signs satisfy B S B*^T = 0;
-    and check_dual accepts it."""
+    """The dual instance's own elimination gives the primal's D and
+    D Y* = D I - (D Y)^T, formed here in Python ints; B B*^T = 0; and
+    check_dual accepts it."""
     name = sp.format_tree(inst.tree)
-    graph, weights, signs = sp.planar_dual(inst)
-    identity = np.diag(np.full(len(signs), inst.D, dtype=object))
-    X = (identity - inst.DY.T) * np.outer(signs, signs)
+    n = len(inst.weights)
+    X = np.diag(np.full(n, inst.D, dtype=object)) - inst.DY.T
     dual = sp.build(sp.dualize(inst.tree))
-    assert graph == dual.graph and weights == dual.weights, name
     assert dual.D == inst.D and exact_equal(X, dual.DY), name
     assert all(type(x) is int for x in X.flat), name
-    assert len(signs) == len(inst.weights) and set(signs.tolist()) <= {1, -1}, name
-    assert not inst.B.dot(signs[:, None] * dual.B.T).any(), name
+    assert not inst.B.dot(dual.B.T).any(), name
     assert sp.check_dual(inst), name
 
 
@@ -616,19 +612,17 @@ class TestCheckDual:
             assert sp.check_degenerate(bumped) and sp.check_dual(bumped)
 
     def test_flipped_sign_fails(self, instances_to_6, monkeypatch):
-        # flipping s_e adds -2 s_e B[:, e] B*[:, e]^T to B S B*^T, which
-        # is nonzero because neither graph has a loop
+        # flipping the sign of the dual's leaf e adds -2 B[:, e] B*[:, e]^T
+        # to B B*^T, which is nonzero because neither graph has a loop
         import spextremal.extremal as extremal
-        real = extremal.planar_dual
+        real = extremal.dualize
         flip = []
 
-        def flipped(inst):
-            graph, weights, signs = real(inst)
-            signs = signs.copy()
-            signs[flip] *= -1
-            return graph, weights, signs
+        def resigned(tree):
+            return tuple([(kids, size, is_series, eid, -sign if eid in flip else sign)
+                          for kids, size, is_series, eid, sign in real(tree)])
 
-        monkeypatch.setattr(extremal, "planar_dual", flipped)
+        monkeypatch.setattr(extremal, "dualize", resigned)
         for inst in instances_to_6:
             for e in range(len(inst.graph.edges)):
                 flip[:] = [e]
@@ -807,7 +801,7 @@ class TestReports:
             assert report["target_ok"] and report["dual_ok"]
 
     def test_every_instance_built_from_its_dual(self, instances_to_7):
-        # build lays a dual's closed chain out in two-terminal form, which
+        # dualize writes a dual's closed chain in two-terminal form, which
         # may nest a bundle in its root bundle; every verdict holds, and
         # the report names a tree that parses to a parallel root and, with
         # the same directions, builds the same graph and weights

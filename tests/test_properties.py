@@ -158,11 +158,12 @@ def test_stacked_coefficients_match_per_tree_pass(tree, data):
 
 @PROPERTY
 @given(trees(max_edges=12), st.data())
-def test_planar_dual_is_the_dual_tree_realized(tree, data):
-    # the dual's layout, derived from the primal's, realizes and weighs as
-    # the dual tree does, whatever the primal's directions
+def test_dual_incidence_is_orthogonal(tree, data):
+    # dualize orients the dual so that B B*^T = 0, whatever the primal's
+    # directions, and check_dual accepts it
     n = sp.leaf_count(tree)
     directions = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    graph, weights, _ = sp.planar_dual(sp.build(orient(tree, directions)))
-    dual = sp.dualize(tree)
-    assert graph == sp.realize(dual) and weights == sp.induced_weights(dual)
+    inst = sp.build(orient(tree, directions))
+    dual = sp.incidence_matrix(sp.realize(sp.dualize(inst.tree)))
+    assert not inst.B.dot(dual.T).any()
+    assert sp.check_dual(inst)

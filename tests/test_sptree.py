@@ -5,7 +5,7 @@ import pytest
 
 import spextremal as sp
 from spextremal import sptree
-from spextremal.sptree import MultiGraph, two_terminal_layout
+from spextremal.sptree import MultiGraph
 from spextremal.weights import stacked_coefficients
 
 import exact_oracles as oracle
@@ -15,6 +15,7 @@ from exact_oracles import (
     check_invariants,
     compose,
     decompose,
+    flipped,
     leaf_ids,
     orient,
     reverse_tree,
@@ -27,8 +28,9 @@ def leaf(i=0):
     return (((), 1, False, i, 1),)
 
 
-def random_tree(rng, n_edges):
-    """Random alternating tree with n_edges leaves (ids in reading order)."""
+def random_tree(rng, n_edges, series=None):
+    """Random alternating tree with n_edges leaves (ids in reading order),
+    its root series or parallel as series says, or at random when None."""
     counter = iter(range(n_edges))
 
     def grow(budget, series):
@@ -48,7 +50,7 @@ def random_tree(rng, n_edges):
             parts = [1, budget - 1] if budget > 1 else parts
         return compose([grow(s, not series) for s in parts], series)
 
-    tree = grow(n_edges, rng.random() < 0.5)
+    tree = grow(n_edges, rng.random() < 0.5 if series is None else series)
     return tree if len(tree) > 1 else compose([tree, leaf(next(counter))], False)
 
 
@@ -256,13 +258,44 @@ class TestWriter:
 
 class TestDualize:
     def test_two_cycle(self):
-        assert sp.dualize(sp.parse_tree("P(e,e)")) == sp.parse_tree("S(e,e)")
+        # the dual 2-cycle, cut at the ends of its first edge, runs its
+        # second edge against the first
+        assert sp.dualize(sp.parse_tree("P(e,e)")) == orient(sp.parse_tree("P(e,e)"), [False, True])
 
     def test_involution(self):
+        # twice dualized, a tree keeps its nodes and signs; a root of three
+        # or more parts keeps its first and bundles the others under a new
+        # parallel node
         for n in range(2, 7):
             for k in range(1, n):
                 for t in sp.enumerate_rooted(n, k):
-                    assert sp.dualize(sp.dualize(t)) == t
+                    tree = flipped(t)
+                    first, *rest = tree[-1][0]
+                    expected = tree if len(rest) == 1 else (
+                        *tree[:-1], (tuple(rest), n - tree[first][1], False, None, 0),
+                        ((first, len(tree) - 1), n, False, None, 0))
+                    assert sp.dualize(sp.dualize(tree)) == expected, sp.format_tree(t)
+
+    def test_rank_complement_and_involution_to_7(self):
+        # the dual has rank n - rank(t), the rank it realizes with, and
+        # dualizing twice gives back the text, the oriented graph and the
+        # weights, whatever the directions
+        for n in range(2, 8):
+            for k in range(1, n):
+                for t in sp.enumerate_rooted(n, k):
+                    for tree in (t, flipped(t)):
+                        name, dual = sp.format_tree(tree), sp.dualize(tree)
+                        assert (sp.rank(dual) == n - sp.rank(tree)
+                                == sp.realize(dual).num_vertices - 1), name
+                        twice = sp.dualize(dual)
+                        assert sp.format_tree(twice) == name
+                        assert sp.realize(twice) == sp.realize(tree), name
+                        assert sp.induced_weights(twice) == sp.induced_weights(tree), name
+
+    def test_series_root_and_single_edge_rejected(self):
+        for text in ("S(e,e)", "e"):
+            with pytest.raises(sp.SpTreeError, match="parallel"):
+                sp.dualize(sp.parse_tree(text))
 
     def test_realized_rank_complement(self):
         for n in range(2, 7):
@@ -331,6 +364,7 @@ class TestRealize:
         (compose([leaf(0), leaf(1)], False), [True]),   # too few direction flags
         (compose([leaf(0), leaf(1)], False), [True] * 3),  # too many direction flags
         (compose([leaf(0), leaf(2)], False), [True] * 2),  # a flag for a missing edge id
+        (compose([leaf(0), leaf(1)], True), None),      # a series root
     ])
     def test_malformed_input_rejected(self, tree, directions):
         # realize rejects a malformed tree, and orient malformed flags
@@ -355,41 +389,47 @@ class TestRealize:
         assert orient(flipped, [False] * 3) == tree
 
     def test_layout_of_a_closed_chain_realizes_as_the_chain(self):
-        # a series root closes up into its first part in parallel with the
-        # chain of the others, or with the one other part, each nested as
-        # it comes; the text, graph and weights are those of the flat tree
-        # the text grammar writes
+        # dualize closes the chain of the dual parts into the first part in
+        # parallel with the chain of the others, or with the one other
+        # part, each nested as it comes, the first part's leaves keeping
+        # their signs and the others flipped; the text, graph and weights
+        # are those of the flat tree the text grammar writes
         for text, rooted, flat in (
-                ("S(e,P(e,e),e)", sp.parse_tree("P(e,S(P(e,e),e))"), "P(e,S(P(e,e),e))"),
-                ("S(P(e,e),e)", nest([sp.parse_tree("P(e,e)"), leaf(2)], False), "P(e,e,e)")):
-            tree = sp.parse_tree(text)
-            flips = [True, False, False, True][:sp.leaf_count(tree)]
-            assert two_terminal_layout(tree) == rooted
+                ("P(e,S(e,e),e)", orient(sp.parse_tree("P(e,S(P(e,e),e))"), [False] + [True] * 3),
+                 "P(e,S(P(e,e),e))"),
+                ("P(S(e,e),e)", orient(nest([sp.parse_tree("P(e,e)"), leaf(2)], False),
+                                       [False, False, True]), "P(e,e,e)")):
+            flips = [True, False, False, True][:rooted[-1][1]]
+            assert sp.dualize(sp.parse_tree(text)) == rooted
             assert sp.format_tree(rooted) == flat
-            for same in (tree, sp.parse_tree(flat)):
-                assert sp.realize(orient(same, flips)) == sp.realize(orient(rooted, flips))
-                assert sp.induced_weights(same) == sp.induced_weights(rooted)
+            same = sp.parse_tree(flat)
+            assert sp.realize(orient(same, flips)) == sp.realize(orient(rooted, flips))
+            assert sp.induced_weights(same) == sp.induced_weights(rooted)
 
     def test_two_terminal_form_composes_the_closed_chain(self):
-        # the first part in parallel with the series chain of the others,
-        # or with the one other part, neither spliced, with the leaves kept
-        # in reading order; the text is that of the spliced composition
+        # the dual's first part in parallel with the series chain of the
+        # others, or with the one other part, neither spliced, with the
+        # leaves kept in reading order, the first part's signs kept and
+        # the others flipped; the text is that of the spliced composition
         rng = random.Random(13)
+        swap = str.maketrans("PS", "SP")
         for _ in range(300):
-            tree = random_tree(rng, rng.randint(2, 12))
-            if not tree[-1][2]:
-                tree = sp.dualize(tree)
-            text, depth, cuts = sp.format_tree(tree), 0, []
+            n = rng.randint(2, 12)
+            flips = [rng.random() < 0.5 for _ in range(n)]
+            tree = orient(random_tree(rng, n, series=False), flips)
+            text, depth, cuts = sp.format_tree(tree).translate(swap), 0, []
             for i, ch in enumerate(text):
                 depth += (ch == "(") - (ch == ")")
                 if depth == 1 and ch in "(,":
                     cuts.append(i)
             parts = [sp.parse_tree(text[a + 1:b]) for a, b in zip(cuts, cuts[1:] + [len(text) - 1])]
             chain = compose(parts[1:], True)
-            layout = two_terminal_layout(tree)
-            check_invariants(layout, alternating=False)
-            assert layout == oracle.relabel_leaves(nest([parts[0], chain], False)), text
-            assert sp.format_tree(layout) == sp.format_tree(compose([parts[0], chain], False)), text
+            first = sp.leaf_count(parts[0])
+            signs = [flip != (e >= first) for e, flip in enumerate(flips)]
+            dual = sp.dualize(tree)
+            check_invariants(dual, alternating=False)
+            assert dual == orient(oracle.relabel_leaves(nest([parts[0], chain], False)), signs), text
+            assert sp.format_tree(dual) == sp.format_tree(compose([parts[0], chain], False)), text
 
     def test_walks_read_a_nested_node_as_its_parts(self):
         # grouping consecutive children of a node under a new node of its
@@ -398,9 +438,7 @@ class TestRealize:
         rng = random.Random(17)
         grouped_any = False
         for _ in range(300):
-            tree = random_tree(rng, rng.randint(2, 10))
-            if tree[-1][2]:
-                tree = sp.dualize(tree)
+            tree = random_tree(rng, rng.randint(2, 10), series=False)
             tree = orient(tree, [rng.random() < 0.5 for _ in range(sp.leaf_count(tree))])
             grouped = regrouped(rng, oracle.nested(tree))
             text = sp.format_tree(tree)

@@ -48,8 +48,13 @@ class TestInducedWeights:
                     assert all(w > 0 for w in sp.induced_weights(t).values())
 
     def test_non_two_connected_rejected(self):
-        with pytest.raises(sp.SpTreeError):
-            sp.induced_weights(sp.parse_tree("e"))
+        # a single edge or a series root, which nothing closes up
+        for text in ("e", "S(e,e)", "S(e,P(e,e))"):
+            tree = sp.parse_tree(text)
+            with pytest.raises(sp.SpTreeError, match="parallel"):
+                sp.induced_weights(tree)
+            with pytest.raises(sp.SpTreeError, match="parallel"):
+                stacked_coefficients(tree, [(0,)])
 
 
 def coefficients(tree, tau, flips=None):
@@ -86,8 +91,9 @@ class TestInducedCoefficients:
                         assert set(y) == set(tau)
                         assert all(v != 0 for v in y.values())
 
-    def test_series_rooted_tree_takes_its_graphs_trees(self):
-        # a closed series chain is read as the graph realize builds from it
+    def test_dual_tree_takes_its_graphs_trees(self):
+        # the dual's layout, a bundle nested in its root bundle, is read as
+        # the graph realize builds from it
         d = sp.dualize(sp.parse_tree("P(e,S(e,P(e,e)))"))
         trees = sp.spanning_trees(sp.realize(d))
         _, C, on = stacked_coefficients(d, trees)
