@@ -10,14 +10,15 @@ basis is not part of it: the search and the demos read it as
 inst.subspace, computed from the weights and B on first use, and verify
 never does.  The check_* family proves the facts that make the subspace
 extremal by integer products with D Y, with no tolerance: check_eigen
-multiplies it by the coefficient vectors of all the given spanning
-trees, stacked from one pass over the tree; check_degenerate proves by
-four identities that D Y is D times the transfer current, which makes
-every non-tree minor zero without looking at a single subset;
+multiplies it by the coefficient vectors of all the spanning trees
+weights.spanning_trees lists, stacked from one pass over the tree;
+check_degenerate proves by four identities that D Y is D times the
+transfer current, which makes every non-tree minor zero without looking
+at a single subset;
 check_attained proves the bound attained on one tree, which verify takes
 to be the first spanning tree; and check_dual reads the planar dual off
 that proof, with two tests of the graph and weights of the dual tree
-sptree.dualize writes: nothing after build re-lists a tree.
+sptree.dualize writes, and lists none of the dual's trees.
 build also keeps W, the weights as coprime positive integers
 (numeric.integer_weights), and every check states its identities with W
 alone: none needs W^(-1).
@@ -106,10 +107,10 @@ def build(tree) -> ExtremalInstance:
     return ExtremalInstance(tree, graph, w, B, D, DY, W)
 
 
-def check_eigen(inst: ExtremalInstance, trees) -> bool:
-    """Exact check that on every spanning tree tau in trees the induced
-    coefficients are an eigenvector of Y[tau, tau] with eigenvalue exactly
-    1/n.
+def check_eigen(inst: ExtremalInstance) -> bool:
+    """Exact check that on every spanning tree tau of the graph, as
+    weights.spanning_trees lists them, the induced coefficients are an
+    eigenvector of Y[tau, tau] with eigenvalue exactly 1/n.
 
     Column j of the integer matrix C holds tree j's coefficients times
     their common denominator, zero off tau_j, all columns from one pass
@@ -118,12 +119,10 @@ def check_eigen(inst: ExtremalInstance, trees) -> bool:
     n (D Y C)[e, j] == D C[e, j] for each e in tau_j.  With bx, bc and bd
     the bit lengths of D Y, C and D, an entry of n (D Y C) is a sum of
     n * n products below 2**(bx + bc), and D C one below 2**(bd + bc):
-    the bound fixed_width is given.  Raises SpTreeError when some tau is
-    not a spanning tree, and when trees is empty: a connected graph has a
-    spanning tree, so an empty list means its source failed, not that the
-    identity holds.
+    the bound fixed_width is given.  Past numeric.MAX_EDGES the listing
+    raises BruteForceCapError.
     """
-    _, C, on = stacked_coefficients(inst.tree, trees)
+    _, C, on = stacked_coefficients(inst.tree, spanning_trees(inst.graph))
     return _eigen_holds(inst, C, on)
 
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
 from . import numeric
-from .sptree import SpTreeError, require_two_connected
+from .sptree import require_two_connected
 
 
 def induced_weights(tree) -> dict[int, Fraction]:
@@ -67,7 +67,9 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     """(s, C, on): C[e, j] / s[j] is the induced coefficient of edge e on
     the spanning tree trees[j], and on[e, j] says whether e lies in it;
     layout is the decomposition tree, with a parallel root
-    (sptree.require_two_connected).
+    (sptree.require_two_connected), and trees are spanning trees of the
+    graph it realizes, as spanning_trees lists them: nothing here checks
+    that they are.
 
     C is n x T, zero off each tree, and on is boolean; C and s are int64
     where numeric.fixed_width proves that nothing wraps, and Python ints
@@ -75,14 +77,13 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     node's step one array operation over all T columns.  Bottom up, each
     node gets the deficit of each tree restricted to its edges: 0 when
     that is a spanning tree of the node (its terminals are connected), 1
-    when it is a spanning 2-forest separating the terminals.  A series node sums its children's
-    deficits; a parallel node sums them and subtracts one less than its
-    number of children, since siblings share only the terminals.  Any
-    other value marks a cycle or a stray component and stays out of range
-    up to the root, so a column is a spanning tree exactly when the root's
-    deficit is 0.  Top down, the psi ratios multiply along each series
-    chain as integer numerators and denominators, and s[j] is the lcm of
-    tree j's denominators.  Every value is bounded before any is formed:
+    when it is a spanning 2-forest separating the terminals, the only two
+    cases for a spanning tree of the graph.  A series node sums its
+    children's deficits; a parallel node sums them and subtracts one less
+    than its number of children, since siblings share only the terminals.
+    Top down, the psi ratios multiply along each series chain as integer
+    numerators and denominators, and s[j] is the lcm of tree j's
+    denominators.  Every value is bounded before any is formed:
     |psi| <= n, and with F the children of series nodes, a numerator is
     the product of psi over the series nodes on a path, a denominator over
     the nodes of F on it, and s[j] divides the product over all of F.  A
@@ -90,36 +91,20 @@ def stacked_coefficients(layout, trees) -> tuple[np.ndarray, np.ndarray, np.ndar
     C = numerator * (s // denominator), which divides the product over the
     series nodes on the path and the nodes of F off it, is at most n**|F|
     like every other value, below 2**(|F| bit_length(n) + 1), the bound
-    fixed_width is given.  Raises SpTreeError when trees is empty (a
-    connected graph has a spanning tree, so an empty list means its source
-    failed) and when some entry is not a spanning tree: an edge id outside
-    0..n-1, a repeated edge, a cycle or too few edges.
+    fixed_width is given.
     """
     require_two_connected(layout)
     n = layout[-1][1]
-    trees = list(trees)
-    if not trees:
-        raise SpTreeError("no spanning tree to check")
-    sizes = [len(tau) for tau in trees]
-    edges = np.fromiter(chain.from_iterable(trees), dtype=int, count=sum(sizes))
-    if edges.size and not 0 <= edges.min() <= edges.max() < n:
-        raise SpTreeError("edge subset names an edge the graph lacks")
     on = np.zeros((n, len(trees)), dtype=bool)
-    on[edges, np.repeat(np.arange(len(trees)), sizes)] = True
-    if (on.sum(axis=0) != sizes).any():
-        raise SpTreeError("edge subset repeats an edge")
+    on[np.array(trees).T, np.arange(len(trees))] = True
 
-    invalid = n + 1  # a parallel node subtracts fewer than n
     deficit = np.empty((len(layout), len(trees)), dtype=int)
     leaves = [i for i, node in enumerate(layout) if not node[0]]
     eids = [layout[i][3] for i in leaves]
     deficit[leaves] = ~on[eids]
     for i, (kids, _, is_series, _, _) in enumerate(layout):
         if kids:
-            d = deficit[list(kids)].sum(axis=0) - (0 if is_series else len(kids) - 1)
-            deficit[i] = np.where((d == 0) | (d == 1), d, invalid)
-    if deficit[-1].any():
-        raise SpTreeError("edge subset is not a spanning tree")
+            deficit[i] = deficit[list(kids)].sum(axis=0) - (0 if is_series else len(kids) - 1)
     size = np.array([node[1] for node in layout])[:, None]
     factors = sum(len(node[0]) for node in layout if node[2])
     psi, = numeric.fixed_width([np.where(deficit == 0, n - size, -size)],

@@ -297,13 +297,6 @@ class TestDualize:
             with pytest.raises(sp.SpTreeError, match="parallel"):
                 sp.dualize(sp.parse_tree(text))
 
-    def test_realized_rank_complement(self):
-        for n in range(2, 7):
-            for k in range(1, n):
-                for t in sp.enumerate_rooted(n, k):
-                    dual_rank = sp.realize(sp.dualize(t)).num_vertices - 1
-                    assert dual_rank == n - sp.rank(t)
-
     def test_four_cycle_dual_is_banana(self):
         d = sp.dualize(sp.parse_tree("P(e,S(e,e,e))"))
         g = sp.realize(d)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spextremal as sp
-from spextremal.numeric import laplacian, incidence_matrix
+from spextremal.numeric import bareiss, incidence_matrix, laplacian
 from spextremal.sptree import MultiGraph
 from spextremal.weights import stacked_coefficients, weights_to_json
 
@@ -15,7 +15,6 @@ from exact_oracles import (
     brute_tree_sums,
     decompose,
     orient,
-    rational_det,
     tree_sums,
     two_component_forests,
 )
@@ -100,17 +99,6 @@ class TestInducedCoefficients:
         assert on.sum(axis=0).tolist() == [len(tau) for tau in trees]
         assert all(C[e, j] != 0 for e, j in zip(*np.nonzero(on)))
 
-    def test_non_spanning_tree_rejected(self):
-        t = sp.parse_tree("P(e,S(e,e))")
-        with pytest.raises(sp.SpTreeError):
-            coefficients(t, (0,))  # wrong size
-        diamond = sp.parse_tree("P(e,S(e,P(e,e)))")
-        with pytest.raises(sp.SpTreeError):
-            coefficients(diamond, (2, 3))  # contains a cycle
-        banana = sp.parse_tree("P(e,e,e)")
-        with pytest.raises(sp.SpTreeError):
-            coefficients(banana, (0, 0))  # repeats
-
 
 class TestTreeSums:
     def test_single_edge_base_case(self):
@@ -141,6 +129,23 @@ class TestTreeSums:
                         assert tree_sums(t, w) == brute_tree_sums(g, w)
 
 
+def assert_listing_counts(graphs):
+    """spanning_trees lists det L0 trees of each graph, L0 its grounded
+    Laplacian at unit weights (the matrix-tree theorem, one
+    numeric.bareiss elimination); and with k the vertex count less one,
+    each (n, k) has at least k (n - k) + 1 trees, the least basis count of
+    a connected matroid of rank k on n elements, as the cycle matroid of
+    a 2-connected graph is, and some graph of each (n, k) has exactly that
+    many."""
+    least = {}
+    for g in graphs:
+        n, k = len(g.edges), g.num_vertices - 1
+        count, _ = bareiss(laplacian(incidence_matrix(g)[1:], [1] * n).tolist())
+        assert len(sp.spanning_trees(g)) == count, g
+        least[n, k] = min(count, least.get((n, k), count))
+    assert least == {(n, k): k * (n - k) + 1 for n, k in least}
+
+
 class TestBruteEnumeration:
     def test_triangle_spanning_trees(self):
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"))
@@ -150,13 +155,17 @@ class TestBruteEnumeration:
         t = sp.parse_tree("P(e,e,e,e)")
         assert sp.spanning_trees(sp.realize(t)) == [(0,), (1,), (2,), (3,)]
 
-    def test_four_cycle_count_matches_matrix_tree_determinant(self):
-        t = sp.parse_tree("P(e,S(e,e,e))")
-        g = sp.realize(t)
-        unit = {e: Fraction(1) for e in range(4)}
-        L = laplacian(incidence_matrix(g), unit)
-        reduced = L[1:, 1:]
-        assert rational_det(reduced) == len(sp.spanning_trees(g))
+    def test_four_cycle_count_matches_matrix_tree_determinant(self, instances_to_7):
+        # the four-cycle's four trees, then every instance to 7 edges, and
+        # with 8 to 11 edges under --runlong, past the union-find oracle's 9
+        assert len(sp.spanning_trees(sp.realize(sp.parse_tree("P(e,S(e,e,e))")))) == 4
+        assert_listing_counts([inst.graph for inst in instances_to_7])
+
+    @pytest.mark.long
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_matrix_tree_count_long(self, n):
+        assert_listing_counts(sp.realize(t) for k in range(1, n)
+                              for t in sp.enumerate_rooted(n, k))
 
     def test_two_component_forests_triangle(self):
         g = sp.realize(sp.parse_tree("P(e,S(e,e))"))
